@@ -9,19 +9,19 @@ every level table for a 3-path and shows where the YES verdict appears.
 """
 
 from gltc import (
-    apply_bar_level,
+    BLOCKED,
+    OPEN,
+    VectorTrie,
     build_partition,
-    compute_step,
-    format_vector,
     independent_set_vectors,
     instance_tau,
-    is_complete,
+    level_step,
     parse_instance,
     solve,
     validate,
 )
-from gltc.encoding import BLOCKED, OPEN
-from gltc.vectorset import VectorTrie
+from gltc.encoding import format_vector, is_complete
+from gltc.solver import _BarPass, _build_plan
 
 # A 3-path where neighbors must differ by more than 1, frequencies 1..4.
 inst = parse_instance(
@@ -41,6 +41,10 @@ print("blocks:", [b.vertices for b in part.blocks], "=> vertex order", ordering)
 print()
 
 indep = independent_set_vectors(inst.graph, ordering)
+# built once per instance, as the solver does: the per-block prefix plan
+# for the combination and the per-vertex data for the open/blocked pass
+plan = _build_plan(part.blocks, tau, inst, True)
+bar = _BarPass(inst, ordering, tau)
 print(f"{len(indep)} independent-set vectors:",
       " ".join(format_vector(p) for p in indep))
 print()
@@ -50,8 +54,7 @@ table = VectorTrie.from_vectors(
 )
 print("level 0:", " ".join(format_vector(v) for v in table))
 for k in range(1, stats.lambda_max + 1):
-    step = compute_step(table, indep, part.blocks, tau, inst)
-    table = apply_bar_level(step, k - 1, inst, ordering).vectors
+    table, _ = level_step(table, indep, plan, bar, k)
     rendered = [
         format_vector(v) + ("*" if is_complete(v) else "")
         for v in table

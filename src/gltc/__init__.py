@@ -7,33 +7,20 @@ forbidden difference — and produce one when it does. The solver is a
 label-by-label dynamic program over trie-compressed state-vector sets,
 decomposed over a pluggable vertex partition; reductions from list
 coloring, L(p,q)-labeling, channel assignment and T-coloring are
-included, along with a brute-force reference solver.
+included. The brute-force reference solver lives in ``gltc.reference``.
 """
 
-from .encoding import (
-    BLOCKED,
-    OPEN,
-    advance_preimage_pairs,
-    advance_symbol,
-    advance_vector,
-    format_vector,
-    instance_tau,
-    is_complete,
-    mark_blocked,
-    symbol_alphabet,
-)
+from .encoding import BLOCKED, OPEN
 from .gen import random_instance
-from .indsets import independent_set_vectors, restrict_prefix
+from .indsets import independent_set_vectors
 from .instance import (
     Graph,
     Instance,
     InstanceStats,
     ParseError,
-    compress_gaps,
-    connected_components,
     gap_compression,
     graph_square,
-    induced_instance,
+    instance_tau,
     parse_instance,
     reduce_channel,
     reduce_list_coloring,
@@ -43,13 +30,11 @@ from .instance import (
     split_components,
     validate,
 )
-from .oracle import brute_force_solve, extension_predicate
 from .partition import (
     CLIQUE,
     SINGLETON,
     STAR,
     Block,
-    ComplexityEstimate,
     NotK1dFreeError,
     Partition,
     base_table_row,
@@ -63,20 +48,17 @@ from .partition import (
     star_partition_k1d,
     star_partition_spanning_tree,
     star_prefix_bound,
-    tree_longest_path,
     validate_partition,
 )
+from .reference import brute_force_solve  # answer checks in perfbench/run.py
 from .solver import (
     LevelTable,
     ResourceLimitError,
     SolveOptions,
     SolveResult,
     SolveStats,
-    Witness,
-    apply_bar_level,
     check_witness,
-    compute_step,
-    direct_step,
+    level_step,
     reconstruct_witness,
     solve,
 )
@@ -84,4 +66,15 @@ from .vectorset import LEAF, VectorTrie
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BLOCKED", "OPEN", "LEAF", "VectorTrie", "random_instance", "independent_set_vectors",
+    "Graph", "Instance", "InstanceStats", "ParseError", "gap_compression", "graph_square",
+    "instance_tau", "parse_instance", "reduce_channel", "reduce_list_coloring", "reduce_lpq",
+    "reduce_tcoloring", "serialize_instance", "split_components", "validate",
+    "CLIQUE", "SINGLETON", "STAR", "Block", "NotK1dFreeError", "Partition", "base_table_row",
+    "bfs_spanning_tree", "build_partition", "clique_partition", "feasible_prefixes",
+    "predict_complexity", "singleton_partition", "star_block_base", "star_partition_k1d",
+    "star_partition_spanning_tree", "star_prefix_bound", "validate_partition",
+    "brute_force_solve", "LevelTable", "ResourceLimitError", "SolveOptions", "SolveResult",
+    "SolveStats", "check_witness", "level_step", "reconstruct_witness", "solve",
+]

@@ -2,8 +2,8 @@
 
 Subcommands: solve, oracle, reduce, gen, predict, bases. All reports are
 line oriented and machine parseable on stdout; stderr carries
-diagnostics only. Exit codes: 0 = YES, 1 = NO, 2 = error or resource
-limit.
+diagnostics only. Exit codes: 0 = YES, 1 = NO, 2 = error, resource
+limit or any internal failure (so a crash is never read as NO).
 """
 
 from __future__ import annotations
@@ -11,11 +11,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .encoding import instance_tau
 from .gen import random_instance
 from .instance import (
     Instance,
     ParseError,
+    instance_tau,
     parse_instance,
     reduce_channel,
     reduce_list_coloring,
@@ -24,8 +24,8 @@ from .instance import (
     serialize_instance,
     _edge_key,
 )
-from .oracle import brute_force_solve
 from .partition import base_table_row, build_partition, predict_complexity
+from .reference import brute_force_solve
 from .solver import ResourceLimitError, SolveOptions, solve
 
 EXIT_YES = 0
@@ -225,6 +225,9 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     except ResourceLimitError as exc:
         print(f"limit: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:  # MemoryError and bugs alike must not exit 1 (NO)
+        print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_ERROR
 
 

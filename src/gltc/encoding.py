@@ -22,8 +22,6 @@ from typing import Optional, Sequence
 BLOCKED = -1
 OPEN = 0
 
-Vector = tuple[int, ...]
-
 
 def symbol_alphabet(tau: int) -> tuple[int, ...]:
     """All tau+3 symbols in canonical order BLOCKED < OPEN < 1 < ... < tau+1."""
@@ -52,18 +50,6 @@ def advance_symbol(x: int, assign: int, tau: int) -> Optional[int]:
     return None
 
 
-def advance_vector(a: Sequence[int], mask: Sequence[int], tau: int) -> Optional[Vector]:
-    """Coordinate-wise advance; None as soon as any coordinate is impossible."""
-    assert len(a) == len(mask), "vector length mismatch"
-    out = []
-    for x, y in zip(a, mask):
-        r = advance_symbol(x, y, tau)
-        if r is None:
-            return None
-        out.append(r)
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def advance_preimage_pairs(sym: int, tau: int) -> tuple[tuple[int, int], ...]:
     """All (x, assign) with advance_symbol(x, assign, tau) == sym, canonical order."""
@@ -73,48 +59,6 @@ def advance_preimage_pairs(sym: int, tau: int) -> tuple[tuple[int, int], ...]:
             if advance_symbol(x, y, tau) == sym:
                 pairs.append((x, y))
     return tuple(pairs)
-
-
-def instance_tau(inst) -> int:
-    """Largest forbidden difference over all edges (0 when there are none)."""
-    best = 0
-    for diffs in inst.t.values():
-        if diffs:
-            best = max(best, max(diffs))
-    return best
-
-
-def mark_blocked(vec: Sequence[int], level: int, inst, ordering: Sequence[int] | None = None,
-                 tau: int | None = None) -> Vector:
-    """Recompute OPEN/BLOCKED for unlabeled coordinates against label level+2.
-
-    Labeled coordinates (>= 1) pass through unchanged. An unlabeled
-    coordinate stays OPEN iff level+2 is on its vertex's list and no
-    neighbor carries a label whose difference with level+2 is forbidden;
-    otherwise it becomes BLOCKED. Reference implementation; the solver
-    uses a precomputed equivalent in its inner loop.
-    """
-    if ordering is None:
-        ordering = tuple(range(1, inst.graph.n + 1))
-    if tau is None:
-        tau = instance_tau(inst)
-    pos_of = {v: i for i, v in enumerate(ordering)}
-    next_label = level + 2
-    out = list(vec)
-    for i, sym in enumerate(vec):
-        if sym != OPEN:
-            assert sym != BLOCKED, "input vectors never carry BLOCKED"
-            continue
-        v = ordering[i]
-        if next_label not in inst.lam[v]:
-            out[i] = BLOCKED
-            continue
-        for w in inst.graph.adjacency[v]:
-            bw = vec[pos_of[w]]
-            if bw >= 2 and (tau - bw + 2) in inst.t_of(v, w):
-                out[i] = BLOCKED
-                break
-    return tuple(out)
 
 
 def is_complete(vec: Sequence[int]) -> bool:

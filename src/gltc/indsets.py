@@ -50,8 +50,3 @@ def independent_set_vectors(g: Graph, ordering: Sequence[int] | None = None) -> 
         return node
 
     return VectorTrie(n, build(0, 0))
-
-
-def restrict_prefix(vectors: VectorTrie, prefix: Sequence[int]) -> VectorTrie:
-    """Suffix set {v : prefix+v in vectors}; empty when no member matches."""
-    return vectors.restrict(prefix)

@@ -21,6 +21,7 @@ ascending, edges in (min, max) lexicographic order, single spaces.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -181,8 +182,9 @@ def parse_instance(text: str) -> Instance:
     if n is None:
         raise ParseError("missing 'gltc <n> <m>' header")
     if len(lam) != n:
-        missing = sorted(set(range(1, n + 1)) - set(lam))
-        raise ParseError(f"missing vertex lines for ids {missing}")
+        # scanning stops after a few ids, so a huge n costs no memory
+        first = list(itertools.islice((v for v in range(1, n + 1) if v not in lam), 5))
+        raise ParseError(f"missing vertex lines for {n - len(lam)} ids, first {first}")
     if len(tsets) != m:
         raise ParseError(f"header declares {m} edges but {len(tsets)} were given")
     graph = Graph(n=n, edges=frozenset(tsets))
@@ -212,35 +214,26 @@ def validate(inst: Instance) -> InstanceStats:
     Empty lists are flagged rather than rejected: such instances are an
     immediate NO for the solver.
     """
-    tau = 0
-    for diffs in inst.t.values():
-        if diffs:
-            tau = max(tau, max(diffs))
     lambda_max = 0
     for labels in inst.lam.values():
         if labels:
             lambda_max = max(lambda_max, max(labels))
     empty = tuple(v for v in range(1, inst.graph.n + 1) if not inst.lam[v])
     return InstanceStats(
-        tau=tau,
+        tau=instance_tau(inst),
         lambda_max=lambda_max,
-        connected=_is_connected(inst.graph),
+        connected=len(_component_vertex_sets(inst.graph)) <= 1,
         empty_lists=empty,
     )
 
 
-def _is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        v = queue.popleft()
-        for w in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+def instance_tau(inst: Instance) -> int:
+    """Largest forbidden difference over all edges (0 when there are none)."""
+    best = 0
+    for diffs in inst.t.values():
+        if diffs:
+            best = max(best, max(diffs))
+    return best
 
 
 def _component_vertex_sets(g: Graph) -> list[list[int]]:
@@ -283,11 +276,6 @@ def split_components(inst: Instance) -> list[tuple[Instance, dict[int, int]]]:
     return [induced_instance(inst, comp) for comp in _component_vertex_sets(inst.graph)]
 
 
-def connected_components(inst: Instance) -> list[Instance]:
-    """The per-component sub-instances; the overall answer is their conjunction."""
-    return [sub for sub, _ in split_components(inst)]
-
-
 # ---------------------------------------------------------------------------
 # label-gap compression
 
@@ -305,10 +293,7 @@ def gap_compression(inst: Instance) -> tuple[Instance, dict[int, int]]:
     used = sorted(set().union(*inst.lam.values())) if inst.lam else []
     if not used:
         return inst, {}
-    tau = 0
-    for diffs in inst.t.values():
-        if diffs:
-            tau = max(tau, max(diffs))
+    tau = instance_tau(inst)
     remap = {used[0]: 1}
     for prev, cur in zip(used, used[1:]):
         remap[cur] = remap[prev] + min(cur - prev, tau + 1)
@@ -317,11 +302,6 @@ def gap_compression(inst: Instance) -> tuple[Instance, dict[int, int]]:
     lam = {v: frozenset(remap[lab] for lab in labels) for v, labels in inst.lam.items()}
     compressed = Instance(graph=inst.graph, lam=lam, t=inst.t)
     return compressed, {new: old for old, new in remap.items()}
-
-
-def compress_gaps(inst: Instance) -> Instance:
-    """Answer-preserving rewrite of the label lists with dead gaps shrunk."""
-    return gap_compression(inst)[0]
 
 
 # ---------------------------------------------------------------------------

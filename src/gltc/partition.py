@@ -15,8 +15,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .encoding import instance_tau
-from .instance import Graph, Instance, _edge_key
+from .instance import Graph, Instance, _edge_key, instance_tau, split_components
 
 SINGLETON = "singleton"
 STAR = "star"
@@ -139,8 +138,6 @@ def tree_longest_path(tree: dict[int, set[int]]) -> list[int]:
 def _tree_is_star_center(tree: dict[int, set[int]]) -> int | None:
     """Min-id vertex adjacent to all others, or None if the tree is no star."""
     size = len(tree)
-    if size == 1:
-        return next(iter(tree))
     centers = sorted(v for v, nbrs in tree.items() if len(nbrs) == size - 1)
     return centers[0] if centers else None
 
@@ -173,25 +170,10 @@ def star_partition_spanning_tree(g: Graph) -> Partition:
     """
     if g.n == 0:
         return Partition(())
-    if g.n == 1:
-        return Partition((Block((1,), SINGLETON),))
     tree = bfs_spanning_tree(g, root=1)
     if len(tree) != g.n:
         raise ValueError("star partition requires a connected graph")
-    blocks: list[Block] = []
-    while True:
-        center = _tree_is_star_center(tree)
-        if center is not None:
-            rest = tuple(sorted(set(tree) - {center}))
-            kind = STAR if rest else SINGLETON
-            blocks.append(Block((center, *rest), kind))
-            break
-        path = tree_longest_path(tree)
-        u = path[1]
-        leaves = tuple(sorted(w for w in tree[u] if len(tree[w]) == 1))
-        blocks.append(Block((u, *leaves), STAR))
-        _remove_from_tree(tree, (u, *leaves))
-    part = Partition(tuple(blocks))
+    part = Partition(tuple(_peel_tree_stars(tree)))
     validate_partition(g, part)
     return part
 
@@ -259,7 +241,7 @@ def star_partition_k1d(g: Graph, d: int) -> Partition:
 
 
 def _peel_tree_stars(tree: dict[int, set[int]]) -> list[Block]:
-    """Run the spanning-tree peeling on an already-built residual tree."""
+    """The spanning-tree peeling of star_partition_spanning_tree; empties ``tree``."""
     blocks: list[Block] = []
     while tree:
         center = _tree_is_star_center(tree)
@@ -422,41 +404,6 @@ def base_table_row(tau: int) -> dict[str, float]:
 # strategy dispatch
 
 
-def _component_subgraphs(g: Graph) -> list[tuple[Graph, dict[int, int]]]:
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for start in range(1, g.n + 1):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in g.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(sorted(comp))
-    out = []
-    for comp in comps:
-        to_new = {v: i + 1 for i, v in enumerate(comp)}
-        edges = {
-            _edge_key(to_new[u], to_new[v])
-            for u, v in g.edges
-            if u in to_new and v in to_new
-        }
-        out.append((Graph(n=len(comp), edges=frozenset(edges)), {i + 1: v for i, v in enumerate(comp)}))
-    return out
-
-
-def _translate(part: Partition, idmap: dict[int, int]) -> Partition:
-    return Partition(
-        tuple(Block(tuple(idmap[v] for v in b.vertices), b.kind) for b in part.blocks)
-    )
-
-
 def build_partition(inst: Instance, strategy: str = "auto") -> Partition:
     """Build a partition of the whole vertex set by strategy name.
 
@@ -473,22 +420,26 @@ def build_partition(inst: Instance, strategy: str = "auto") -> Partition:
     if strategy in ("star", "auto") or strategy.startswith("k1d:"):
         tau = instance_tau(inst)
         blocks: list[Block] = []
-        for sub, idmap in _component_subgraphs(g):
+        for sub_inst, idmap in split_components(inst):
+            sub = sub_inst.graph
             if strategy == "star":
                 chosen = star_partition_spanning_tree(sub)
             elif strategy.startswith("k1d:"):
                 d = int(strategy.split(":", 1)[1])
                 chosen = star_partition_k1d(sub, d)
             else:
-                candidates = [singleton_partition(sub)]
-                if sub.n >= 2:
-                    candidates.append(star_partition_spanning_tree(sub))
-                candidates.append(clique_partition(sub))
+                candidates = [
+                    singleton_partition(sub),
+                    star_partition_spanning_tree(sub),
+                    clique_partition(sub),
+                ]
                 chosen = min(
                     candidates,
                     key=lambda p: predict_complexity(sub, p, tau).product,
                 )
-            blocks.extend(_translate(chosen, idmap).blocks)
+            blocks.extend(
+                Block(tuple(idmap[v] for v in b.vertices), b.kind) for b in chosen.blocks
+            )
         part = Partition(tuple(blocks))
         validate_partition(g, part)
         return part

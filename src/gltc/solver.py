@@ -19,15 +19,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .encoding import (
-    BLOCKED,
-    OPEN,
-    advance_preimage_pairs,
-    advance_vector,
-    instance_tau,
-)
+from .encoding import BLOCKED, OPEN, advance_preimage_pairs
 from .indsets import independent_set_vectors
-from .instance import Instance, split_components, gap_compression, validate
+from .instance import Instance, gap_compression, instance_tau, split_components, validate
 from .partition import Partition, build_partition, feasible_prefixes
 from .vectorset import LEAF, VectorTrie, node_restrict, node_union
 
@@ -175,36 +169,6 @@ def _combine(a_nodes, p_node, depth, plan, memo):
     return result
 
 
-def compute_step(table: VectorTrie, indep: VectorTrie, blocks, tau: int,
-                 inst: Instance, strengthened: bool = True) -> VectorTrie:
-    """One combination step T (+) P, decomposed over the given blocks.
-
-    Equals direct_step on every input but touches each shared suffix
-    set only once.
-    """
-    n = sum(len(b.vertices) for b in blocks)
-    assert table.length == n and indep.length == n
-    if table.root is None or indep.root is None:
-        return VectorTrie(n)
-    plan = _build_plan(blocks, tau, inst, strengthened)
-    root = _combine((table.root,), indep.root, 0, plan, {})
-    return VectorTrie(n, root)
-
-
-def direct_step(table: VectorTrie, indep: VectorTrie, tau: int) -> VectorTrie:
-    """Reference combination: materialize every pair and drop impossible ones.
-
-    Quadratic in the table sizes; meant for small test configurations.
-    """
-    out = VectorTrie(table.length)
-    for a in table:
-        for p in indep:
-            combined = advance_vector(a, p, tau)
-            if combined is not None:
-                out.add(combined)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # level pipeline
 
@@ -242,15 +206,23 @@ class _BarPass:
         return tuple(out)
 
 
-def apply_bar_level(step_result: VectorTrie, level: int, inst: Instance,
-                    ordering) -> LevelTable:
-    """Recompute OPEN/BLOCKED on every vector of a combination result,
-    yielding the deduplicated table of the next level."""
-    bar = _BarPass(inst, ordering, instance_tau(inst))
-    out = VectorTrie(step_result.length)
-    for vec in step_result:
-        out.add(bar.run(vec, level))
-    return LevelTable(level + 1, out)
+def level_step(table: VectorTrie, indep: VectorTrie, plan, bar: _BarPass,
+               level: int) -> tuple[VectorTrie, int]:
+    """Advance the level ``level - 1`` table to level ``level``.
+
+    Combines the table with the independent-set vectors along the prefix
+    plan (see _build_plan), then streams every combined vector through
+    the bar pass into a fresh, deduplicated trie. Returns the new table
+    and its size.
+    """
+    out = VectorTrie(table.length)
+    if table.root is None:
+        return out, 0
+    step = VectorTrie(table.length, _combine((table.root,), indep.root, 0, plan, {}))
+    size = 0
+    for vec in step:
+        size += out.add(bar.run(vec, level - 1))
+    return out, size
 
 
 def _find_complete(trie: VectorTrie):
@@ -363,40 +335,25 @@ def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
 
     found = _find_complete(tables[0].vectors)  # complete at level 0 only when n == 0
     found_level = 0
-    if found is None or not options.early_exit:
-        found, found_level = None, 0
-        for k in range(1, lmax + 1):
-            prev = tables[-1].vectors
-            if prev.root is None:
-                break  # all later tables stay empty
-            root = _combine((prev.root,), indep.root, 0, plan, {})
-            step = VectorTrie(len(ordering), root)
-            table = VectorTrie(len(ordering))
-            size = 0
-            for vec in step:
-                size += table.add(bar.run(vec, k - 1))
-            if options.store_parents:
-                tables.append(LevelTable(k, table))
-            else:
-                tables = [LevelTable(k, table)]
-            stats.levels += 1
-            stats.total_vectors += size
-            stats.max_table_size = max(stats.max_table_size, size)
-            report.level_sizes.append(size)
-            if stats.total_vectors > options.vector_limit:
-                raise ResourceLimitError(
-                    f"stored vectors exceeded the limit of {options.vector_limit}"
-                )
-            if options.early_exit:
-                complete = _find_complete(table)
-                if complete is not None:
-                    found, found_level = complete, k
-                    break
-            elif k == lmax:
-                # without early exit the verdict comes from the last level only
-                found, found_level = _find_complete(table), k
-        if lmax == 0 and not options.early_exit:
-            found, found_level = _find_complete(tables[0].vectors), 0
+    for k in range(1, lmax + 1):
+        table, size = level_step(tables[-1].vectors, indep, plan, bar, k)
+        if options.store_parents:
+            tables.append(LevelTable(k, table))
+        else:
+            tables = [LevelTable(k, table)]
+        stats.levels += 1
+        stats.total_vectors += size
+        stats.max_table_size = max(stats.max_table_size, size)
+        report.level_sizes.append(size)
+        if stats.total_vectors > options.vector_limit:
+            raise ResourceLimitError(
+                f"stored vectors exceeded the limit of {options.vector_limit}"
+            )
+        # completeness persists from level to level, so without early exit
+        # the last level decides, and its vector anchors the witness
+        found, found_level = _find_complete(table), k
+        if found is not None and options.early_exit:
+            break
     if found is None:
         return False, None
     if not options.store_parents:

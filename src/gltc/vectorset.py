@@ -152,7 +152,3 @@ class VectorTrie:
         """The suffix set {v : prefix+v in self}; empty when nothing matches."""
         assert len(prefix) <= self.length
         return VectorTrie(self.length - len(prefix), node_restrict(self.root, prefix))
-
-    def union(self, other: "VectorTrie") -> "VectorTrie":
-        assert self.length == other.length
-        return VectorTrie(self.length, node_union(self.root, other.root))

@@ -10,13 +10,13 @@ from gltc import (
     Graph,
     Instance,
     VectorTrie,
-    apply_bar_level,
     build_partition,
-    compute_step,
     independent_set_vectors,
     instance_tau,
+    level_step,
     validate,
 )
+from gltc.solver import _BarPass, _build_plan
 
 
 def path_graph(n: int) -> Graph:
@@ -58,17 +58,24 @@ def base_table(inst: Instance, ordering) -> VectorTrie:
     return VectorTrie.from_vectors(len(ordering), [vec])
 
 
+def level_pipeline(inst: Instance, part, strengthened: bool = True):
+    """What the solver builds once per component to run level_step:
+    the independent-set trie, the prefix plan and the bar pass."""
+    tau = instance_tau(inst)
+    indep = independent_set_vectors(inst.graph, part.ordering)
+    plan = _build_plan(part.blocks, tau, inst, strengthened)
+    return indep, plan, _BarPass(inst, part.ordering, tau)
+
+
 def run_tables(inst: Instance, strategy: str = "singleton", strengthened: bool = True):
     """Yield (level, table) for every level of the pipeline, without early exit."""
     part = build_partition(inst, strategy)
     ordering = part.ordering
-    tau = instance_tau(inst)
-    indep = independent_set_vectors(inst.graph, ordering)
+    indep, plan, bar = level_pipeline(inst, part, strengthened)
     table = base_table(inst, ordering)
     yield 0, table, part, ordering
     for k in range(1, validate(inst).lambda_max + 1):
-        step = compute_step(table, indep, part.blocks, tau, inst, strengthened)
-        table = apply_bar_level(step, k - 1, inst, ordering).vectors
+        table, _ = level_step(table, indep, plan, bar, k)
         yield k, table, part, ordering
 
 

@@ -10,17 +10,14 @@ from gltc import (
     Block,
     SINGLETON,
     SolveOptions,
-    apply_bar_level,
     bfs_spanning_tree,
     brute_force_solve,
     build_partition,
     check_witness,
     clique_partition,
-    compute_step,
-    direct_step,
     feasible_prefixes,
-    independent_set_vectors,
     instance_tau,
+    level_step,
     predict_complexity,
     random_instance,
     solve,
@@ -31,10 +28,12 @@ from gltc import (
     validate,
     validate_partition,
 )
+from gltc.reference import direct_step, mark_blocked
 from support import (
     base_table,
     complete_graph,
     cycle_graph,
+    level_pipeline,
     line_graph,
     path_graph,
     star_graph,
@@ -91,17 +90,18 @@ def test_criterion_2_level_recurrence_conformance():
         part = build_partition(inst, ("singleton", "star", "clique")[seed % 3])
         ordering = part.ordering
         tau = instance_tau(inst)
-        indep = independent_set_vectors(inst.graph, ordering)
+        indep, plan, bar = level_pipeline(inst, part)
         table = base_table(inst, ordering)
         for k in range(1, validate(inst).lambda_max + 1):
-            recursive = compute_step(table, indep, part.blocks, tau, inst)
-            reference = direct_step(table, indep, tau)
-            got = set(apply_bar_level(recursive, k - 1, inst, ordering).vectors)
-            want = set(apply_bar_level(reference, k - 1, inst, ordering).vectors)
-            if got != want:
+            got, size = level_step(table, indep, plan, bar, k)
+            want = {
+                mark_blocked(vec, k - 1, inst, ordering, tau)
+                for vec in direct_step(table, indep, tau)
+            }
+            if set(got) != want or size != len(want):
                 failures.append((seed, k))
                 break
-            table = apply_bar_level(recursive, k - 1, inst, ordering).vectors
+            table = got
     _report(2, "level recurrence equals pairwise reference", failures)
 
 

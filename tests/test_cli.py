@@ -52,6 +52,23 @@ def test_solve_missing_file_exits_2(capsys):
     assert main(["solve", "/no/such/file.gltc"]) == 2
 
 
+def test_solve_huge_header_gives_a_short_error(tmp_path, capsys):
+    path = tmp_path / "huge.gltc"
+    path.write_text("gltc 3000000 0\n")
+    assert main(["solve", str(path)]) == 2
+    assert len(capsys.readouterr().err.encode()) < 1024
+
+
+def test_solve_internal_failure_exits_2_not_no(yes_file, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("gltc.cli.solve", out_of_memory)
+    assert main(["solve", yes_file]) == 2
+    err = capsys.readouterr().err
+    assert "MemoryError" in err and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("flag", ["--no-early-exit", "--no-gap-compress", "--no-strong-prune"])
 def test_solve_flags_do_not_change_the_answer(yes_file, no_file, flag, capsys):
     assert main(["solve", yes_file, flag]) == 0

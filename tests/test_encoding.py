@@ -2,18 +2,16 @@
 
 import pytest
 
-from gltc import (
+from gltc import instance_tau, random_instance
+from gltc.encoding import (
     BLOCKED,
     OPEN,
     advance_symbol,
-    advance_vector,
     format_vector,
-    instance_tau,
     is_complete,
-    mark_blocked,
-    random_instance,
     symbol_alphabet,
 )
+from gltc.reference import advance_vector, mark_blocked
 from support import path_graph, uniform_instance
 
 

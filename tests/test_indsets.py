@@ -2,7 +2,7 @@
 
 import itertools
 
-from gltc import Graph, independent_set_vectors, random_instance, restrict_prefix
+from gltc import Graph, independent_set_vectors, random_instance
 from support import complete_graph, path_graph
 
 
@@ -66,10 +66,10 @@ def test_respects_custom_ordering():
 
 def test_restrict_prefix_examples():
     tri = independent_set_vectors(complete_graph(3))
-    assert set(restrict_prefix(tri, ())) == set(tri)
-    assert set(restrict_prefix(tri, (1,))) == {(0, 0)}
+    assert set(tri.restrict(())) == set(tri)
+    assert set(tri.restrict((1,))) == {(0, 0)}
     g = Graph.from_edges(3, [(1, 2)])
-    assert not restrict_prefix(independent_set_vectors(g), (1, 1))
+    assert not independent_set_vectors(g).restrict((1, 1))
 
 
 def test_restrict_matches_definition():
@@ -79,4 +79,4 @@ def test_restrict_matches_definition():
     for plen in range(7):
         for prefix in itertools.product((0, 1), repeat=plen):
             want = {v[plen:] for v in vecs if v[:plen] == prefix}
-            assert set(restrict_prefix(trie, prefix)) == want
+            assert set(trie.restrict(prefix)) == want

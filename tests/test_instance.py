@@ -7,8 +7,6 @@ from gltc import (
     Instance,
     ParseError,
     brute_force_solve,
-    compress_gaps,
-    connected_components,
     gap_compression,
     graph_square,
     parse_instance,
@@ -18,6 +16,7 @@ from gltc import (
     reduce_lpq,
     reduce_tcoloring,
     serialize_instance,
+    split_components,
     validate,
 )
 from support import complete_graph, cycle_graph, path_graph, uniform_instance
@@ -65,6 +64,14 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_malformed_documents(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_instance(text)
+
+
+def test_parse_names_only_the_first_missing_vertex_ids():
+    with pytest.raises(ParseError) as info:
+        parse_instance("gltc 3000000 0\nv 2 1\n")
+    message = str(info.value)
+    assert len(message) < 200
+    assert "2999999" in message and "[1, 3, 4, 5, 6]" in message
 
 
 def test_parse_accepts_comments_blank_lines_and_extra_spaces():
@@ -115,43 +122,43 @@ def test_validate_uhf_interference_set():
 
 def test_components_of_connected_graph():
     inst = uniform_instance(path_graph(3), {1, 2}, {0})
-    comps = connected_components(inst)
+    comps = split_components(inst)
     assert len(comps) == 1
-    assert comps[0] == inst
+    assert comps[0] == (inst, {1: 1, 2: 2, 3: 3})
 
 
 def test_components_of_isolated_vertices():
     inst = uniform_instance(Graph.from_edges(2, []), {1}, set())
-    comps = connected_components(inst)
-    assert [c.graph.n for c in comps] == [1, 1]
+    comps = split_components(inst)
+    assert [(c.graph.n, idmap) for c, idmap in comps] == [(1, {1: 1}), (1, {1: 2})]
 
 
 def test_components_of_disjoint_paths():
     g = Graph.from_edges(5, [(1, 2), (3, 4), (4, 5)])
     inst = uniform_instance(g, {1, 2, 3}, {0})
-    comps = connected_components(inst)
-    assert sorted(c.graph.n for c in comps) == [2, 3]
+    comps = split_components(inst)
+    assert sorted(c.graph.n for c, _ in comps) == [2, 3]
 
 
 # --- gap compression -------------------------------------------------------
 
 def test_compress_leaves_dense_lists_alone():
     inst = uniform_instance(path_graph(2), {1, 2}, {0, 1})
-    assert compress_gaps(inst) == inst
+    assert gap_compression(inst)[0] == inst
 
 
 def test_compress_shrinks_internal_gap():
     g = path_graph(2)
     inst = Instance(graph=g, lam={1: frozenset({1}), 2: frozenset({100})},
                     t={(1, 2): frozenset({0, 1})})
-    out = compress_gaps(inst)
+    out = gap_compression(inst)[0]
     assert out.lam[1] == frozenset({1})
     assert out.lam[2] == frozenset({3})
 
 
 def test_compress_drops_leading_gap_entirely():
     inst = Instance(graph=path_graph(1), lam={1: frozenset({5})}, t={})
-    assert compress_gaps(inst).lam[1] == frozenset({1})
+    assert gap_compression(inst)[0].lam[1] == frozenset({1})
 
 
 def test_compress_keeps_small_differences_exact():
@@ -170,7 +177,7 @@ def test_compress_preserves_oracle_decision():
         # spread the labels out to create compressible gaps
         lam = {v: frozenset(lab * 7 for lab in labels) for v, labels in inst.lam.items()}
         spread = Instance(graph=inst.graph, lam=lam, t=inst.t)
-        assert brute_force_solve(compress_gaps(spread))[0] == brute_force_solve(spread)[0]
+        assert brute_force_solve(gap_compression(spread)[0])[0] == brute_force_solve(spread)[0]
 
 
 # --- graph square ----------------------------------------------------------

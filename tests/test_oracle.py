@@ -7,9 +7,9 @@ from gltc import (
     Instance,
     brute_force_solve,
     check_witness,
-    extension_predicate,
     random_instance,
 )
+from gltc.reference import extension_predicate
 from support import complete_graph, path_graph, uniform_instance
 
 

@@ -21,6 +21,7 @@ from gltc import (
     star_block_base,
     star_partition_k1d,
     star_partition_spanning_tree,
+    split_components,
     star_prefix_bound,
     validate_partition,
 )
@@ -65,9 +66,8 @@ def test_star_partition_block_sizes_bounded_by_tree_degree():
         comps = build_partition(inst, "star")  # per component
         validate_partition(g, comps)
         # bound: within each component, non-final blocks <= Delta(tree)
-        from gltc.partition import _component_subgraphs
-
-        for sub, idmap in _component_subgraphs(g):
+        for comp, _ in split_components(inst):
+            sub = comp.graph
             if sub.n < 2:
                 continue
             tree = bfs_spanning_tree(sub, 1)

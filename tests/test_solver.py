@@ -12,21 +12,22 @@ from gltc import (
     SINGLETON,
     SolveOptions,
     VectorTrie,
-    apply_bar_level,
     brute_force_solve,
     build_partition,
     check_witness,
-    compute_step,
-    direct_step,
     independent_set_vectors,
     instance_tau,
+    level_step,
     random_instance,
     solve,
     validate,
 )
+from gltc.reference import direct_step, mark_blocked
+from gltc.solver import _BarPass, _build_plan
 from support import (
     base_table,
     complete_graph,
+    level_pipeline,
     path_graph,
     reference_table,
     run_tables,
@@ -39,17 +40,22 @@ from support import (
 def test_compute_step_on_a_single_open_vertex():
     inst = uniform_instance(path_graph(1), {1, 2}, set())
     blocks = (Block((1,), SINGLETON),)
+    plan = _build_plan(blocks, 1, inst, True)
+    bar = _BarPass(inst, (1,), 1)
     table = VectorTrie.from_vectors(1, [(OPEN,)])
     indep = independent_set_vectors(inst.graph)
-    out = compute_step(table, indep, blocks, 1, inst)
+    out, size = level_step(table, indep, plan, bar, 1)
     assert set(out) == {(OPEN,), (2,)}  # stay unlabeled, or take the new label
+    assert size == 2
 
 
 def test_compute_step_on_empty_table_is_empty():
     inst = uniform_instance(path_graph(1), {1}, set())
     blocks = (Block((1,), SINGLETON),)
-    out = compute_step(VectorTrie(1), independent_set_vectors(inst.graph), blocks, 1, inst)
-    assert len(out) == 0
+    plan = _build_plan(blocks, 1, inst, True)
+    bar = _BarPass(inst, (1,), 1)
+    out, size = level_step(VectorTrie(1), independent_set_vectors(inst.graph), plan, bar, 1)
+    assert len(out) == 0 and size == 0
 
 
 def test_direct_step_examples():
@@ -70,12 +76,14 @@ def test_compute_step_equals_direct_step_randomized(strategy):
         part = build_partition(inst, strategy)
         ordering = part.ordering
         tau = instance_tau(inst)
-        indep = independent_set_vectors(inst.graph, ordering)
+        indep, plan, bar = level_pipeline(inst, part)
         table = base_table(inst, ordering)
         for k in range(1, validate(inst).lambda_max + 1):
-            rec = compute_step(table, indep, part.blocks, tau, inst)
-            assert set(rec) == set(direct_step(table, indep, tau))
-            table = apply_bar_level(rec, k - 1, inst, ordering).vectors
+            got, size = level_step(table, indep, plan, bar, k)
+            want = {mark_blocked(v, k - 1, inst, ordering, tau)
+                    for v in direct_step(table, indep, tau)}
+            assert set(got) == want and size == len(want)
+            table = got
 
 
 def test_pruning_toggle_leaves_tables_identical():

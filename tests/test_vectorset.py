@@ -3,6 +3,7 @@
 import random
 
 from gltc import VectorTrie
+from gltc.vectorset import node_union
 
 
 def test_add_contains_len():
@@ -52,7 +53,9 @@ def test_restrict_then_reprefix_reconstructs_members():
 def test_union():
     a = VectorTrie.from_vectors(2, [(0, 0), (0, 1)])
     b = VectorTrie.from_vectors(2, [(0, 1), (1, 1)])
-    assert set(a.union(b)) == {(0, 0), (0, 1), (1, 1)}
+    merged = VectorTrie(2, node_union(a.root, b.root))
+    assert set(merged) == {(0, 0), (0, 1), (1, 1)}
+    assert set(a) == {(0, 0), (0, 1)}  # inputs untouched
 
 
 def test_zero_length_semantics():
