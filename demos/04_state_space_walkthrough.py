@@ -54,7 +54,7 @@ table = VectorTrie.from_vectors(
 )
 print("level 0:", " ".join(format_vector(v) for v in table))
 for k in range(1, stats.lambda_max + 1):
-    table, _ = level_step(table, indep, plan, bar, k)
+    table, _, _ = level_step(table, indep, plan, bar, k)
     rendered = [
         format_vector(v) + ("*" if is_complete(v) else "")
         for v in table

@@ -272,8 +272,15 @@ def induced_instance(inst: Instance, vertices: list[int]) -> tuple[Instance, dic
 
 
 def split_components(inst: Instance) -> list[tuple[Instance, dict[int, int]]]:
-    """One renumbered sub-instance per connected component, with id maps."""
-    return [induced_instance(inst, comp) for comp in _component_vertex_sets(inst.graph)]
+    """One renumbered sub-instance per connected component, with id maps.
+
+    A connected instance is returned as itself with the identity map, since
+    renumbering all of its vertices changes nothing.
+    """
+    comps = _component_vertex_sets(inst.graph)
+    if len(comps) == 1:
+        return [(inst, {v: v for v in comps[0]})]
+    return [induced_instance(inst, comp) for comp in comps]
 
 
 # ---------------------------------------------------------------------------

@@ -79,13 +79,8 @@ def advance_vector(a: Sequence[int], mask: Sequence[int], tau: int) -> Optional[
 def direct_step(table: VectorTrie, indep: VectorTrie, tau: int) -> VectorTrie:
     """Combination step: advance every table vector by every independent-set
     vector and drop the impossible pairs. Quadratic in the table sizes."""
-    out = VectorTrie(table.length)
-    for a in table:
-        for p in indep:
-            combined = advance_vector(a, p, tau)
-            if combined is not None:
-                out.add(combined)
-    return out
+    combined = (advance_vector(a, p, tau) for a in table for p in indep)
+    return VectorTrie.from_vectors(table.length, (c for c in combined if c is not None))
 
 
 def mark_blocked(vec: Sequence[int], level: int, inst: Instance,

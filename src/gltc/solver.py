@@ -1,4 +1,4 @@
-"""Label-by-label dynamic program over trie-compressed state-vector sets.
+"""Label-by-label dynamic program over state-vector sets kept as DAGs.
 
 Level k holds the set of state vectors of all proper partial labelings
 using labels 1..k. Advancing to level k+1 combines the table with the
@@ -8,6 +8,12 @@ still take label k+2. The combination is evaluated block by block over
 a vertex partition: per block only the feasible prefixes are expanded,
 and the matching suffix sets are unioned as trie subtree handles, so
 shared suffixes are processed once.
+
+A level table is a hash-consed DAG: a trie in which equal subtrees are
+one node (a reduced multi-valued decision diagram). The OPEN/BLOCKED
+recomputation is a memoized rewrite of the combined DAG into the next
+one, so no level is ever expanded into its vectors; completeness checks
+and the witness walk remember dead nodes and so stay linear in nodes.
 
 The instance is YES iff some level's table contains a vector with every
 vertex labeled; an explicit labeling is then reconstructed by walking
@@ -23,7 +29,7 @@ from .encoding import BLOCKED, OPEN, advance_preimage_pairs
 from .indsets import independent_set_vectors
 from .instance import Instance, gap_compression, instance_tau, split_components, validate
 from .partition import Partition, build_partition, feasible_prefixes
-from .vectorset import LEAF, VectorTrie, node_restrict, node_union
+from .vectorset import LEAF, VectorTrie, node_count, node_restrict, node_union
 
 Witness = dict[int, int]
 
@@ -56,6 +62,7 @@ class ComponentReport:
     instance: Instance
     partition: Partition
     level_sizes: list[int] = field(default_factory=list)
+    level_nodes: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -174,7 +181,13 @@ def _combine(a_nodes, p_node, depth, plan, memo):
 
 
 class _BarPass:
-    """Precomputed per-position data for the OPEN/BLOCKED recomputation."""
+    """Precomputed per-position data for the OPEN/BLOCKED recomputation.
+
+    The solver applies the pass to a whole combined table with
+    ``rewrite``. ``run`` applies it to one vector; only the benchmark's
+    per-layer replay (perfbench/layers.py) still calls it, and it goes
+    at the next change to the benchmark.
+    """
 
     def __init__(self, inst: Instance, ordering, tau: int):
         pos_of = {v: i for i, v in enumerate(ordering)}
@@ -189,8 +202,27 @@ class _BarPass:
                 if blocking:
                     row.append((pos_of[w], blocking))
             self.nbrs.append(row)
+        # Bitmasks over positions for rewrite: a symbol at position j blocks
+        # the later positions later[j][sym] and the earlier ones
+        # earlier[j][sym]; closes[j] holds the positions whose last blocking
+        # neighbour sits at j; waiting holds those with any later one.
+        n = len(ordering)
+        self.later: list[dict[int, int]] = [{} for _ in range(n)]
+        self.earlier: list[dict[int, int]] = [{} for _ in range(n)]
+        self.closes = [0] * n
+        self.waiting = 0
+        for i, row in enumerate(self.nbrs):
+            for j, blocking in row:
+                side = self.earlier[j] if j > i else self.later[j]
+                for b in blocking:
+                    side[b] = side.get(b, 0) | 1 << i
+            last = max((j for j, _ in row), default=-1)
+            if last > i:
+                self.closes[last] |= 1 << i
+                self.waiting |= 1 << i
 
     def run(self, vec, level: int):
+        """One vector through the pass; kept for the benchmark replay only."""
         next_label = level + 2
         out = list(vec)
         for i, sym in enumerate(vec):
@@ -205,40 +237,104 @@ class _BarPass:
                     break
         return tuple(out)
 
+    def rewrite(self, root, level: int):
+        """The pass applied to every vector below ``root`` in one walk.
+
+        Returns the root of the barred table, hash-consed into a reduced
+        DAG (no two nodes with equal children), and its number of nodes.
+
+        A call at depth d carries ``blk``, the positions >= d already
+        blocked by an earlier neighbour's symbol, and ``pend``, the
+        earlier OPEN positions still waiting on a later neighbour. It
+        returns a map from the subset of ``pend`` its suffixes block to
+        the output node of those suffixes; the caller then settles OPEN
+        or BLOCKED for its own pending coordinate.
+        """
+        next_label = level + 2
+        closed = 0
+        for i, labels in enumerate(self.lists):
+            if next_label not in labels:
+                closed |= 1 << i
+        later, earlier, closes, waiting = self.later, self.earlier, self.closes, self.waiting
+        unique: dict[tuple, dict] = {}
+        memo: dict[tuple, dict] = {}
+
+        def go(node, d, blk, pend):
+            if node is LEAF:
+                return {0: LEAF}
+            key = (id(node), d, blk, pend)
+            out = memo.get(key)
+            if out is not None:
+                return out
+            bit = 1 << d
+            blk_next = blk & ~bit
+            pend_next = pend & ~closes[d]
+            groups: dict[int, dict] = {}
+            for sym, child in node.items():
+                hits = own = 0
+                if sym != OPEN:
+                    hits = pend & earlier[d].get(sym, 0)
+                    sub = go(child, d + 1, blk_next | later[d].get(sym, 0), pend_next & ~hits)
+                elif (blk | closed) & bit:
+                    sym = BLOCKED
+                    sub = go(child, d + 1, blk_next, pend_next)
+                elif waiting & bit:
+                    own = bit
+                    sub = go(child, d + 1, blk_next, pend_next | bit)
+                else:
+                    sub = go(child, d + 1, blk_next, pend_next)
+                for mask, out_child in sub.items():
+                    mask |= hits
+                    if mask & own:
+                        groups.setdefault(mask ^ own, {})[BLOCKED] = out_child
+                    else:
+                        groups.setdefault(mask, {})[sym] = out_child
+            out = {}
+            for mask, children in groups.items():
+                shape = tuple(sorted((s, id(c)) for s, c in children.items()))
+                out[mask] = unique.setdefault(shape, children)
+            memo[key] = out
+            return out
+
+        return go(root, 0, 0, 0)[0], len(unique)
+
 
 def level_step(table: VectorTrie, indep: VectorTrie, plan, bar: _BarPass,
-               level: int) -> tuple[VectorTrie, int]:
+               level: int) -> tuple[VectorTrie, int, int]:
     """Advance the level ``level - 1`` table to level ``level``.
 
     Combines the table with the independent-set vectors along the prefix
-    plan (see _build_plan), then streams every combined vector through
-    the bar pass into a fresh, deduplicated trie. Returns the new table
-    and its size.
+    plan (see _build_plan), then rewrites the combined DAG through the
+    bar pass (see _BarPass.rewrite). Returns the new table, its number
+    of vectors and its number of distinct DAG nodes.
     """
-    out = VectorTrie(table.length)
-    if table.root is None:
-        return out, 0
-    step = VectorTrie(table.length, _combine((table.root,), indep.root, 0, plan, {}))
-    size = 0
-    for vec in step:
-        size += out.add(bar.run(vec, level - 1))
-    return out, size
+    step = None if table.root is None else _combine((table.root,), indep.root, 0, plan, {})
+    if step is None:
+        return VectorTrie(table.length), 0, 0
+    root, nodes = bar.rewrite(step, level - 1)
+    return VectorTrie(table.length, root), node_count(root), nodes
 
 
 def _find_complete(trie: VectorTrie):
-    """Lexicographically least member with every coordinate labeled, or None."""
+    """Lexicographically least member with every coordinate labeled, or None.
+
+    Nodes found to lead to no complete vector are remembered, so a DAG
+    is walked in time linear in its nodes, not in its paths.
+    """
     path: list[int] = []
+    dead: set[int] = set()
 
     def go(node):
         if node is LEAF:
             return True
-        if node is None:
+        if id(node) in dead:
             return False
         for sym in sorted(k for k in node if k >= 1):
             path.append(sym)
             if go(node[sym]):
                 return True
             path.pop()
+        dead.add(id(node))
         return False
 
     if trie.root is not None and go(trie.root):
@@ -253,9 +349,11 @@ def _find_complete(trie: VectorTrie):
 def _predecessor(reduced, prev_root, p_root, tau: int):
     """Find (state vector in the previous table, assign mask) producing
     ``reduced``, walking both tries in lockstep. Deterministic: first hit
-    in canonical symbol order."""
+    in canonical symbol order. Node pairs with no match below them are
+    remembered, so shared DAG nodes are searched once."""
     n = len(reduced)
     options = [advance_preimage_pairs(sym, tau) for sym in reduced]
+    dead: set[tuple[int, int]] = set()
 
     def child(node, sym):
         if node is None or node is LEAF:
@@ -265,6 +363,9 @@ def _predecessor(reduced, prev_root, p_root, tau: int):
     def dfs(i, tnode, pnode):
         if i == n:
             return ()
+        key = (id(tnode), id(pnode))
+        if key in dead:
+            return None
         for x, y in options[i]:
             tc = child(tnode, x)
             pc = child(pnode, y)
@@ -273,6 +374,7 @@ def _predecessor(reduced, prev_root, p_root, tau: int):
             rest = dfs(i + 1, tc, pc)
             if rest is not None:
                 return ((x, y),) + rest
+        dead.add(key)
         return None
 
     return dfs(0, prev_root, p_root)
@@ -336,7 +438,7 @@ def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
     found = _find_complete(tables[0].vectors)  # complete at level 0 only when n == 0
     found_level = 0
     for k in range(1, lmax + 1):
-        table, size = level_step(tables[-1].vectors, indep, plan, bar, k)
+        table, size, nodes = level_step(tables[-1].vectors, indep, plan, bar, k)
         if options.store_parents:
             tables.append(LevelTable(k, table))
         else:
@@ -345,6 +447,7 @@ def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
         stats.total_vectors += size
         stats.max_table_size = max(stats.max_table_size, size)
         report.level_sizes.append(size)
+        report.level_nodes.append(nodes)
         if stats.total_vectors > options.vector_limit:
             raise ResourceLimitError(
                 f"stored vectors exceeded the limit of {options.vector_limit}"

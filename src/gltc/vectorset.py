@@ -99,8 +99,11 @@ class VectorTrie:
         return trie
 
     def add(self, vec: Vector) -> bool:
-        """Insert one vector; True when it was new. Only valid while building;
-        never call on shared tries."""
+        """Insert one vector; True when it was new. Only ``from_vectors``
+        may call it, on the fresh trie it builds: the solver's level tables
+        share nodes between paths, and inserting into one would add vectors
+        along every path through the changed node. (perfbench/layers.py
+        still fills fresh tries with it until the next benchmark change.)"""
         assert len(vec) == self.length, "vector length mismatch"
         if self.length == 0:
             fresh = self.root is None

@@ -75,7 +75,7 @@ def run_tables(inst: Instance, strategy: str = "singleton", strengthened: bool =
     table = base_table(inst, ordering)
     yield 0, table, part, ordering
     for k in range(1, validate(inst).lambda_max + 1):
-        table, _ = level_step(table, indep, plan, bar, k)
+        table, _, _ = level_step(table, indep, plan, bar, k)
         yield k, table, part, ordering
 
 

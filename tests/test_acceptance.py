@@ -93,7 +93,7 @@ def test_criterion_2_level_recurrence_conformance():
         indep, plan, bar = level_pipeline(inst, part)
         table = base_table(inst, ordering)
         for k in range(1, validate(inst).lambda_max + 1):
-            got, size = level_step(table, indep, plan, bar, k)
+            got, size, _ = level_step(table, indep, plan, bar, k)
             want = {
                 mark_blocked(vec, k - 1, inst, ordering, tau)
                 for vec in direct_step(table, indep, tau)
@@ -232,6 +232,9 @@ def test_criterion_7_performance_smoke():
         failures.append(("runtime", elapsed))
     if not result.stats.components:
         failures.append("no component reports")
+    sizes = [comp.level_sizes for comp in result.stats.components]
+    if sizes != [[85, 594, 4018, 36163, 62427, 207528, 238692, 694656]]:
+        failures.append(("level sizes", sizes))
     for comp in result.stats.components:
         bound = predict_complexity(
             comp.instance.graph, comp.partition, instance_tau(comp.instance)

@@ -16,6 +16,7 @@ from gltc import (
     reduce_lpq,
     reduce_tcoloring,
     serialize_instance,
+    solve,
     split_components,
     validate,
 )
@@ -137,7 +138,31 @@ def test_components_of_disjoint_paths():
     g = Graph.from_edges(5, [(1, 2), (3, 4), (4, 5)])
     inst = uniform_instance(g, {1, 2, 3}, {0})
     comps = split_components(inst)
-    assert sorted(c.graph.n for c, _ in comps) == [2, 3]
+    assert comps == [
+        (uniform_instance(path_graph(2), {1, 2, 3}, {0}), {1: 1, 2: 2}),
+        (uniform_instance(path_graph(3), {1, 2, 3}, {0}), {1: 3, 2: 4, 3: 5}),
+    ]
+
+
+def test_connected_solve_copies_no_sub_instance(monkeypatch):
+    import gltc.instance
+
+    calls = []
+    copy = gltc.instance.induced_instance
+
+    def counted(inst, vertices):
+        calls.append(tuple(vertices))
+        return copy(inst, vertices)
+
+    monkeypatch.setattr(gltc.instance, "induced_instance", counted)
+    inst = uniform_instance(cycle_graph(5), {1, 2, 3}, {0})
+    assert split_components(inst)[0][0] is inst
+    result = solve(inst, strategy="star")
+    assert result.decision and calls == []
+    # a disconnected instance is still copied once per component
+    g = Graph.from_edges(5, [(1, 2), (3, 4), (4, 5)])
+    assert solve(uniform_instance(g, {1, 2}, {0}), strategy="star").decision
+    assert calls == [(1, 2), (3, 4, 5)]
 
 
 # --- gap compression -------------------------------------------------------

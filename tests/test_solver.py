@@ -1,6 +1,9 @@
 """The dynamic program: combination steps, level pipeline, solve, witnesses."""
 
+import time
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gltc import (
     BLOCKED,
@@ -8,6 +11,8 @@ from gltc import (
     Block,
     Graph,
     Instance,
+    LEAF,
+    LevelTable,
     ResourceLimitError,
     SINGLETON,
     SolveOptions,
@@ -19,11 +24,12 @@ from gltc import (
     instance_tau,
     level_step,
     random_instance,
+    reconstruct_witness,
     solve,
     validate,
 )
 from gltc.reference import direct_step, mark_blocked
-from gltc.solver import _BarPass, _build_plan
+from gltc.solver import _BarPass, _build_plan, _find_complete
 from support import (
     base_table,
     complete_graph,
@@ -44,7 +50,7 @@ def test_compute_step_on_a_single_open_vertex():
     bar = _BarPass(inst, (1,), 1)
     table = VectorTrie.from_vectors(1, [(OPEN,)])
     indep = independent_set_vectors(inst.graph)
-    out, size = level_step(table, indep, plan, bar, 1)
+    out, size, _ = level_step(table, indep, plan, bar, 1)
     assert set(out) == {(OPEN,), (2,)}  # stay unlabeled, or take the new label
     assert size == 2
 
@@ -54,7 +60,7 @@ def test_compute_step_on_empty_table_is_empty():
     blocks = (Block((1,), SINGLETON),)
     plan = _build_plan(blocks, 1, inst, True)
     bar = _BarPass(inst, (1,), 1)
-    out, size = level_step(VectorTrie(1), independent_set_vectors(inst.graph), plan, bar, 1)
+    out, size, _ = level_step(VectorTrie(1), independent_set_vectors(inst.graph), plan, bar, 1)
     assert len(out) == 0 and size == 0
 
 
@@ -79,11 +85,119 @@ def test_compute_step_equals_direct_step_randomized(strategy):
         indep, plan, bar = level_pipeline(inst, part)
         table = base_table(inst, ordering)
         for k in range(1, validate(inst).lambda_max + 1):
-            got, size = level_step(table, indep, plan, bar, k)
+            got, size, _ = level_step(table, indep, plan, bar, k)
             want = {mark_blocked(v, k - 1, inst, ordering, tau)
                     for v in direct_step(table, indep, tau)}
             assert set(got) == want and size == len(want)
             table = got
+
+
+@st.composite
+def _bar_cases(draw):
+    """A random instance, vertex ordering, level and combined table (the
+    combination step leaves no BLOCKED symbol)."""
+    n = draw(st.integers(1, 6))
+    inst = random_instance(n=n, density=draw(st.sampled_from((0.3, 0.6, 0.9))),
+                           tau=draw(st.integers(0, 3)), lmax=draw(st.integers(1, 6)),
+                           seed=draw(st.integers(0, 10_000)))
+    ordering = tuple(draw(st.permutations(range(1, n + 1))))
+    tau = instance_tau(inst)
+    vector = st.tuples(*[st.integers(OPEN, tau + 1)] * n)
+    vecs = draw(st.lists(vector, min_size=1, max_size=40))
+    return inst, ordering, draw(st.integers(0, validate(inst).lambda_max)), vecs
+
+
+# On a 2-path with tau = 1 and T = {0, 1}, symbol 2 (labeled at the current
+# level) blocks its OPEN neighbour whichever side of it the neighbour lies on.
+_PAIR = uniform_instance(path_graph(2), {1, 2, 3}, {0, 1})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_bar_cases())
+@example((_PAIR, (1, 2), 0, [(OPEN, 2)]))   # a later neighbour blocks
+@example((_PAIR, (1, 2), 0, [(2, OPEN)]))   # an earlier neighbour blocks
+@example((_PAIR, (2, 1), 1, [(OPEN, 2), (2, OPEN), (OPEN, 1), (OPEN, OPEN)]))
+def test_bar_rewrite_equals_mark_blocked_per_vector(case):
+    inst, ordering, level, vecs = case
+    tau = instance_tau(inst)
+    step = VectorTrie.from_vectors(len(ordering), vecs)
+    root, _ = _BarPass(inst, ordering, tau).rewrite(step.root, level)
+    want = {mark_blocked(v, level, inst, ordering, tau) for v in vecs}
+    assert set(VectorTrie(len(ordering), root)) == want
+
+
+def _reachable_nodes(root):
+    seen = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node is not LEAF and id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.values())
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("strategy", ["singleton", "star", "clique"])
+def test_level_tables_are_reduced_dags(strategy):
+    for seed in range(15):
+        inst = random_instance(n=4 + seed % 4, density=(0.3, 0.6)[seed % 2],
+                               tau=seed % 4, lmax=5, seed=1500 + seed)
+        part = build_partition(inst, strategy)
+        indep, plan, bar = level_pipeline(inst, part)
+        table = base_table(inst, part.ordering)
+        for k in range(1, validate(inst).lambda_max + 1):
+            table, _, nodes = level_step(table, indep, plan, bar, k)
+            reachable = _reachable_nodes(table.root)
+            shapes = {frozenset((sym, id(c)) for sym, c in node.items()) for node in reachable}
+            assert len(shapes) == len(reachable) == nodes
+
+
+class _CountedNode(dict):
+    """A trie node that counts reads and fails the test after 10,000: a
+    walk over the nodes of the DAGs below needs a few hundred reads, a
+    walk over their paths about 2**40."""
+
+    reads = 0
+
+    def _read(self):
+        _CountedNode.reads += 1
+        assert _CountedNode.reads < 10_000, "walk visits paths, not nodes"
+
+    def __getitem__(self, sym):
+        self._read()
+        return dict.__getitem__(self, sym)
+
+    def get(self, sym, default=None):
+        self._read()
+        return dict.get(self, sym, default)
+
+
+def _doubling_chain(depth, last):
+    """``depth`` levels of nodes with two labeled children each, all
+    sharing one node per level: 2**(depth-1) paths into ``last``."""
+    node = last
+    for _ in range(depth - 1):
+        node = _CountedNode({1: node, 2: node})
+    return node
+
+
+def test_dag_walks_visit_nodes_not_paths():
+    _CountedNode.reads = 0
+    start = time.perf_counter()
+    # no complete vector: every one of the 2**39 paths ends unlabeled
+    dead = _doubling_chain(40, _CountedNode({OPEN: LEAF, BLOCKED: LEAF}))
+    assert _find_complete(VectorTrie(40, dead)) is None
+    # the predecessor of (1, ..., 1, 2) ages every coordinate from 1 or 2
+    # and gives the new label to an OPEN last coordinate; the witness walk
+    # tries symbol 1 first and must get past 2**38 paths without OPEN last
+    stuck = _doubling_chain(39, _CountedNode({1: LEAF, 2: LEAF}))
+    live = _doubling_chain(39, _CountedNode({OPEN: LEAF}))
+    prev = VectorTrie(40, _CountedNode({1: stuck, 2: live}))
+    indep = VectorTrie.from_vectors(40, [(0,) * 39 + (1,)])
+    final = (1,) * 39 + (2,)
+    labels = reconstruct_witness([LevelTable(0, prev)], final, 1, indep, 1, range(1, 41))
+    assert labels == {40: 1}
+    assert time.perf_counter() - start < 1.0
 
 
 def test_pruning_toggle_leaves_tables_identical():
@@ -261,6 +375,7 @@ def test_solve_stats_report_levels_and_sizes():
     assert result.stats.levels == 3
     assert len(result.stats.components) == 1
     assert len(result.stats.components[0].level_sizes) == 3
+    assert len(result.stats.components[0].level_nodes) == 3
     assert result.stats.max_table_size == max(result.stats.components[0].level_sizes)
 
 
