@@ -41,9 +41,11 @@ print("blocks:", [b.vertices for b in part.blocks], "=> vertex order", ordering)
 print()
 
 indep = independent_set_vectors(inst.graph, ordering)
-# built once per instance, as the solver does: the per-block prefix plan
-# for the combination and the per-vertex data for the open/blocked pass
-plan = _build_plan(part.blocks, tau, inst, True)
+# built once per instance, as the solver does: the vector length and
+# per-symbol advance moves for the combination (a memoized walk over the
+# positions; the partition only fixes their order) and the per-vertex
+# data for the open/blocked pass
+plan = _build_plan(part.blocks, tau)
 bar = _BarPass(inst, ordering, tau)
 print(f"{len(indep)} independent-set vectors:",
       " ".join(format_vector(p) for p in indep))

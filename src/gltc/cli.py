@@ -67,7 +67,6 @@ def _cmd_solve(args) -> int:
     options = SolveOptions(
         early_exit=not args.no_early_exit,
         store_parents=args.witness,
-        strengthened_pruning=not args.no_strong_prune,
         gap_compress=not args.no_gap_compress,
         vector_limit=args.limit,
     )
@@ -164,7 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print an explicit labeling on YES")
     p_solve.add_argument("--no-early-exit", action="store_true")
     p_solve.add_argument("--no-gap-compress", action="store_true")
-    p_solve.add_argument("--no-strong-prune", action="store_true")
     p_solve.add_argument("--trace", action="store_true",
                          help="per-level table sizes on stderr")
     p_solve.add_argument("--limit", type=int, default=1 << 26,

@@ -1,10 +1,10 @@
 """Characteristic vectors of all independent sets of a graph.
 
 The vectors are built directly into a trie whose depth follows the
-global vertex ordering, so the solver can restrict to a block prefix in
-O(block size). Construction memoizes on the set of still-relevant
-blocked positions, which shares identical subtrees and keeps the
-structure far below the 2^n worst case on most graphs.
+global vertex ordering, so the solver can walk it position by position
+in lockstep with a level table. Construction memoizes on the set of
+still-relevant blocked positions, which shares identical subtrees and
+keeps the structure far below the 2^n worst case on most graphs.
 """
 
 from __future__ import annotations

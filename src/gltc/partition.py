@@ -1,11 +1,12 @@
-"""Vertex partitions driving the solver's prefix decomposition.
+"""Vertex partitions: the solver's coordinate order and table-size bound.
 
-The solver processes the state vectors block by block; the smaller the
-number of feasible per-block prefixes, the smaller the state tables. A
-block is a singleton, a star (first vertex adjacent to all others) or a
-clique. This module builds partitions of all three kinds, enumerates
-feasible block prefixes, and predicts the resulting table-size bound
-(the product of per-block prefix counts and its n-th root, the "base").
+Every state vector restricted to a block is one of the block's feasible
+prefixes, so the smaller the number of feasible per-block prefixes, the
+smaller the state tables. A block is a singleton, a star (first vertex
+adjacent to all others) or a clique. This module builds partitions of all
+three kinds, enumerates feasible block prefixes, and predicts the
+resulting table-size bound (the product of per-block prefix counts and
+its n-th root, the "base"), counting the prefixes without listing them.
 """
 
 from __future__ import annotations
@@ -328,6 +329,46 @@ def _feasible_prefixes(block: Block, tau: int, adjacency, tmap, strengthened: bo
     return out
 
 
+def _count_prefixes(block: Block, tau: int, adjacency) -> int:
+    """``len(_feasible_prefixes(block, tau, adjacency, None, False))``
+    without listing the prefixes.
+
+    A memoized DP over the block's positions: symbols 0 and 1 constrain
+    nothing and count twice, and a symbol in 2..tau+1 must differ from
+    those of its earlier in-block neighbours. The state after a position
+    is the symbols of the earlier positions that still have a later
+    neighbour (0 standing for both free symbols).
+    """
+    verts = block.vertices
+    s = len(verts)
+    if s == 1:
+        return tau + 2
+    earlier = [[j for j in range(i) if verts[j] in adjacency[verts[i]]] for i in range(s)]
+    last = [max((i for i in range(s) if j in earlier[i]), default=j) for j in range(s)]
+    live = [tuple(j for j in range(i) if last[j] >= i) for i in range(s + 1)]
+    memo: dict[tuple, int] = {}
+
+    def count(i, state):
+        if i == s:
+            return 1
+        key = (i, state)
+        total = memo.get(key)
+        if total is None:
+            known = dict(zip(live[i], state))
+            taken = {known[j] for j in earlier[i]}
+            total = 0
+            for sym in range(tau + 1):
+                if sym and sym in taken:
+                    continue
+                known[i] = sym
+                rest = count(i + 1, tuple(known[j] for j in live[i + 1]))
+                total += rest if sym else 2 * rest
+            memo[key] = total
+        return total
+
+    return count(0, ())
+
+
 def feasible_prefixes(block: Block, tau: int, inst: Instance,
                       strengthened: bool = True) -> list[tuple[int, ...]]:
     """Block prefixes over the labeled alphabet that can occur in a state vector.
@@ -336,9 +377,8 @@ def feasible_prefixes(block: Block, tau: int, inst: Instance,
     vertices can never share one (difference 0 is always forbidden).
     With ``strengthened`` the known in-block label differences are also
     checked against the edge's forbidden set; this removes prefixes that
-    no proper partial labeling can produce, so the solver's tables are
-    unchanged while the enumeration shrinks. Output is in lexicographic
-    order.
+    no proper partial labeling can produce. Output is in lexicographic
+    order. The solver never lists prefixes; predict_complexity counts them.
     """
     return _feasible_prefixes(
         block, tau, inst.graph.adjacency, inst.t if strengthened else None, strengthened
@@ -372,9 +412,7 @@ class ComplexityEstimate:
 def predict_complexity(g: Graph, part: Partition, tau: int) -> ComplexityEstimate:
     """Prefix counts per block (equality pruning only, for comparability),
     their product, and the per-vertex base (product ** (1/n))."""
-    fs = []
-    for block in part.blocks:
-        fs.append(len(_feasible_prefixes(block, tau, g.adjacency, None, False)))
+    fs = [_count_prefixes(block, tau, g.adjacency) for block in part.blocks]
     product = math.prod(fs)
     if g.n == 0:
         base = 1.0

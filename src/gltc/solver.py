@@ -4,10 +4,11 @@ Level k holds the set of state vectors of all proper partial labelings
 using labels 1..k. Advancing to level k+1 combines the table with the
 independent-set vectors (the vertices receiving label k+1 must be
 pairwise non-adjacent), then recomputes which unlabeled vertices can
-still take label k+2. The combination is evaluated block by block over
-a vertex partition: per block only the feasible prefixes are expanded,
-and the matching suffix sets are unioned as trie subtree handles, so
-shared suffixes are processed once.
+still take label k+2. A vertex partition fixes the coordinate order and
+bounds the table size (see partition.predict_complexity); the
+combination itself is a per-position memoized image of the table DAG
+and the independent-set trie, walked together, so each reachable pair
+of shared suffixes is processed once.
 
 A level table is a hash-consed DAG: a trie in which equal subtrees are
 one node (a reduced multi-valued decision diagram). The OPEN/BLOCKED
@@ -22,14 +23,13 @@ the level tables backwards.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
-from .encoding import BLOCKED, OPEN, advance_preimage_pairs
+from .encoding import BLOCKED, OPEN, advance_preimage_pairs, advance_symbol, symbol_alphabet
 from .indsets import independent_set_vectors
 from .instance import Instance, gap_compression, instance_tau, split_components, validate
-from .partition import Partition, build_partition, feasible_prefixes
-from .vectorset import LEAF, VectorTrie, node_count, node_restrict, node_union
+from .partition import Partition, build_partition
+from .vectorset import LEAF, VectorTrie, node_count
 
 Witness = dict[int, int]
 
@@ -42,7 +42,6 @@ class ResourceLimitError(RuntimeError):
 class SolveOptions:
     early_exit: bool = True
     store_parents: bool = True
-    strengthened_pruning: bool = True
     gap_compress: bool = True
     vector_limit: int = 1 << 26
 
@@ -81,99 +80,67 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# the block-decomposed combination step
+# the combination step
+
+_UNSEEN = object()
 
 
-def _prefix_options(block_prefixes, tau: int):
-    """Expand each feasible prefix into (prefix, assign-mask, per-coordinate
-    state preimages).
+def _build_plan(blocks, tau: int, inst: Instance | None = None, strengthened: bool = True):
+    """What the combination walk needs for one component: the vector
+    length and, per previous symbol x, the (assign bit, new symbol) pairs
+    that advance_symbol allows at this tau.
 
-    For tau >= 1 the assign mask is forced: a coordinate takes the new
-    label exactly when its prefix symbol is tau+1. For tau = 0 the
-    symbol 1 also survives from older labels, so both mask bits must be
-    explored there.
+    ``inst`` and ``strengthened`` are unused; they keep the call shape of
+    the benchmark's per-layer replay (perfbench/layers.py) until the next
+    change to the benchmark, as ``_BarPass.run`` does.
     """
-    options = []
-    for a in block_prefixes:
-        mask_choices = []
-        for sym in a:
-            if sym == tau + 1 and tau == 0:
-                mask_choices.append((0, 1))
-            elif sym == tau + 1:
-                mask_choices.append((1,))
-            else:
-                mask_choices.append((0,))
-        for mask in itertools.product(*mask_choices):
-            per_coord = []
-            ok = True
-            for sym, bit in zip(a, mask):
-                xs = tuple(x for x, y in advance_preimage_pairs(sym, tau) if y == bit)
-                if not xs:
-                    ok = False
-                    break
-                per_coord.append(xs)
-            if ok:
-                options.append((a, mask, tuple(per_coord)))
-    return options
-
-
-def _build_plan(blocks, tau: int, inst: Instance, strengthened: bool):
-    return [
-        _prefix_options(feasible_prefixes(block, tau, inst, strengthened), tau)
-        for block in blocks
-    ]
-
-
-def _descend(nodes, per_coord):
-    """All distinct trie nodes reachable from ``nodes`` along any symbol
-    sequence drawn from the per-coordinate option sets."""
-    for options in per_coord:
-        if len(nodes) == 1:
-            # children of one trie node are distinct, no dedupe needed
-            node = nodes[0]
-            nxt = [child for sym in options if (child := node.get(sym)) is not None]
-        else:
-            nxt = []
-            seen = set()
-            for node in nodes:
-                for sym in options:
-                    child = node.get(sym)
-                    if child is not None and id(child) not in seen:
-                        seen.add(id(child))
-                        nxt.append(child)
-        if not nxt:
-            return ()
-        nodes = nxt
-    return tuple(nodes)
+    moves = {
+        x: tuple((y, sym) for y in (0, 1) if (sym := advance_symbol(x, y, tau)) is not None)
+        for x in symbol_alphabet(tau)
+    }
+    return sum(block.size for block in blocks), moves
 
 
 def _combine(a_nodes, p_node, depth, plan, memo):
-    """Union over the plan's prefix options; returns a result node or None."""
-    if depth == len(plan):
+    """Every advance of a table vector below ``a_nodes`` by an
+    independent-set vector below ``p_node``, from position ``depth`` on:
+    the result node, or None when no pair advances.
+
+    One memoized product walk over the positions, the image operation of
+    a decision diagram. A state is the set of (table node, indep node)
+    pairs that one output prefix reaches; the child pairs are grouped by
+    the symbol advance_symbol gives them, and each group is the next
+    state. For tau >= 1 the output symbol fixes the assign bit, so a
+    state holds a single indep node; for tau = 0 symbol 1 comes from both
+    (OPEN, 1) and (1, 0), and a state may mix indep nodes.
+    """
+    n, moves = plan
+
+    def image(d, pairs):
+        groups: dict[int, dict] = {}
+        for t, p in pairs:
+            for x, tc in t.items():
+                for y, sym in moves[x]:
+                    pc = p.get(y)
+                    if pc is not None:
+                        groups.setdefault(sym, {})[id(tc), id(pc)] = (tc, pc)
+        d += 1
+        out = {}
+        for sym, group in groups.items():
+            if d == n:
+                out[sym] = LEAF
+                continue
+            key = (d, *sorted(group))
+            child = memo.get(key, _UNSEEN)
+            if child is _UNSEEN:
+                child = memo[key] = image(d, group.values())
+            if child is not None:
+                out[sym] = child
+        return out or None
+
+    if depth == n:
         return LEAF
-    key = (depth, tuple(id(h) for h in a_nodes), id(p_node))
-    if key in memo:
-        return memo[key]
-    result = None
-    for a, mask, per_coord in plan[depth]:
-        p_sub = node_restrict(p_node, mask)
-        if p_sub is None:
-            continue
-        subs = _descend(a_nodes, per_coord)
-        if not subs:
-            continue
-        child = _combine(tuple(sorted(subs, key=id)), p_sub, depth + 1, plan, memo)
-        if child is None:
-            continue
-        if result is None:
-            result = {}
-        node = result
-        for sym in a[:-1]:
-            node = node.setdefault(sym, {})
-        prev = node.get(a[-1])
-        node[a[-1]] = child if prev is None else node_union(prev, child)
-    memo[key] = result
-    return result
+    return image(depth, [(a, p_node) for a in a_nodes])
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +270,9 @@ def level_step(table: VectorTrie, indep: VectorTrie, plan, bar: _BarPass,
                level: int) -> tuple[VectorTrie, int, int]:
     """Advance the level ``level - 1`` table to level ``level``.
 
-    Combines the table with the independent-set vectors along the prefix
-    plan (see _build_plan), then rewrites the combined DAG through the
-    bar pass (see _BarPass.rewrite). Returns the new table, its number
+    Combines the table with the independent-set vectors in one walk over
+    the positions (see _combine), then rewrites the combined DAG through
+    the bar pass (see _BarPass.rewrite). Returns the new table, its number
     of vectors and its number of distinct DAG nodes.
     """
     step = None if table.root is None else _combine((table.root,), indep.root, 0, plan, {})
@@ -433,7 +400,7 @@ def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
     bar = _BarPass(inst, ordering, tau)
     base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
     tables = [LevelTable(0, VectorTrie.from_vectors(len(ordering), [base]))]
-    plan = _build_plan(part.blocks, tau, inst, options.strengthened_pruning)
+    plan = _build_plan(part.blocks, tau)
 
     found = _find_complete(tables[0].vectors)  # complete at level 0 only when n == 0
     found_level = 0

@@ -58,20 +58,22 @@ def base_table(inst: Instance, ordering) -> VectorTrie:
     return VectorTrie.from_vectors(len(ordering), [vec])
 
 
-def level_pipeline(inst: Instance, part, strengthened: bool = True):
-    """What the solver builds once per component to run level_step:
-    the independent-set trie, the prefix plan and the bar pass."""
+def level_pipeline(inst: Instance, part):
+    """What the solver builds once per component to run level_step: the
+    independent-set trie and the combination walk's plan (vector length
+    and advance moves), both in the partition's coordinate order, and the
+    bar pass."""
     tau = instance_tau(inst)
     indep = independent_set_vectors(inst.graph, part.ordering)
-    plan = _build_plan(part.blocks, tau, inst, strengthened)
+    plan = _build_plan(part.blocks, tau)
     return indep, plan, _BarPass(inst, part.ordering, tau)
 
 
-def run_tables(inst: Instance, strategy: str = "singleton", strengthened: bool = True):
+def run_tables(inst: Instance, strategy: str = "singleton"):
     """Yield (level, table) for every level of the pipeline, without early exit."""
     part = build_partition(inst, strategy)
     ordering = part.ordering
-    indep, plan, bar = level_pipeline(inst, part, strengthened)
+    indep, plan, bar = level_pipeline(inst, part)
     table = base_table(inst, ordering)
     yield 0, table, part, ordering
     for k in range(1, validate(inst).lambda_max + 1):

@@ -160,18 +160,18 @@ def test_criterion_4_base_table_reproduction():
 
 def test_criterion_5_flag_invariance():
     failures = []
-    toggles = (
-        SolveOptions(early_exit=False),
-        SolveOptions(gap_compress=False),
-        SolveOptions(strengthened_pruning=False),
-        SolveOptions(early_exit=False, gap_compress=False, strengthened_pruning=False),
+    alternatives = (
+        ("auto", SolveOptions(early_exit=False)),
+        ("auto", SolveOptions(gap_compress=False)),
+        ("singleton", SolveOptions()),
+        ("clique", SolveOptions(early_exit=False, gap_compress=False)),
     )
     for seed in range(500):
         inst = _corpus_instance(seed)
         baseline = solve(inst).decision
-        for opts in toggles:
-            if solve(inst, options=opts).decision != baseline:
-                failures.append((seed, opts))
+        for strategy, opts in alternatives:
+            if solve(inst, strategy=strategy, options=opts).decision != baseline:
+                failures.append((seed, strategy, opts))
     _report(5, "flag invariance", failures)
 
 

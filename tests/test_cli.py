@@ -69,7 +69,7 @@ def test_solve_internal_failure_exits_2_not_no(yes_file, monkeypatch, capsys):
     assert "MemoryError" in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag", ["--no-early-exit", "--no-gap-compress", "--no-strong-prune"])
+@pytest.mark.parametrize("flag", ["--no-early-exit", "--no-gap-compress"])
 def test_solve_flags_do_not_change_the_answer(yes_file, no_file, flag, capsys):
     assert main(["solve", yes_file, flag]) == 0
     assert main(["solve", no_file, flag]) == 1

@@ -1,6 +1,8 @@
 """Partition construction, feasible prefixes, and complexity prediction."""
 
+import itertools
 import math
+import random
 
 import pytest
 
@@ -9,7 +11,9 @@ from gltc import (
     SINGLETON,
     STAR,
     Block,
+    Graph,
     NotK1dFreeError,
+    Partition,
     base_table_row,
     bfs_spanning_tree,
     build_partition,
@@ -25,6 +29,7 @@ from gltc import (
     star_prefix_bound,
     validate_partition,
 )
+from gltc.partition import _feasible_prefixes
 from support import (
     complete_graph,
     cycle_graph,
@@ -216,6 +221,51 @@ def test_prefix_enumeration_is_lexicographic():
 
 
 # --- prediction and bases ------------------------------------------------------
+
+def _enumerated_count(g, block, tau):
+    return len(_feasible_prefixes(block, tau, g.adjacency, None, False))
+
+
+def _predicted_count(g, block, tau):
+    return predict_complexity(g, Partition((block,)), tau).per_block_f[0]
+
+
+@pytest.mark.parametrize("tau", range(4))
+def test_predicted_prefix_counts_equal_enumeration(tau):
+    assert _predicted_count(path_graph(1), Block((1,), SINGLETON), tau) == tau + 2
+    for size in range(2, 9):
+        verts = tuple(range(1, size + 1))
+        clique = Block(verts, CLIQUE)
+        star = Block(verts, STAR)
+        g = complete_graph(size)
+        assert _predicted_count(g, clique, tau) == _enumerated_count(g, clique, tau)
+        g = star_graph(size - 1)
+        assert _predicted_count(g, star, tau) == _enumerated_count(g, star, tau)
+        assert _predicted_count(g, star, tau) == star_prefix_bound(size, tau)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_predicted_prefix_counts_of_stars_with_adjacent_leaves(seed):
+    rng = random.Random(seed)
+    size = 3 + seed % 6
+    leaf_edges = [(u, v) for u, v in itertools.combinations(range(2, size + 1), 2)
+                  if rng.random() < 0.4]
+    g = Graph.from_edges(size, [(1, v) for v in range(2, size + 1)] + leaf_edges)
+    block = Block(tuple(range(1, size + 1)), STAR)
+    for tau in range(4):
+        assert _predicted_count(g, block, tau) == _enumerated_count(g, block, tau)
+
+
+def test_predicted_prefix_counts_of_criterion_5_blocks():
+    # corpus seeds where auto picks an 8-vertex star block at tau 3
+    for seed in (251, 419):
+        inst = random_instance(n=2 + seed % 7, density=(0.2, 0.5, 0.8)[seed % 3],
+                               tau=seed % 4, lmax=4 + seed % 9, seed=seed)
+        g = inst.graph
+        for strategy in ("singleton", "star", "clique"):
+            part = build_partition(inst, strategy)
+            est = predict_complexity(g, part, 3)
+            assert est.per_block_f == tuple(_enumerated_count(g, b, 3) for b in part.blocks)
 
 def test_predict_singleton_base():
     g = path_graph(4)

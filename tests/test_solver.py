@@ -29,7 +29,8 @@ from gltc import (
     validate,
 )
 from gltc.reference import direct_step, mark_blocked
-from gltc.solver import _BarPass, _build_plan, _find_complete
+from gltc import partition as partition_module
+from gltc.solver import _BarPass, _build_plan, _combine, _find_complete
 from support import (
     base_table,
     complete_graph,
@@ -46,7 +47,7 @@ from support import (
 def test_compute_step_on_a_single_open_vertex():
     inst = uniform_instance(path_graph(1), {1, 2}, set())
     blocks = (Block((1,), SINGLETON),)
-    plan = _build_plan(blocks, 1, inst, True)
+    plan = _build_plan(blocks, 1)
     bar = _BarPass(inst, (1,), 1)
     table = VectorTrie.from_vectors(1, [(OPEN,)])
     indep = independent_set_vectors(inst.graph)
@@ -58,7 +59,7 @@ def test_compute_step_on_a_single_open_vertex():
 def test_compute_step_on_empty_table_is_empty():
     inst = uniform_instance(path_graph(1), {1}, set())
     blocks = (Block((1,), SINGLETON),)
-    plan = _build_plan(blocks, 1, inst, True)
+    plan = _build_plan(blocks, 1)
     bar = _BarPass(inst, (1,), 1)
     out, size, _ = level_step(VectorTrie(1), independent_set_vectors(inst.graph), plan, bar, 1)
     assert len(out) == 0 and size == 0
@@ -200,12 +201,99 @@ def test_dag_walks_visit_nodes_not_paths():
     assert time.perf_counter() - start < 1.0
 
 
-def test_pruning_toggle_leaves_tables_identical():
+def _tables_by_vertex_id(inst, strategy):
+    """Every level table, each vector re-indexed from the partition's
+    coordinate order to vertex-id order."""
+    out = []
+    for _, table, _, ordering in run_tables(inst, strategy):
+        perm = sorted(range(len(ordering)), key=ordering.__getitem__)
+        out.append({tuple(vec[i] for i in perm) for vec in table})
+    return out
+
+
+def test_level_tables_are_partition_independent():
+    # the partition fixes only the coordinate order and the size bound;
+    # the combination walk never uses the blocks to prune
     for seed in range(15):
-        inst = random_instance(n=5, density=0.7, tau=2, lmax=6, seed=500 + seed)
-        strong = [set(t) for _, t, _, _ in run_tables(inst, "star", strengthened=True)]
-        weak = [set(t) for _, t, _, _ in run_tables(inst, "star", strengthened=False)]
-        assert strong == weak
+        inst = random_instance(n=5 + seed % 2, density=(0.5, 0.7, 0.9)[seed % 3],
+                               tau=seed % 4, lmax=6, seed=500 + seed)
+        singleton = _tables_by_vertex_id(inst, "singleton")
+        assert _tables_by_vertex_id(inst, "star") == singleton
+        assert _tables_by_vertex_id(inst, "clique") == singleton
+
+
+@st.composite
+def _step_cases(draw):
+    """A random instance, vertex ordering, level and previous table over
+    the whole alphabet (BLOCKED included); the independent-set trie is
+    the instance graph's."""
+    n = draw(st.integers(1, 6))
+    inst = random_instance(n=n, density=draw(st.sampled_from((0.3, 0.6, 0.9))),
+                           tau=draw(st.integers(0, 3)), lmax=draw(st.integers(1, 6)),
+                           seed=draw(st.integers(0, 10_000)))
+    ordering = tuple(draw(st.permutations(range(1, n + 1))))
+    tau = instance_tau(inst)
+    vector = st.tuples(*[st.integers(BLOCKED, tau + 1)] * n)
+    vecs = draw(st.lists(vector, min_size=1, max_size=40))
+    return inst, ordering, draw(st.integers(1, validate(inst).lambda_max)), vecs
+
+
+# tau = 0 on a 2-path: the independent-set trie's root has distinct children
+# for 0 and 1, so a first coordinate 1 comes from (1, 0) and (OPEN, 1) and
+# the walk's state after it holds two indep nodes
+_EDGE0 = uniform_instance(path_graph(2), {1, 2, 3}, {0})
+_PATH0 = uniform_instance(path_graph(3), {1, 2, 3}, {0})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_step_cases())
+@example((_EDGE0, (1, 2), 1, [(1, 1), (OPEN, OPEN)]))
+@example((_EDGE0, (2, 1), 2, [(1, OPEN), (OPEN, BLOCKED), (OPEN, 1)]))
+@example((_PATH0, (2, 1, 3), 1, [(1, OPEN, OPEN), (OPEN, 1, OPEN), (OPEN, OPEN, 1)]))
+def test_level_step_equals_direct_step_then_mark_blocked(case):
+    inst, ordering, level, vecs = case
+    tau = instance_tau(inst)
+    table = VectorTrie.from_vectors(len(ordering), vecs)
+    indep = independent_set_vectors(inst.graph, ordering)
+    plan = _build_plan([Block((v,), SINGLETON) for v in ordering], tau)
+    got, size, _ = level_step(table, indep, plan, _BarPass(inst, ordering, tau), level)
+    want = {mark_blocked(v, level - 1, inst, ordering, tau)
+            for v in direct_step(table, indep, tau)}
+    assert set(got) == want and size == len(want)
+
+
+def test_tau_zero_state_mixes_indep_nodes():
+    ordering = (1, 2)
+    indep = independent_set_vectors(_EDGE0.graph, ordering)
+    assert instance_tau(_EDGE0) == 0
+    assert indep.root[0] is not indep.root[1]
+    table = VectorTrie.from_vectors(2, [(1, 1), (OPEN, OPEN)])
+    plan = _build_plan((Block((1,), SINGLETON), Block((2,), SINGLETON)), 0)
+    step = _combine((table.root,), indep.root, 0, plan, {})
+    # after a first 1, (1, 1) comes only from the pair (1, 0) and (1, OPEN)
+    # only from (OPEN, 1): the state must keep both indep nodes
+    assert set(VectorTrie(2, step)) == {(1, 1), (1, OPEN), (OPEN, OPEN), (OPEN, 1)}
+    assert set(VectorTrie(2, step)) == set(direct_step(table, indep, 0))
+
+
+def test_auto_solve_enumerates_no_prefixes(monkeypatch):
+    # criterion-5 corpus seeds where auto picks an 8-vertex star block at tau 3
+    calls = []
+    real = partition_module._feasible_prefixes
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(partition_module, "_feasible_prefixes", counted)
+    for seed in (251, 419):
+        inst = random_instance(n=2 + seed % 7, density=(0.2, 0.5, 0.8)[seed % 3],
+                               tau=seed % 4, lmax=4 + seed % 9, seed=seed)
+        result = solve(inst, strategy="auto")
+        blocks = result.stats.components[0].partition.blocks
+        assert instance_tau(inst) == 3 and max(b.size for b in blocks) == 8
+        assert result.decision == brute_force_solve(inst)[0]
+    assert calls == []
 
 
 # --- level tables match their definition --------------------------------------
