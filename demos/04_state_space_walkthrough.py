@@ -8,20 +8,8 @@ Each vertex holds one symbol: 'B' (blocked for the next label), '0'
 every level table for a 3-path and shows where the YES verdict appears.
 """
 
-from gltc import (
-    BLOCKED,
-    OPEN,
-    VectorTrie,
-    build_partition,
-    independent_set_vectors,
-    instance_tau,
-    level_step,
-    parse_instance,
-    solve,
-    validate,
-)
+from gltc import ComponentDP, build_partition, parse_instance, solve, validate
 from gltc.encoding import format_vector, is_complete
-from gltc.solver import _BarPass, _build_plan
 
 # A 3-path where neighbors must differ by more than 1, frequencies 1..4.
 inst = parse_instance(
@@ -32,31 +20,25 @@ inst = parse_instance(
     "e 1 2 0 1\n"
     "e 2 3 0 1\n"
 )
-tau = instance_tau(inst)
 stats = validate(inst)
 part = build_partition(inst, "star")
-ordering = part.ordering
-print(f"tau={tau}, labels up to {stats.lambda_max}")
-print("blocks:", [b.vertices for b in part.blocks], "=> vertex order", ordering)
+# built once per component, as the solver does: tau, the vertex order the
+# partition fixes, the independent-set vectors in that order, the moves of
+# the combination walk, the per-vertex data of the open/blocked pass and
+# the level-0 table
+dp = ComponentDP(inst, part)
+print(f"tau={dp.tau}, labels up to {stats.lambda_max}")
+print("blocks:", [b.vertices for b in part.blocks], "=> vertex order", dp.ordering)
 print()
 
-indep = independent_set_vectors(inst.graph, ordering)
-# built once per instance, as the solver does: the vector length and
-# per-symbol advance moves for the combination (a memoized walk over the
-# positions; the partition only fixes their order) and the per-vertex
-# data for the open/blocked pass
-plan = _build_plan(part.blocks, tau)
-bar = _BarPass(inst, ordering, tau)
-print(f"{len(indep)} independent-set vectors:",
-      " ".join(format_vector(p) for p in indep))
+print(f"{len(dp.indep)} independent-set vectors:",
+      " ".join(format_vector(p) for p in dp.indep))
 print()
 
-table = VectorTrie.from_vectors(
-    3, [tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)]
-)
+table = dp.base
 print("level 0:", " ".join(format_vector(v) for v in table))
 for k in range(1, stats.lambda_max + 1):
-    table, _, _ = level_step(table, indep, plan, bar, k)
+    table, _, _ = dp.step(table, k)
     rendered = [
         format_vector(v) + ("*" if is_complete(v) else "")
         for v in table

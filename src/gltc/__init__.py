@@ -52,13 +52,13 @@ from .partition import (
 )
 from .reference import brute_force_solve  # answer checks in perfbench/run.py
 from .solver import (
+    ComponentDP,
     LevelTable,
     ResourceLimitError,
     SolveOptions,
     SolveResult,
     SolveStats,
     check_witness,
-    level_step,
     reconstruct_witness,
     solve,
 )
@@ -75,6 +75,6 @@ __all__ = [
     "bfs_spanning_tree", "build_partition", "clique_partition", "feasible_prefixes",
     "predict_complexity", "singleton_partition", "star_block_base", "star_partition_k1d",
     "star_partition_spanning_tree", "star_prefix_bound", "validate_partition",
-    "brute_force_solve", "LevelTable", "ResourceLimitError", "SolveOptions", "SolveResult",
-    "SolveStats", "check_witness", "level_step", "reconstruct_witness", "solve",
+    "brute_force_solve", "ComponentDP", "LevelTable", "ResourceLimitError", "SolveOptions",
+    "SolveResult", "SolveStats", "check_witness", "reconstruct_witness", "solve",
 ]

@@ -157,51 +157,51 @@ class _BarPass:
     """
 
     def __init__(self, inst: Instance, ordering, tau: int):
+        # Bitmasks over positions: listed[lab] holds the positions whose
+        # list has label lab; a symbol at position j blocks the later
+        # positions later[j][sym] and the earlier ones earlier[j][sym];
+        # closes[j] holds the positions whose last blocking neighbour sits
+        # at j; waiting holds those with any later one.
         pos_of = {v: i for i, v in enumerate(ordering)}
-        self.lists = [inst.lam[v] for v in ordering]
-        self.nbrs: list[list[tuple[int, frozenset[int]]]] = []
-        for v in ordering:
-            row = []
-            for w in sorted(inst.graph.adjacency[v]):
-                blocking = frozenset(
-                    b for b in range(2, tau + 2) if (tau - b + 2) in inst.t_of(v, w)
-                )
-                if blocking:
-                    row.append((pos_of[w], blocking))
-            self.nbrs.append(row)
-        # Bitmasks over positions for rewrite: a symbol at position j blocks
-        # the later positions later[j][sym] and the earlier ones
-        # earlier[j][sym]; closes[j] holds the positions whose last blocking
-        # neighbour sits at j; waiting holds those with any later one.
         n = len(ordering)
+        self.full = (1 << n) - 1
+        self.listed: dict[int, int] = {}
         self.later: list[dict[int, int]] = [{} for _ in range(n)]
         self.earlier: list[dict[int, int]] = [{} for _ in range(n)]
         self.closes = [0] * n
         self.waiting = 0
-        for i, row in enumerate(self.nbrs):
-            for j, blocking in row:
+        for i, v in enumerate(ordering):
+            for lab in inst.lam[v]:
+                self.listed[lab] = self.listed.get(lab, 0) | 1 << i
+            last = -1
+            for w in inst.graph.adjacency[v]:
+                j = pos_of[w]
                 side = self.earlier[j] if j > i else self.later[j]
-                for b in blocking:
-                    side[b] = side.get(b, 0) | 1 << i
-            last = max((j for j, _ in row), default=-1)
+                diffs = inst.t_of(v, w)
+                # symbol b at w: w's label lies tau + 2 - b below the next one
+                for b in range(2, tau + 2):
+                    if tau - b + 2 in diffs:
+                        side[b] = side.get(b, 0) | 1 << i
+                        last = max(last, j)
             if last > i:
                 self.closes[last] |= 1 << i
                 self.waiting |= 1 << i
 
+    def _closed(self, level: int) -> int:
+        """Positions whose list lacks label ``level + 2``: no OPEN survives there."""
+        return self.full & ~self.listed.get(level + 2, 0)
+
     def run(self, vec, level: int):
         """One vector through the pass; kept for the benchmark replay only."""
-        next_label = level + 2
+        blk = self._closed(level)
+        later, earlier = self.later, self.earlier
+        for j, sym in enumerate(vec):
+            if sym > 1:  # only a recent label (2..tau+1) blocks
+                blk |= later[j].get(sym, 0) | earlier[j].get(sym, 0)
         out = list(vec)
         for i, sym in enumerate(vec):
-            if sym != OPEN:
-                continue
-            if next_label not in self.lists[i]:
+            if sym == OPEN and blk >> i & 1:
                 out[i] = BLOCKED
-                continue
-            for j, blocking in self.nbrs[i]:
-                if vec[j] in blocking:
-                    out[i] = BLOCKED
-                    break
         return tuple(out)
 
     def rewrite(self, root, level: int):
@@ -217,11 +217,7 @@ class _BarPass:
         the output node of those suffixes; the caller then settles OPEN
         or BLOCKED for its own pending coordinate.
         """
-        next_label = level + 2
-        closed = 0
-        for i, labels in enumerate(self.lists):
-            if next_label not in labels:
-                closed |= 1 << i
+        closed = self._closed(level)
         later, earlier, closes, waiting = self.later, self.earlier, self.closes, self.waiting
         unique: dict[tuple, dict] = {}
         memo: dict[tuple, dict] = {}
@@ -266,20 +262,40 @@ class _BarPass:
         return go(root, 0, 0, 0)[0], len(unique)
 
 
-def level_step(table: VectorTrie, indep: VectorTrie, plan, bar: _BarPass,
-               level: int) -> tuple[VectorTrie, int, int]:
-    """Advance the level ``level - 1`` table to level ``level``.
+class ComponentDP:
+    """The dynamic program of one component, in the vertex order fixed by
+    a partition.
 
-    Combines the table with the independent-set vectors in one walk over
-    the positions (see _combine), then rewrites the combined DAG through
-    the bar pass (see _BarPass.rewrite). Returns the new table, its number
-    of vectors and its number of distinct DAG nodes.
+    Built once per component: ``tau``, the coordinate ``ordering``, the
+    independent-set trie ``indep``, the combination walk's ``plan``
+    (vector length and advance moves), the OPEN/BLOCKED pass ``bar`` and
+    the level-0 table ``base`` (OPEN where label 1 is permitted, BLOCKED
+    otherwise). ``step`` advances a table by one level.
     """
-    step = None if table.root is None else _combine((table.root,), indep.root, 0, plan, {})
-    if step is None:
-        return VectorTrie(table.length), 0, 0
-    root, nodes = bar.rewrite(step, level - 1)
-    return VectorTrie(table.length, root), node_count(root), nodes
+
+    def __init__(self, inst: Instance, part: Partition):
+        self.tau = tau = instance_tau(inst)
+        self.ordering = ordering = part.ordering
+        self.indep = independent_set_vectors(inst.graph, ordering)
+        self.plan = _build_plan(part.blocks, tau)
+        self.bar = _BarPass(inst, ordering, tau)
+        base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
+        self.base = VectorTrie.from_vectors(len(ordering), [base])
+
+    def step(self, table: VectorTrie, level: int) -> tuple[VectorTrie, int, int]:
+        """Advance the level ``level - 1`` table to level ``level``.
+
+        Combines the table with the independent-set vectors in one walk
+        over the positions (see _combine), then rewrites the combined DAG
+        through the bar pass (see _BarPass.rewrite). Returns the new
+        table, its number of vectors and its number of distinct DAG nodes.
+        """
+        prev = table.root
+        combined = None if prev is None else _combine((prev,), self.indep.root, 0, self.plan, {})
+        if combined is None:
+            return VectorTrie(table.length), 0, 0
+        root, nodes = self.bar.rewrite(combined, level - 1)
+        return VectorTrie(table.length, root), node_count(root), nodes
 
 
 def _find_complete(trie: VectorTrie):
@@ -393,19 +409,14 @@ def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
     label_map: dict[int, int] = {}
     if options.gap_compress:
         inst, label_map = gap_compression(inst)
-    tau = instance_tau(inst)
     lmax = max((max(ls) for ls in inst.lam.values() if ls), default=0)
-    ordering = part.ordering
-    indep = independent_set_vectors(inst.graph, ordering)
-    bar = _BarPass(inst, ordering, tau)
-    base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
-    tables = [LevelTable(0, VectorTrie.from_vectors(len(ordering), [base]))]
-    plan = _build_plan(part.blocks, tau)
+    dp = ComponentDP(inst, part)
+    tables = [LevelTable(0, dp.base)]
 
     found = _find_complete(tables[0].vectors)  # complete at level 0 only when n == 0
     found_level = 0
     for k in range(1, lmax + 1):
-        table, size, nodes = level_step(tables[-1].vectors, indep, plan, bar, k)
+        table, size, nodes = dp.step(tables[-1].vectors, k)
         if options.store_parents:
             tables.append(LevelTable(k, table))
         else:
@@ -428,7 +439,7 @@ def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
         return False, None
     if not options.store_parents:
         return True, None
-    witness = reconstruct_witness(tables, found, found_level, indep, tau, ordering)
+    witness = reconstruct_witness(tables, found, found_level, dp.indep, dp.tau, dp.ordering)
     if label_map:
         witness = {v: label_map[lab] for v, lab in witness.items()}
     return True, witness

@@ -1,16 +1,16 @@
 """Trie-backed sets of fixed-length symbol vectors.
 
 Vectors are tuples of small integers. Trie depth follows the global
-vertex ordering, so restricting a set to the suffixes of a block-length
-prefix is a subtree lookup rather than a scan. Internal nodes are plain
-dicts mapping a symbol to the child node; a full-length path ends in the
-shared LEAF sentinel. Builders may share subtrees (the structure is then
-a DAG); everything is treated as immutable once built.
+vertex ordering, so the solver can walk a set position by position.
+Internal nodes are plain dicts mapping a symbol to the child node; a
+full-length path ends in the shared LEAF sentinel. Builders may share
+subtrees (the structure is then a DAG); everything is treated as
+immutable once built.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Vector = tuple[int, ...]
 
@@ -54,32 +54,8 @@ def node_iter(node, prefix: Vector = ()) -> Iterator[Vector]:
             stack.extend((nd[s], depth + 1, s) for s in sorted(nd, reverse=True))
 
 
-def node_restrict(node, prefix: Sequence[int]):
-    """Subtree handle for the given prefix, or None when no member starts with it."""
-    for sym in prefix:
-        if node is None or node is LEAF:
-            return None
-        node = node.get(sym)
-    return node
-
-
-def node_union(a, b):
-    """Merge two nodes of equal depth into a fresh node (inputs untouched)."""
-    if a is None:
-        return b
-    if b is None:
-        return a
-    if a is LEAF or b is LEAF:
-        return LEAF
-    out = dict(a)
-    for sym, child in b.items():
-        cur = out.get(sym)
-        out[sym] = child if cur is None else node_union(cur, child)
-    return out
-
-
 class VectorTrie:
-    """A set of equal-length vectors supporting prefix restriction.
+    """A set of equal-length vectors.
 
     The empty set is represented by ``root is None``; for length 0 the
     singleton containing the empty vector has ``root is LEAF``.
@@ -150,8 +126,3 @@ class VectorTrie:
         return self.length == other.length and set(self) == set(other)
 
     __hash__ = None
-
-    def restrict(self, prefix: Sequence[int]) -> "VectorTrie":
-        """The suffix set {v : prefix+v in self}; empty when nothing matches."""
-        assert len(prefix) <= self.length
-        return VectorTrie(self.length - len(prefix), node_restrict(self.root, prefix))

@@ -4,19 +4,7 @@ from __future__ import annotations
 
 import itertools
 
-from gltc import (
-    BLOCKED,
-    OPEN,
-    Graph,
-    Instance,
-    VectorTrie,
-    build_partition,
-    independent_set_vectors,
-    instance_tau,
-    level_step,
-    validate,
-)
-from gltc.solver import _BarPass, _build_plan
+from gltc import BLOCKED, OPEN, ComponentDP, Graph, Instance, build_partition, validate
 
 
 def path_graph(n: int) -> Graph:
@@ -52,33 +40,15 @@ def line_graph(g: Graph) -> Graph:
     return Graph.from_edges(len(edges), out)
 
 
-def base_table(inst: Instance, ordering) -> VectorTrie:
-    """Level-0 table: OPEN where label 1 is permitted, BLOCKED otherwise."""
-    vec = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
-    return VectorTrie.from_vectors(len(ordering), [vec])
-
-
-def level_pipeline(inst: Instance, part):
-    """What the solver builds once per component to run level_step: the
-    independent-set trie and the combination walk's plan (vector length
-    and advance moves), both in the partition's coordinate order, and the
-    bar pass."""
-    tau = instance_tau(inst)
-    indep = independent_set_vectors(inst.graph, part.ordering)
-    plan = _build_plan(part.blocks, tau)
-    return indep, plan, _BarPass(inst, part.ordering, tau)
-
-
 def run_tables(inst: Instance, strategy: str = "singleton"):
     """Yield (level, table) for every level of the pipeline, without early exit."""
     part = build_partition(inst, strategy)
-    ordering = part.ordering
-    indep, plan, bar = level_pipeline(inst, part)
-    table = base_table(inst, ordering)
-    yield 0, table, part, ordering
+    dp = ComponentDP(inst, part)
+    table = dp.base
+    yield 0, table, part, dp.ordering
     for k in range(1, validate(inst).lambda_max + 1):
-        table, _, _ = level_step(table, indep, plan, bar, k)
-        yield k, table, part, ordering
+        table, _, _ = dp.step(table, k)
+        yield k, table, part, dp.ordering
 
 
 def proper_partial_labelings(inst: Instance, k: int):

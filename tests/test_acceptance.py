@@ -8,6 +8,7 @@ import time
 from gltc import (
     CLIQUE,
     Block,
+    ComponentDP,
     SINGLETON,
     SolveOptions,
     bfs_spanning_tree,
@@ -17,7 +18,6 @@ from gltc import (
     clique_partition,
     feasible_prefixes,
     instance_tau,
-    level_step,
     predict_complexity,
     random_instance,
     solve,
@@ -30,10 +30,8 @@ from gltc import (
 )
 from gltc.reference import direct_step, mark_blocked
 from support import (
-    base_table,
     complete_graph,
     cycle_graph,
-    level_pipeline,
     line_graph,
     path_graph,
     star_graph,
@@ -87,16 +85,13 @@ def test_criterion_2_level_recurrence_conformance():
             lmax=4 + seed % 3,
             seed=20_000 + seed,
         )
-        part = build_partition(inst, ("singleton", "star", "clique")[seed % 3])
-        ordering = part.ordering
-        tau = instance_tau(inst)
-        indep, plan, bar = level_pipeline(inst, part)
-        table = base_table(inst, ordering)
+        dp = ComponentDP(inst, build_partition(inst, ("singleton", "star", "clique")[seed % 3]))
+        table = dp.base
         for k in range(1, validate(inst).lambda_max + 1):
-            got, size, _ = level_step(table, indep, plan, bar, k)
+            got, size, _ = dp.step(table, k)
             want = {
-                mark_blocked(vec, k - 1, inst, ordering, tau)
-                for vec in direct_step(table, indep, tau)
+                mark_blocked(vec, k - 1, inst, dp.ordering, dp.tau)
+                for vec in direct_step(table, dp.indep, dp.tau)
             }
             if set(got) != want or size != len(want):
                 failures.append((seed, k))

@@ -1,4 +1,4 @@
-"""Independent-set vector enumeration and prefix restriction."""
+"""Independent-set vector enumeration."""
 
 import itertools
 
@@ -62,21 +62,3 @@ def test_respects_custom_ordering():
     ordering = (2, 1, 3)  # the middle vertex first
     vecs = set(independent_set_vectors(g, ordering))
     assert vecs == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)}
-
-
-def test_restrict_prefix_examples():
-    tri = independent_set_vectors(complete_graph(3))
-    assert set(tri.restrict(())) == set(tri)
-    assert set(tri.restrict((1,))) == {(0, 0)}
-    g = Graph.from_edges(3, [(1, 2)])
-    assert not independent_set_vectors(g).restrict((1, 1))
-
-
-def test_restrict_matches_definition():
-    g = random_instance(n=6, density=0.5, tau=0, lmax=1, seed=11).graph
-    vecs = set(independent_set_vectors(g))
-    trie = independent_set_vectors(g)
-    for plen in range(7):
-        for prefix in itertools.product((0, 1), repeat=plen):
-            want = {v[plen:] for v in vecs if v[:plen] == prefix}
-            assert set(trie.restrict(prefix)) == want

@@ -9,10 +9,12 @@ from gltc import (
     BLOCKED,
     OPEN,
     Block,
+    ComponentDP,
     Graph,
     Instance,
     LEAF,
     LevelTable,
+    Partition,
     ResourceLimitError,
     SINGLETON,
     SolveOptions,
@@ -20,9 +22,7 @@ from gltc import (
     brute_force_solve,
     build_partition,
     check_witness,
-    independent_set_vectors,
     instance_tau,
-    level_step,
     random_instance,
     reconstruct_witness,
     solve,
@@ -30,11 +30,9 @@ from gltc import (
 )
 from gltc.reference import direct_step, mark_blocked
 from gltc import partition as partition_module
-from gltc.solver import _BarPass, _build_plan, _combine, _find_complete
+from gltc.solver import _BarPass, _combine, _find_complete
 from support import (
-    base_table,
     complete_graph,
-    level_pipeline,
     path_graph,
     reference_table,
     run_tables,
@@ -44,24 +42,22 @@ from support import (
 
 # --- combination steps -------------------------------------------------------
 
+def _singletons(ordering) -> Partition:
+    return Partition(tuple(Block((v,), SINGLETON) for v in ordering))
+
+
 def test_compute_step_on_a_single_open_vertex():
-    inst = uniform_instance(path_graph(1), {1, 2}, set())
-    blocks = (Block((1,), SINGLETON),)
-    plan = _build_plan(blocks, 1)
-    bar = _BarPass(inst, (1,), 1)
-    table = VectorTrie.from_vectors(1, [(OPEN,)])
-    indep = independent_set_vectors(inst.graph)
-    out, size, _ = level_step(table, indep, plan, bar, 1)
-    assert set(out) == {(OPEN,), (2,)}  # stay unlabeled, or take the new label
+    dp = ComponentDP(uniform_instance(path_graph(1), {1, 2}, set()), _singletons((1,)))
+    assert list(dp.base) == [(OPEN,)]
+    out, size, _ = dp.step(dp.base, 1)
+    # stay unlabeled, or take the new label (symbol tau + 1; tau is 0 here)
+    assert dp.tau == 0 and set(out) == {(OPEN,), (dp.tau + 1,)}
     assert size == 2
 
 
 def test_compute_step_on_empty_table_is_empty():
-    inst = uniform_instance(path_graph(1), {1}, set())
-    blocks = (Block((1,), SINGLETON),)
-    plan = _build_plan(blocks, 1)
-    bar = _BarPass(inst, (1,), 1)
-    out, size, _ = level_step(VectorTrie(1), independent_set_vectors(inst.graph), plan, bar, 1)
+    dp = ComponentDP(uniform_instance(path_graph(1), {1}, set()), _singletons((1,)))
+    out, size, _ = dp.step(VectorTrie(1), 1)
     assert len(out) == 0 and size == 0
 
 
@@ -80,15 +76,12 @@ def test_compute_step_equals_direct_step_randomized(strategy):
     for seed in range(25):
         inst = random_instance(n=3 + seed % 4, density=(0.3, 0.6, 0.9)[seed % 3],
                                tau=seed % 3, lmax=4 + seed % 3, seed=400 + seed)
-        part = build_partition(inst, strategy)
-        ordering = part.ordering
-        tau = instance_tau(inst)
-        indep, plan, bar = level_pipeline(inst, part)
-        table = base_table(inst, ordering)
+        dp = ComponentDP(inst, build_partition(inst, strategy))
+        table = dp.base
         for k in range(1, validate(inst).lambda_max + 1):
-            got, size, _ = level_step(table, indep, plan, bar, k)
-            want = {mark_blocked(v, k - 1, inst, ordering, tau)
-                    for v in direct_step(table, indep, tau)}
+            got, size, _ = dp.step(table, k)
+            want = {mark_blocked(v, k - 1, inst, dp.ordering, dp.tau)
+                    for v in direct_step(table, dp.indep, dp.tau)}
             assert set(got) == want and size == len(want)
             table = got
 
@@ -143,11 +136,10 @@ def test_level_tables_are_reduced_dags(strategy):
     for seed in range(15):
         inst = random_instance(n=4 + seed % 4, density=(0.3, 0.6)[seed % 2],
                                tau=seed % 4, lmax=5, seed=1500 + seed)
-        part = build_partition(inst, strategy)
-        indep, plan, bar = level_pipeline(inst, part)
-        table = base_table(inst, part.ordering)
+        dp = ComponentDP(inst, build_partition(inst, strategy))
+        table = dp.base
         for k in range(1, validate(inst).lambda_max + 1):
-            table, _, nodes = level_step(table, indep, plan, bar, k)
+            table, _, nodes = dp.step(table, k)
             reachable = _reachable_nodes(table.root)
             shapes = {frozenset((sym, id(c)) for sym, c in node.items()) for node in reachable}
             assert len(shapes) == len(reachable) == nodes
@@ -252,24 +244,21 @@ _PATH0 = uniform_instance(path_graph(3), {1, 2, 3}, {0})
 @example((_PATH0, (2, 1, 3), 1, [(1, OPEN, OPEN), (OPEN, 1, OPEN), (OPEN, OPEN, 1)]))
 def test_level_step_equals_direct_step_then_mark_blocked(case):
     inst, ordering, level, vecs = case
-    tau = instance_tau(inst)
+    dp = ComponentDP(inst, _singletons(ordering))
     table = VectorTrie.from_vectors(len(ordering), vecs)
-    indep = independent_set_vectors(inst.graph, ordering)
-    plan = _build_plan([Block((v,), SINGLETON) for v in ordering], tau)
-    got, size, _ = level_step(table, indep, plan, _BarPass(inst, ordering, tau), level)
-    want = {mark_blocked(v, level - 1, inst, ordering, tau)
-            for v in direct_step(table, indep, tau)}
+    got, size, _ = dp.step(table, level)
+    want = {mark_blocked(v, level - 1, inst, ordering, dp.tau)
+            for v in direct_step(table, dp.indep, dp.tau)}
     assert set(got) == want and size == len(want)
 
 
 def test_tau_zero_state_mixes_indep_nodes():
-    ordering = (1, 2)
-    indep = independent_set_vectors(_EDGE0.graph, ordering)
-    assert instance_tau(_EDGE0) == 0
+    dp = ComponentDP(_EDGE0, _singletons((1, 2)))
+    indep = dp.indep
+    assert dp.tau == 0
     assert indep.root[0] is not indep.root[1]
     table = VectorTrie.from_vectors(2, [(1, 1), (OPEN, OPEN)])
-    plan = _build_plan((Block((1,), SINGLETON), Block((2,), SINGLETON)), 0)
-    step = _combine((table.root,), indep.root, 0, plan, {})
+    step = _combine((table.root,), indep.root, 0, dp.plan, {})
     # after a first 1, (1, 1) comes only from the pair (1, 0) and (1, OPEN)
     # only from (OPEN, 1): the state must keep both indep nodes
     assert set(VectorTrie(2, step)) == {(1, 1), (1, OPEN), (OPEN, OPEN), (OPEN, 1)}
@@ -316,7 +305,7 @@ def test_base_table_marks_label_one_availability():
     g = path_graph(2)
     inst = Instance(graph=g, lam={1: frozenset({1, 2}), 2: frozenset({2})},
                     t={(1, 2): frozenset({0})})
-    assert list(base_table(inst, (1, 2))) == [(OPEN, BLOCKED)]
+    assert list(ComponentDP(inst, _singletons((1, 2))).base) == [(OPEN, BLOCKED)]
 
 
 def test_level_trace_of_sparse_single_vertex():

@@ -1,9 +1,6 @@
-"""Trie set semantics: membership, iteration order, restriction, union."""
-
-import random
+"""Trie set semantics: membership, iteration order, emptiness."""
 
 from gltc import VectorTrie
-from gltc.vectorset import node_union
 
 
 def test_add_contains_len():
@@ -23,39 +20,6 @@ def test_iteration_is_sorted():
     vecs = [(2, 0), (0, 1), (0, 0), (1, 2)]
     trie = VectorTrie.from_vectors(2, vecs)
     assert list(trie) == sorted(vecs)
-
-
-def test_restrict_empty_prefix_is_identity():
-    trie = VectorTrie.from_vectors(2, [(0, 1), (1, 0)])
-    assert set(trie.restrict(())) == set(trie)
-
-
-def test_restrict_selects_suffixes():
-    trie = VectorTrie.from_vectors(3, [(0, 1, 2), (0, 2, 2), (1, 1, 1)])
-    sub = trie.restrict((0,))
-    assert set(sub) == {(1, 2), (2, 2)}
-    assert sub.length == 2
-    assert not trie.restrict((2,))
-
-
-def test_restrict_then_reprefix_reconstructs_members():
-    rng = random.Random(5)
-    vecs = {tuple(rng.randrange(3) for _ in range(4)) for _ in range(40)}
-    trie = VectorTrie.from_vectors(4, vecs)
-    for prefix_len in range(5):
-        rebuilt = set()
-        for prefix in {v[:prefix_len] for v in vecs}:
-            for suffix in trie.restrict(prefix):
-                rebuilt.add(prefix + suffix)
-        assert rebuilt == vecs
-
-
-def test_union():
-    a = VectorTrie.from_vectors(2, [(0, 0), (0, 1)])
-    b = VectorTrie.from_vectors(2, [(0, 1), (1, 1)])
-    merged = VectorTrie(2, node_union(a.root, b.root))
-    assert set(merged) == {(0, 0), (0, 1), (1, 1)}
-    assert set(a) == {(0, 0), (0, 1)}  # inputs untouched
 
 
 def test_zero_length_semantics():
