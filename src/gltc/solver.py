@@ -11,10 +11,13 @@ and the independent-set trie, walked together, so each reachable pair
 of shared suffixes is processed once.
 
 A level table is a hash-consed DAG: a trie in which equal subtrees are
-one node (a reduced multi-valued decision diagram). The OPEN/BLOCKED
-recomputation is a memoized rewrite of the combined DAG into the next
-one, so no level is ever expanded into its vectors; completeness checks
-and the witness walk remember dead nodes and so stay linear in nodes.
+one node (a reduced multi-valued decision diagram). The combined DAG is
+hash-consed as it is built, so the OPEN/BLOCKED recomputation, a
+memoized rewrite of the combined DAG into the next table, meets each
+distinct subtree once; the rewrite also counts the vectors of the nodes
+it creates, so no table is walked again to size it. No level is ever
+expanded into its vectors; completeness checks and the witness walk
+remember dead nodes and so stay linear in nodes.
 
 The instance is YES iff some level's table contains a vector with every
 vertex labeled; an explicit labeling is then reconstructed by walking
@@ -27,9 +30,9 @@ from dataclasses import dataclass, field
 
 from .encoding import BLOCKED, OPEN, advance_preimage_pairs, advance_symbol, symbol_alphabet
 from .indsets import independent_set_vectors
-from .instance import Instance, gap_compression, instance_tau, split_components, validate
+from .instance import Instance, gap_compression, instance_tau, split_components
 from .partition import Partition, build_partition
-from .vectorset import LEAF, VectorTrie, node_count
+from .vectorset import LEAF, VectorTrie
 
 Witness = dict[int, int]
 
@@ -56,12 +59,15 @@ class LevelTable:
 
 @dataclass
 class ComponentReport:
-    """Per-component diagnostics: which partition ran and how big tables got."""
+    """Per-component diagnostics: which partition ran and, per level, how big
+    the table got (vectors and DAG nodes) and how many entries the combine
+    and rewrite memos held together."""
 
     instance: Instance
     partition: Partition
     level_sizes: list[int] = field(default_factory=list)
     level_nodes: list[int] = field(default_factory=list)
+    level_memo: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -113,8 +119,14 @@ def _combine(a_nodes, p_node, depth, plan, memo):
     state. For tau >= 1 the output symbol fixes the assign bit, so a
     state holds a single indep node; for tau = 0 symbol 1 comes from both
     (OPEN, 1) and (1, 0), and a state may mix indep nodes.
+
+    Every node returned is hash-consed through one unique table per call,
+    keyed on its shape: its symbols in alphabet order, then the ids of
+    their children. Equal combined subtrees are then one object, and the
+    bar rewrite's memo, keyed on node ids, meets each of them once.
     """
     n, moves = plan
+    unique: dict[tuple, dict] = {}
 
     def image(d, pairs):
         groups: dict[int, dict] = {}
@@ -126,21 +138,28 @@ def _combine(a_nodes, p_node, depth, plan, memo):
                         groups.setdefault(sym, {})[id(tc), id(pc)] = (tc, pc)
         d += 1
         out = {}
-        for sym, group in groups.items():
+        for sym in sorted(groups):  # alphabet order makes the shape below canonical
             if d == n:
                 out[sym] = LEAF
                 continue
+            group = groups[sym]
             key = (d, *sorted(group))
             child = memo.get(key, _UNSEEN)
             if child is _UNSEEN:
                 child = memo[key] = image(d, group.values())
             if child is not None:
                 out[sym] = child
-        return out or None
+        if not out:
+            return None
+        return unique.setdefault((*out, *map(id, out.values())), out)
 
     if depth == n:
         return LEAF
-    return image(depth, [(a, p_node) for a in a_nodes])
+    root = image(depth, [(a, p_node) for a in a_nodes])
+    # image refers to itself; ending that cycle frees memo and unique on
+    # return instead of at the next cyclic garbage collection
+    del image
+    return root
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +223,14 @@ class _BarPass:
                 out[i] = BLOCKED
         return tuple(out)
 
-    def rewrite(self, root, level: int):
+    def rewrite(self, root, level: int, memo: dict):
         """The pass applied to every vector below ``root`` in one walk.
 
         Returns the root of the barred table, hash-consed into a reduced
-        DAG (no two nodes with equal children), and its number of nodes.
+        DAG (no two nodes with equal children), its number of nodes and
+        its number of vectors. Each node's vector count is summed from its
+        children's once, when the unique table creates the node. ``memo``
+        is the walk's memo; the caller passes it to read its size.
 
         A call at depth d carries ``blk``, the positions >= d already
         blocked by an earlier neighbour's symbol, and ``pend``, the
@@ -220,7 +242,7 @@ class _BarPass:
         closed = self._closed(level)
         later, earlier, closes, waiting = self.later, self.earlier, self.closes, self.waiting
         unique: dict[tuple, dict] = {}
-        memo: dict[tuple, dict] = {}
+        count = {id(LEAF): 1}  # vectors below each output node, by id
 
         def go(node, d, blk, pend):
             if node is LEAF:
@@ -255,11 +277,17 @@ class _BarPass:
             out = {}
             for mask, children in groups.items():
                 shape = tuple(sorted((s, id(c)) for s, c in children.items()))
-                out[mask] = unique.setdefault(shape, children)
+                node = unique.get(shape)
+                if node is None:
+                    node = unique[shape] = children
+                    count[id(node)] = sum(count[c] for _, c in shape)
+                out[mask] = node
             memo[key] = out
             return out
 
-        return go(root, 0, 0, 0)[0], len(unique)
+        barred = go(root, 0, 0, 0)[0]
+        del go  # go refers to itself: end the cycle, as _combine does
+        return barred, len(unique), count[id(barred)]
 
 
 class ComponentDP:
@@ -282,20 +310,24 @@ class ComponentDP:
         base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
         self.base = VectorTrie.from_vectors(len(ordering), [base])
 
-    def step(self, table: VectorTrie, level: int) -> tuple[VectorTrie, int, int]:
+    def step(self, table: VectorTrie, level: int) -> tuple[VectorTrie, int, int, int]:
         """Advance the level ``level - 1`` table to level ``level``.
 
         Combines the table with the independent-set vectors in one walk
         over the positions (see _combine), then rewrites the combined DAG
         through the bar pass (see _BarPass.rewrite). Returns the new
-        table, its number of vectors and its number of distinct DAG nodes.
+        table, its number of vectors, its number of distinct DAG nodes
+        and the number of entries the two walks memoized.
         """
+        memo: dict = {}
         prev = table.root
-        combined = None if prev is None else _combine((prev,), self.indep.root, 0, self.plan, {})
+        combined = None if prev is None else _combine((prev,), self.indep.root, 0, self.plan, memo)
+        entries = len(memo)
         if combined is None:
-            return VectorTrie(table.length), 0, 0
-        root, nodes = self.bar.rewrite(combined, level - 1)
-        return VectorTrie(table.length, root), node_count(root), nodes
+            return VectorTrie(table.length), 0, 0, entries
+        memo = {}  # drops the combine memo before the rewrite runs
+        root, nodes, size = self.bar.rewrite(combined, level - 1, memo)
+        return VectorTrie(table.length, root), size, nodes, entries + len(memo)
 
 
 def _find_complete(trie: VectorTrie):
@@ -416,7 +448,7 @@ def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
     found = _find_complete(tables[0].vectors)  # complete at level 0 only when n == 0
     found_level = 0
     for k in range(1, lmax + 1):
-        table, size, nodes = dp.step(tables[-1].vectors, k)
+        table, size, nodes, memo = dp.step(tables[-1].vectors, k)
         if options.store_parents:
             tables.append(LevelTable(k, table))
         else:
@@ -426,6 +458,7 @@ def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
         stats.max_table_size = max(stats.max_table_size, size)
         report.level_sizes.append(size)
         report.level_nodes.append(nodes)
+        report.level_memo.append(memo)
         if stats.total_vectors > options.vector_limit:
             raise ResourceLimitError(
                 f"stored vectors exceeded the limit of {options.vector_limit}"
@@ -457,8 +490,7 @@ def solve(inst: Instance, partition: Partition | None = None,
     """
     options = options or SolveOptions()
     stats = SolveStats()
-    info = validate(inst)
-    if info.empty_lists:
+    if not all(inst.lam.values()):  # a vertex with an empty list: NO
         return SolveResult(False, None, stats)
     if partition is not None:
         ok, witness = _solve_component(inst, partition, options, stats)

@@ -12,9 +12,9 @@ import importlib
 import itertools
 from pathlib import Path
 
-from gltc import OPEN, instance_tau, random_instance
+from gltc import OPEN, ComponentDP, VectorTrie, build_partition, instance_tau, random_instance
 from gltc.reference import mark_blocked
-from gltc.solver import _BarPass
+from gltc.solver import _BarPass, _build_plan, _combine
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -45,6 +45,25 @@ def test_per_vector_bar_pass_of_the_replay_still_runs():
         for vec in itertools.product(range(OPEN, tau + 2), repeat=5):
             for level in range(4):
                 assert bar.run(vec, level) == mark_blocked(vec, level, inst, ordering, tau)
+
+
+def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
+    # perfbench/layers.py combines with its own plan and a fresh memo, then
+    # bars the flattened result vector by vector
+    for strategy, seed in (("star", 21), ("clique", 22), ("singleton", 23)):
+        inst = random_instance(n=7, density=0.5, tau=seed % 3, lmax=6, seed=seed)
+        part = build_partition(inst, strategy)
+        dp = ComponentDP(inst, part)
+        plan = _build_plan(part.blocks, dp.tau, inst, True)
+        table = dp.base
+        for k in range(1, 7):
+            combined = _combine((table.root,), dp.indep.root, 0, plan, {})
+            root, _, size = dp.bar.rewrite(combined, k - 1, {})
+            table, want_size, _, _ = dp.step(table, k)
+            want = set(table)
+            assert set(VectorTrie(len(dp.ordering), root)) == want and size == want_size
+            flat = VectorTrie(len(dp.ordering), combined)
+            assert {dp.bar.run(vec, k - 1) for vec in flat} == want
 
 
 def test_demos_and_test_support_import_no_private_gltc_name():

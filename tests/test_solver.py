@@ -29,7 +29,10 @@ from gltc import (
     validate,
 )
 from gltc.reference import direct_step, mark_blocked
+from gltc import instance as instance_module
 from gltc import partition as partition_module
+from gltc import solver as solver_module
+from gltc import vectorset as vectorset_module
 from gltc.solver import _BarPass, _combine, _find_complete
 from support import (
     complete_graph,
@@ -49,7 +52,7 @@ def _singletons(ordering) -> Partition:
 def test_compute_step_on_a_single_open_vertex():
     dp = ComponentDP(uniform_instance(path_graph(1), {1, 2}, set()), _singletons((1,)))
     assert list(dp.base) == [(OPEN,)]
-    out, size, _ = dp.step(dp.base, 1)
+    out, size, _, _ = dp.step(dp.base, 1)
     # stay unlabeled, or take the new label (symbol tau + 1; tau is 0 here)
     assert dp.tau == 0 and set(out) == {(OPEN,), (dp.tau + 1,)}
     assert size == 2
@@ -57,7 +60,7 @@ def test_compute_step_on_a_single_open_vertex():
 
 def test_compute_step_on_empty_table_is_empty():
     dp = ComponentDP(uniform_instance(path_graph(1), {1}, set()), _singletons((1,)))
-    out, size, _ = dp.step(VectorTrie(1), 1)
+    out, size, _, _ = dp.step(VectorTrie(1), 1)
     assert len(out) == 0 and size == 0
 
 
@@ -79,7 +82,7 @@ def test_compute_step_equals_direct_step_randomized(strategy):
         dp = ComponentDP(inst, build_partition(inst, strategy))
         table = dp.base
         for k in range(1, validate(inst).lambda_max + 1):
-            got, size, _ = dp.step(table, k)
+            got, size, _, _ = dp.step(table, k)
             want = {mark_blocked(v, k - 1, inst, dp.ordering, dp.tau)
                     for v in direct_step(table, dp.indep, dp.tau)}
             assert set(got) == want and size == len(want)
@@ -115,9 +118,10 @@ def test_bar_rewrite_equals_mark_blocked_per_vector(case):
     inst, ordering, level, vecs = case
     tau = instance_tau(inst)
     step = VectorTrie.from_vectors(len(ordering), vecs)
-    root, _ = _BarPass(inst, ordering, tau).rewrite(step.root, level)
+    root, _, size = _BarPass(inst, ordering, tau).rewrite(step.root, level, {})
     want = {mark_blocked(v, level, inst, ordering, tau) for v in vecs}
     assert set(VectorTrie(len(ordering), root)) == want
+    assert size == len(want)
 
 
 def _reachable_nodes(root):
@@ -131,18 +135,43 @@ def _reachable_nodes(root):
     return list(seen.values())
 
 
-@pytest.mark.parametrize("strategy", ["singleton", "star", "clique"])
-def test_level_tables_are_reduced_dags(strategy):
+def _distinct_shapes(root):
+    """(distinct {symbol: id(child)} shapes, nodes) reachable from ``root``."""
+    reachable = _reachable_nodes(root)
+    shapes = {frozenset((sym, id(c)) for sym, c in node.items()) for node in reachable}
+    return len(shapes), len(reachable)
+
+
+def _seeded_dps(strategy):
     for seed in range(15):
         inst = random_instance(n=4 + seed % 4, density=(0.3, 0.6)[seed % 2],
                                tau=seed % 4, lmax=5, seed=1500 + seed)
-        dp = ComponentDP(inst, build_partition(inst, strategy))
+        yield inst, ComponentDP(inst, build_partition(inst, strategy))
+
+
+@pytest.mark.parametrize("strategy", ["singleton", "star", "clique"])
+def test_level_tables_are_reduced_dags(strategy):
+    for inst, dp in _seeded_dps(strategy):
         table = dp.base
         for k in range(1, validate(inst).lambda_max + 1):
-            table, _, nodes = dp.step(table, k)
-            reachable = _reachable_nodes(table.root)
-            shapes = {frozenset((sym, id(c)) for sym, c in node.items()) for node in reachable}
-            assert len(shapes) == len(reachable) == nodes
+            table, size, nodes, _ = dp.step(table, k)
+            shapes, reachable = _distinct_shapes(table.root)
+            assert shapes == reachable == nodes
+            # the size the rewrite counted, against a separate walk
+            assert size == len(table)
+
+
+@pytest.mark.parametrize("strategy", ["singleton", "star", "clique"])
+def test_combined_dag_is_reduced(strategy):
+    # equal combined subtrees must be one object, or the rewrite's memo,
+    # keyed on node ids, walks each copy again
+    for inst, dp in _seeded_dps(strategy):
+        table = dp.base
+        for k in range(1, validate(inst).lambda_max + 1):
+            combined = _combine((table.root,), dp.indep.root, 0, dp.plan, {})
+            shapes, reachable = _distinct_shapes(combined)
+            assert shapes == reachable
+            table, _, _, _ = dp.step(table, k)
 
 
 class _CountedNode(dict):
@@ -246,7 +275,7 @@ def test_level_step_equals_direct_step_then_mark_blocked(case):
     inst, ordering, level, vecs = case
     dp = ComponentDP(inst, _singletons(ordering))
     table = VectorTrie.from_vectors(len(ordering), vecs)
-    got, size, _ = dp.step(table, level)
+    got, size, _, _ = dp.step(table, level)
     want = {mark_blocked(v, level - 1, inst, ordering, dp.tau)
             for v in direct_step(table, dp.indep, dp.tau)}
     assert set(got) == want and size == len(want)
@@ -283,6 +312,42 @@ def test_auto_solve_enumerates_no_prefixes(monkeypatch):
         assert instance_tau(inst) == 3 and max(b.size for b in blocks) == 8
         assert result.decision == brute_force_solve(inst)[0]
     assert calls == []
+
+
+def test_solve_counts_sizes_without_a_second_walk(monkeypatch):
+    # the criterion-7 instance: the rewrite returns each level's size, so
+    # no table is walked again with node_count
+    calls = []
+    real = vectorset_module.node_count
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # len(VectorTrie) reads vectorset's name; a direct import in solver.py
+    # would bind its own
+    monkeypatch.setattr(vectorset_module, "node_count", counted)
+    monkeypatch.setattr(solver_module, "node_count", counted, raising=False)
+    inst = random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024)
+    result = solve(inst, strategy="star")
+    assert result.stats.components[0].level_sizes[-1] == 694_656
+    assert calls == []
+
+
+def test_one_component_solve_splits_components_twice(monkeypatch):
+    # once to split the instance, once inside the star/auto partition
+    # builder; the empty-list check walks no component structure
+    calls = []
+    real = instance_module._component_vertex_sets
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(instance_module, "_component_vertex_sets", counted)
+    inst = uniform_instance(path_graph(4), {1, 2, 3}, {0})
+    assert solve(inst).decision
+    assert calls == [4, 4]
 
 
 # --- level tables match their definition --------------------------------------
@@ -453,6 +518,8 @@ def test_solve_stats_report_levels_and_sizes():
     assert len(result.stats.components) == 1
     assert len(result.stats.components[0].level_sizes) == 3
     assert len(result.stats.components[0].level_nodes) == 3
+    assert len(result.stats.components[0].level_memo) == 3
+    assert all(entries > 0 for entries in result.stats.components[0].level_memo)
     assert result.stats.max_table_size == max(result.stats.components[0].level_sizes)
 
 
