@@ -8,7 +8,7 @@ Each vertex holds one symbol: 'B' (blocked for the next label), '0'
 every level table for a 3-path and shows where the YES verdict appears.
 """
 
-from gltc import ComponentDP, build_partition, parse_instance, solve, validate
+from gltc import ComponentDP, build_partition, parse_instance, solve, validate, walk_order
 from gltc.encoding import format_vector, is_complete
 
 # A 3-path where neighbors must differ by more than 1, frequencies 1..4.
@@ -22,13 +22,15 @@ inst = parse_instance(
 )
 stats = validate(inst)
 part = build_partition(inst, "star")
-# built once per component, as the solver does: tau, the vertex order the
-# partition fixes, the independent-set vectors in that order, the moves of
-# the combination walk, the per-vertex data of the open/blocked pass and
-# the level-0 table
-dp = ComponentDP(inst, part)
+# built once per component, as the solver does: tau, the vertex order of
+# the coordinates (walk_order, chosen from the graph to keep the walk
+# narrow; the partition only bounds the table sizes), the independent-set
+# vectors in that order, the moves of the combination walk, the per-vertex
+# data of the open/blocked pass and the level-0 table
+dp = ComponentDP(inst, walk_order(inst.graph))
 print(f"tau={dp.tau}, labels up to {stats.lambda_max}")
-print("blocks:", [b.vertices for b in part.blocks], "=> vertex order", dp.ordering)
+print("blocks (bound only):", [b.vertices for b in part.blocks])
+print("vertex order of the walk:", dp.ordering)
 print()
 
 print(f"{len(dp.indep)} independent-set vectors:",

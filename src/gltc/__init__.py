@@ -49,6 +49,7 @@ from .partition import (
     star_partition_spanning_tree,
     star_prefix_bound,
     validate_partition,
+    walk_order,
 )
 from .reference import brute_force_solve  # answer checks in perfbench/run.py
 from .solver import (
@@ -74,7 +75,7 @@ __all__ = [
     "CLIQUE", "SINGLETON", "STAR", "Block", "NotK1dFreeError", "Partition", "base_table_row",
     "bfs_spanning_tree", "build_partition", "clique_partition", "feasible_prefixes",
     "predict_complexity", "singleton_partition", "star_block_base", "star_partition_k1d",
-    "star_partition_spanning_tree", "star_prefix_bound", "validate_partition",
+    "star_partition_spanning_tree", "star_prefix_bound", "validate_partition", "walk_order",
     "brute_force_solve", "ComponentDP", "LevelTable", "ResourceLimitError", "SolveOptions",
     "SolveResult", "SolveStats", "check_witness", "reconstruct_witness", "solve",
 ]

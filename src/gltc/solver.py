@@ -4,11 +4,13 @@ Level k holds the set of state vectors of all proper partial labelings
 using labels 1..k. Advancing to level k+1 combines the table with the
 independent-set vectors (the vertices receiving label k+1 must be
 pairwise non-adjacent), then recomputes which unlabeled vertices can
-still take label k+2. A vertex partition fixes the coordinate order and
-bounds the table size (see partition.predict_complexity); the
-combination itself is a per-position memoized image of the table DAG
-and the independent-set trie, walked together, so each reachable pair
-of shared suffixes is processed once.
+still take label k+2. A vertex partition bounds the table size (see
+partition.predict_complexity); the coordinates follow partition.walk_order,
+a small-frontier order of the graph, since a table's content does not
+depend on the order but the cost of the walks does. The combination
+itself is a per-position memoized image of the table DAG and the
+independent-set trie, walked together, so each reachable pair of shared
+suffixes is processed once.
 
 A level table is a hash-consed DAG: a trie in which equal subtrees are
 one node (a reduced multi-valued decision diagram). The combined DAG is
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 from .encoding import BLOCKED, OPEN, advance_preimage_pairs, advance_symbol, symbol_alphabet
 from .indsets import independent_set_vectors
 from .instance import Instance, gap_compression, instance_tau, split_components
-from .partition import Partition, build_partition
+from .partition import Partition, build_partition, validate_partition, walk_order
 from .vectorset import LEAF, VectorTrie
 
 Witness = dict[int, int]
@@ -59,12 +61,14 @@ class LevelTable:
 
 @dataclass
 class ComponentReport:
-    """Per-component diagnostics: which partition ran and, per level, how big
-    the table got (vectors and DAG nodes) and how many entries the combine
-    and rewrite memos held together."""
+    """Per-component diagnostics: the partition that bounds the tables, the
+    vertex order the walks followed and, per level, how big the table got
+    (vectors and DAG nodes) and how many entries the combine and rewrite
+    memos held together."""
 
     instance: Instance
     partition: Partition
+    ordering: tuple[int, ...]
     level_sizes: list[int] = field(default_factory=list)
     level_nodes: list[int] = field(default_factory=list)
     level_memo: list[int] = field(default_factory=list)
@@ -91,20 +95,24 @@ class SolveResult:
 _UNSEEN = object()
 
 
-def _build_plan(blocks, tau: int, inst: Instance | None = None, strengthened: bool = True):
-    """What the combination walk needs for one component: the vector
-    length and, per previous symbol x, the (assign bit, new symbol) pairs
-    that advance_symbol allows at this tau.
-
-    ``inst`` and ``strengthened`` are unused; they keep the call shape of
-    the benchmark's per-layer replay (perfbench/layers.py) until the next
-    change to the benchmark, as ``_BarPass.run`` does.
-    """
-    moves = {
+def _advance_moves(tau: int):
+    """Per previous symbol x, the (assign bit, new symbol) pairs that
+    advance_symbol allows at this tau."""
+    return {
         x: tuple((y, sym) for y in (0, 1) if (sym := advance_symbol(x, y, tau)) is not None)
         for x in symbol_alphabet(tau)
     }
-    return sum(block.size for block in blocks), moves
+
+
+def _build_plan(blocks, tau: int, inst: Instance | None = None, strengthened: bool = True):
+    """The combination walk's plan, (vector length, _advance_moves(tau)),
+    with the length summed over a partition's blocks.
+
+    Only the benchmark's per-layer replay (perfbench/layers.py) calls it;
+    ``inst`` and ``strengthened`` are unused and keep its call shape until
+    the next change to the benchmark, as ``_BarPass.run`` does.
+    """
+    return sum(block.size for block in blocks), _advance_moves(tau)
 
 
 def _combine(a_nodes, p_node, depth, plan, memo):
@@ -291,21 +299,24 @@ class _BarPass:
 
 
 class ComponentDP:
-    """The dynamic program of one component, in the vertex order fixed by
-    a partition.
+    """The dynamic program of one component, with its coordinates in a
+    given vertex order (any permutation of the vertices; the solver uses
+    partition.walk_order).
 
     Built once per component: ``tau``, the coordinate ``ordering``, the
     independent-set trie ``indep``, the combination walk's ``plan``
     (vector length and advance moves), the OPEN/BLOCKED pass ``bar`` and
     the level-0 table ``base`` (OPEN where label 1 is permitted, BLOCKED
-    otherwise). ``step`` advances a table by one level.
+    otherwise). ``step`` advances a table by one level. The tables hold
+    the same vectors, up to the order of their coordinates, whatever the
+    order; only the cost of the walks depends on it.
     """
 
-    def __init__(self, inst: Instance, part: Partition):
+    def __init__(self, inst: Instance, ordering):
         self.tau = tau = instance_tau(inst)
-        self.ordering = ordering = part.ordering
+        self.ordering = ordering = tuple(ordering)
         self.indep = independent_set_vectors(inst.graph, ordering)
-        self.plan = _build_plan(part.blocks, tau)
+        self.plan = len(ordering), _advance_moves(tau)
         self.bar = _BarPass(inst, ordering, tau)
         base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
         self.base = VectorTrie.from_vectors(len(ordering), [base])
@@ -435,14 +446,16 @@ def check_witness(inst: Instance, witness: Witness) -> bool:
 
 def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
                      stats: SolveStats) -> tuple[bool, Witness | None]:
-    """Run the DP on one (sub-)instance with an explicit partition."""
-    report = ComponentReport(instance=inst, partition=part)
+    """Run the DP on one (sub-)instance. The walk follows walk_order
+    whatever the partition; ``part`` is reported as the bound's partition."""
+    ordering = walk_order(inst.graph)
+    report = ComponentReport(instance=inst, partition=part, ordering=ordering)
     stats.components.append(report)
     label_map: dict[int, int] = {}
     if options.gap_compress:
         inst, label_map = gap_compression(inst)
     lmax = max((max(ls) for ls in inst.lam.values() if ls), default=0)
-    dp = ComponentDP(inst, part)
+    dp = ComponentDP(inst, ordering)
     tables = [LevelTable(0, dp.base)]
 
     found = _find_complete(tables[0].vectors)  # complete at level 0 only when n == 0
@@ -485,9 +498,14 @@ def solve(inst: Instance, partition: Partition | None = None,
 
     Without an explicit partition the instance is split into connected
     components, each solved with a partition built by ``strategy``
-    (see build_partition). An explicit partition must cover the whole
-    vertex set and disables component splitting.
+    (see build_partition). An explicit partition must be valid for the
+    graph (see validate_partition; ValueError otherwise) and disables
+    component splitting. The partition only bounds the tables: every
+    component is walked in walk_order, so a YES witness is the least
+    complete vector in that order.
     """
+    if partition is not None:
+        validate_partition(inst.graph, partition)
     options = options or SolveOptions()
     stats = SolveStats()
     if not all(inst.lam.values()):  # a vertex with an empty list: NO

@@ -43,7 +43,7 @@ def line_graph(g: Graph) -> Graph:
 def run_tables(inst: Instance, strategy: str = "singleton"):
     """Yield (level, table) for every level of the pipeline, without early exit."""
     part = build_partition(inst, strategy)
-    dp = ComponentDP(inst, part)
+    dp = ComponentDP(inst, part.ordering)
     table = dp.base
     yield 0, table, part, dp.ordering
     for k in range(1, validate(inst).lambda_max + 1):

@@ -85,7 +85,8 @@ def test_criterion_2_level_recurrence_conformance():
             lmax=4 + seed % 3,
             seed=20_000 + seed,
         )
-        dp = ComponentDP(inst, build_partition(inst, ("singleton", "star", "clique")[seed % 3]))
+        part = build_partition(inst, ("singleton", "star", "clique")[seed % 3])
+        dp = ComponentDP(inst, part.ordering)
         table = dp.base
         for k in range(1, validate(inst).lambda_max + 1):
             got, size, _, _ = dp.step(table, k)

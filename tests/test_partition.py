@@ -28,6 +28,7 @@ from gltc import (
     split_components,
     star_prefix_bound,
     validate_partition,
+    walk_order,
 )
 from gltc.partition import _feasible_prefixes
 from support import (
@@ -338,3 +339,36 @@ def test_build_partition_rejects_unknown_strategy():
     inst = uniform_instance(path_graph(2), {1}, {0})
     with pytest.raises(ValueError):
         build_partition(inst, "zigzag")
+
+
+# --- walk order ------------------------------------------------------------------
+
+def _frontier(g, ordering):
+    """The largest number of placed vertices with an unplaced neighbour,
+    over the prefixes of ``ordering`` (its vertex separation)."""
+    pos = {v: i for i, v in enumerate(ordering)}
+    return max((sum(any(pos[w] > i for w in g.adjacency[v]) for v in ordering[:i + 1])
+                for i in range(len(ordering))), default=0)
+
+
+def test_walk_order_is_a_deterministic_permutation():
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(5, [(1, 2), (3, 4), (4, 5)])]
+    graphs += [random_instance(n=2 + seed % 9, density=(0.2, 0.5, 0.9)[seed % 3], tau=1,
+                               lmax=2, seed=3000 + seed).graph for seed in range(20)]
+    for g in graphs:
+        order = walk_order(g)
+        assert sorted(order) == list(range(1, g.n + 1))
+        assert walk_order(g) == order
+
+
+def test_walk_order_of_a_path_has_frontier_one():
+    g = path_graph(9)
+    assert walk_order(g) == tuple(range(1, 10))
+    assert _frontier(g, walk_order(g)) == 1
+
+
+def test_walk_order_narrows_the_criterion_7_frontier():
+    inst = random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024)
+    g = inst.graph
+    assert _frontier(g, build_partition(inst, "star").ordering) == 10
+    assert _frontier(g, walk_order(g)) <= 7

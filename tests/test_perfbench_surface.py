@@ -53,7 +53,7 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
     for strategy, seed in (("star", 21), ("clique", 22), ("singleton", 23)):
         inst = random_instance(n=7, density=0.5, tau=seed % 3, lmax=6, seed=seed)
         part = build_partition(inst, strategy)
-        dp = ComponentDP(inst, part)
+        dp = ComponentDP(inst, part.ordering)
         plan = _build_plan(part.blocks, dp.tau, inst, True)
         table = dp.base
         for k in range(1, 7):

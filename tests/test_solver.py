@@ -1,5 +1,6 @@
 """The dynamic program: combination steps, level pipeline, solve, witnesses."""
 
+import random
 import time
 
 import pytest
@@ -27,6 +28,7 @@ from gltc import (
     reconstruct_witness,
     solve,
     validate,
+    walk_order,
 )
 from gltc.reference import direct_step, mark_blocked
 from gltc import instance as instance_module
@@ -45,12 +47,8 @@ from support import (
 
 # --- combination steps -------------------------------------------------------
 
-def _singletons(ordering) -> Partition:
-    return Partition(tuple(Block((v,), SINGLETON) for v in ordering))
-
-
 def test_compute_step_on_a_single_open_vertex():
-    dp = ComponentDP(uniform_instance(path_graph(1), {1, 2}, set()), _singletons((1,)))
+    dp = ComponentDP(uniform_instance(path_graph(1), {1, 2}, set()), (1,))
     assert list(dp.base) == [(OPEN,)]
     out, size, _, _ = dp.step(dp.base, 1)
     # stay unlabeled, or take the new label (symbol tau + 1; tau is 0 here)
@@ -59,7 +57,7 @@ def test_compute_step_on_a_single_open_vertex():
 
 
 def test_compute_step_on_empty_table_is_empty():
-    dp = ComponentDP(uniform_instance(path_graph(1), {1}, set()), _singletons((1,)))
+    dp = ComponentDP(uniform_instance(path_graph(1), {1}, set()), (1,))
     out, size, _, _ = dp.step(VectorTrie(1), 1)
     assert len(out) == 0 and size == 0
 
@@ -79,7 +77,7 @@ def test_compute_step_equals_direct_step_randomized(strategy):
     for seed in range(25):
         inst = random_instance(n=3 + seed % 4, density=(0.3, 0.6, 0.9)[seed % 3],
                                tau=seed % 3, lmax=4 + seed % 3, seed=400 + seed)
-        dp = ComponentDP(inst, build_partition(inst, strategy))
+        dp = ComponentDP(inst, build_partition(inst, strategy).ordering)
         table = dp.base
         for k in range(1, validate(inst).lambda_max + 1):
             got, size, _, _ = dp.step(table, k)
@@ -146,7 +144,7 @@ def _seeded_dps(strategy):
     for seed in range(15):
         inst = random_instance(n=4 + seed % 4, density=(0.3, 0.6)[seed % 2],
                                tau=seed % 4, lmax=5, seed=1500 + seed)
-        yield inst, ComponentDP(inst, build_partition(inst, strategy))
+        yield inst, ComponentDP(inst, build_partition(inst, strategy).ordering)
 
 
 @pytest.mark.parametrize("strategy", ["singleton", "star", "clique"])
@@ -222,25 +220,34 @@ def test_dag_walks_visit_nodes_not_paths():
     assert time.perf_counter() - start < 1.0
 
 
-def _tables_by_vertex_id(inst, strategy):
-    """Every level table, each vector re-indexed from the partition's
-    coordinate order to vertex-id order."""
-    out = []
-    for _, table, _, ordering in run_tables(inst, strategy):
-        perm = sorted(range(len(ordering)), key=ordering.__getitem__)
+def _tables_by_vertex_id(inst, ordering):
+    """Every level table of the DP walked in ``ordering``, each vector
+    re-indexed from that coordinate order to vertex-id order."""
+    dp = ComponentDP(inst, ordering)
+    perm = sorted(range(len(ordering)), key=dp.ordering.__getitem__)
+    table = dp.base
+    out = [{tuple(vec[i] for i in perm) for vec in table}]
+    for k in range(1, validate(inst).lambda_max + 1):
+        table, _, _, _ = dp.step(table, k)
         out.append({tuple(vec[i] for i in perm) for vec in table})
     return out
 
 
 def test_level_tables_are_partition_independent():
-    # the partition fixes only the coordinate order and the size bound;
-    # the combination walk never uses the blocks to prune
+    # the coordinate order changes only the shape of the DAGs and the cost
+    # of the walks: the partitions' block orders, the solver's walk order
+    # and random permutations all give the same tables
+    rng = random.Random(7)
     for seed in range(15):
         inst = random_instance(n=5 + seed % 2, density=(0.5, 0.7, 0.9)[seed % 3],
                                tau=seed % 4, lmax=6, seed=500 + seed)
-        singleton = _tables_by_vertex_id(inst, "singleton")
-        assert _tables_by_vertex_id(inst, "star") == singleton
-        assert _tables_by_vertex_id(inst, "clique") == singleton
+        vertices = range(1, inst.graph.n + 1)
+        orders = [build_partition(inst, strategy).ordering for strategy in ("star", "clique")]
+        orders.append(walk_order(inst.graph))
+        orders += [tuple(rng.sample(vertices, len(vertices))) for _ in range(3)]
+        singleton = _tables_by_vertex_id(inst, build_partition(inst, "singleton").ordering)
+        for ordering in orders:
+            assert _tables_by_vertex_id(inst, ordering) == singleton, ordering
 
 
 @st.composite
@@ -273,7 +280,7 @@ _PATH0 = uniform_instance(path_graph(3), {1, 2, 3}, {0})
 @example((_PATH0, (2, 1, 3), 1, [(1, OPEN, OPEN), (OPEN, 1, OPEN), (OPEN, OPEN, 1)]))
 def test_level_step_equals_direct_step_then_mark_blocked(case):
     inst, ordering, level, vecs = case
-    dp = ComponentDP(inst, _singletons(ordering))
+    dp = ComponentDP(inst, ordering)
     table = VectorTrie.from_vectors(len(ordering), vecs)
     got, size, _, _ = dp.step(table, level)
     want = {mark_blocked(v, level - 1, inst, ordering, dp.tau)
@@ -282,7 +289,7 @@ def test_level_step_equals_direct_step_then_mark_blocked(case):
 
 
 def test_tau_zero_state_mixes_indep_nodes():
-    dp = ComponentDP(_EDGE0, _singletons((1, 2)))
+    dp = ComponentDP(_EDGE0, (1, 2))
     indep = dp.indep
     assert dp.tau == 0
     assert indep.root[0] is not indep.root[1]
@@ -370,7 +377,7 @@ def test_base_table_marks_label_one_availability():
     g = path_graph(2)
     inst = Instance(graph=g, lam={1: frozenset({1, 2}), 2: frozenset({2})},
                     t={(1, 2): frozenset({0})})
-    assert list(ComponentDP(inst, _singletons((1, 2))).base) == [(OPEN, BLOCKED)]
+    assert list(ComponentDP(inst, (1, 2)).base) == [(OPEN, BLOCKED)]
 
 
 def test_level_trace_of_sparse_single_vertex():
@@ -455,6 +462,29 @@ def test_solve_with_explicit_partition():
     part = build_partition(inst, "star")
     result = solve(inst, partition=part)
     assert result.decision and check_witness(inst, result.witness)
+    # the partition is reported as the bound's; the walk follows walk_order
+    report = result.stats.components[0]
+    assert report.partition is part and report.ordering == walk_order(inst.graph)
+
+
+@pytest.mark.parametrize("blocks, message", [
+    (((1,), (2,), (3,)), "do not cover"),
+    (((1,), (2,), (3,), (4,), (4,)), "two blocks"),
+], ids=["missing_vertex", "duplicated_vertex"])
+def test_solve_rejects_a_partition_that_is_not_one_of_the_graph(blocks, message):
+    inst = uniform_instance(path_graph(4), {1, 2, 3}, {0})
+    part = Partition(tuple(Block(b, SINGLETON) for b in blocks))
+    with pytest.raises(ValueError, match=message):
+        solve(inst, partition=part)
+
+
+def test_criterion_7_walk_memoizes_half_the_entries_of_the_star_order():
+    # the star order's frontier is 10 and its walks memoize 27,658 entries;
+    # walk_order's frontier is 7
+    inst = random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024)
+    report = solve(inst, strategy="star").stats.components[0]
+    assert report.level_sizes == [85, 594, 4018, 36163, 62427, 207528, 238692, 694656]
+    assert sum(report.level_memo) <= 14_000
 
 
 def test_k1d_strategy_matches_oracle_on_line_graphs():
@@ -519,6 +549,7 @@ def test_solve_stats_report_levels_and_sizes():
     assert len(result.stats.components[0].level_sizes) == 3
     assert len(result.stats.components[0].level_nodes) == 3
     assert len(result.stats.components[0].level_memo) == 3
+    assert result.stats.components[0].ordering == walk_order(inst.graph)
     assert all(entries > 0 for entries in result.stats.components[0].level_memo)
     assert result.stats.max_table_size == max(result.stats.components[0].level_sizes)
 
