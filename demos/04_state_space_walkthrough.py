@@ -24,9 +24,10 @@ stats = validate(inst)
 part = build_partition(inst, "star")
 # built once per component, as the solver does: tau, the vertex order of
 # the coordinates (walk_order, chosen from the graph to keep the walk
-# narrow; the partition only bounds the table sizes), the independent-set
-# vectors in that order, the moves of the combination walk, the per-vertex
-# data of the open/blocked pass and the level-0 table
+# narrow; the solver builds no partition, which only bounds the table
+# sizes), the independent-set vectors in that order, the moves of the
+# combination walk, the per-vertex data of the open/blocked pass and the
+# level-0 table
 dp = ComponentDP(inst, walk_order(inst.graph))
 print(f"tau={dp.tau}, labels up to {stats.lambda_max}")
 print("blocks (bound only):", [b.vertices for b in part.blocks])

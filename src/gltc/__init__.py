@@ -5,7 +5,8 @@ forbidden label differences per edge (always containing 0), decide
 whether a labeling exists that respects every list and avoids every
 forbidden difference — and produce one when it does. The solver is a
 label-by-label dynamic program over trie-compressed state-vector sets,
-decomposed over a pluggable vertex partition; reductions from list
+one per connected component; vertex partitions bound the table sizes
+(``predict_complexity``) without steering the solve. Reductions from list
 coloring, L(p,q)-labeling, channel assignment and T-coloring are
 included. The brute-force reference solver lives in ``gltc.reference``.
 """

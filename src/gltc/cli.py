@@ -67,10 +67,9 @@ def _cmd_solve(args) -> int:
     options = SolveOptions(
         early_exit=not args.no_early_exit,
         store_parents=args.witness,
-        gap_compress=not args.no_gap_compress,
         vector_limit=args.limit,
     )
-    result = solve(inst, strategy=args.partition, options=options)
+    result = solve(inst, options=options)
     if args.trace:
         for idx, comp in enumerate(result.stats.components):
             print(f"# component {idx + 1}", file=sys.stderr)
@@ -158,11 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="decide an instance file")
     p_solve.add_argument("file")
     p_solve.add_argument("--partition", type=_check_partition_flag, default="auto",
-                         metavar=PARTITION_CHOICES)
+                         metavar=PARTITION_CHOICES,
+                         help="accepted and ignored: does not affect the solve "
+                              "(see predict); goes at the next benchmark change")
     p_solve.add_argument("--witness", action="store_true",
                          help="print an explicit labeling on YES")
     p_solve.add_argument("--no-early-exit", action="store_true")
-    p_solve.add_argument("--no-gap-compress", action="store_true")
     p_solve.add_argument("--trace", action="store_true",
                          help="per-level table sizes on stderr")
     p_solve.add_argument("--limit", type=int, default=1 << 26,

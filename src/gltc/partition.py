@@ -353,20 +353,22 @@ def walk_order(g: Graph) -> tuple[int, ...]:
 # feasible prefixes and complexity prediction
 
 
-def _feasible_prefixes(block: Block, tau: int, adjacency, tmap, strengthened: bool):
+def _feasible_prefixes(block: Block, tau: int, adjacency, tmap):
+    """feasible_prefixes with the edges' forbidden sets ``tmap``, or with
+    equality pruning only when ``tmap`` is None."""
     verts = block.vertices
     in_edges = []
     for i, j in itertools.combinations(range(len(verts)), 2):
         u, v = verts[i], verts[j]
         if v in adjacency[u]:
-            in_edges.append((i, j, tmap[_edge_key(u, v)] if tmap is not None else None))
+            in_edges.append((i, j, tmap[_edge_key(u, v)] if tmap is not None else ()))
     out = []
     for a in itertools.product(range(tau + 2), repeat=len(verts)):
         ok = True
         for i, j, diffs in in_edges:
             x, y = a[i], a[j]
             if x >= 2 and y >= 2:
-                if x == y or (strengthened and abs(x - y) in diffs):
+                if x == y or abs(x - y) in diffs:
                     ok = False
                     break
         if ok:
@@ -375,7 +377,7 @@ def _feasible_prefixes(block: Block, tau: int, adjacency, tmap, strengthened: bo
 
 
 def _count_prefixes(block: Block, tau: int, adjacency) -> int:
-    """``len(_feasible_prefixes(block, tau, adjacency, None, False))``
+    """``len(_feasible_prefixes(block, tau, adjacency, None))``
     without listing the prefixes.
 
     A memoized DP over the block's positions: symbols 0 and 1 constrain
@@ -425,9 +427,7 @@ def feasible_prefixes(block: Block, tau: int, inst: Instance,
     no proper partial labeling can produce. Output is in lexicographic
     order. The solver never lists prefixes; predict_complexity counts them.
     """
-    return _feasible_prefixes(
-        block, tau, inst.graph.adjacency, inst.t if strengthened else None, strengthened
-    )
+    return _feasible_prefixes(block, tau, inst.graph.adjacency, inst.t if strengthened else None)
 
 
 def star_prefix_bound(size: int, tau: int) -> int:

@@ -4,13 +4,13 @@ Level k holds the set of state vectors of all proper partial labelings
 using labels 1..k. Advancing to level k+1 combines the table with the
 independent-set vectors (the vertices receiving label k+1 must be
 pairwise non-adjacent), then recomputes which unlabeled vertices can
-still take label k+2. A vertex partition bounds the table size (see
-partition.predict_complexity); the coordinates follow partition.walk_order,
-a small-frontier order of the graph, since a table's content does not
-depend on the order but the cost of the walks does. The combination
-itself is a per-position memoized image of the table DAG and the
-independent-set trie, walked together, so each reachable pair of shared
-suffixes is processed once.
+still take label k+2. The coordinates follow partition.walk_order, a
+small-frontier order of the graph: a table's content does not depend on
+the order, but the cost of the walks does. No partition is built here;
+partition.predict_complexity bounds the table sizes from outside. The
+combination itself is a per-position memoized image of the table DAG and
+the independent-set trie, walked together, so each reachable pair of
+shared suffixes is processed once.
 
 A level table is a hash-consed DAG: a trie in which equal subtrees are
 one node (a reduced multi-valued decision diagram). The combined DAG is
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .encoding import BLOCKED, OPEN, advance_preimage_pairs, advance_symbol, symbol_alphabet
 from .indsets import independent_set_vectors
 from .instance import Instance, gap_compression, instance_tau, split_components
-from .partition import Partition, build_partition, validate_partition, walk_order
+from .partition import walk_order
 from .vectorset import LEAF, VectorTrie
 
 Witness = dict[int, int]
@@ -45,9 +45,13 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """``early_exit`` stops at the first level with a complete vector;
+    ``store_parents`` keeps every level table for the witness walk;
+    ``vector_limit`` caps the stored vectors (ResourceLimitError).
+    Dead label gaps are always compressed (instance.gap_compression)."""
+
     early_exit: bool = True
     store_parents: bool = True
-    gap_compress: bool = True
     vector_limit: int = 1 << 26
 
 
@@ -61,13 +65,12 @@ class LevelTable:
 
 @dataclass
 class ComponentReport:
-    """Per-component diagnostics: the partition that bounds the tables, the
-    vertex order the walks followed and, per level, how big the table got
-    (vectors and DAG nodes) and how many entries the combine and rewrite
-    memos held together."""
+    """Per-component diagnostics: the vertex order the walks followed and,
+    per level, how big the table got (vectors and DAG nodes) and how many
+    entries the combine and rewrite memos held together. A bound for the
+    sizes comes from predict_complexity on a partition of ``instance``."""
 
     instance: Instance
-    partition: Partition
     ordering: tuple[int, ...]
     level_sizes: list[int] = field(default_factory=list)
     level_nodes: list[int] = field(default_factory=list)
@@ -444,16 +447,14 @@ def check_witness(inst: Instance, witness: Witness) -> bool:
 # drivers
 
 
-def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
+def _solve_component(inst: Instance, options: SolveOptions,
                      stats: SolveStats) -> tuple[bool, Witness | None]:
-    """Run the DP on one (sub-)instance. The walk follows walk_order
-    whatever the partition; ``part`` is reported as the bound's partition."""
+    """Run the DP on one connected (sub-)instance, walked in walk_order,
+    with its dead label gaps compressed."""
     ordering = walk_order(inst.graph)
-    report = ComponentReport(instance=inst, partition=part, ordering=ordering)
+    report = ComponentReport(instance=inst, ordering=ordering)
     stats.components.append(report)
-    label_map: dict[int, int] = {}
-    if options.gap_compress:
-        inst, label_map = gap_compression(inst)
+    inst, label_map = gap_compression(inst)
     lmax = max((max(ls) for ls in inst.lam.values() if ls), default=0)
     dp = ComponentDP(inst, ordering)
     tables = [LevelTable(0, dp.base)]
@@ -486,38 +487,28 @@ def _solve_component(inst: Instance, part: Partition, options: SolveOptions,
     if not options.store_parents:
         return True, None
     witness = reconstruct_witness(tables, found, found_level, dp.indep, dp.tau, dp.ordering)
-    if label_map:
-        witness = {v: label_map[lab] for v, lab in witness.items()}
-    return True, witness
+    return True, {v: label_map[lab] for v, lab in witness.items()}
 
 
-def solve(inst: Instance, partition: Partition | None = None,
-          strategy: str = "auto",
+def solve(inst: Instance, strategy: str = "auto",
           options: SolveOptions | None = None) -> SolveResult:
     """Decide the instance; on YES optionally return an explicit labeling.
 
-    Without an explicit partition the instance is split into connected
-    components, each solved with a partition built by ``strategy``
-    (see build_partition). An explicit partition must be valid for the
-    graph (see validate_partition; ValueError otherwise) and disables
-    component splitting. The partition only bounds the tables: every
-    component is walked in walk_order, so a YES witness is the least
-    complete vector in that order.
+    The instance is split into connected components once, and each is
+    walked in walk_order, so a YES witness is the least complete vector
+    in that order. ``strategy`` is accepted and ignored: it does not
+    affect the solve, since a partition only bounds the tables (see
+    build_partition and predict_complexity). It goes at the next change
+    to the benchmark, which still passes it.
     """
-    if partition is not None:
-        validate_partition(inst.graph, partition)
     options = options or SolveOptions()
     stats = SolveStats()
     if not all(inst.lam.values()):  # a vertex with an empty list: NO
         return SolveResult(False, None, stats)
-    if partition is not None:
-        ok, witness = _solve_component(inst, partition, options, stats)
-        return SolveResult(ok, witness, stats)
     witness: Witness | None = {}
     decision = True
     for sub, idmap in split_components(inst):
-        part = build_partition(sub, strategy)
-        ok, sub_witness = _solve_component(sub, part, options, stats)
+        ok, sub_witness = _solve_component(sub, options, stats)
         if not ok:
             decision = False
             witness = None

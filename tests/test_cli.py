@@ -69,7 +69,7 @@ def test_solve_internal_failure_exits_2_not_no(yes_file, monkeypatch, capsys):
     assert "MemoryError" in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag", ["--no-early-exit", "--no-gap-compress"])
+@pytest.mark.parametrize("flag", ["--no-early-exit"])
 def test_solve_flags_do_not_change_the_answer(yes_file, no_file, flag, capsys):
     assert main(["solve", yes_file, flag]) == 0
     assert main(["solve", no_file, flag]) == 1
@@ -80,6 +80,34 @@ def test_solve_flags_do_not_change_the_answer(yes_file, no_file, flag, capsys):
 def test_solve_partition_flags(yes_file, part, capsys):
     assert main(["solve", yes_file, "--partition", part]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("part", ["bogus", "k1d:2"])
+def test_solve_rejects_a_bad_partition_flag(yes_file, part, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", yes_file, "--partition", part])
+    assert exc.value.code == 2
+    assert "--partition" in capsys.readouterr().err
+
+
+CLAW_DOC = "gltc 4 3\nv 1 1 2\nv 2 1 2\nv 3 1 2\nv 4 1 2\ne 1 2 0\ne 1 3 0\ne 1 4 0\n"
+
+
+def test_solve_ignores_the_partition_flag_on_a_claw(tmp_path, capsys):
+    path = tmp_path / "claw.gltc"
+    path.write_text(CLAW_DOC)
+    assert main(["solve", str(path), "--partition", "k1d:3", "--witness"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "YES"
+    witness = {int(v): int(lab) for _, v, lab in (line.split() for line in out[1:])}
+    assert check_witness(parse_instance(CLAW_DOC), witness)
+
+
+def test_predict_still_refuses_k1d_on_a_claw(tmp_path, capsys):
+    path = tmp_path / "claw.gltc"
+    path.write_text(CLAW_DOC)
+    assert main(["predict", str(path), "--partition", "k1d:3"]) == 2
+    assert "not K_{1,3}-free" in capsys.readouterr().err
 
 
 def test_solve_trace_goes_to_stderr(yes_file, capsys):

@@ -53,6 +53,16 @@ def test_singleton_partition():
     assert part.ordering == (1, 2, 3)
 
 
+@pytest.mark.parametrize("blocks, message", [
+    (((1,), (2,), (3,)), "do not cover"),
+    (((1,), (2,), (3,), (4,), (4,)), "two blocks"),
+], ids=["missing_vertex", "duplicated_vertex"])
+def test_validate_partition_rejects_a_partition_that_is_not_one_of_the_graph(blocks, message):
+    part = Partition(tuple(Block(b, SINGLETON) for b in blocks))
+    with pytest.raises(ValueError, match=message):
+        validate_partition(path_graph(4), part)
+
+
 # --- spanning-tree stars -----------------------------------------------------
 
 def test_star_partition_of_star_graph_is_one_block():
@@ -224,7 +234,7 @@ def test_prefix_enumeration_is_lexicographic():
 # --- prediction and bases ------------------------------------------------------
 
 def _enumerated_count(g, block, tau):
-    return len(_feasible_prefixes(block, tau, g.adjacency, None, False))
+    return len(_feasible_prefixes(block, tau, g.adjacency, None))
 
 
 def _predicted_count(g, block, tau):

@@ -9,15 +9,12 @@ from hypothesis import example, given, settings, strategies as st
 from gltc import (
     BLOCKED,
     OPEN,
-    Block,
     ComponentDP,
     Graph,
     Instance,
     LEAF,
     LevelTable,
-    Partition,
     ResourceLimitError,
-    SINGLETON,
     SolveOptions,
     VectorTrie,
     brute_force_solve,
@@ -315,7 +312,7 @@ def test_auto_solve_enumerates_no_prefixes(monkeypatch):
         inst = random_instance(n=2 + seed % 7, density=(0.2, 0.5, 0.8)[seed % 3],
                                tau=seed % 4, lmax=4 + seed % 9, seed=seed)
         result = solve(inst, strategy="auto")
-        blocks = result.stats.components[0].partition.blocks
+        blocks = build_partition(inst, "auto").blocks
         assert instance_tau(inst) == 3 and max(b.size for b in blocks) == 8
         assert result.decision == brute_force_solve(inst)[0]
     assert calls == []
@@ -341,9 +338,9 @@ def test_solve_counts_sizes_without_a_second_walk(monkeypatch):
     assert calls == []
 
 
-def test_one_component_solve_splits_components_twice(monkeypatch):
-    # once to split the instance, once inside the star/auto partition
-    # builder; the empty-list check walks no component structure
+def test_one_component_solve_splits_components_once(monkeypatch):
+    # only to split the instance: no partition is built, and the
+    # empty-list check walks no component structure
     calls = []
     real = instance_module._component_vertex_sets
 
@@ -354,7 +351,32 @@ def test_one_component_solve_splits_components_twice(monkeypatch):
     monkeypatch.setattr(instance_module, "_component_vertex_sets", counted)
     inst = uniform_instance(path_graph(4), {1, 2, 3}, {0})
     assert solve(inst).decision
-    assert calls == [4, 4]
+    assert calls == [4]
+    calls.clear()
+    assert solve(inst, strategy="star").decision
+    assert calls == [4]
+    calls.clear()
+    disconnected = uniform_instance(Graph.from_edges(5, [(1, 2), (3, 4), (4, 5)]), {1, 2}, {0})
+    assert solve(disconnected).decision
+    assert calls == [5]
+
+
+def test_solve_builds_no_partition(monkeypatch):
+    g = Graph.from_edges(7, [(1, 2), (1, 3), (1, 4), (5, 6), (6, 7), (5, 7)])
+    inst = uniform_instance(g, {1, 2, 3, 4, 5}, {0, 1})
+    expected = brute_force_solve(inst)[0]
+    assert expected
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve built a partition")
+
+    for name in ("build_partition", "singleton_partition", "star_partition_spanning_tree",
+                 "star_partition_k1d", "clique_partition", "predict_complexity"):
+        monkeypatch.setattr(partition_module, name, refuse)
+    for strategy in ("singleton", "star", "k1d:3", "clique", "auto"):
+        result = solve(inst, strategy=strategy, options=SolveOptions(store_parents=True))
+        assert result.decision == expected
+        assert check_witness(inst, result.witness)
 
 
 # --- level tables match their definition --------------------------------------
@@ -389,7 +411,7 @@ def test_level_trace_of_sparse_single_vertex():
     assert tables[0] == {(BLOCKED,)}
     assert tables[1] == {(OPEN,)}
     assert tables[2] == {(BLOCKED,), (1,)}
-    result = solve(inst, options=SolveOptions(gap_compress=False))
+    result = solve(inst)
     assert result.decision and result.witness == {1: 2}
 
 
@@ -455,27 +477,6 @@ def test_solve_disconnected_answer_is_conjunction():
     g2 = Graph.from_edges(5, [(1, 2), (3, 4), (4, 5), (3, 5)])
     no = uniform_instance(g2, {1, 2}, {0})
     assert not solve(no).decision
-
-
-def test_solve_with_explicit_partition():
-    inst = uniform_instance(path_graph(4), {1, 2, 3}, {0})
-    part = build_partition(inst, "star")
-    result = solve(inst, partition=part)
-    assert result.decision and check_witness(inst, result.witness)
-    # the partition is reported as the bound's; the walk follows walk_order
-    report = result.stats.components[0]
-    assert report.partition is part and report.ordering == walk_order(inst.graph)
-
-
-@pytest.mark.parametrize("blocks, message", [
-    (((1,), (2,), (3,)), "do not cover"),
-    (((1,), (2,), (3,), (4,), (4,)), "two blocks"),
-], ids=["missing_vertex", "duplicated_vertex"])
-def test_solve_rejects_a_partition_that_is_not_one_of_the_graph(blocks, message):
-    inst = uniform_instance(path_graph(4), {1, 2, 3}, {0})
-    part = Partition(tuple(Block(b, SINGLETON) for b in blocks))
-    with pytest.raises(ValueError, match=message):
-        solve(inst, partition=part)
 
 
 def test_criterion_7_walk_memoizes_half_the_entries_of_the_star_order():
