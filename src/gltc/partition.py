@@ -196,6 +196,8 @@ def star_partition_k1d(g: Graph, d: int) -> Partition:
     and NotK1dFreeError is raised. Every move removes vertices or
     strictly shrinks u's leaf count, and u never gains non-leaf
     neighbors, so the loop terminates and the residual stays connected.
+    After a pair peel that took x (when the residual is a star, x is one
+    of u's leaves) or left at most d vertices, the path is taken anew.
     """
     if d < 3:
         raise ValueError(f"requires d >= 3, got {d}")
@@ -231,6 +233,8 @@ def star_partition_k1d(g: Graph, d: int) -> Partition:
             if pair is not None:
                 blocks.append(Block(pair, STAR))
                 _remove_from_tree(tree, pair)
+                if x not in tree or len(tree) <= d:
+                    break
                 continue
             mover = next(
                 (vi for vi in leaves if vi != x and g.adjacent(vi, x)), None

@@ -7,7 +7,10 @@ each is obviously correct and independent of the production path:
   order, trying each vertex's permitted labels in ascending order;
 - direct_step: the combination step materialized pair by pair;
 - mark_blocked: the OPEN/BLOCKED recomputation straight from the
-  instance.
+  instance;
+- inclusion_exclusion_list_coloring: the tau = 0 decision counted over
+  vertex subsets, a method that shares nothing with the solver's DP and
+  reaches further than brute force.
 
 Intended for small instances. The solver never imports this module.
 """
@@ -62,6 +65,43 @@ def brute_force_solve(inst: Instance, descending: bool = False) -> tuple[bool, W
     if dfs(1):
         return True, dict(assignment)
     return False, None
+
+
+def inclusion_exclusion_list_coloring(inst: Instance) -> bool:
+    """Decide a tau = 0 instance (list coloring) by inclusion-exclusion.
+
+    The instance is YES iff sum over X of (-1)^(n - |X|) prod_l i_l(X) > 0,
+    where i_l(X) counts the independent sets (the empty one included)
+    inside X intersected with {v : l in lam(v)}: the sum counts the
+    tuples of such sets, one per label, that cover every vertex
+    (Bjorklund, Husfeldt & Koivisto 2009). O(2^n * labels) time and 2^n
+    memory, so keep n to about 20.
+    """
+    if instance_tau(inst) != 0:
+        raise ValueError("inclusion-exclusion decides tau = 0 instances only")
+    n = inst.graph.n
+    # closed[i]: vertex i+1 and its neighbours, as a bitmask over vertices
+    # (every edge forbids difference 0)
+    closed = [1 << i for i in range(n)]
+    for u, v in inst.graph.edges:
+        closed[u - 1] |= 1 << (v - 1)
+        closed[v - 1] |= 1 << (u - 1)
+    # indep[Y]: independent sets inside Y; split on Y's lowest vertex
+    indep = [1] * (1 << n)
+    for y in range(1, 1 << n):
+        low = (y & -y).bit_length() - 1
+        indep[y] = indep[y & ~(1 << low)] + indep[y & ~closed[low]]
+    holders: dict[int, int] = {}  # label -> vertices whose list has it
+    for v in range(1, n + 1):
+        for lab in inst.lam[v]:
+            holders[lab] = holders.get(lab, 0) | 1 << (v - 1)
+    total = 0
+    for x in range(1 << n):
+        covers = 1
+        for mask in holders.values():
+            covers *= indep[x & mask]
+        total += -covers if (n - x.bit_count()) % 2 else covers
+    return total > 0
 
 
 def advance_vector(a: Sequence[int], mask: Sequence[int], tau: int) -> Optional[Vector]:

@@ -21,6 +21,14 @@ it creates, so no table is walked again to size it. No level is ever
 expanded into its vectors; completeness checks and the witness walk
 remember dead nodes and so stay linear in nodes.
 
+Tables leave a level step as DAGs of dict nodes, but inside it both
+walks run on integer node stores: each node is a uid whose shape is the
+tuple of its (symbol, child uid) pairs, the independent-set trie is two
+int arrays, and every memo key is made of ints (a unique table keyed on
+shapes, as in BDD packages). ComponentDP.step decodes the new table into
+dict nodes once and keeps its store, so the next level starts from the
+store without encoding the table again.
+
 The instance is YES iff some level's table contains a vector with every
 vertex labeled; an explicit labeling is then reconstructed by walking
 the level tables backwards.
@@ -30,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .encoding import BLOCKED, OPEN, advance_preimage_pairs, advance_symbol, symbol_alphabet
+from .encoding import BLOCKED, OPEN, advance_preimage_pairs, advance_symbol
 from .indsets import independent_set_vectors
 from .instance import Instance, gap_compression, instance_tau, split_components
 from .partition import walk_order
@@ -93,84 +101,181 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
+# the node store
+#
+# Inside a level step, a DAG lives in a node store: a list mapping each
+# uid to its shape, the tuple of its (symbol, child uid) pairs in symbol
+# order. Uid 0 is LEAF, with the empty shape. A store is built bottom-up
+# and hash-consed on the shape, so children always have smaller uids than
+# their parents and equal subtrees share one uid. A shape fixes the
+# node's depth, since every path below it has the same length.
+
+
+def _encode(roots):
+    """Intern the dict DAGs below ``roots`` into one node store.
+
+    Returns (shapes, uid of each root). Equal subtrees get one uid even
+    where the dict DAG holds copies of them.
+    """
+    shapes: list[tuple] = [()]
+    unique: dict[tuple, int] = {}
+    uid_of = {id(LEAF): 0}
+
+    def encode(node):
+        uid = uid_of.get(id(node))
+        if uid is None:
+            shape = tuple((sym, encode(child)) for sym, child in sorted(node.items()))
+            uid = unique.get(shape)
+            if uid is None:
+                uid = unique[shape] = len(shapes)
+                shapes.append(shape)
+            uid_of[id(node)] = uid
+        return uid
+
+    uids = [encode(root) for root in roots]
+    del encode  # encode refers to itself: end the cycle
+    return shapes, uids
+
+
+def _decode(shapes):
+    """The dict node of every uid of a store, children before parents."""
+    nodes = [LEAF]
+    for shape in shapes[1:]:
+        nodes.append({sym: nodes[child] for sym, child in shape})
+    return nodes
+
+
+def _intern_trie(root):
+    """A 0/1 trie as two int arrays, the child on 0 and the child on 1
+    (-1 where there is none), plus the id of ``root``. Ids follow node
+    identity, so shared nodes share an id; LEAF is 0."""
+    on0, on1 = [-1], [-1]
+    ids = {id(LEAF): 0}
+
+    def intern(node):
+        i = ids.get(id(node))
+        if i is None:
+            c0, c1 = node.get(0), node.get(1)
+            z = -1 if c0 is None else intern(c0)
+            o = -1 if c1 is None else intern(c1)
+            i = ids[id(node)] = len(on0)
+            on0.append(z)
+            on1.append(o)
+        return i
+
+    root_id = intern(root)
+    del intern  # intern refers to itself: end the cycle
+    return on0, on1, root_id
+
+
+# ---------------------------------------------------------------------------
 # the combination step
-
-_UNSEEN = object()
-
-
-def _advance_moves(tau: int):
-    """Per previous symbol x, the (assign bit, new symbol) pairs that
-    advance_symbol allows at this tau."""
-    return {
-        x: tuple((y, sym) for y in (0, 1) if (sym := advance_symbol(x, y, tau)) is not None)
-        for x in symbol_alphabet(tau)
-    }
 
 
 def _build_plan(blocks, tau: int, inst: Instance | None = None, strengthened: bool = True):
-    """The combination walk's plan, (vector length, _advance_moves(tau)),
-    with the length summed over a partition's blocks.
+    """The combination walk's plan, (vector length, tau), with the length
+    summed over a partition's blocks.
 
     Only the benchmark's per-layer replay (perfbench/layers.py) calls it;
     ``inst`` and ``strengthened`` are unused and keep its call shape until
     the next change to the benchmark, as ``_BarPass.run`` does.
     """
-    return sum(block.size for block in blocks), _advance_moves(tau)
+    return sum(block.size for block in blocks), tau
+
+
+def _image(shapes, trie, roots, depth, plan, memo):
+    """The combination walk on node stores: every advance of a table
+    vector below the uids ``roots`` of store ``shapes`` by a vector of
+    the interned independent-set trie ``trie`` (see _intern_trie), from
+    position ``depth`` on. Returns the store of the combined DAG and its
+    root uid, -1 when no pair advances.
+
+    One memoized product walk over the positions, the image operation of
+    a decision diagram. A state is the frozenset of the pairs (table uid
+    t, trie id q) that one output prefix reaches, each as the int
+    t * NP + q, NP the trie's node count: a canonical key with no sort.
+    The child pairs are grouped by the symbol they advance to (assign 0
+    ages each symbol through one lookup table, assign 1 takes OPEN, and
+    only OPEN, to tau + 1), and each group is the next state. For
+    tau >= 1 the output symbol fixes the assign bit, so a state holds a
+    single trie node; for tau = 0 symbol 1 comes from both (OPEN, 1) and
+    (1, 0), and a state may mix trie nodes. ``memo`` maps each state to
+    its output uid; the caller passes it to read its size.
+
+    Every node the walk outputs is hash-consed on its shape, so equal
+    combined subtrees share one uid, and the bar rewrite's memo, keyed
+    on uids, meets each of them once.
+    """
+    n, tau = plan
+    on0, on1, p_root = trie
+    trie_size = len(on0)
+    top = tau + 1
+    # assign 0 ages symbol x to adv[x]; BLOCKED (-1) reads the last entry
+    adv = [advance_symbol(x, 0, tau) for x in (*range(tau + 2), BLOCKED)]
+    out: list[tuple] = [()]
+    unique: dict[tuple, int] = {}
+
+    def image(d, state):
+        groups: dict[int, set] = {}
+        for pair in state:
+            t, q = divmod(pair, trie_size)
+            q0, q1 = on0[q], on1[q]
+            for x, tc in shapes[t]:
+                if q0 >= 0:
+                    sym = adv[x]
+                    group = groups.get(sym)
+                    if group is None:
+                        group = groups[sym] = set()
+                    group.add(tc * trie_size + q0)
+                if x == OPEN and q1 >= 0:
+                    group = groups.get(top)
+                    if group is None:
+                        group = groups[top] = set()
+                    group.add(tc * trie_size + q1)
+        d += 1
+        pairs = []
+        for sym in sorted(groups):  # symbol order makes the shape canonical
+            if d == n:
+                pairs.append((sym, 0))
+                continue
+            key = frozenset(groups[sym])
+            child = memo.get(key)
+            if child is None:
+                child = memo[key] = image(d, key)
+            if child >= 0:
+                pairs.append((sym, child))
+        if not pairs:
+            return -1
+        shape = tuple(pairs)
+        uid = unique.get(shape)
+        if uid is None:
+            uid = unique[shape] = len(out)
+            out.append(shape)
+        return uid
+
+    if depth == n:
+        return out, 0
+    root = image(depth, frozenset(r * trie_size + p_root for r in roots))
+    # image refers to itself; ending that cycle frees unique on return
+    # instead of at the next cyclic garbage collection
+    del image
+    return out, root
 
 
 def _combine(a_nodes, p_node, depth, plan, memo):
-    """Every advance of a table vector below ``a_nodes`` by an
-    independent-set vector below ``p_node``, from position ``depth`` on:
-    the result node, or None when no pair advances.
+    """_image on dict DAGs: every advance of a table vector below
+    ``a_nodes`` by an independent-set vector below ``p_node``, from
+    position ``depth`` on, as a dict node, or None when no pair advances.
 
-    One memoized product walk over the positions, the image operation of
-    a decision diagram. A state is the set of (table node, indep node)
-    pairs that one output prefix reaches; the child pairs are grouped by
-    the symbol advance_symbol gives them, and each group is the next
-    state. For tau >= 1 the output symbol fixes the assign bit, so a
-    state holds a single indep node; for tau = 0 symbol 1 comes from both
-    (OPEN, 1) and (1, 0), and a state may mix indep nodes.
-
-    Every node returned is hash-consed through one unique table per call,
-    keyed on its shape: its symbols in alphabet order, then the ids of
-    their children. Equal combined subtrees are then one object, and the
-    bar rewrite's memo, keyed on node ids, meets each of them once.
+    The table DAG is encoded into a node store and the trie interned,
+    both on every call; _image walks them with ``memo``, and its output
+    store is decoded back into dict nodes. ComponentDP.step calls _image
+    on the stores it keeps instead; this entry serves callers that hold
+    only dict nodes, such as the benchmark's per-layer replay.
     """
-    n, moves = plan
-    unique: dict[tuple, dict] = {}
-
-    def image(d, pairs):
-        groups: dict[int, dict] = {}
-        for t, p in pairs:
-            for x, tc in t.items():
-                for y, sym in moves[x]:
-                    pc = p.get(y)
-                    if pc is not None:
-                        groups.setdefault(sym, {})[id(tc), id(pc)] = (tc, pc)
-        d += 1
-        out = {}
-        for sym in sorted(groups):  # alphabet order makes the shape below canonical
-            if d == n:
-                out[sym] = LEAF
-                continue
-            group = groups[sym]
-            key = (d, *sorted(group))
-            child = memo.get(key, _UNSEEN)
-            if child is _UNSEEN:
-                child = memo[key] = image(d, group.values())
-            if child is not None:
-                out[sym] = child
-        if not out:
-            return None
-        return unique.setdefault((*out, *map(id, out.values())), out)
-
-    if depth == n:
-        return LEAF
-    root = image(depth, [(a, p_node) for a in a_nodes])
-    # image refers to itself; ending that cycle frees memo and unique on
-    # return instead of at the next cyclic garbage collection
-    del image
-    return root
+    shapes, roots = _encode(a_nodes)
+    out, root = _image(shapes, _intern_trie(p_node), roots, depth, plan, memo)
+    return None if root < 0 else _decode(out)[root]
 
 
 # ---------------------------------------------------------------------------
@@ -234,39 +339,46 @@ class _BarPass:
                 out[i] = BLOCKED
         return tuple(out)
 
-    def rewrite(self, root, level: int, memo: dict):
-        """The pass applied to every vector below ``root`` in one walk.
+    def rewrite(self, shapes, root: int, level: int, memo: dict):
+        """The pass applied to every vector below uid ``root`` of the node
+        store ``shapes`` in one walk.
 
-        Returns the root of the barred table, hash-consed into a reduced
-        DAG (no two nodes with equal children), its number of nodes and
-        its number of vectors. Each node's vector count is summed from its
-        children's once, when the unique table creates the node. ``memo``
-        is the walk's memo; the caller passes it to read its size.
+        Returns the store of the barred table, hash-consed into a reduced
+        DAG that holds exactly the nodes reachable from its root, the
+        root's uid and its number of vectors. Each node's vector count is
+        summed from its children's once, when the node is created.
+        ``memo`` is the walk's memo, keyed on (uid, blk, pend); the
+        caller passes it to read its size.
 
         A call at depth d carries ``blk``, the positions >= d already
         blocked by an earlier neighbour's symbol, and ``pend``, the
         earlier OPEN positions still waiting on a later neighbour. It
         returns a map from the subset of ``pend`` its suffixes block to
-        the output node of those suffixes; the caller then settles OPEN
-        or BLOCKED for its own pending coordinate.
+        the output uid of those suffixes; the caller then settles OPEN
+        or BLOCKED for its own pending coordinate. Output children come
+        in symbol order without sorting: the input's come in symbol order
+        and hold no BLOCKED, and BLOCKED, the least symbol, only ever
+        replaces OPEN, the first one.
         """
         closed = self._closed(level)
         later, earlier, closes, waiting = self.later, self.earlier, self.closes, self.waiting
-        unique: dict[tuple, dict] = {}
-        count = {id(LEAF): 1}  # vectors below each output node, by id
+        out: list[tuple] = [()]
+        unique: dict[tuple, int] = {}
+        count = [1]  # vectors below each output uid; LEAF holds one
+        at_leaf = {0: 0}
 
-        def go(node, d, blk, pend):
-            if node is LEAF:
-                return {0: LEAF}
-            key = (id(node), d, blk, pend)
-            out = memo.get(key)
-            if out is not None:
-                return out
+        def go(uid, d, blk, pend):
+            if uid == 0:
+                return at_leaf
+            key = (uid, blk, pend)
+            res = memo.get(key)
+            if res is not None:
+                return res
             bit = 1 << d
             blk_next = blk & ~bit
             pend_next = pend & ~closes[d]
-            groups: dict[int, dict] = {}
-            for sym, child in node.items():
+            groups: dict[int, list] = {}
+            for sym, child in shapes[uid]:
                 hits = own = 0
                 if sym != OPEN:
                     hits = pend & earlier[d].get(sym, 0)
@@ -282,23 +394,25 @@ class _BarPass:
                 for mask, out_child in sub.items():
                     mask |= hits
                     if mask & own:
-                        groups.setdefault(mask ^ own, {})[BLOCKED] = out_child
+                        # BLOCKED goes before an OPEN this group may hold
+                        groups.setdefault(mask ^ own, []).insert(0, (BLOCKED, out_child))
                     else:
-                        groups.setdefault(mask, {})[sym] = out_child
-            out = {}
+                        groups.setdefault(mask, []).append((sym, out_child))
+            res = {}
             for mask, children in groups.items():
-                shape = tuple(sorted((s, id(c)) for s, c in children.items()))
+                shape = tuple(children)
                 node = unique.get(shape)
                 if node is None:
-                    node = unique[shape] = children
-                    count[id(node)] = sum(count[c] for _, c in shape)
-                out[mask] = node
-            memo[key] = out
-            return out
+                    node = unique[shape] = len(out)
+                    out.append(shape)
+                    count.append(sum(count[c] for _, c in shape))
+                res[mask] = node
+            memo[key] = res
+            return res
 
         barred = go(root, 0, 0, 0)[0]
-        del go  # go refers to itself: end the cycle, as _combine does
-        return barred, len(unique), count[id(barred)]
+        del go  # go refers to itself: end the cycle, as _image does
+        return out, barred, count[barred]
 
 
 class ComponentDP:
@@ -307,41 +421,58 @@ class ComponentDP:
     partition.walk_order).
 
     Built once per component: ``tau``, the coordinate ``ordering``, the
-    independent-set trie ``indep``, the combination walk's ``plan``
-    (vector length and advance moves), the OPEN/BLOCKED pass ``bar`` and
-    the level-0 table ``base`` (OPEN where label 1 is permitted, BLOCKED
-    otherwise). ``step`` advances a table by one level. The tables hold
-    the same vectors, up to the order of their coordinates, whatever the
-    order; only the cost of the walks depends on it.
+    independent-set trie ``indep`` (also interned as int arrays for the
+    combination walk), the walk's ``plan`` (vector length and tau), the
+    OPEN/BLOCKED pass ``bar`` and the level-0 table ``base`` (OPEN where
+    label 1 is permitted, BLOCKED otherwise). ``step`` advances a table
+    by one level. The tables hold the same vectors, up to the order of
+    their coordinates, whatever the order; only the cost of the walks
+    depends on it.
     """
 
     def __init__(self, inst: Instance, ordering):
         self.tau = tau = instance_tau(inst)
         self.ordering = ordering = tuple(ordering)
         self.indep = independent_set_vectors(inst.graph, ordering)
-        self.plan = len(ordering), _advance_moves(tau)
+        self.plan = len(ordering), tau
         self.bar = _BarPass(inst, ordering, tau)
         base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
         self.base = VectorTrie.from_vectors(len(ordering), [base])
+        self._trie = _intern_trie(self.indep.root)
+        self._last = (None, None, 0)  # the table step returned last: root, store, root uid
 
     def step(self, table: VectorTrie, level: int) -> tuple[VectorTrie, int, int, int]:
         """Advance the level ``level - 1`` table to level ``level``.
 
         Combines the table with the independent-set vectors in one walk
-        over the positions (see _combine), then rewrites the combined DAG
-        through the bar pass (see _BarPass.rewrite). Returns the new
-        table, its number of vectors, its number of distinct DAG nodes
-        and the number of entries the two walks memoized.
+        over the positions (see _image), then rewrites the combined DAG
+        through the bar pass (see _BarPass.rewrite). Both walks run on
+        node stores; the new table is decoded into dict nodes once, at
+        the end. Its store is kept, so stepping the table that step
+        returned last encodes nothing; any other table is encoded first.
+        Returns the new table, its number of vectors, its number of
+        distinct DAG nodes and the number of entries the two walks
+        memoized.
         """
+        if table.root is None:
+            return VectorTrie(table.length), 0, 0, 0
+        last_root, shapes, root = self._last
+        self._last = (None, None, 0)
+        if table.root is not last_root:
+            shapes, (root,) = _encode((table.root,))
         memo: dict = {}
-        prev = table.root
-        combined = None if prev is None else _combine((prev,), self.indep.root, 0, self.plan, memo)
+        combined, croot = _image(shapes, self._trie, (root,), 0, self.plan, memo)
+        del shapes  # each store and memo goes as soon as no walk needs it
         entries = len(memo)
-        if combined is None:
+        if croot < 0:
             return VectorTrie(table.length), 0, 0, entries
-        memo = {}  # drops the combine memo before the rewrite runs
-        root, nodes, size = self.bar.rewrite(combined, level - 1, memo)
-        return VectorTrie(table.length, root), size, nodes, entries + len(memo)
+        memo = {}
+        shapes, root, size = self.bar.rewrite(combined, croot, level - 1, memo)
+        entries += len(memo)
+        del memo, combined
+        out = VectorTrie(table.length, _decode(shapes)[root])
+        self._last = (out.root, shapes, root)
+        return out, size, len(shapes) - 1, entries
 
 
 def _find_complete(trie: VectorTrie):

@@ -1,6 +1,8 @@
-"""Brute-force reference solver behavior."""
+"""The reference solvers: brute force, and inclusion-exclusion for tau = 0."""
 
 import random
+
+import pytest
 
 from gltc import (
     Graph,
@@ -8,8 +10,9 @@ from gltc import (
     brute_force_solve,
     check_witness,
     random_instance,
+    solve,
 )
-from gltc.reference import extension_predicate
+from gltc.reference import extension_predicate, inclusion_exclusion_list_coloring
 from support import complete_graph, path_graph, uniform_instance
 
 
@@ -64,3 +67,33 @@ def test_decision_is_invariant_under_reversed_trial_order():
         if ascending[0]:
             assert check_witness(inst, ascending[1])
             assert check_witness(inst, descending[1])
+
+
+def test_inclusion_exclusion_equals_brute_force_on_small_list_colorings():
+    answers = set()
+    for seed in range(120):
+        inst = random_instance(n=1 + seed % 8, density=(0.3, 0.6, 0.9)[seed % 3], tau=0,
+                               lmax=1 + seed % 5, seed=seed)
+        answer = inclusion_exclusion_list_coloring(inst)
+        assert answer == brute_force_solve(inst)[0], seed
+        answers.add(answer)
+    assert answers == {True, False}
+    with pytest.raises(ValueError, match="tau = 0"):
+        inclusion_exclusion_list_coloring(uniform_instance(path_graph(2), {1, 2}, {0, 1}))
+
+
+# n 9..14: past the reach of brute force (criterion 1 stops at n = 8)
+_LIST_COLORING_SEEDS = range(14_000, 14_060)
+
+
+def test_solve_equals_inclusion_exclusion_beyond_brute_force():
+    answers = set()
+    for i, seed in enumerate(_LIST_COLORING_SEEDS):
+        inst = random_instance(n=9 + i % 6, density=(0.3, 0.45, 0.6)[i % 3], tau=0,
+                               lmax=4 + i % 5, seed=seed)
+        result = solve(inst)
+        assert result.decision == inclusion_exclusion_list_coloring(inst), seed
+        if result.decision:
+            assert check_witness(inst, result.witness)
+        answers.add(result.decision)
+    assert answers == {True, False}

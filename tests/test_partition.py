@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 
@@ -146,6 +147,33 @@ def test_k1d_transformation_path():
     for block in part.blocks[:-1]:
         assert block.size <= 2
     assert part.blocks[-1].size <= 3
+
+
+def test_k1d_on_seeded_graphs_partitions_or_names_a_real_star():
+    # in a residual star, x is one of u's leaves and a pair peel can take
+    # it; the partition must then go on from a fresh path (ten of these
+    # components died with KeyError at d = 3), and every refusal must
+    # name a centre with d pairwise non-adjacent neighbours
+    outcomes = set()
+    for i in range(420):
+        inst = random_instance(n=4 + i % 5, density=(0.4, 0.6, 0.8)[i % 3], tau=0, lmax=1,
+                               seed=90_000 + i)
+        for sub, _ in split_components(inst):
+            g = sub.graph
+            for d in (3, 4):
+                try:
+                    part = star_partition_k1d(g, d)
+                except NotK1dFreeError as exc:
+                    outcomes.add("refused")
+                    center = int(re.search(r"center (\d+)", str(exc)).group(1))
+                    assert any(not any(g.adjacent(a, b) for a, b in itertools.combinations(leaves, 2))
+                               for leaves in itertools.combinations(g.adjacency[center], d)), (i, d)
+                    continue
+                outcomes.add("partitioned")
+                validate_partition(g, part)
+                assert all(block.size <= d - 1 for block in part.blocks[:-1]), (i, d)
+                assert part.blocks[-1].size <= d, (i, d)
+    assert outcomes == {"refused", "partitioned"}
 
 
 # --- clique partitions ---------------------------------------------------------

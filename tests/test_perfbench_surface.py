@@ -14,7 +14,7 @@ from pathlib import Path
 
 from gltc import OPEN, ComponentDP, VectorTrie, build_partition, instance_tau, random_instance
 from gltc.reference import mark_blocked
-from gltc.solver import _BarPass, _build_plan, _combine
+from gltc.solver import _BarPass, _build_plan, _combine, _decode, _encode
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -58,10 +58,12 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
         table = dp.base
         for k in range(1, 7):
             combined = _combine((table.root,), dp.indep.root, 0, plan, {})
-            root, _, size = dp.bar.rewrite(combined, k - 1, {})
+            shapes, (root,) = _encode((combined,))
+            out, root, size = dp.bar.rewrite(shapes, root, k - 1, {})
             table, want_size, _, _ = dp.step(table, k)
             want = set(table)
-            assert set(VectorTrie(len(dp.ordering), root)) == want and size == want_size
+            assert set(VectorTrie(len(dp.ordering), _decode(out)[root])) == want
+            assert size == want_size
             flat = VectorTrie(len(dp.ordering), combined)
             assert {dp.bar.run(vec, k - 1) for vec in flat} == want
 

@@ -32,7 +32,7 @@ from gltc import instance as instance_module
 from gltc import partition as partition_module
 from gltc import solver as solver_module
 from gltc import vectorset as vectorset_module
-from gltc.solver import _BarPass, _combine, _find_complete
+from gltc.solver import _BarPass, _combine, _decode, _encode, _find_complete
 from support import (
     complete_graph,
     path_graph,
@@ -112,11 +112,14 @@ _PAIR = uniform_instance(path_graph(2), {1, 2, 3}, {0, 1})
 def test_bar_rewrite_equals_mark_blocked_per_vector(case):
     inst, ordering, level, vecs = case
     tau = instance_tau(inst)
-    step = VectorTrie.from_vectors(len(ordering), vecs)
-    root, _, size = _BarPass(inst, ordering, tau).rewrite(step.root, level, {})
+    shapes, (root,) = _encode((VectorTrie.from_vectors(len(ordering), vecs).root,))
+    out, root, size = _BarPass(inst, ordering, tau).rewrite(shapes, root, level, {})
     want = {mark_blocked(v, level, inst, ordering, tau) for v in vecs}
-    assert set(VectorTrie(len(ordering), root)) == want
+    assert set(VectorTrie(len(ordering), _decode(out)[root])) == want
     assert size == len(want)
+    # the store's hash-consing is canonical only if every shape comes in
+    # symbol order, which the rewrite keeps without sorting
+    assert all(list(shape) == sorted(shape) for shape in out)
 
 
 def _reachable_nodes(root):
@@ -167,6 +170,43 @@ def test_combined_dag_is_reduced(strategy):
             shapes, reachable = _distinct_shapes(combined)
             assert shapes == reachable
             table, _, _, _ = dp.step(table, k)
+
+
+def _steps(dp, table, levels):
+    """``step`` over ``levels`` from ``table``, each result as (vectors,
+    size, nodes, memo entries)."""
+    out = []
+    for k in levels:
+        table, size, nodes, memo = dp.step(table, k)
+        out.append((set(table), size, nodes, memo))
+    return out, table
+
+
+def _stepped(dp, table, level):
+    got, size, nodes, memo = dp.step(table, level)
+    return set(got), size, nodes, memo
+
+
+def test_step_encodes_a_table_it_did_not_just_return():
+    # step keeps the node store of the table it returned last; every
+    # other table must be encoded, and give what a fresh ComponentDP gives
+    for inst, dp in _seeded_dps("singleton"):
+        levels = range(1, validate(inst).lambda_max + 1)
+        fresh = ComponentDP(inst, dp.ordering)
+        want, table = [], fresh.base
+        for k in levels:
+            table, *counts = fresh.step(table, k)
+            want.append((set(table), *counts))
+        # dp.base twice: the second time, step has just returned level 1
+        assert _stepped(dp, dp.base, 1) == _stepped(dp, dp.base, 1) == want[0]
+        table = dp.base
+        for k in levels:
+            prev, table = table, dp.step(table, k)[0]
+            # level k - 1 stepped again after level k
+            assert _stepped(dp, prev, k) == want[k - 1]
+            # the same level built from its vectors, not by step
+            rebuilt = VectorTrie.from_vectors(len(dp.ordering), sorted(prev))
+            assert _stepped(dp, rebuilt, k) == want[k - 1]
 
 
 class _CountedNode(dict):
