@@ -49,4 +49,6 @@ def independent_set_vectors(g: Graph, ordering: Sequence[int] | None = None) -> 
             memo[key] = node
         return node
 
-    return VectorTrie(n, build(0, 0))
+    root = build(0, 0)
+    del build  # build refers to itself: end the cycle, which holds the memo
+    return VectorTrie(n, root)

@@ -417,7 +417,9 @@ def _count_prefixes(block: Block, tau: int, adjacency) -> int:
             memo[key] = total
         return total
 
-    return count(0, ())
+    counted = count(0, ())
+    del count  # count refers to itself: end the cycle, which holds the memo
+    return counted
 
 
 def feasible_prefixes(block: Block, tau: int, inst: Instance,

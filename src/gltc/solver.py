@@ -23,11 +23,17 @@ remember dead nodes and so stay linear in nodes.
 
 Tables leave a level step as DAGs of dict nodes, but inside it both
 walks run on integer node stores: each node is a uid whose shape is the
-tuple of its (symbol, child uid) pairs, the independent-set trie is two
-int arrays, and every memo key is made of ints (a unique table keyed on
-shapes, as in BDD packages). ComponentDP.step decodes the new table into
-dict nodes once and keeps its store, so the next level starts from the
-store without encoding the table again.
+tuple of its (symbol, child uid) pairs, the independent-set trie is its
+own store read back as two int arrays, and every memo key is made of
+ints (a unique table keyed on shapes, as in BDD packages).
+ComponentDP.step decodes the new table into dict nodes once and keeps
+its store, so the next level starts from the store without encoding the
+table again.
+
+Every recursive walk here follows one convention: it creates its memo,
+returns the memo's size when a report needs it, takes one stack frame
+per position, and deletes its own closure before returning, so the memo
+goes on return and no reference cycle is left for the garbage collector.
 
 The instance is YES iff some level's table contains a vector with every
 vertex labeled; an explicit labeling is then reconstructed by walking
@@ -124,7 +130,11 @@ def _encode(roots):
     def encode(node):
         uid = uid_of.get(id(node))
         if uid is None:
-            shape = tuple((sym, encode(child)) for sym, child in sorted(node.items()))
+            # a loop, not a generator, so each depth costs one stack frame
+            pairs = []
+            for sym in sorted(node):
+                pairs.append((sym, encode(node[sym])))
+            shape = tuple(pairs)
             uid = unique.get(shape)
             if uid is None:
                 uid = unique[shape] = len(shapes)
@@ -147,24 +157,14 @@ def _decode(shapes):
 
 def _intern_trie(root):
     """A 0/1 trie as two int arrays, the child on 0 and the child on 1
-    (-1 where there is none), plus the id of ``root``. Ids follow node
-    identity, so shared nodes share an id; LEAF is 0."""
-    on0, on1 = [-1], [-1]
-    ids = {id(LEAF): 0}
-
-    def intern(node):
-        i = ids.get(id(node))
-        if i is None:
-            c0, c1 = node.get(0), node.get(1)
-            z = -1 if c0 is None else intern(c0)
-            o = -1 if c1 is None else intern(c1)
-            i = ids[id(node)] = len(on0)
-            on0.append(z)
-            on1.append(o)
-        return i
-
-    root_id = intern(root)
-    del intern  # intern refers to itself: end the cycle
+    (-1 where there is none), plus the id of ``root``: the trie's node
+    store (see _encode) read back by symbol. LEAF is 0, and equal
+    subtrees share an id, as the reduced trie's shared nodes do."""
+    shapes, (root_id,) = _encode((root,))
+    on0, on1 = [-1] * len(shapes), [-1] * len(shapes)
+    for uid, shape in enumerate(shapes):
+        for sym, child in shape:
+            (on1 if sym else on0)[uid] = child
     return on0, on1, root_id
 
 
@@ -183,12 +183,12 @@ def _build_plan(blocks, tau: int, inst: Instance | None = None, strengthened: bo
     return sum(block.size for block in blocks), tau
 
 
-def _image(shapes, trie, roots, depth, plan, memo):
+def _image(shapes, trie, root, plan):
     """The combination walk on node stores: every advance of a table
-    vector below the uids ``roots`` of store ``shapes`` by a vector of
-    the interned independent-set trie ``trie`` (see _intern_trie), from
-    position ``depth`` on. Returns the store of the combined DAG and its
-    root uid, -1 when no pair advances.
+    vector below uid ``root`` of store ``shapes`` by a vector of the
+    interned independent-set trie ``trie`` (see _intern_trie). Returns
+    the store of the combined DAG, its root uid (-1 when no pair
+    advances) and the number of entries the walk memoized.
 
     One memoized product walk over the positions, the image operation of
     a decision diagram. A state is the frozenset of the pairs (table uid
@@ -199,8 +199,8 @@ def _image(shapes, trie, roots, depth, plan, memo):
     only OPEN, to tau + 1), and each group is the next state. For
     tau >= 1 the output symbol fixes the assign bit, so a state holds a
     single trie node; for tau = 0 symbol 1 comes from both (OPEN, 1) and
-    (1, 0), and a state may mix trie nodes. ``memo`` maps each state to
-    its output uid; the caller passes it to read its size.
+    (1, 0), and a state may mix trie nodes. The memo maps each state to
+    its output uid.
 
     Every node the walk outputs is hash-consed on its shape, so equal
     combined subtrees share one uid, and the bar rewrite's memo, keyed
@@ -214,6 +214,7 @@ def _image(shapes, trie, roots, depth, plan, memo):
     adv = [advance_symbol(x, 0, tau) for x in (*range(tau + 2), BLOCKED)]
     out: list[tuple] = [()]
     unique: dict[tuple, int] = {}
+    memo: dict[frozenset, int] = {}
 
     def image(d, state):
         groups: dict[int, set] = {}
@@ -253,29 +254,28 @@ def _image(shapes, trie, roots, depth, plan, memo):
             out.append(shape)
         return uid
 
-    if depth == n:
-        return out, 0
-    root = image(depth, frozenset(r * trie_size + p_root for r in roots))
-    # image refers to itself; ending that cycle frees unique on return
-    # instead of at the next cyclic garbage collection
+    out_root = image(0, frozenset((root * trie_size + p_root,)))
+    # image refers to itself; ending that cycle frees unique and the memo
+    # on return instead of at the next cyclic garbage collection
     del image
-    return out, root
+    return out, out_root, len(memo)
 
 
 def _combine(a_nodes, p_node, depth, plan, memo):
-    """_image on dict DAGs: every advance of a table vector below
-    ``a_nodes`` by an independent-set vector below ``p_node``, from
-    position ``depth`` on, as a dict node, or None when no pair advances.
+    """_image on dict DAGs: every advance of a table vector below the
+    root in ``a_nodes`` by an independent-set vector below ``p_node``,
+    as a dict node, or None when no pair advances.
 
-    The table DAG is encoded into a node store and the trie interned,
-    both on every call; _image walks them with ``memo``, and its output
-    store is decoded back into dict nodes. ComponentDP.step calls _image
-    on the stores it keeps instead; this entry serves callers that hold
-    only dict nodes, such as the benchmark's per-layer replay.
+    Only the benchmark's per-layer replay (perfbench/layers.py) calls
+    it, with its call shape: ``a_nodes`` holds one root, ``depth`` is 0
+    and ``memo`` is unused (_image keeps its own). All three go at the
+    next change to the benchmark. The table DAG is encoded into a node
+    store and the trie interned, both on every call, and _image's output
+    store is decoded back into dict nodes.
     """
-    shapes, roots = _encode(a_nodes)
-    out, root = _image(shapes, _intern_trie(p_node), roots, depth, plan, memo)
-    return None if root < 0 else _decode(out)[root]
+    shapes, (root,) = _encode(a_nodes)
+    out, out_root, _ = _image(shapes, _intern_trie(p_node), root, plan)
+    return None if out_root < 0 else _decode(out)[out_root]
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +339,16 @@ class _BarPass:
                 out[i] = BLOCKED
         return tuple(out)
 
-    def rewrite(self, shapes, root: int, level: int, memo: dict):
+    def rewrite(self, shapes, root: int, level: int):
         """The pass applied to every vector below uid ``root`` of the node
         store ``shapes`` in one walk.
 
         Returns the store of the barred table, hash-consed into a reduced
         DAG that holds exactly the nodes reachable from its root, the
-        root's uid and its number of vectors. Each node's vector count is
-        summed from its children's once, when the node is created.
-        ``memo`` is the walk's memo, keyed on (uid, blk, pend); the
-        caller passes it to read its size.
+        root's uid, its number of vectors and the number of entries the
+        walk memoized, keyed on (uid, blk, pend). Each node's vector
+        count is summed from its children's once, when the node is
+        created.
 
         A call at depth d carries ``blk``, the positions >= d already
         blocked by an earlier neighbour's symbol, and ``pend``, the
@@ -366,6 +366,7 @@ class _BarPass:
         unique: dict[tuple, int] = {}
         count = [1]  # vectors below each output uid; LEAF holds one
         at_leaf = {0: 0}
+        memo: dict[tuple, dict] = {}
 
         def go(uid, d, blk, pend):
             if uid == 0:
@@ -412,7 +413,7 @@ class _BarPass:
 
         barred = go(root, 0, 0, 0)[0]
         del go  # go refers to itself: end the cycle, as _image does
-        return out, barred, count[barred]
+        return out, barred, count[barred], len(memo)
 
 
 class ComponentDP:
@@ -447,12 +448,12 @@ class ComponentDP:
         Combines the table with the independent-set vectors in one walk
         over the positions (see _image), then rewrites the combined DAG
         through the bar pass (see _BarPass.rewrite). Both walks run on
-        node stores; the new table is decoded into dict nodes once, at
-        the end. Its store is kept, so stepping the table that step
-        returned last encodes nothing; any other table is encoded first.
-        Returns the new table, its number of vectors, its number of
-        distinct DAG nodes and the number of entries the two walks
-        memoized.
+        node stores and free their memos on return; the new table is
+        decoded into dict nodes once, at the end. Its store is kept, so
+        stepping the table that step returned last encodes nothing; any
+        other table is encoded first. Returns the new table, its number
+        of vectors, its number of distinct DAG nodes and the number of
+        entries the two walks memoized.
         """
         if table.root is None:
             return VectorTrie(table.length), 0, 0, 0
@@ -460,16 +461,13 @@ class ComponentDP:
         self._last = (None, None, 0)
         if table.root is not last_root:
             shapes, (root,) = _encode((table.root,))
-        memo: dict = {}
-        combined, croot = _image(shapes, self._trie, (root,), 0, self.plan, memo)
-        del shapes  # each store and memo goes as soon as no walk needs it
-        entries = len(memo)
+        combined, croot, entries = _image(shapes, self._trie, root, self.plan)
+        del shapes  # each store goes as soon as no walk needs it
         if croot < 0:
             return VectorTrie(table.length), 0, 0, entries
-        memo = {}
-        shapes, root, size = self.bar.rewrite(combined, croot, level - 1, memo)
-        entries += len(memo)
-        del memo, combined
+        shapes, root, size, bar_entries = self.bar.rewrite(combined, croot, level - 1)
+        del combined
+        entries += bar_entries
         out = VectorTrie(table.length, _decode(shapes)[root])
         self._last = (out.root, shapes, root)
         return out, size, len(shapes) - 1, entries
@@ -497,9 +495,9 @@ def _find_complete(trie: VectorTrie):
         dead.add(id(node))
         return False
 
-    if trie.root is not None and go(trie.root):
-        return tuple(path)
-    return None
+    complete = trie.root is not None and go(trie.root)
+    del go  # go refers to itself: end the cycle, which holds ``dead``
+    return tuple(path) if complete else None
 
 
 # ---------------------------------------------------------------------------
@@ -510,15 +508,11 @@ def _predecessor(reduced, prev_root, p_root, tau: int):
     """Find (state vector in the previous table, assign mask) producing
     ``reduced``, walking both tries in lockstep. Deterministic: first hit
     in canonical symbol order. Node pairs with no match below them are
-    remembered, so shared DAG nodes are searched once."""
+    remembered, so shared DAG nodes are searched once. Below depth n
+    both nodes are dict nodes."""
     n = len(reduced)
     options = [advance_preimage_pairs(sym, tau) for sym in reduced]
     dead: set[tuple[int, int]] = set()
-
-    def child(node, sym):
-        if node is None or node is LEAF:
-            return None
-        return node.get(sym)
 
     def dfs(i, tnode, pnode):
         if i == n:
@@ -527,8 +521,8 @@ def _predecessor(reduced, prev_root, p_root, tau: int):
         if key in dead:
             return None
         for x, y in options[i]:
-            tc = child(tnode, x)
-            pc = child(pnode, y)
+            tc = tnode.get(x)
+            pc = pnode.get(y)
             if tc is None or pc is None:
                 continue
             rest = dfs(i + 1, tc, pc)
@@ -537,7 +531,9 @@ def _predecessor(reduced, prev_root, p_root, tau: int):
         dead.add(key)
         return None
 
-    return dfs(0, prev_root, p_root)
+    pairs = dfs(0, prev_root, p_root)
+    del dfs  # dfs refers to itself: end the cycle, which holds ``dead``
+    return pairs
 
 
 def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
@@ -590,8 +586,7 @@ def _solve_component(inst: Instance, options: SolveOptions,
     dp = ComponentDP(inst, ordering)
     tables = [LevelTable(0, dp.base)]
 
-    found = _find_complete(tables[0].vectors)  # complete at level 0 only when n == 0
-    found_level = 0
+    # a component has a vertex, so the base vector is never complete
     for k in range(1, lmax + 1):
         table, size, nodes, memo = dp.step(tables[-1].vectors, k)
         if options.store_parents:

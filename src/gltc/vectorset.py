@@ -33,13 +33,12 @@ def node_count(node, memo: dict[int, int] | None = None) -> int:
     return cached
 
 
-def node_iter(node, prefix: Vector = ()) -> Iterator[Vector]:
+def node_iter(node) -> Iterator[Vector]:
     """Yield all vectors below ``node`` in canonical (sorted-symbol) order."""
     if node is None:
         return
-    pre = tuple(prefix)
     if node is LEAF:
-        yield pre
+        yield ()
         return
     # iterative DFS; the shared path list keeps allocation to one tuple per leaf
     path: list[int] = []
@@ -49,7 +48,7 @@ def node_iter(node, prefix: Vector = ()) -> Iterator[Vector]:
         del path[depth - 1:]
         path.append(sym)
         if nd is LEAF:
-            yield pre + tuple(path)
+            yield tuple(path)
         else:
             stack.extend((nd[s], depth + 1, s) for s in sorted(nd, reverse=True))
 
@@ -119,10 +118,3 @@ class VectorTrie:
 
     def __iter__(self) -> Iterator[Vector]:
         return node_iter(self.root)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VectorTrie):
-            return NotImplemented
-        return self.length == other.length and set(self) == set(other)
-
-    __hash__ = None

@@ -12,9 +12,20 @@ import importlib
 import itertools
 from pathlib import Path
 
-from gltc import OPEN, ComponentDP, VectorTrie, build_partition, instance_tau, random_instance
+from gltc import (
+    OPEN,
+    ComponentDP,
+    LevelTable,
+    VectorTrie,
+    build_partition,
+    check_witness,
+    instance_tau,
+    random_instance,
+    reconstruct_witness,
+    walk_order,
+)
 from gltc.reference import mark_blocked
-from gltc.solver import _BarPass, _build_plan, _combine, _decode, _encode
+from gltc.solver import _BarPass, _build_plan, _combine, _decode, _encode, _find_complete
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -59,13 +70,39 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
         for k in range(1, 7):
             combined = _combine((table.root,), dp.indep.root, 0, plan, {})
             shapes, (root,) = _encode((combined,))
-            out, root, size = dp.bar.rewrite(shapes, root, k - 1, {})
+            out, root, size, _ = dp.bar.rewrite(shapes, root, k - 1)
             table, want_size, _, _ = dp.step(table, k)
             want = set(table)
             assert set(VectorTrie(len(dp.ordering), _decode(out)[root])) == want
             assert size == want_size
             flat = VectorTrie(len(dp.ordering), combined)
             assert {dp.bar.run(vec, k - 1) for vec in flat} == want
+
+
+def test_completeness_check_and_witness_walk_of_the_replay_still_run():
+    # perfbench/layers.py fills fresh tries vector by vector with
+    # VectorTrie.add, then checks each for a complete vector and walks the
+    # witness back through them
+    checked = 0
+    for seed in range(31, 43):
+        inst = random_instance(n=6, density=0.5, tau=seed % 4, lmax=5, seed=seed)
+        dp = ComponentDP(inst, walk_order(inst.graph))
+        table = dp.base  # from_vectors, so filled with add too
+        plain = [LevelTable(0, table)]
+        for k in range(1, 6):
+            table, _, _, _ = dp.step(table, k)
+            added = VectorTrie(len(dp.ordering))
+            for vec in table:
+                added.add(vec)
+            plain.append(LevelTable(k, added))
+            found = _find_complete(added)
+            assert found == _find_complete(table)
+            if found is not None:
+                witness = reconstruct_witness(plain, found, k, dp.indep, dp.tau, dp.ordering)
+                assert check_witness(inst, witness)
+                checked += 1
+                break
+    assert checked >= 4
 
 
 def test_demos_and_test_support_import_no_private_gltc_name():

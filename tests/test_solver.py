@@ -1,7 +1,9 @@
 """The dynamic program: combination steps, level pipeline, solve, witnesses."""
 
+import gc
 import random
 import time
+import types
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -113,7 +115,7 @@ def test_bar_rewrite_equals_mark_blocked_per_vector(case):
     inst, ordering, level, vecs = case
     tau = instance_tau(inst)
     shapes, (root,) = _encode((VectorTrie.from_vectors(len(ordering), vecs).root,))
-    out, root, size = _BarPass(inst, ordering, tau).rewrite(shapes, root, level, {})
+    out, root, size, _ = _BarPass(inst, ordering, tau).rewrite(shapes, root, level)
     want = {mark_blocked(v, level, inst, ordering, tau) for v in vecs}
     assert set(VectorTrie(len(ordering), _decode(out)[root])) == want
     assert size == len(want)
@@ -593,6 +595,49 @@ def test_solve_stats_report_levels_and_sizes():
     assert result.stats.components[0].ordering == walk_order(inst.graph)
     assert all(entries > 0 for entries in result.stats.components[0].level_memo)
     assert result.stats.max_table_size == max(result.stats.components[0].level_sizes)
+
+
+def test_solves_leave_no_reference_cycles():
+    # every recursive walk ends its closure's cycle, so a solve frees its
+    # memos on return and leaves nothing for the cyclic garbage collector
+    two_parts = uniform_instance(Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)]),
+                                 {1, 2, 3}, {0, 1})
+    cases = [
+        (random_instance(n=7, density=0.5, tau=0, lmax=4, seed=61), SolveOptions()),
+        (random_instance(n=7, density=0.5, tau=2, lmax=7, seed=62), SolveOptions()),
+        (random_instance(n=8, density=0.4, tau=1, lmax=6, seed=63),
+         SolveOptions(store_parents=False)),
+        (random_instance(n=6, density=0.6, tau=3, lmax=8, seed=64),
+         SolveOptions(early_exit=False)),
+        (uniform_instance(complete_graph(3), {1, 2}, {0}), SolveOptions()),
+        (two_parts, SolveOptions()),
+    ]
+    assert any(solve(inst, options=opts).witness for inst, opts in cases)
+    gc.collect()
+    gc.disable()
+    try:
+        for inst, opts in cases:
+            solve(inst, options=opts)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        unreachable = gc.collect()
+        closures = sorted({obj.__qualname__ for obj in gc.garbage
+                           if isinstance(obj, types.FunctionType)})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert unreachable == 0, f"{unreachable} objects left in cycles; closures: {closures}"
+
+
+def test_a_long_path_stays_within_the_recursion_limit():
+    # every walk takes one stack frame per position, so 800 positions fit
+    # under the default limit of 1000
+    inst = uniform_instance(path_graph(800), {1, 2}, {0})
+    dp = ComponentDP(inst, walk_order(inst.graph))
+    table, size, _, _ = dp.step(dp.base, 1)
+    assert size > 0
+    result = solve(inst, options=SolveOptions(vector_limit=1 << 1000))
+    assert result.decision and check_witness(inst, result.witness)
 
 
 # --- witness checking ----------------------------------------------------------
