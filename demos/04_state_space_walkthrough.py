@@ -41,7 +41,7 @@ print()
 table = dp.base
 print("level 0:", " ".join(format_vector(v) for v in table))
 for k in range(1, stats.lambda_max + 1):
-    table, _, _, _ = dp.step(table, k)
+    table, _, _, _, _ = dp.step(table, k)
     rendered = [
         format_vector(v) + ("*" if is_complete(v) else "")
         for v in table

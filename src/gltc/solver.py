@@ -8,9 +8,12 @@ still take label k+2. The coordinates follow partition.walk_order, a
 small-frontier order of the graph: a table's content does not depend on
 the order, but the cost of the walks does. No partition is built here;
 partition.predict_complexity bounds the table sizes from outside. The
-combination itself is a per-position memoized image of the table DAG and
-the independent-set trie, walked together, so each reachable pair of
-shared suffixes is processed once.
+combination itself is a product over single pairs of a table node and an
+independent-set trie node, memoized on the pair, so each reachable pair
+of shared suffixes is processed once. Where two children of a table node
+age to the same symbol, they are first folded into one node by a
+memoized union on the table's own node store (the unique table and
+memoized OR of BDD packages), so every memo key stays one pair.
 
 A level table is a hash-consed DAG: a trie in which equal subtrees are
 one node (a reduced multi-valued decision diagram). The combined DAG is
@@ -27,13 +30,15 @@ tuple of its (symbol, child uid) pairs, the independent-set trie is its
 own store read back as two int arrays, and every memo key is made of
 ints (a unique table keyed on shapes, as in BDD packages).
 ComponentDP.step decodes the new table into dict nodes once and keeps
-its store, so the next level starts from the store without encoding the
-table again.
+its store with its unique table, so the next level starts from the
+store, and adds its unions to it, without encoding the table again.
 
 Every recursive walk here follows one convention: it creates its memo,
 returns the memo's size when a report needs it, takes one stack frame
 per position, and deletes its own closure before returning, so the memo
 goes on return and no reference cycle is left for the garbage collector.
+The union walk is a module-level function, so it has no closure; the
+combine walk creates its memos and hands them to it.
 
 The instance is YES iff some level's table contains a vector with every
 vertex labeled; an explicit labeling is then reconstructed by walking
@@ -80,15 +85,17 @@ class LevelTable:
 @dataclass
 class ComponentReport:
     """Per-component diagnostics: the vertex order the walks followed and,
-    per level, how big the table got (vectors and DAG nodes) and how many
-    entries the combine and rewrite memos held together. A bound for the
-    sizes comes from predict_complexity on a partition of ``instance``."""
+    per level, how big the table got (vectors and DAG nodes), how many
+    entries the combine and rewrite memos held together and how many
+    unions the combine memoized. A bound for the sizes comes from
+    predict_complexity on a partition of ``instance``."""
 
     instance: Instance
     ordering: tuple[int, ...]
     level_sizes: list[int] = field(default_factory=list)
     level_nodes: list[int] = field(default_factory=list)
     level_memo: list[int] = field(default_factory=list)
+    level_unions: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -183,88 +190,144 @@ def _build_plan(blocks, tau: int, inst: Instance | None = None, strengthened: bo
     return sum(block.size for block in blocks), tau
 
 
-def _image(shapes, trie, root, plan):
+def _union(u, v, shapes, unique, memo):
+    """The uid of the union of the vector sets below uids ``u`` and ``v``
+    of the node store ``shapes``, two nodes of the same height: a
+    memoized OR, as in BDD packages (Brace, Rudell & Bryant 1990).
+
+    The two shapes are merged by symbol, and a symbol both hold gets the
+    union of its two children. Every result is hash-consed into the same
+    store through its unique table ``unique`` (shape -> uid), so a union
+    equal to a node already there is that node. ``memo`` maps each pair
+    of uids to its union, keyed on one int with the lesser uid in the
+    high bits (a store stays far below 2**32 nodes). A function at
+    module level holds no closure, so it leaves no reference cycle; it
+    takes one stack frame per depth.
+    """
+    if u == v:
+        return u
+    key = u << 32 | v if u < v else v << 32 | u
+    uid = memo.get(key)
+    if uid is None:
+        a, b = shapes[u], shapes[v]
+        pairs = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            sa, ca = a[i]
+            sb, cb = b[j]
+            if sa < sb:
+                pairs.append(a[i])
+                i += 1
+            elif sb < sa:
+                pairs.append(b[j])
+                j += 1
+            else:
+                if ca != cb:
+                    ca = _union(ca, cb, shapes, unique, memo)
+                pairs.append((sa, ca))
+                i += 1
+                j += 1
+        shape = (*pairs, *a[i:], *b[j:])
+        uid = unique.get(shape)
+        if uid is None:
+            uid = unique[shape] = len(shapes)
+            shapes.append(shape)
+        memo[key] = uid
+    return uid
+
+
+def _image(shapes, trie, root, plan, unique=None):
     """The combination walk on node stores: every advance of a table
     vector below uid ``root`` of store ``shapes`` by a vector of the
     interned independent-set trie ``trie`` (see _intern_trie). Returns
-    the store of the combined DAG, its root uid (-1 when no pair
-    advances) and the number of entries the walk memoized.
+    the store of the combined DAG, its root uid, the number of entries
+    the image memo held and the number of unions the walk memoized.
 
-    One memoized product walk over the positions, the image operation of
-    a decision diagram. A state is the frozenset of the pairs (table uid
-    t, trie id q) that one output prefix reaches, each as the int
-    t * NP + q, NP the trie's node count: a canonical key with no sort.
-    The child pairs are grouped by the symbol they advance to (assign 0
-    ages each symbol through one lookup table, assign 1 takes OPEN, and
-    only OPEN, to tau + 1), and each group is the next state. For
-    tau >= 1 the output symbol fixes the assign bit, so a state holds a
-    single trie node; for tau = 0 symbol 1 comes from both (OPEN, 1) and
-    (1, 0), and a state may mix trie nodes. The memo maps each state to
-    its output uid.
+    A product over single pairs, the image operation of a decision
+    diagram: image(u, q) is the set of advances of the vectors below
+    table uid u by those below trie node q, memoized on the int
+    u * NP + q, NP the trie's node count. Assign 0 ages each symbol
+    through one lookup table, and the children of u that age to the
+    same symbol (BLOCKED and OPEN to OPEN, 1 and 2 to 1) are first
+    folded into one table uid by _union, so each output child is one
+    pair, image(group, q's 0-child). Assign 1 takes OPEN, and only
+    OPEN, to tau + 1: image(OPEN child, q's 1-child) where q has one.
+    For tau = 0 that symbol is 1, which aged 1 also gives; only there
+    the two output children are merged by _union on the output store.
+
+    The unions hash-cons into the input store itself, through its unique
+    table ``unique``: pass the one the store was built with, or None to
+    build it here. Either way the store grows by the union nodes, so it
+    must not be needed afterwards. Every trie node at a depth below its
+    length has a 0-child and every symbol ages, so a nonempty table has
+    a nonempty image.
 
     Every node the walk outputs is hash-consed on its shape, so equal
     combined subtrees share one uid, and the bar rewrite's memo, keyed
     on uids, meets each of them once.
     """
-    n, tau = plan
+    tau = plan[1]
     on0, on1, p_root = trie
     trie_size = len(on0)
     top = tau + 1
     # assign 0 ages symbol x to adv[x]; BLOCKED (-1) reads the last entry
     adv = [advance_symbol(x, 0, tau) for x in (*range(tau + 2), BLOCKED)]
+    if unique is None:
+        unique = {shape: uid for uid, shape in enumerate(shapes)}
+    unions: dict[int, int] = {}
     out: list[tuple] = [()]
-    unique: dict[tuple, int] = {}
-    memo: dict[frozenset, int] = {}
+    out_unique: dict[tuple, int] = {}
+    out_unions: dict[int, int] = {}
+    # the pair (LEAF, the trie's LEAF) packs to 0 and advances to LEAF
+    memo: dict[int, int] = {0: 0}
 
-    def image(d, state):
-        groups: dict[int, set] = {}
-        for pair in state:
-            t, q = divmod(pair, trie_size)
-            q0, q1 = on0[q], on1[q]
-            for x, tc in shapes[t]:
-                if q0 >= 0:
-                    sym = adv[x]
-                    group = groups.get(sym)
-                    if group is None:
-                        group = groups[sym] = set()
-                    group.add(tc * trie_size + q0)
-                if x == OPEN and q1 >= 0:
-                    group = groups.get(top)
-                    if group is None:
-                        group = groups[top] = set()
-                    group.add(tc * trie_size + q1)
-        d += 1
+    def image(u, q):
+        q0, q1 = on0[q], on1[q]
+        syms: list[int] = []
+        groups: list[int] = []
+        opened = -1
+        # the shape comes in symbol order and aging keeps that order, so
+        # the children that age to one symbol are adjacent
+        for x, child in shapes[u]:
+            if x == OPEN:
+                opened = child
+            sym = adv[x]
+            if syms and syms[-1] == sym:
+                groups[-1] = _union(groups[-1], child, shapes, unique, unions)
+            else:
+                syms.append(sym)
+                groups.append(child)
         pairs = []
-        for sym in sorted(groups):  # symbol order makes the shape canonical
-            if d == n:
-                pairs.append((sym, 0))
-                continue
-            key = frozenset(groups[sym])
+        for sym, group in zip(syms, groups):
+            key = group * trie_size + q0
             child = memo.get(key)
             if child is None:
-                child = memo[key] = image(d, key)
-            if child >= 0:
-                pairs.append((sym, child))
-        if not pairs:
-            return -1
+                child = memo[key] = image(group, q0)
+            pairs.append((sym, child))
+        if opened >= 0 and q1 >= 0:
+            key = opened * trie_size + q1
+            child = memo.get(key)
+            if child is None:
+                child = memo[key] = image(opened, q1)
+            if syms[-1] == top:  # tau = 0: assign and aged 1 both give symbol 1
+                child = _union(pairs.pop()[1], child, out, out_unique, out_unions)
+            pairs.append((top, child))
         shape = tuple(pairs)
-        uid = unique.get(shape)
+        uid = out_unique.get(shape)
         if uid is None:
-            uid = unique[shape] = len(out)
+            uid = out_unique[shape] = len(out)
             out.append(shape)
         return uid
 
-    out_root = image(0, frozenset((root * trie_size + p_root,)))
-    # image refers to itself; ending that cycle frees unique and the memo
-    # on return instead of at the next cyclic garbage collection
-    del image
-    return out, out_root, len(memo)
+    out_root = image(root, p_root) if root else 0
+    del image  # image refers to itself: end the cycle, which holds the memos
+    return out, out_root, len(memo) - 1, len(unions) + len(out_unions)
 
 
 def _combine(a_nodes, p_node, depth, plan, memo):
     """_image on dict DAGs: every advance of a table vector below the
     root in ``a_nodes`` by an independent-set vector below ``p_node``,
-    as a dict node, or None when no pair advances.
+    as a dict node.
 
     Only the benchmark's per-layer replay (perfbench/layers.py) calls
     it, with its call shape: ``a_nodes`` holds one root, ``depth`` is 0
@@ -274,8 +337,8 @@ def _combine(a_nodes, p_node, depth, plan, memo):
     store is decoded back into dict nodes.
     """
     shapes, (root,) = _encode(a_nodes)
-    out, out_root, _ = _image(shapes, _intern_trie(p_node), root, plan)
-    return None if out_root < 0 else _decode(out)[out_root]
+    out, out_root, _, _ = _image(shapes, _intern_trie(p_node), root, plan)
+    return _decode(out)[out_root]
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +408,11 @@ class _BarPass:
 
         Returns the store of the barred table, hash-consed into a reduced
         DAG that holds exactly the nodes reachable from its root, the
-        root's uid, its number of vectors and the number of entries the
-        walk memoized, keyed on (uid, blk, pend). Each node's vector
-        count is summed from its children's once, when the node is
-        created.
+        store's unique table (shape -> uid, which the next combine adds
+        its unions through), the root's uid, its number of vectors and
+        the number of entries the walk memoized, keyed on (uid, blk,
+        pend). Each node's vector count is summed from its children's
+        once, when the node is created.
 
         A call at depth d carries ``blk``, the positions >= d already
         blocked by an earlier neighbour's symbol, and ``pend``, the
@@ -413,7 +477,7 @@ class _BarPass:
 
         barred = go(root, 0, 0, 0)[0]
         del go  # go refers to itself: end the cycle, as _image does
-        return out, barred, count[barred], len(memo)
+        return out, unique, barred, count[barred], len(memo)
 
 
 class ComponentDP:
@@ -440,37 +504,39 @@ class ComponentDP:
         base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
         self.base = VectorTrie.from_vectors(len(ordering), [base])
         self._trie = _intern_trie(self.indep.root)
-        self._last = (None, None, 0)  # the table step returned last: root, store, root uid
+        # the table step returned last: root, store, unique table, root uid
+        self._last = (None, None, None, 0)
 
-    def step(self, table: VectorTrie, level: int) -> tuple[VectorTrie, int, int, int]:
+    def step(self, table: VectorTrie, level: int) -> tuple[VectorTrie, int, int, int, int]:
         """Advance the level ``level - 1`` table to level ``level``.
 
-        Combines the table with the independent-set vectors in one walk
-        over the positions (see _image), then rewrites the combined DAG
-        through the bar pass (see _BarPass.rewrite). Both walks run on
-        node stores and free their memos on return; the new table is
-        decoded into dict nodes once, at the end. Its store is kept, so
-        stepping the table that step returned last encodes nothing; any
-        other table is encoded first. Returns the new table, its number
-        of vectors, its number of distinct DAG nodes and the number of
-        entries the two walks memoized.
+        Combines the table with the independent-set vectors in one
+        product walk over (table node, trie node) pairs (see _image),
+        then rewrites the combined DAG through the bar pass (see
+        _BarPass.rewrite). Both walks run on node stores and free their
+        memos on return; the new table is decoded into dict nodes once,
+        at the end. Its store and unique table are kept, so stepping the
+        table that step returned last encodes nothing: the combine adds
+        its unions to that store, which is dropped right after. Any other
+        table is encoded first. Returns the new table, its number of
+        vectors, its number of distinct DAG nodes, the number of entries
+        the image and rewrite memos held and the number of unions the
+        combine memoized.
         """
         if table.root is None:
-            return VectorTrie(table.length), 0, 0, 0
-        last_root, shapes, root = self._last
-        self._last = (None, None, 0)
+            return VectorTrie(table.length), 0, 0, 0, 0
+        last_root, shapes, unique, root = self._last
+        self._last = (None, None, None, 0)
         if table.root is not last_root:
             shapes, (root,) = _encode((table.root,))
-        combined, croot, entries = _image(shapes, self._trie, root, self.plan)
-        del shapes  # each store goes as soon as no walk needs it
-        if croot < 0:
-            return VectorTrie(table.length), 0, 0, entries
-        shapes, root, size, bar_entries = self.bar.rewrite(combined, croot, level - 1)
+            unique = None
+        combined, croot, entries, unions = _image(shapes, self._trie, root, self.plan, unique)
+        del shapes, unique  # each store goes as soon as no walk needs it
+        shapes, unique, root, size, bar_entries = self.bar.rewrite(combined, croot, level - 1)
         del combined
-        entries += bar_entries
         out = VectorTrie(table.length, _decode(shapes)[root])
-        self._last = (out.root, shapes, root)
-        return out, size, len(shapes) - 1, entries
+        self._last = (out.root, shapes, unique, root)
+        return out, size, len(shapes) - 1, entries + bar_entries, unions
 
 
 def _find_complete(trie: VectorTrie):
@@ -588,7 +654,7 @@ def _solve_component(inst: Instance, options: SolveOptions,
 
     # a component has a vertex, so the base vector is never complete
     for k in range(1, lmax + 1):
-        table, size, nodes, memo = dp.step(tables[-1].vectors, k)
+        table, size, nodes, memo, unions = dp.step(tables[-1].vectors, k)
         if options.store_parents:
             tables.append(LevelTable(k, table))
         else:
@@ -599,6 +665,7 @@ def _solve_component(inst: Instance, options: SolveOptions,
         report.level_sizes.append(size)
         report.level_nodes.append(nodes)
         report.level_memo.append(memo)
+        report.level_unions.append(unions)
         if stats.total_vectors > options.vector_limit:
             raise ResourceLimitError(
                 f"stored vectors exceeded the limit of {options.vector_limit}"

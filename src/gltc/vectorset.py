@@ -17,20 +17,35 @@ Vector = tuple[int, ...]
 LEAF = object()
 
 
-def node_count(node, memo: dict[int, int] | None = None) -> int:
-    """Number of vectors below ``node`` (memoized so shared subtrees count fast)."""
+def node_count(node) -> int:
+    """Number of vectors below ``node``.
+
+    Counts paths top-down, one depth at a time: every vector below a
+    node has the same length, so each node sits at one depth, and a
+    layer maps each of its nodes to the number of paths reaching it. No
+    recursion, so a table of any length is counted, and each shared node
+    once. The count is a Python int of any size, but ``len()`` of a
+    VectorTrie must fit a C ssize_t and raises OverflowError from 2**63
+    vectors on: count such a table with ``node_count(table.root)``.
+    """
     if node is None:
         return 0
-    if node is LEAF:
-        return 1
-    if memo is None:
-        memo = {}
-    key = id(node)
-    cached = memo.get(key)
-    if cached is None:
-        cached = sum(node_count(child, memo) for child in node.values())
-        memo[key] = cached
-    return cached
+    paths = {id(node): 1}
+    nodes = [node]
+    while nodes and nodes[0] is not LEAF:
+        below: dict[int, int] = {}
+        children = []
+        for parent in nodes:
+            reaching = paths[id(parent)]
+            for child in parent.values():
+                key = id(child)
+                if key in below:
+                    below[key] += reaching
+                else:
+                    below[key] = reaching
+                    children.append(child)
+        paths, nodes = below, children
+    return paths.get(id(LEAF), 0)
 
 
 def node_iter(node) -> Iterator[Vector]:

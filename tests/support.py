@@ -47,7 +47,7 @@ def run_tables(inst: Instance, strategy: str = "singleton"):
     table = dp.base
     yield 0, table, part, dp.ordering
     for k in range(1, validate(inst).lambda_max + 1):
-        table, _, _, _ = dp.step(table, k)
+        table, _, _, _, _ = dp.step(table, k)
         yield k, table, part, dp.ordering
 
 

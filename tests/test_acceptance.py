@@ -89,7 +89,7 @@ def test_criterion_2_level_recurrence_conformance():
         dp = ComponentDP(inst, part.ordering)
         table = dp.base
         for k in range(1, validate(inst).lambda_max + 1):
-            got, size, _, _ = dp.step(table, k)
+            got, size, _, _, _ = dp.step(table, k)
             want = {
                 mark_blocked(vec, k - 1, inst, dp.ordering, dp.tau)
                 for vec in direct_step(table, dp.indep, dp.tau)

@@ -1,4 +1,5 @@
-"""The reference solvers: brute force, and inclusion-exclusion for tau = 0."""
+"""The reference solvers: brute force, inclusion-exclusion for tau = 0 and
+forward checking, each against the others and against solve."""
 
 import random
 
@@ -7,13 +8,21 @@ import pytest
 from gltc import (
     Graph,
     Instance,
+    SolveOptions,
     brute_force_solve,
     check_witness,
+    gap_compression,
+    instance_tau,
     random_instance,
     solve,
+    validate,
 )
-from gltc.reference import extension_predicate, inclusion_exclusion_list_coloring
-from support import complete_graph, path_graph, uniform_instance
+from gltc.reference import (
+    extension_predicate,
+    forward_checking_solve,
+    inclusion_exclusion_list_coloring,
+)
+from support import complete_graph, cycle_graph, path_graph, uniform_instance
 
 
 def test_k2_yes_witness_checks_out():
@@ -97,3 +106,75 @@ def test_solve_equals_inclusion_exclusion_beyond_brute_force():
             assert check_witness(inst, result.witness)
         answers.add(result.decision)
     assert answers == {True, False}
+
+
+def test_forward_checking_equals_brute_force_on_small_instances():
+    answers = set()
+    for seed in range(150):
+        inst = random_instance(n=1 + seed % 8, density=(0.2, 0.5, 0.8)[seed % 3],
+                               tau=seed % 4, lmax=2 + seed % 7, seed=7000 + seed)
+        decision, witness = forward_checking_solve(inst)
+        assert decision == brute_force_solve(inst)[0], seed
+        assert witness is None if not decision else check_witness(inst, witness)
+        answers.add(decision)
+    assert answers == {True, False}
+    empty = Instance(graph=path_graph(2), lam={1: frozenset(), 2: frozenset({1})},
+                     t={(1, 2): frozenset({0})})
+    assert forward_checking_solve(empty) == (False, None)
+
+
+def _forward_checking_case(i):
+    """The i-th instance of a schedule with n 12..18, tau 1..3, density
+    0.3..0.5 and lmax n // 2: past brute force, easy for search."""
+    n = 12 + i % 7
+    return random_instance(n=n, density=(0.3, 0.4, 0.5)[i // 7 % 3], tau=1 + i % 3,
+                           lmax=n // 2, seed=31_000 + i)
+
+
+# The cases of range(63) that solve in at most about 0.2 s each. The other
+# cases agreed with forward checking too, but take up to 7 s each.
+_FORWARD_CHECKING_CASES = (0, 1, 2, 3, 4, 6, 7, 8, 9, 10, 12, 14, 16, 22, 23, 25, 26,
+                           27, 39, 44, 46, 47, 48, 54, 59, 61)
+
+
+def test_solve_equals_forward_checking_past_brute_force():
+    answers = set()
+    for i in _FORWARD_CHECKING_CASES:
+        inst = _forward_checking_case(i)
+        decision, witness = forward_checking_solve(inst)
+        result = solve(inst)
+        assert result.decision == decision, i
+        if decision:
+            assert check_witness(inst, witness) and check_witness(inst, result.witness)
+        answers.add(decision)
+        assert 12 <= inst.graph.n <= 18 and 1 <= instance_tau(inst) <= 3
+    assert answers == {True, False}
+
+
+def _levels_to_the_last_label(inst):
+    return validate(gap_compression(inst)[0]).lambda_max
+
+
+@pytest.mark.parametrize("inst", [
+    # labels 1..4 two apart form the path 3-1-4-2, so no odd cycle maps to it
+    uniform_instance(cycle_graph(15), set(range(1, 5)), {0, 1}),
+    # four pairwise labels three apart need 1, 4, 7, 10
+    uniform_instance(complete_graph(4), set(range(1, 10)), {0, 1, 2}),
+    _forward_checking_case(26),
+    _forward_checking_case(59),
+], ids=["odd-cycle-tau1", "k4-tau2", "case-26-tau3", "case-59-tau3"])
+def test_no_instances_run_every_level(inst):
+    assert forward_checking_solve(inst) == (False, None)
+    result = solve(inst, options=SolveOptions(early_exit=False))
+    assert not result.decision and result.witness is None
+    assert result.stats.levels == _levels_to_the_last_label(inst)
+
+
+def test_scaling_instance_at_n20():
+    # the scaling instance (tau 1, density 0.3, seed 2024, lmax 2n) at
+    # n = 20, with every level built and no cap on the stored vectors
+    inst = random_instance(n=20, density=0.3, tau=1, lmax=40, seed=2024)
+    result = solve(inst, options=SolveOptions(early_exit=False, vector_limit=1 << 40))
+    assert result.decision and check_witness(inst, result.witness)
+    assert sum(sum(c.level_sizes) for c in result.stats.components) == 716_451_012
+    assert forward_checking_solve(inst)[0]

@@ -70,8 +70,8 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
         for k in range(1, 7):
             combined = _combine((table.root,), dp.indep.root, 0, plan, {})
             shapes, (root,) = _encode((combined,))
-            out, root, size, _ = dp.bar.rewrite(shapes, root, k - 1)
-            table, want_size, _, _ = dp.step(table, k)
+            out, _, root, size, _ = dp.bar.rewrite(shapes, root, k - 1)
+            table, want_size, _, _, _ = dp.step(table, k)
             want = set(table)
             assert set(VectorTrie(len(dp.ordering), _decode(out)[root])) == want
             assert size == want_size
@@ -90,7 +90,7 @@ def test_completeness_check_and_witness_walk_of_the_replay_still_run():
         table = dp.base  # from_vectors, so filled with add too
         plain = [LevelTable(0, table)]
         for k in range(1, 6):
-            table, _, _, _ = dp.step(table, k)
+            table, _, _, _, _ = dp.step(table, k)
             added = VectorTrie(len(dp.ordering))
             for vec in table:
                 added.add(vec)

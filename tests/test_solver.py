@@ -22,6 +22,7 @@ from gltc import (
     brute_force_solve,
     build_partition,
     check_witness,
+    independent_set_vectors,
     instance_tau,
     random_instance,
     reconstruct_witness,
@@ -34,7 +35,15 @@ from gltc import instance as instance_module
 from gltc import partition as partition_module
 from gltc import solver as solver_module
 from gltc import vectorset as vectorset_module
-from gltc.solver import _BarPass, _combine, _decode, _encode, _find_complete
+from gltc.solver import (
+    _BarPass,
+    _combine,
+    _decode,
+    _encode,
+    _find_complete,
+    _image,
+    _intern_trie,
+)
 from support import (
     complete_graph,
     path_graph,
@@ -49,7 +58,7 @@ from support import (
 def test_compute_step_on_a_single_open_vertex():
     dp = ComponentDP(uniform_instance(path_graph(1), {1, 2}, set()), (1,))
     assert list(dp.base) == [(OPEN,)]
-    out, size, _, _ = dp.step(dp.base, 1)
+    out, size, _, _, _ = dp.step(dp.base, 1)
     # stay unlabeled, or take the new label (symbol tau + 1; tau is 0 here)
     assert dp.tau == 0 and set(out) == {(OPEN,), (dp.tau + 1,)}
     assert size == 2
@@ -57,7 +66,7 @@ def test_compute_step_on_a_single_open_vertex():
 
 def test_compute_step_on_empty_table_is_empty():
     dp = ComponentDP(uniform_instance(path_graph(1), {1}, set()), (1,))
-    out, size, _, _ = dp.step(VectorTrie(1), 1)
+    out, size, _, _, _ = dp.step(VectorTrie(1), 1)
     assert len(out) == 0 and size == 0
 
 
@@ -79,11 +88,71 @@ def test_compute_step_equals_direct_step_randomized(strategy):
         dp = ComponentDP(inst, build_partition(inst, strategy).ordering)
         table = dp.base
         for k in range(1, validate(inst).lambda_max + 1):
-            got, size, _, _ = dp.step(table, k)
+            got, size, _, _, _ = dp.step(table, k)
             want = {mark_blocked(v, k - 1, inst, dp.ordering, dp.tau)
                     for v in direct_step(table, dp.indep, dp.tau)}
             assert set(got) == want and size == len(want)
             table = got
+
+
+def _image_vs_direct_step(graph, ordering, tau, vecs):
+    """_image of the table ``vecs`` by the independent sets of ``graph``
+    against reference.direct_step; returns the union entries it made."""
+    n = len(ordering)
+    table = VectorTrie.from_vectors(n, vecs)
+    indep = independent_set_vectors(graph, ordering)
+    shapes, (root,) = _encode((table.root,))
+    out, out_root, _, unions = _image(shapes, _intern_trie(indep.root), root, (n, tau))
+    assert set(VectorTrie(n, _decode(out)[out_root])) == set(direct_step(table, indep, tau))
+    # both stores stay hash-consed: every shape in symbol order, and the
+    # union nodes added to the input store equal none already there
+    for store in (out, shapes):
+        assert all(list(shape) == sorted(shape) for shape in store)
+        assert len(set(store)) == len(store)
+    return unions
+
+
+@st.composite
+def _image_cases(draw):
+    """A random graph, vertex ordering, tau and table over the whole
+    alphabet, with no bar pass behind it (any mix of symbols)."""
+    n = draw(st.integers(1, 7))
+    graph = random_instance(n=n, density=draw(st.sampled_from((0.2, 0.5, 0.8))), tau=0,
+                            lmax=1, seed=draw(st.integers(0, 10_000))).graph
+    ordering = tuple(draw(st.permutations(range(1, n + 1))))
+    tau = draw(st.integers(0, 3))
+    vector = st.tuples(*[st.integers(BLOCKED, tau + 1)] * n)
+    vecs = draw(st.lists(vector, min_size=1, max_size=40))
+    return graph, ordering, tau, vecs
+
+
+_EDGE = path_graph(2)
+_NO_EDGES = Graph.from_edges(3, [])
+# tau = 0: at the root, OPEN assigned and 1 aged both give symbol 1, with
+# different trie children, so only a union on the output store merges them
+_ASSIGN_MEETS_AGED = (_EDGE, (1, 2), 0, [(OPEN, OPEN), (1, 1)])
+# a node with BLOCKED and OPEN children: both age to OPEN
+_BLOCKED_AND_OPEN = (_EDGE, (2, 1), 1, [(BLOCKED, OPEN), (OPEN, 1), (BLOCKED, 2)])
+# children 1 and 2 whose subtrees share the suffixes (1, OPEN) and (OPEN, *)
+_OVERLAPPING_1_AND_2 = (_NO_EDGES, (1, 2, 3), 1,
+                        [(1, OPEN, 2), (1, 1, OPEN), (2, OPEN, 1), (2, 1, OPEN)])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_image_cases())
+@example(_ASSIGN_MEETS_AGED)
+@example(_BLOCKED_AND_OPEN)
+@example(_OVERLAPPING_1_AND_2)
+def test_image_equals_direct_step_on_arbitrary_tables(case):
+    _image_vs_direct_step(*case)
+
+
+@pytest.mark.parametrize("case", [_ASSIGN_MEETS_AGED, _BLOCKED_AND_OPEN, _OVERLAPPING_1_AND_2],
+                         ids=["assign-meets-aged-tau0", "blocked-and-open", "overlapping-1-and-2"])
+def test_image_unions_on_the_pinned_tables(case):
+    # each pinned table makes the walk take a union, so the property's
+    # examples really run that branch
+    assert _image_vs_direct_step(*case) > 0
 
 
 @st.composite
@@ -115,7 +184,7 @@ def test_bar_rewrite_equals_mark_blocked_per_vector(case):
     inst, ordering, level, vecs = case
     tau = instance_tau(inst)
     shapes, (root,) = _encode((VectorTrie.from_vectors(len(ordering), vecs).root,))
-    out, root, size, _ = _BarPass(inst, ordering, tau).rewrite(shapes, root, level)
+    out, _, root, size, _ = _BarPass(inst, ordering, tau).rewrite(shapes, root, level)
     want = {mark_blocked(v, level, inst, ordering, tau) for v in vecs}
     assert set(VectorTrie(len(ordering), _decode(out)[root])) == want
     assert size == len(want)
@@ -154,7 +223,7 @@ def test_level_tables_are_reduced_dags(strategy):
     for inst, dp in _seeded_dps(strategy):
         table = dp.base
         for k in range(1, validate(inst).lambda_max + 1):
-            table, size, nodes, _ = dp.step(table, k)
+            table, size, nodes, _, _ = dp.step(table, k)
             shapes, reachable = _distinct_shapes(table.root)
             assert shapes == reachable == nodes
             # the size the rewrite counted, against a separate walk
@@ -171,22 +240,22 @@ def test_combined_dag_is_reduced(strategy):
             combined = _combine((table.root,), dp.indep.root, 0, dp.plan, {})
             shapes, reachable = _distinct_shapes(combined)
             assert shapes == reachable
-            table, _, _, _ = dp.step(table, k)
+            table, _, _, _, _ = dp.step(table, k)
 
 
 def _steps(dp, table, levels):
     """``step`` over ``levels`` from ``table``, each result as (vectors,
-    size, nodes, memo entries)."""
+    size, nodes, memo entries, union entries)."""
     out = []
     for k in levels:
-        table, size, nodes, memo = dp.step(table, k)
-        out.append((set(table), size, nodes, memo))
+        table, *counts = dp.step(table, k)
+        out.append((set(table), *counts))
     return out, table
 
 
 def _stepped(dp, table, level):
-    got, size, nodes, memo = dp.step(table, level)
-    return set(got), size, nodes, memo
+    got, *counts = dp.step(table, level)
+    return (set(got), *counts)
 
 
 def test_step_encodes_a_table_it_did_not_just_return():
@@ -267,7 +336,7 @@ def _tables_by_vertex_id(inst, ordering):
     table = dp.base
     out = [{tuple(vec[i] for i in perm) for vec in table}]
     for k in range(1, validate(inst).lambda_max + 1):
-        table, _, _, _ = dp.step(table, k)
+        table, _, _, _, _ = dp.step(table, k)
         out.append({tuple(vec[i] for i in perm) for vec in table})
     return out
 
@@ -321,7 +390,7 @@ def test_level_step_equals_direct_step_then_mark_blocked(case):
     inst, ordering, level, vecs = case
     dp = ComponentDP(inst, ordering)
     table = VectorTrie.from_vectors(len(ordering), vecs)
-    got, size, _, _ = dp.step(table, level)
+    got, size, _, _, _ = dp.step(table, level)
     want = {mark_blocked(v, level - 1, inst, ordering, dp.tau)
             for v in direct_step(table, dp.indep, dp.tau)}
     assert set(got) == want and size == len(want)
@@ -522,12 +591,13 @@ def test_solve_disconnected_answer_is_conjunction():
 
 
 def test_criterion_7_walk_memoizes_half_the_entries_of_the_star_order():
-    # the star order's frontier is 10 and its walks memoize 27,658 entries;
-    # walk_order's frontier is 7
+    # the star order's frontier is 10 and its image and rewrite walks
+    # memoize 20,726 entries, its unions 12,418; walk_order's frontier is 7
     inst = random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024)
     report = solve(inst, strategy="star").stats.components[0]
     assert report.level_sizes == [85, 594, 4018, 36163, 62427, 207528, 238692, 694656]
     assert sum(report.level_memo) <= 14_000
+    assert sum(report.level_unions) <= 8_000
 
 
 def test_k1d_strategy_matches_oracle_on_line_graphs():
@@ -592,6 +662,7 @@ def test_solve_stats_report_levels_and_sizes():
     assert len(result.stats.components[0].level_sizes) == 3
     assert len(result.stats.components[0].level_nodes) == 3
     assert len(result.stats.components[0].level_memo) == 3
+    assert len(result.stats.components[0].level_unions) == 3
     assert result.stats.components[0].ordering == walk_order(inst.graph)
     assert all(entries > 0 for entries in result.stats.components[0].level_memo)
     assert result.stats.max_table_size == max(result.stats.components[0].level_sizes)
@@ -634,7 +705,7 @@ def test_a_long_path_stays_within_the_recursion_limit():
     # under the default limit of 1000
     inst = uniform_instance(path_graph(800), {1, 2}, {0})
     dp = ComponentDP(inst, walk_order(inst.graph))
-    table, size, _, _ = dp.step(dp.base, 1)
+    table, size, _, _, _ = dp.step(dp.base, 1)
     assert size > 0
     result = solve(inst, options=SolveOptions(vector_limit=1 << 1000))
     assert result.decision and check_witness(inst, result.witness)

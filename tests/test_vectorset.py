@@ -1,6 +1,10 @@
-"""Trie set semantics: membership, iteration order, emptiness."""
+"""Trie set semantics: membership, iteration order, emptiness, counting."""
 
-from gltc import VectorTrie
+import pytest
+
+from gltc import ComponentDP, VectorTrie, walk_order
+from gltc.vectorset import node_count
+from support import path_graph, uniform_instance
 
 
 def test_add_contains_len():
@@ -34,3 +38,35 @@ def test_bool_tracks_emptiness():
     assert not trie
     trie.add((0, 0, 0))
     assert trie
+
+
+def _path_table(n, level):
+    """The level table of an n-vertex path with lists {1, 2} and T = {0}."""
+    inst = uniform_instance(path_graph(n), {1, 2}, {0})
+    dp = ComponentDP(inst, walk_order(inst.graph))
+    table = dp.base
+    for k in range(1, level + 1):
+        table = dp.step(table, k)[0]
+    return table
+
+
+def test_node_count_of_a_long_table_needs_no_recursion():
+    # 800 positions are deeper than the default recursion limit of 1000
+    # allows a walk that takes two frames per position. At level 1 the
+    # vectors are the independent sets of the path, F(802) of them
+    # (Fibonacci numbers, F(1) = F(2) = 1)
+    fib = [0, 1]
+    while len(fib) <= 802:
+        fib.append(fib[-1] + fib[-2])
+    table = _path_table(800, 1)
+    assert node_count(table.root) == fib[802]
+    with pytest.raises(OverflowError):
+        len(table)
+
+
+def test_node_count_past_the_reach_of_len():
+    # at level 2 every vertex is OPEN or labeled, one of each per position
+    table = _path_table(70, 2)
+    assert node_count(table.root) == 2**70
+    with pytest.raises(OverflowError):
+        len(table)
