@@ -15,23 +15,22 @@ age to the same symbol, they are first folded into one node by a
 memoized union on the table's own node store (the unique table and
 memoized OR of BDD packages), so every memo key stays one pair.
 
-A level table is a hash-consed DAG: a trie in which equal subtrees are
-one node (a reduced multi-valued decision diagram). The combined DAG is
-hash-consed as it is built, so the OPEN/BLOCKED recomputation, a
-memoized rewrite of the combined DAG into the next table, meets each
-distinct subtree once; the rewrite also counts the vectors of the nodes
-it creates, so no table is walked again to size it. No level is ever
-expanded into its vectors; completeness checks and the witness walk
-remember dead nodes and so stay linear in nodes.
-
-Tables leave a level step as DAGs of dict nodes, but inside it both
-walks run on integer node stores: each node is a uid whose shape is the
-tuple of its (symbol, child uid) pairs, the independent-set trie is its
-own store read back as two int arrays, and every memo key is made of
-ints (a unique table keyed on shapes, as in BDD packages).
-ComponentDP.step decodes the new table into dict nodes once and keeps
-its store with its unique table, so the next level starts from the
-store, and adds its unions to it, without encoding the table again.
+A level table is a hash-consed DAG, a trie in which equal subtrees are
+one node (a reduced multi-valued decision diagram), kept in an integer
+node store: each node is a uid whose shape is the tuple of its (symbol,
+child uid) pairs, and every memo key of a store walk is one int (a
+unique table keyed on shapes, as in BDD packages). The level loop owns
+the store and its unique table from one level to the next, and each
+combine adds its unions to them. The combined DAG is hash-consed as it
+is built, so the OPEN/BLOCKED recomputation, a memoized rewrite of it
+into the next table, meets each distinct subtree once; as it creates a
+node, the rewrite counts its vectors and notes whether a complete vector
+(every vertex labeled) lies below it, so no table is walked again to
+size it or to decide. The instance is YES iff some level's table holds
+a complete vector. An explicit labeling is then reconstructed by walking
+the level tables backwards, so a level becomes dict nodes only when it
+is kept for that walk, which, like the one completeness check that
+anchors it, remembers dead nodes and so stays linear in nodes.
 
 Every recursive walk here follows one convention: it creates its memo,
 returns the memo's size when a report needs it, takes one stack frame
@@ -39,10 +38,6 @@ per position, and deletes its own closure before returning, so the memo
 goes on return and no reference cycle is left for the garbage collector.
 The union walk is a module-level function, so it has no closure; the
 combine walk creates its memos and hands them to it.
-
-The instance is YES iff some level's table contains a vector with every
-vertex labeled; an explicit labeling is then reconstructed by walking
-the level tables backwards.
 """
 
 from __future__ import annotations
@@ -116,12 +111,11 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # the node store
 #
-# Inside a level step, a DAG lives in a node store: a list mapping each
+# The level loop keeps each table in a node store: a list mapping each
 # uid to its shape, the tuple of its (symbol, child uid) pairs in symbol
 # order. Uid 0 is LEAF, with the empty shape. A store is built bottom-up
-# and hash-consed on the shape, so children always have smaller uids than
-# their parents and equal subtrees share one uid. A shape fixes the
-# node's depth, since every path below it has the same length.
+# and hash-consed on the shape, so children have smaller uids than their
+# parents, equal subtrees share one uid, and a shape fixes its depth.
 
 
 def _encode(roots):
@@ -406,56 +400,58 @@ class _BarPass:
         """The pass applied to every vector below uid ``root`` of the node
         store ``shapes`` in one walk.
 
-        Returns the store of the barred table, hash-consed into a reduced
-        DAG that holds exactly the nodes reachable from its root, the
-        store's unique table (shape -> uid, which the next combine adds
-        its unions through), the root's uid, its number of vectors and
-        the number of entries the walk memoized, keyed on (uid, blk,
-        pend). Each node's vector count is summed from its children's
-        once, when the node is created.
+        Returns the store of the barred table, a reduced DAG of exactly
+        the nodes reachable from its root, the store's unique table
+        (shape -> uid, which the next combine adds its unions through),
+        the root's uid, its number of vectors, whether it holds a
+        complete vector (every symbol >= 1) and the number of entries the
+        walk memoized. A node's count and flag come from its children's
+        once, when it is created.
 
         A call at depth d carries ``blk``, the positions >= d already
         blocked by an earlier neighbour's symbol, and ``pend``, the
         earlier OPEN positions still waiting on a later neighbour. It
-        returns a map from the subset of ``pend`` its suffixes block to
-        the output uid of those suffixes; the caller then settles OPEN
-        or BLOCKED for its own pending coordinate. Output children come
-        in symbol order without sorting: the input's come in symbol order
-        and hold no BLOCKED, and BLOCKED, the least symbol, only ever
+        maps each subset of ``pend`` its suffixes block to the output uid
+        of those suffixes; the caller settles OPEN or BLOCKED for its own
+        pending coordinate. The memo key ``uid << n | blk | pend`` is
+        exact, as a uid fixes d. Positions the level closes are masked
+        out of ``later`` once, so ``blk`` never holds them. Output
+        children come in symbol order without sorting: the input's do and
+        hold no BLOCKED, and BLOCKED, the least symbol, only ever
         replaces OPEN, the first one.
         """
         closed = self._closed(level)
-        later, earlier, closes, waiting = self.later, self.earlier, self.closes, self.waiting
+        n, earlier, closes, waiting = len(self.closes), self.earlier, self.closes, self.waiting
+        later = [{sym: mask & ~closed for sym, mask in row.items()} for row in self.later]
         out: list[tuple] = [()]
         unique: dict[tuple, int] = {}
         count = [1]  # vectors below each output uid; LEAF holds one
+        full = [True]  # whether a complete vector lies below each output uid
         at_leaf = {0: 0}
-        memo: dict[tuple, dict] = {}
+        memo: dict[int, dict] = {}
 
         def go(uid, d, blk, pend):
-            if uid == 0:
-                return at_leaf
-            key = (uid, blk, pend)
-            res = memo.get(key)
-            if res is not None:
-                return res
             bit = 1 << d
             blk_next = blk & ~bit
             pend_next = pend & ~closes[d]
             groups: dict[int, list] = {}
             for sym, child in shapes[uid]:
-                hits = own = 0
+                hits, own, c_blk, c_pend = 0, 0, blk_next, pend_next
                 if sym != OPEN:
                     hits = pend & earlier[d].get(sym, 0)
-                    sub = go(child, d + 1, blk_next | later[d].get(sym, 0), pend_next & ~hits)
+                    c_blk, c_pend = c_blk | later[d].get(sym, 0), c_pend & ~hits
                 elif (blk | closed) & bit:
                     sym = BLOCKED
-                    sub = go(child, d + 1, blk_next, pend_next)
                 elif waiting & bit:
                     own = bit
-                    sub = go(child, d + 1, blk_next, pend_next | bit)
+                    c_pend |= bit
+                if child:
+                    key = child << n | c_blk | c_pend
+                    sub = memo.get(key)
+                    if sub is None:
+                        sub = memo[key] = go(child, d + 1, c_blk, c_pend)
                 else:
-                    sub = go(child, d + 1, blk_next, pend_next)
+                    sub = at_leaf
                 for mask, out_child in sub.items():
                     mask |= hits
                     if mask & own:
@@ -470,29 +466,33 @@ class _BarPass:
                 if node is None:
                     node = unique[shape] = len(out)
                     out.append(shape)
-                    count.append(sum(count[c] for _, c in shape))
+                    total, whole = 0, False
+                    for sym, c in shape:
+                        total += count[c]
+                        whole = whole or sym > 0 and full[c]
+                    count.append(total)
+                    full.append(whole)
                 res[mask] = node
-            memo[key] = res
             return res
 
-        barred = go(root, 0, 0, 0)[0]
+        barred = go(root, 0, 0, 0)[0] if root else 0
         del go  # go refers to itself: end the cycle, as _image does
-        return out, unique, barred, count[barred], len(memo)
+        return out, unique, barred, count[barred], full[barred], len(memo)
 
 
 class ComponentDP:
     """The dynamic program of one component, with its coordinates in a
     given vertex order (any permutation of the vertices; the solver uses
-    partition.walk_order).
+    partition.walk_order). The tables hold the same vectors, up to the
+    order of their coordinates, whatever the order; only the cost of the
+    walks depends on it.
 
     Built once per component: ``tau``, the coordinate ``ordering``, the
     independent-set trie ``indep`` (also interned as int arrays for the
     combination walk), the walk's ``plan`` (vector length and tau), the
     OPEN/BLOCKED pass ``bar`` and the level-0 table ``base`` (OPEN where
-    label 1 is permitted, BLOCKED otherwise). ``step`` advances a table
-    by one level. The tables hold the same vectors, up to the order of
-    their coordinates, whatever the order; only the cost of the walks
-    depends on it.
+    label 1 is permitted, BLOCKED otherwise). ``advance`` takes a table
+    one level on as a node store, ``step`` as a dict DAG.
     """
 
     def __init__(self, inst: Instance, ordering):
@@ -504,39 +504,36 @@ class ComponentDP:
         base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
         self.base = VectorTrie.from_vectors(len(ordering), [base])
         self._trie = _intern_trie(self.indep.root)
-        # the table step returned last: root, store, unique table, root uid
-        self._last = (None, None, None, 0)
+
+    def advance(self, store: list, level: int) -> tuple[int, int, bool, int, int]:
+        """Advance the level ``level - 1`` table to level ``level``: the
+        combine (_image), then the bar pass (_BarPass.rewrite).
+
+        ``store`` is the list [shapes, unique table or None, root uid] of
+        a nonempty table. It is replaced in place by the new table's, so
+        the old store goes as soon as the combine is done with it.
+        Returns the new table's number of vectors and of DAG nodes,
+        whether it holds a complete vector, the entries the image and
+        rewrite memos held and the unions the combine memoized.
+        """
+        shapes, unique, root = store
+        store.clear()
+        combined, croot, entries, unions = _image(shapes, self._trie, root, self.plan, unique)
+        del shapes, unique
+        shapes, unique, root, size, complete, bar_entries = self.bar.rewrite(
+            combined, croot, level - 1)
+        store[:] = shapes, unique, root
+        return size, len(shapes) - 1, complete, entries + bar_entries, unions
 
     def step(self, table: VectorTrie, level: int) -> tuple[VectorTrie, int, int, int, int]:
-        """Advance the level ``level - 1`` table to level ``level``.
-
-        Combines the table with the independent-set vectors in one
-        product walk over (table node, trie node) pairs (see _image),
-        then rewrites the combined DAG through the bar pass (see
-        _BarPass.rewrite). Both walks run on node stores and free their
-        memos on return; the new table is decoded into dict nodes once,
-        at the end. Its store and unique table are kept, so stepping the
-        table that step returned last encodes nothing: the combine adds
-        its unions to that store, which is dropped right after. Any other
-        table is encoded first. Returns the new table, its number of
-        vectors, its number of distinct DAG nodes, the number of entries
-        the image and rewrite memos held and the number of unions the
-        combine memoized.
-        """
+        """``advance`` on a dict DAG, encoded first and decoded after:
+        returns the new table, then ``advance``'s counts but the flag."""
         if table.root is None:
             return VectorTrie(table.length), 0, 0, 0, 0
-        last_root, shapes, unique, root = self._last
-        self._last = (None, None, None, 0)
-        if table.root is not last_root:
-            shapes, (root,) = _encode((table.root,))
-            unique = None
-        combined, croot, entries, unions = _image(shapes, self._trie, root, self.plan, unique)
-        del shapes, unique  # each store goes as soon as no walk needs it
-        shapes, unique, root, size, bar_entries = self.bar.rewrite(combined, croot, level - 1)
-        del combined
-        out = VectorTrie(table.length, _decode(shapes)[root])
-        self._last = (out.root, shapes, unique, root)
-        return out, size, len(shapes) - 1, entries + bar_entries, unions
+        shapes, (root,) = _encode((table.root,))
+        store = [shapes, None, root]
+        size, nodes, _, memo, unions = self.advance(store, level)
+        return VectorTrie(table.length, _decode(store[0])[store[2]]), size, nodes, memo, unions
 
 
 def _find_complete(trie: VectorTrie):
@@ -651,14 +648,16 @@ def _solve_component(inst: Instance, options: SolveOptions,
     lmax = max((max(ls) for ls in inst.lam.values() if ls), default=0)
     dp = ComponentDP(inst, ordering)
     tables = [LevelTable(0, dp.base)]
+    shapes, (root,) = _encode((dp.base.root,))
+    store = [shapes, None, root]
+    del shapes
+    found_level = None
 
     # a component has a vertex, so the base vector is never complete
     for k in range(1, lmax + 1):
-        table, size, nodes, memo, unions = dp.step(tables[-1].vectors, k)
-        if options.store_parents:
-            tables.append(LevelTable(k, table))
-        else:
-            tables = [LevelTable(k, table)]
+        size, nodes, complete, memo, unions = dp.advance(store, k)
+        if options.store_parents:  # decoded now, before the next combine adds its unions
+            tables.append(LevelTable(k, VectorTrie(len(ordering), _decode(store[0])[store[2]])))
         stats.levels += 1
         stats.total_vectors += size
         stats.max_table_size = max(stats.max_table_size, size)
@@ -668,17 +667,18 @@ def _solve_component(inst: Instance, options: SolveOptions,
         report.level_unions.append(unions)
         if stats.total_vectors > options.vector_limit:
             raise ResourceLimitError(
-                f"stored vectors exceeded the limit of {options.vector_limit}"
-            )
+                f"stored vectors exceeded the limit of {options.vector_limit}")
         # completeness persists from level to level, so without early exit
         # the last level decides, and its vector anchors the witness
-        found, found_level = _find_complete(table), k
-        if found is not None and options.early_exit:
-            break
-    if found is None:
+        if complete:
+            found_level = k
+            if options.early_exit:
+                break
+    if found_level is None:
         return False, None
     if not options.store_parents:
         return True, None
+    found = _find_complete(tables[found_level].vectors)
     witness = reconstruct_witness(tables, found, found_level, dp.indep, dp.tau, dp.ordering)
     return True, {v: label_map[lab] for v, lab in witness.items()}
 

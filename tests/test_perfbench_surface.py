@@ -70,7 +70,7 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
         for k in range(1, 7):
             combined = _combine((table.root,), dp.indep.root, 0, plan, {})
             shapes, (root,) = _encode((combined,))
-            out, _, root, size, _ = dp.bar.rewrite(shapes, root, k - 1)
+            out, _, root, size, _, _ = dp.bar.rewrite(shapes, root, k - 1)
             table, want_size, _, _, _ = dp.step(table, k)
             want = set(table)
             assert set(VectorTrie(len(dp.ordering), _decode(out)[root])) == want

@@ -30,7 +30,7 @@ from gltc import (
     validate,
     walk_order,
 )
-from gltc.reference import direct_step, mark_blocked
+from gltc.reference import direct_step, forward_checking_solve, mark_blocked
 from gltc import instance as instance_module
 from gltc import partition as partition_module
 from gltc import solver as solver_module
@@ -181,16 +181,48 @@ _PAIR = uniform_instance(path_graph(2), {1, 2, 3}, {0, 1})
 @example((_PAIR, (1, 2), 0, [(2, OPEN)]))   # an earlier neighbour blocks
 @example((_PAIR, (2, 1), 1, [(OPEN, 2), (2, OPEN), (OPEN, 1), (OPEN, OPEN)]))
 def test_bar_rewrite_equals_mark_blocked_per_vector(case):
-    inst, ordering, level, vecs = case
+    _rewrite_vs_mark_blocked(*case)
+
+
+def _rewrite_vs_mark_blocked(inst, ordering, level, vecs):
+    """_BarPass.rewrite of the table ``vecs`` against reference.mark_blocked
+    per vector; returns the rewrite's completeness flag."""
     tau = instance_tau(inst)
     shapes, (root,) = _encode((VectorTrie.from_vectors(len(ordering), vecs).root,))
-    out, _, root, size, _ = _BarPass(inst, ordering, tau).rewrite(shapes, root, level)
+    out, _, root, size, complete, _ = _BarPass(inst, ordering, tau).rewrite(shapes, root, level)
     want = {mark_blocked(v, level, inst, ordering, tau) for v in vecs}
-    assert set(VectorTrie(len(ordering), _decode(out)[root])) == want
+    barred = VectorTrie(len(ordering), _decode(out)[root])
+    assert set(barred) == want
     assert size == len(want)
+    # the flag the rewrite sets as it creates nodes, against the DAG walk
+    assert complete == (_find_complete(barred) is not None)
     # the store's hash-consing is canonical only if every shape comes in
     # symbol order, which the rewrite keeps without sorting
     assert all(list(shape) == sorted(shape) for shape in out)
+    return complete
+
+
+def test_bar_rewrite_keys_past_a_machine_word():
+    # the rewrite memo's int key, uid << n | blk | pend, passes 64 bits
+    # at n >= 64; 200 vectors of length 72 at tau >= 1, so blk and pend
+    # hold far positions too, in ten tables of which half hold a complete
+    # vector
+    rng = random.Random(72)
+
+    def draw(symbols):
+        return tuple(rng.choice(symbols) for _ in range(72))
+
+    flags = []
+    for batch in range(10):
+        inst = random_instance(n=72, density=0.06, tau=1 + batch % 3, lmax=6, seed=7200 + batch)
+        tau = instance_tau(inst)
+        assert tau >= 1
+        ordering = tuple(rng.sample(range(1, 73), 72))
+        symbols = (OPEN, OPEN, *range(1, tau + 2))
+        vecs = [draw(symbols) for _ in range(19)]
+        vecs.append(draw(range(1, tau + 2)) if batch % 2 else draw(symbols))
+        flags.append(_rewrite_vs_mark_blocked(inst, ordering, batch % 5, vecs))
+    assert flags == [False, True] * 5
 
 
 def _reachable_nodes(root):
@@ -243,41 +275,24 @@ def test_combined_dag_is_reduced(strategy):
             table, _, _, _, _ = dp.step(table, k)
 
 
-def _steps(dp, table, levels):
-    """``step`` over ``levels`` from ``table``, each result as (vectors,
-    size, nodes, memo entries, union entries)."""
-    out = []
-    for k in levels:
-        table, *counts = dp.step(table, k)
-        out.append((set(table), *counts))
-    return out, table
-
-
 def _stepped(dp, table, level):
     got, *counts = dp.step(table, level)
     return (set(got), *counts)
 
 
-def test_step_encodes_a_table_it_did_not_just_return():
-    # step keeps the node store of the table it returned last; every
-    # other table must be encoded, and give what a fresh ComponentDP gives
+def test_step_on_any_table_equals_a_fresh_component_dps():
+    # step keeps no state between calls: one ComponentDP stepping tables
+    # in any order, again and rebuilt from their vectors, gives what a
+    # fresh ComponentDP gives on each
     for inst, dp in _seeded_dps("singleton"):
-        levels = range(1, validate(inst).lambda_max + 1)
-        fresh = ComponentDP(inst, dp.ordering)
-        want, table = [], fresh.base
-        for k in levels:
-            table, *counts = fresh.step(table, k)
-            want.append((set(table), *counts))
-        # dp.base twice: the second time, step has just returned level 1
-        assert _stepped(dp, dp.base, 1) == _stepped(dp, dp.base, 1) == want[0]
-        table = dp.base
-        for k in levels:
-            prev, table = table, dp.step(table, k)[0]
-            # level k - 1 stepped again after level k
-            assert _stepped(dp, prev, k) == want[k - 1]
-            # the same level built from its vectors, not by step
-            rebuilt = VectorTrie.from_vectors(len(dp.ordering), sorted(prev))
-            assert _stepped(dp, rebuilt, k) == want[k - 1]
+        tables = [dp.base]
+        for k in range(1, validate(inst).lambda_max + 1):
+            tables.append(dp.step(tables[-1], k)[0])
+        n = len(dp.ordering)
+        for k in reversed(range(1, len(tables))):
+            for table in (tables[k - 1], tables[k - 1],
+                          VectorTrie.from_vectors(n, sorted(tables[k - 1]))):
+                assert _stepped(dp, table, k) == _stepped(ComponentDP(inst, dp.ordering), table, k)
 
 
 class _CountedNode(dict):
@@ -447,6 +462,35 @@ def test_solve_counts_sizes_without_a_second_walk(monkeypatch):
     result = solve(inst, strategy="star")
     assert result.stats.components[0].level_sizes[-1] == 694_656
     assert calls == []
+
+
+def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeypatch):
+    # the rewrite flags completeness, so a decision-only solve decodes no
+    # level into dict nodes and never walks one; a witness solve walks one
+    # table per YES component, to anchor its witness
+    calls = {"_decode": 0, "_find_complete": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(solver_module, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(solver_module, name, counted)
+    decisions, components = set(), 0
+    for seed in range(40):
+        inst = random_instance(n=3 + seed % 6, density=(0.2, 0.5, 0.8)[seed % 3],
+                               tau=seed % 4, lmax=3 + seed % 5, seed=3100 + seed)
+        for early_exit in (True, False):
+            decided = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=False))
+            assert calls == {"_decode": 0, "_find_complete": 0}
+            result = solve(inst, options=SolveOptions(early_exit=early_exit))
+            assert result.decision == decided.decision
+            # solve stops at the first NO component, which reports last
+            yes_components = len(result.stats.components) - (not result.decision)
+            assert calls["_find_complete"] == yes_components
+            calls.update(_decode=0, _find_complete=0)
+            decisions.add(result.decision)
+            components = max(components, yes_components)
+    assert decisions == {True, False} and components > 1
 
 
 def test_one_component_solve_splits_components_once(monkeypatch):
@@ -709,6 +753,27 @@ def test_a_long_path_stays_within_the_recursion_limit():
     assert size > 0
     result = solve(inst, options=SolveOptions(vector_limit=1 << 1000))
     assert result.decision and check_witness(inst, result.witness)
+
+
+def test_a_70_vertex_tau_1_path_solves_past_a_machine_word():
+    # the 800-vertex path is tau = 0, so its rewrite keys carry no blk or
+    # pend bits; at tau = 1 over 70 positions they reach past 64 bits, and
+    # the tables hold about 2**90 vectors; lists of 3 labels out of 5 give
+    # a YES, lists of 2 a NO
+    graph = path_graph(70)
+    for size, want in ((3, True), (2, False)):
+        rng = random.Random(70)
+        inst = Instance(graph=graph,
+                        lam={v: frozenset(rng.sample(range(1, 6), size)) for v in range(1, 71)},
+                        t={e: frozenset({0, 1}) for e in graph.edges})
+        assert instance_tau(inst) == 1
+        assert forward_checking_solve(inst)[0] == want
+        for parents in (True, False):
+            result = solve(inst, options=SolveOptions(store_parents=parents,
+                                                      vector_limit=1 << 1000))
+            assert result.decision == want
+            if parents and want:
+                assert check_witness(inst, result.witness)
 
 
 # --- witness checking ----------------------------------------------------------
