@@ -51,6 +51,12 @@ def advance_symbol(x: int, assign: int, tau: int) -> Optional[int]:
 
 
 @lru_cache(maxsize=None)
+def aging_table(tau: int) -> tuple[int, ...]:
+    """advance_symbol(x, 0, tau) at index x for every symbol x (BLOCKED is -1)."""
+    return tuple(advance_symbol(x, 0, tau) for x in (*range(tau + 2), BLOCKED))
+
+
+@lru_cache(maxsize=None)
 def advance_preimage_pairs(sym: int, tau: int) -> tuple[tuple[int, int], ...]:
     """All (x, assign) with advance_symbol(x, assign, tau) == sym, canonical order."""
     pairs = []

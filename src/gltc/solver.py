@@ -8,44 +8,44 @@ still take label k+2. The coordinates follow partition.walk_order, a
 small-frontier order of the graph: a table's content does not depend on
 the order, but the cost of the walks does. No partition is built here;
 partition.predict_complexity bounds the table sizes from outside. The
-combination itself is a product over single pairs of a table node and an
-independent-set trie node, memoized on the pair, so each reachable pair
-of shared suffixes is processed once. Where two children of a table node
-age to the same symbol, they are first folded into one node by a
-memoized union on the table's own node store (the unique table and
+combination is a product over single pairs of a table node and an
+independent-set trie node, memoized on the pair. Where two children of a
+table node age to the same symbol, they are first folded into one node
+by a memoized union on the table's own node store (the unique table and
 memoized OR of BDD packages), so every memo key stays one pair.
 
 A level table is a hash-consed DAG, a trie in which equal subtrees are
 one node (a reduced multi-valued decision diagram), kept in an integer
 node store: each node is a uid whose shape is the tuple of its (symbol,
-child uid) pairs, and every memo key of a store walk is one int (a
-unique table keyed on shapes, as in BDD packages). The level loop owns
-the store and its unique table from one level to the next, and each
-combine adds its unions to them. The combined DAG is hash-consed as it
-is built, so the OPEN/BLOCKED recomputation, a memoized rewrite of it
-into the next table, meets each distinct subtree once; as it creates a
-node, the rewrite counts its vectors and notes whether a complete vector
-(every vertex labeled) lies below it, so no table is walked again to
-size it or to decide. The instance is YES iff some level's table holds
-a complete vector. An explicit labeling is then reconstructed by walking
-the level tables backwards, so a level becomes dict nodes only when it
-is kept for that walk, which, like the one completeness check that
-anchors it, remembers dead nodes and so stays linear in nodes.
+child uid) pairs, and every memo key of a store walk is one int. Both
+inputs of a component's DP are born in store form: the independent-set
+trie as int arrays (indsets.independent_set_trie) and the level-0 table
+as a chain of one-child shapes. The level loop owns the store and its
+unique table from one level to the next, and each combine adds its
+unions to them. The OPEN/BLOCKED recomputation, a memoized rewrite of
+the hash-consed combined DAG into the next table, meets each distinct
+subtree once; as it creates a node, it counts the node's vectors and
+notes whether a complete vector (every vertex labeled) lies below it, so
+no table is walked again to size it or to decide. The instance is YES
+iff some level's table holds a complete vector. An explicit labeling is
+then reconstructed by walking the level tables backwards, so a level,
+the trie and the base table become dict nodes only for that walk, which,
+like the one completeness check that anchors it, remembers dead nodes.
 
-Every recursive walk here follows one convention: it creates its memo,
-returns the memo's size when a report needs it, takes one stack frame
-per position, and deletes its own closure before returning, so the memo
-goes on return and no reference cycle is left for the garbage collector.
-The union walk is a module-level function, so it has no closure; the
-combine walk creates its memos and hands them to it.
+Every recursive walk here creates its memo, returns the memo's size when
+a report needs it, takes one stack frame per position, and deletes its
+own closure before returning, so no reference cycle is left for the
+garbage collector. The union walk is a module-level function with no
+closure; the combine walk creates its memos and hands them to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .encoding import BLOCKED, OPEN, advance_preimage_pairs, advance_symbol
-from .indsets import independent_set_vectors
+from .encoding import BLOCKED, OPEN, advance_preimage_pairs, aging_table
+from .indsets import independent_set_trie, trie_vectors
 from .instance import Instance, gap_compression, instance_tau, split_components
 from .partition import walk_order
 from .vectorset import LEAF, VectorTrie
@@ -157,10 +157,9 @@ def _decode(shapes):
 
 
 def _intern_trie(root):
-    """A 0/1 trie as two int arrays, the child on 0 and the child on 1
-    (-1 where there is none), plus the id of ``root``: the trie's node
-    store (see _encode) read back by symbol. LEAF is 0, and equal
-    subtrees share an id, as the reduced trie's shared nodes do."""
+    """A dict 0/1 trie in the int-array form of indsets.independent_set_trie:
+    its node store (see _encode) read back by symbol. Only _combine, for
+    the benchmark replay, and tests intern a trie."""
     shapes, (root_id,) = _encode((root,))
     on0, on1 = [-1] * len(shapes), [-1] * len(shapes)
     for uid, shape in enumerate(shapes):
@@ -233,7 +232,8 @@ def _union(u, v, shapes, unique, memo):
 def _image(shapes, trie, root, plan, unique=None):
     """The combination walk on node stores: every advance of a table
     vector below uid ``root`` of store ``shapes`` by a vector of the
-    interned independent-set trie ``trie`` (see _intern_trie). Returns
+    independent-set trie ``trie`` as int arrays (see
+    indsets.independent_set_trie). Returns
     the store of the combined DAG, its root uid, the number of entries
     the image memo held and the number of unions the walk memoized.
 
@@ -264,8 +264,7 @@ def _image(shapes, trie, root, plan, unique=None):
     on0, on1, p_root = trie
     trie_size = len(on0)
     top = tau + 1
-    # assign 0 ages symbol x to adv[x]; BLOCKED (-1) reads the last entry
-    adv = [advance_symbol(x, 0, tau) for x in (*range(tau + 2), BLOCKED)]
+    adv = aging_table(tau)  # assign 0 ages symbol x to adv[x]
     if unique is None:
         unique = {shape: uid for uid, shape in enumerate(shapes)}
     unions: dict[int, int] = {}
@@ -351,17 +350,18 @@ class _BarPass:
     def __init__(self, inst: Instance, ordering, tau: int):
         # Bitmasks over positions: listed[lab] holds the positions whose
         # list has label lab; a symbol at position j blocks the later
-        # positions later[j][sym] and the earlier ones earlier[j][sym];
-        # closes[j] holds the positions whose last blocking neighbour sits
-        # at j; waiting holds those with any later one.
+        # positions later[j][sym] and the earlier ones earlier[j][sym] (lists
+        # by symbol); closes[j] holds the positions whose last blocking
+        # neighbour sits at j; waiting holds those with any later one.
         pos_of = {v: i for i, v in enumerate(ordering)}
         n = len(ordering)
         self.full = (1 << n) - 1
         self.listed: dict[int, int] = {}
-        self.later: list[dict[int, int]] = [{} for _ in range(n)]
-        self.earlier: list[dict[int, int]] = [{} for _ in range(n)]
+        self.later = [[0] * (tau + 2) for _ in range(n)]
+        self.earlier = [[0] * (tau + 2) for _ in range(n)]
         self.closes = [0] * n
         self.waiting = 0
+        self._later_by_closed: dict[int, list[list[int]]] = {}
         for i, v in enumerate(ordering):
             for lab in inst.lam[v]:
                 self.listed[lab] = self.listed.get(lab, 0) | 1 << i
@@ -373,7 +373,7 @@ class _BarPass:
                 # symbol b at w: w's label lies tau + 2 - b below the next one
                 for b in range(2, tau + 2):
                     if tau - b + 2 in diffs:
-                        side[b] = side.get(b, 0) | 1 << i
+                        side[b] |= 1 << i
                         last = max(last, j)
             if last > i:
                 self.closes[last] |= 1 << i
@@ -389,7 +389,7 @@ class _BarPass:
         later, earlier = self.later, self.earlier
         for j, sym in enumerate(vec):
             if sym > 1:  # only a recent label (2..tau+1) blocks
-                blk |= later[j].get(sym, 0) | earlier[j].get(sym, 0)
+                blk |= later[j][sym] | earlier[j][sym]
         out = list(vec)
         for i, sym in enumerate(vec):
             if sym == OPEN and blk >> i & 1:
@@ -413,45 +413,98 @@ class _BarPass:
         earlier OPEN positions still waiting on a later neighbour. It
         maps each subset of ``pend`` its suffixes block to the output uid
         of those suffixes; the caller settles OPEN or BLOCKED for its own
-        pending coordinate. The memo key ``uid << n | blk | pend`` is
-        exact, as a uid fixes d. Positions the level closes are masked
-        out of ``later`` once, so ``blk`` never holds them. Output
-        children come in symbol order without sorting: the input's do and
-        hold no BLOCKED, and BLOCKED, the least symbol, only ever
+        pending coordinate. With ``pend`` empty, as at the root, all lands
+        under the empty subset, so that call (``one``) returns one uid and
+        builds no map. The memo key ``uid << n | blk | pend`` is exact, as
+        a uid fixes d; LEAF's is 0, as nothing waits at or lies past the
+        last position. Positions the level closes are masked out of
+        ``later`` once per closed mask, so ``blk`` never holds them.
+        Output children come in symbol order without sorting: the input's
+        do and hold no BLOCKED, and BLOCKED, the least symbol, only ever
         replaces OPEN, the first one.
         """
         closed = self._closed(level)
         n, earlier, closes, waiting = len(self.closes), self.earlier, self.closes, self.waiting
-        later = [{sym: mask & ~closed for sym, mask in row.items()} for row in self.later]
+        later = self._later_by_closed.get(closed)
+        if later is None:
+            later = self._later_by_closed[closed] = [[mask & ~closed for mask in row]
+                                                     for row in self.later]
         out: list[tuple] = [()]
         unique: dict[tuple, int] = {}
         count = [1]  # vectors below each output uid; LEAF holds one
         full = [True]  # whether a complete vector lies below each output uid
-        at_leaf = {0: 0}
-        memo: dict[int, dict] = {}
+        memo: dict[int, object] = {0: 0}
+
+        def node(shape):
+            uid = unique.get(shape)
+            if uid is None:
+                uid = unique[shape] = len(out)
+                out.append(shape)
+                total, whole = 0, False
+                for sym, c in shape:
+                    total += count[c]
+                    whole = whole or sym > 0 and full[c]
+                count.append(total)
+                full.append(whole)
+            return uid
+
+        def one(uid, d, blk):
+            bit = 1 << d
+            blk_next = blk & ~bit
+            row = later[d]
+            children = []
+            for sym, child in shapes[uid]:
+                c_blk = blk_next
+                if sym != OPEN:
+                    c_blk |= row[sym]
+                elif (blk | closed) & bit:
+                    sym = BLOCKED
+                elif waiting & bit:
+                    # the suffixes settle this OPEN: those that block it
+                    # give a BLOCKED child, before the OPEN one
+                    key = child << n | c_blk | bit
+                    sub = memo.get(key)
+                    if sub is None:
+                        sub = memo[key] = go(child, d + 1, c_blk, bit)
+                    if bit in sub:
+                        children.append((BLOCKED, sub[bit]))
+                    if 0 in sub:
+                        children.append((OPEN, sub[0]))
+                    continue
+                key = child << n | c_blk
+                out_child = memo.get(key)
+                if out_child is None:
+                    out_child = memo[key] = one(child, d + 1, c_blk)
+                children.append((sym, out_child))
+            return node(tuple(children))
 
         def go(uid, d, blk, pend):
             bit = 1 << d
             blk_next = blk & ~bit
             pend_next = pend & ~closes[d]
+            row_later, row_earlier = later[d], earlier[d]
             groups: dict[int, list] = {}
             for sym, child in shapes[uid]:
                 hits, own, c_blk, c_pend = 0, 0, blk_next, pend_next
                 if sym != OPEN:
-                    hits = pend & earlier[d].get(sym, 0)
-                    c_blk, c_pend = c_blk | later[d].get(sym, 0), c_pend & ~hits
+                    hits = pend & row_earlier[sym]
+                    c_blk, c_pend = c_blk | row_later[sym], c_pend & ~hits
                 elif (blk | closed) & bit:
                     sym = BLOCKED
                 elif waiting & bit:
                     own = bit
                     c_pend |= bit
-                if child:
-                    key = child << n | c_blk | c_pend
-                    sub = memo.get(key)
-                    if sub is None:
-                        sub = memo[key] = go(child, d + 1, c_blk, c_pend)
-                else:
-                    sub = at_leaf
+                if not c_pend:
+                    key = child << n | c_blk
+                    out_child = memo.get(key)
+                    if out_child is None:
+                        out_child = memo[key] = one(child, d + 1, c_blk)
+                    groups.setdefault(hits, []).append((sym, out_child))
+                    continue
+                key = child << n | c_blk | c_pend
+                sub = memo.get(key)
+                if sub is None:
+                    sub = memo[key] = go(child, d + 1, c_blk, c_pend)
                 for mask, out_child in sub.items():
                     mask |= hits
                     if mask & own:
@@ -459,51 +512,48 @@ class _BarPass:
                         groups.setdefault(mask ^ own, []).insert(0, (BLOCKED, out_child))
                     else:
                         groups.setdefault(mask, []).append((sym, out_child))
-            res = {}
-            for mask, children in groups.items():
-                shape = tuple(children)
-                node = unique.get(shape)
-                if node is None:
-                    node = unique[shape] = len(out)
-                    out.append(shape)
-                    total, whole = 0, False
-                    for sym, c in shape:
-                        total += count[c]
-                        whole = whole or sym > 0 and full[c]
-                    count.append(total)
-                    full.append(whole)
-                res[mask] = node
-            return res
+            return {mask: node(tuple(children)) for mask, children in groups.items()}
 
-        barred = go(root, 0, 0, 0)[0] if root else 0
-        del go  # go refers to itself: end the cycle, as _image does
-        return out, unique, barred, count[barred], full[barred], len(memo)
+        barred = one(root, 0, 0) if root else 0
+        del go, one, node  # go and one refer to each other: end the cycle, as _image does
+        return out, unique, barred, count[barred], full[barred], len(memo) - 1
 
 
 class ComponentDP:
     """The dynamic program of one component, with its coordinates in a
     given vertex order (any permutation of the vertices; the solver uses
     partition.walk_order). The tables hold the same vectors, up to the
-    order of their coordinates, whatever the order; only the cost of the
-    walks depends on it.
+    order of their coordinates, whatever the order; only cost varies.
 
     Built once per component: ``tau``, the coordinate ``ordering``, the
-    independent-set trie ``indep`` (also interned as int arrays for the
-    combination walk), the walk's ``plan`` (vector length and tau), the
-    OPEN/BLOCKED pass ``bar`` and the level-0 table ``base`` (OPEN where
-    label 1 is permitted, BLOCKED otherwise). ``advance`` takes a table
-    one level on as a node store, ``step`` as a dict DAG.
+    independent-set trie as int arrays, the walk's ``plan`` (vector
+    length and tau), the OPEN/BLOCKED pass ``bar`` and the level-0
+    vector (OPEN where label 1 is permitted, BLOCKED otherwise).
+    ``advance`` takes a table one level on as a node store, from
+    ``base_store()`` on, ``step`` as a dict DAG. The dict-node forms,
+    ``indep`` and ``base``, are built on first use.
     """
 
     def __init__(self, inst: Instance, ordering):
         self.tau = tau = instance_tau(inst)
         self.ordering = ordering = tuple(ordering)
-        self.indep = independent_set_vectors(inst.graph, ordering)
         self.plan = len(ordering), tau
         self.bar = _BarPass(inst, ordering, tau)
-        base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
-        self.base = VectorTrie.from_vectors(len(ordering), [base])
-        self._trie = _intern_trie(self.indep.root)
+        self._base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
+        self._trie = independent_set_trie(inst.graph, ordering)
+
+    @cached_property
+    def indep(self) -> VectorTrie:
+        return trie_vectors(len(self.ordering), self._trie)
+
+    @cached_property
+    def base(self) -> VectorTrie:
+        return VectorTrie.from_vectors(len(self.ordering), [self._base])
+
+    def base_store(self) -> list:
+        """The level-0 table as ``advance`` takes it, a chain of one-child shapes."""
+        shapes = [(), *(((sym, i),) for i, sym in enumerate(reversed(self._base)))]
+        return [shapes, None, len(shapes) - 1]
 
     def advance(self, store: list, level: int) -> tuple[int, int, bool, int, int]:
         """Advance the level ``level - 1`` table to level ``level``: the
@@ -647,10 +697,8 @@ def _solve_component(inst: Instance, options: SolveOptions,
     inst, label_map = gap_compression(inst)
     lmax = max((max(ls) for ls in inst.lam.values() if ls), default=0)
     dp = ComponentDP(inst, ordering)
-    tables = [LevelTable(0, dp.base)]
-    shapes, (root,) = _encode((dp.base.root,))
-    store = [shapes, None, root]
-    del shapes
+    store = dp.base_store()
+    tables = [LevelTable(0, dp.base)] if options.store_parents else []
     found_level = None
 
     # a component has a vertex, so the base vector is never complete

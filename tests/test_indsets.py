@@ -1,8 +1,11 @@
 """Independent-set vector enumeration."""
 
 import itertools
+import random
 
-from gltc import Graph, independent_set_vectors, random_instance
+from gltc import Graph, VectorTrie, independent_set_vectors, random_instance
+from gltc.indsets import independent_set_trie, trie_vectors
+from gltc.solver import _intern_trie
 from support import complete_graph, path_graph
 
 
@@ -62,3 +65,35 @@ def test_respects_custom_ordering():
     ordering = (2, 1, 3)  # the middle vertex first
     vecs = set(independent_set_vectors(g, ordering))
     assert vecs == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1)}
+
+
+def _graphs():
+    """Seeded graphs on at most 10 vertices with a random ordering each,
+    plus an edgeless and a complete graph."""
+    for seed in range(40):
+        n = 1 + seed % 10
+        g = random_instance(n=n, density=(0.2, 0.4, 0.6, 0.8)[seed % 4], tau=0, lmax=1,
+                            seed=4400 + seed).graph
+        yield g, tuple(random.Random(seed).sample(range(1, n + 1), n))
+    yield Graph.from_edges(7, []), (3, 1, 7, 5, 2, 6, 4)
+    yield complete_graph(6), (6, 2, 4, 1, 5, 3)
+
+
+def _enumerated(g, ordering):
+    """Every independent-set vector in ``ordering``'s coordinates, by itertools."""
+    return {bits for bits in itertools.product((0, 1), repeat=g.n)
+            if all(not g.adjacent(ordering[i], ordering[j])
+                   for i, j in itertools.combinations(range(g.n), 2) if bits[i] and bits[j])}
+
+
+def test_the_one_trie_builder_numbers_nodes_as_interning_a_dict_trie_does():
+    # the arrays, node for node, against a dict trie of the enumerated
+    # sets interned into a hash-consed store; decoding them gives back
+    # exactly those sets
+    for g, ordering in _graphs():
+        want = _enumerated(g, ordering)
+        trie = independent_set_trie(g, ordering)
+        assert trie == _intern_trie(VectorTrie.from_vectors(g.n, want).root)
+        assert set(trie_vectors(g.n, trie)) == want
+        assert set(independent_set_vectors(g, ordering)) == want
+    assert len(want) == 7  # the complete graph: the empty set and six singletons

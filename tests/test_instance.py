@@ -1,6 +1,9 @@
 """Data model, file format, validation, components, compression, reductions."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gltc import (
     Graph,
@@ -93,6 +96,26 @@ def test_round_trip_on_random_instances():
     for seed in range(10):
         inst = random_instance(n=6, density=0.5, tau=2, lmax=7, seed=seed)
         assert parse_instance(serialize_instance(inst)) == inst
+
+
+@st.composite
+def _documents(draw):
+    """Any instance on at most 8 vertices: empty label lists, labels far
+    apart and wide difference sets included."""
+    n = draw(st.integers(0, 8))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    labels = st.frozensets(st.integers(1, 60), max_size=6)
+    lam = {v: draw(labels) for v in range(1, n + 1)}
+    t = {tuple(sorted(e)): frozenset({0}) | draw(st.frozensets(st.integers(1, 20), max_size=4))
+         for e in edges}
+    return Instance(graph=Graph.from_edges(n, t), lam=lam, t=t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_documents())
+def test_parse_inverts_serialize(inst):
+    assert parse_instance(serialize_instance(inst)) == inst
 
 
 def test_empty_label_list_is_parseable():

@@ -6,7 +6,7 @@ import random
 
 from hypothesis import example, given, settings, strategies as st
 
-from gltc import Graph, Instance, check_witness, random_instance, solve
+from gltc import Graph, Instance, check_witness, instance_tau, random_instance, solve
 from support import complete_graph, path_graph, uniform_instance
 
 _SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -82,3 +82,22 @@ def test_adding_a_forbidden_difference_never_turns_no_into_yes(inst, edge, diff)
     t[e] = t[e] | {diff}
     if not _decision(inst):
         assert not _decision(Instance(graph=inst.graph, lam=inst.lam, t=t))
+
+
+@_SETTINGS
+@given(_instances(), st.integers(1, 8), st.integers(2, 30))
+@example(_TRIANGLE_2, 2, 3)
+@example(_PATH_3, 2, 2)
+@example(_PATH_3, 3, 30)
+def test_widening_a_gap_past_tau_plus_one_preserves_the_decision(inst, split, widen):
+    # moving every label >= split up by s >= tau leaves a gap of at least
+    # tau + 1 below them: no difference across it is forbidden, so widening
+    # it further changes no constraint
+    tau = instance_tau(inst)
+
+    def moved(s):
+        return Instance(graph=inst.graph, t=inst.t,
+                        lam={v: frozenset(lab + s if lab >= split else lab for lab in labels)
+                             for v, labels in inst.lam.items()})
+
+    assert len({_decision(moved(s)) for s in (tau, tau + 1, tau + widen)}) == 1

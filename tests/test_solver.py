@@ -173,6 +173,11 @@ def _bar_cases(draw):
 # On a 2-path with tau = 1 and T = {0, 1}, symbol 2 (labeled at the current
 # level) blocks its OPEN neighbour whichever side of it the neighbour lies on.
 _PAIR = uniform_instance(path_graph(2), {1, 2, 3}, {0, 1})
+# tau = 0, so no symbol blocks and no position waits; vertex 2 lacks
+# label 2, so level 0 closes its position
+_TAU0_PATH = Instance(graph=path_graph(3), lam={1: frozenset({1, 2}), 2: frozenset({1}),
+                                                3: frozenset({1, 2})},
+                      t={(1, 2): frozenset({0}), (2, 3): frozenset({0})})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -180,6 +185,10 @@ _PAIR = uniform_instance(path_graph(2), {1, 2, 3}, {0, 1})
 @example((_PAIR, (1, 2), 0, [(OPEN, 2)]))   # a later neighbour blocks
 @example((_PAIR, (1, 2), 0, [(2, OPEN)]))   # an earlier neighbour blocks
 @example((_PAIR, (2, 1), 1, [(OPEN, 2), (2, OPEN), (OPEN, 1), (OPEN, OPEN)]))
+# the root call has nothing pending, and its waiting OPEN's one child
+# gives a BLOCKED sibling (under 2) and an OPEN one (under 1)
+@example((_PAIR, (1, 2), 0, [(OPEN, 2), (OPEN, 1)]))
+@example((_TAU0_PATH, (1, 2, 3), 0, [(OPEN, OPEN, 1), (1, OPEN, OPEN), (OPEN, 1, OPEN)]))
 def test_bar_rewrite_equals_mark_blocked_per_vector(case):
     _rewrite_vs_mark_blocked(*case)
 
@@ -491,6 +500,42 @@ def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeyp
             decisions.add(result.decision)
             components = max(components, yes_components)
     assert decisions == {True, False} and components > 1
+
+
+def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypatch):
+    # the trie and the level-0 table are born as node stores: a
+    # decision-only solve builds no VectorTrie (so neither a dict trie
+    # nor a dict base table) and encodes nothing; a witness solve decodes
+    # the trie for its walk, and its witnesses still check
+    calls = {"_encode": 0, "trie_vectors": 0, "VectorTrie": 0}
+    for name in ("_encode", "trie_vectors"):
+        def counted(*args, _name=name, _real=getattr(solver_module, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(solver_module, name, counted)
+    real_init = VectorTrie.__init__
+
+    def counted_init(self, *args):
+        calls["VectorTrie"] += 1
+        real_init(self, *args)
+
+    monkeypatch.setattr(VectorTrie, "__init__", counted_init)
+    witnesses = 0
+    for seed in range(40):
+        inst = random_instance(n=3 + seed % 6, density=(0.2, 0.5, 0.8)[seed % 3],
+                               tau=seed % 4, lmax=3 + seed % 5, seed=3100 + seed)
+        decided = solve(inst, options=SolveOptions(store_parents=False))
+        assert calls == {"_encode": 0, "trie_vectors": 0, "VectorTrie": 0}
+        result = solve(inst)
+        assert result.decision == decided.decision
+        if result.decision:
+            assert check_witness(inst, result.witness)
+            assert calls["trie_vectors"] == len(result.stats.components)
+            witnesses += 1
+        assert calls["_encode"] == 0
+        calls.update(trie_vectors=0, VectorTrie=0)
+    assert 0 < witnesses < 40
 
 
 def test_one_component_solve_splits_components_once(monkeypatch):
