@@ -8,8 +8,10 @@ Each vertex holds one symbol: 'B' (blocked for the next label), '0'
 every level table for a 3-path and shows where the YES verdict appears.
 """
 
-from gltc import ComponentDP, build_partition, parse_instance, solve, validate, walk_order
+from gltc import ComponentDP, VectorTrie, build_partition, parse_instance, solve, validate, walk_order
 from gltc.encoding import format_vector, is_complete
+from gltc.indsets import trie_vectors
+from gltc.vectorset import decode
 
 # A 3-path where neighbors must differ by more than 1, frequencies 1..4.
 inst = parse_instance(
@@ -34,17 +36,24 @@ print("blocks (bound only):", [b.vertices for b in part.blocks])
 print("vertex order of the walk:", dp.ordering)
 print()
 
-print(f"{len(dp.indep)} independent-set vectors:",
-      " ".join(format_vector(p) for p in dp.indep))
+indep = trie_vectors(len(dp.ordering), dp.trie)
+print(f"{len(indep)} independent-set vectors:", " ".join(format_vector(p) for p in indep))
 print()
 
-table = dp.base
-print("level 0:", " ".join(format_vector(v) for v in table))
+
+def vectors(store):
+    """The vectors of a table the solver keeps as a node store [shapes, _, root]."""
+    shapes, _, root = store
+    return VectorTrie(len(dp.ordering), decode(shapes)[root])
+
+
+store = dp.base_store()
+print("level 0:", " ".join(format_vector(v) for v in vectors(store)))
 for k in range(1, stats.lambda_max + 1):
-    table, _, _, _, _ = dp.step(table, k)
+    dp.advance(store, k)  # combine, then the open/blocked pass, in place
     rendered = [
         format_vector(v) + ("*" if is_complete(v) else "")
-        for v in table
+        for v in vectors(store)
     ]
     print(f"level {k}:", " ".join(rendered))
 

@@ -57,14 +57,17 @@ def aging_table(tau: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def advance_preimage_pairs(sym: int, tau: int) -> tuple[tuple[int, int], ...]:
-    """All (x, assign) with advance_symbol(x, assign, tau) == sym, canonical order."""
-    pairs = []
+def preimage_table(tau: int) -> tuple[dict[int, tuple[int, ...]], ...]:
+    """At index sym, for every symbol sym >= 0: {x: the assign bits y}
+    of all (x, y) with advance_symbol(x, y, tau) == sym, in canonical
+    order. Cached, so callers only read it."""
+    table: tuple[dict[int, tuple[int, ...]], ...] = tuple({} for _ in range(tau + 2))
     for x in symbol_alphabet(tau):
         for y in (0, 1):
-            if advance_symbol(x, y, tau) == sym:
-                pairs.append((x, y))
-    return tuple(pairs)
+            sym = advance_symbol(x, y, tau)
+            if sym is not None:
+                table[sym][x] = table[sym].get(x, ()) + (y,)
+    return table
 
 
 def is_complete(vec: Sequence[int]) -> bool:

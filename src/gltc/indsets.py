@@ -39,17 +39,16 @@ def independent_set_trie(g: Graph, ordering: Sequence[int] | None = None) -> Tri
         for w in g.adjacency[v]:
             mask |= 1 << pos_of[w]
         nbr_mask[i] = mask
-    full = (1 << n) - 1
-    suffix_mask = [full ^ ((1 << i) - 1) for i in range(n + 1)]
     on0, on1 = [-1], [-1]
     unique: dict[tuple[int, int], int] = {}
-    memo: list[dict[int, int]] = [{} for _ in range(n)]
+    memo: dict[int, int] = {}
 
     def build(i: int, blocked: int) -> int:
         if i == n:
             return 0
-        key = blocked & suffix_mask[i]
-        uid = memo[i].get(key)
+        # the blocked positions from i on, and i itself
+        key = (blocked >> i) * n + i
+        uid = memo.get(key)
         if uid is None:
             c0 = build(i + 1, blocked)
             c1 = -1 if (blocked >> i) & 1 else build(i + 1, blocked | nbr_mask[i])
@@ -58,7 +57,7 @@ def independent_set_trie(g: Graph, ordering: Sequence[int] | None = None) -> Tri
                 uid = unique[c0, c1] = len(on0)
                 on0.append(c0)
                 on1.append(c1)
-            memo[i][key] = uid
+            memo[key] = uid
         return uid
 
     root = build(0, 0)

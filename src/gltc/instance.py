@@ -85,18 +85,17 @@ class Instance:
     t: dict[Edge, frozenset[int]]
 
     def __post_init__(self):
-        n = self.graph.n
-        if set(self.lam) != set(range(1, n + 1)):
+        if self.lam.keys() != set(range(1, self.graph.n + 1)):
             raise ValueError("label lists must cover exactly the vertices 1..n")
         for v, labels in self.lam.items():
-            if any(lab < 1 for lab in labels):
+            if labels and min(labels) < 1:
                 raise ValueError(f"vertex {v}: labels must be >= 1")
-        if set(self.t) != set(self.graph.edges):
+        if self.t.keys() != self.graph.edges:
             raise ValueError("difference sets must cover exactly the edge set")
         for (u, v), diffs in self.t.items():
             if 0 not in diffs:
                 raise ValueError(f"edge {u}-{v}: 0 not in difference set")
-            if any(d < 0 for d in diffs):
+            if min(diffs) < 0:
                 raise ValueError(f"edge {u}-{v}: differences must be >= 0")
 
     def t_of(self, u: int, v: int) -> frozenset[int]:
@@ -123,10 +122,9 @@ def parse_instance(text: str) -> Instance:
     lam: dict[int, frozenset[int]] = {}
     tsets: dict[Edge, frozenset[int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "gltc":
             if n is not None:
@@ -147,14 +145,14 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"line {lineno}: vertex line needs an id")
             try:
                 vid = int(tokens[1])
-                labels = [int(tok) for tok in tokens[2:]]
+                labels = list(map(int, tokens[2:]))
             except ValueError:
                 raise ParseError(f"line {lineno}: vertex fields must be integers") from None
             if not 1 <= vid <= n:
                 raise ParseError(f"line {lineno}: vertex id {vid} out of range 1..{n}")
             if vid in lam:
                 raise ParseError(f"line {lineno}: duplicate vertex {vid}")
-            if any(lab < 1 for lab in labels):
+            if min(labels, default=1) < 1:
                 raise ParseError(f"line {lineno}: vertex {vid}: labels must be >= 1")
             lam[vid] = frozenset(labels)
         elif kind == "e":
@@ -162,17 +160,17 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"line {lineno}: edge line needs two endpoints")
             try:
                 u, v = int(tokens[1]), int(tokens[2])
-                diffs = [int(tok) for tok in tokens[3:]]
+                diffs = list(map(int, tokens[3:]))
             except ValueError:
                 raise ParseError(f"line {lineno}: edge fields must be integers") from None
             if u == v:
                 raise ParseError(f"line {lineno}: edge {u}-{v}: self-loops not allowed")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"line {lineno}: edge {u}-{v}: vertex id out of range")
-            key = _edge_key(u, v)
+            key = (u, v) if u < v else (v, u)
             if key in tsets:
                 raise ParseError(f"line {lineno}: duplicate edge {key[0]}-{key[1]}")
-            if any(d < 0 for d in diffs):
+            if min(diffs, default=0) < 0:
                 raise ParseError(f"line {lineno}: edge {u}-{v}: differences must be >= 0")
             if 0 not in diffs:
                 raise ParseError(f"line {lineno}: edge {key[0]}-{key[1]}: 0 not in difference set")
@@ -229,11 +227,7 @@ def validate(inst: Instance) -> InstanceStats:
 
 def instance_tau(inst: Instance) -> int:
     """Largest forbidden difference over all edges (0 when there are none)."""
-    best = 0
-    for diffs in inst.t.values():
-        if diffs:
-            best = max(best, max(diffs))
-    return best
+    return max(map(max, filter(None, inst.t.values())), default=0)
 
 
 def _component_vertex_sets(g: Graph) -> list[list[int]]:
@@ -260,15 +254,12 @@ def induced_instance(inst: Instance, vertices: list[int]) -> tuple[Instance, dic
     """Vertex-induced sub-instance on ids 1..k plus the map new id -> original id."""
     vertices = sorted(vertices)
     to_new = {v: i + 1 for i, v in enumerate(vertices)}
-    keep = set(vertices)
-    edges = {}
-    for (u, v), diffs in inst.t.items():
-        if u in keep and v in keep:
-            edges[_edge_key(to_new[u], to_new[v])] = diffs
+    # renumbering keeps the order of ids, so every edge stays (min, max)
+    edges = {(to_new[u], to_new[w]): inst.t[u, w]
+             for u in vertices for w in inst.graph.adjacency[u] if u < w and w in to_new}
     graph = Graph(n=len(vertices), edges=frozenset(edges))
     lam = {to_new[v]: inst.lam[v] for v in vertices}
-    sub = Instance(graph=graph, lam=lam, t=edges)
-    return sub, {i + 1: v for i, v in enumerate(vertices)}
+    return Instance(graph=graph, lam=lam, t=edges), dict(enumerate(vertices, 1))
 
 
 def split_components(inst: Instance) -> list[tuple[Instance, dict[int, int]]]:
@@ -304,9 +295,9 @@ def gap_compression(inst: Instance) -> tuple[Instance, dict[int, int]]:
     remap = {used[0]: 1}
     for prev, cur in zip(used, used[1:]):
         remap[cur] = remap[prev] + min(cur - prev, tau + 1)
-    if all(old == new for old, new in remap.items()):
+    if list(remap) == list(remap.values()):
         return inst, {new: old for old, new in remap.items()}
-    lam = {v: frozenset(remap[lab] for lab in labels) for v, labels in inst.lam.items()}
+    lam = {v: frozenset(map(remap.__getitem__, labels)) for v, labels in inst.lam.items()}
     compressed = Instance(graph=inst.graph, lam=lam, t=inst.t)
     return compressed, {new: old for old, new in remap.items()}
 

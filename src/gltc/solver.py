@@ -24,13 +24,15 @@ as a chain of one-child shapes. The level loop owns the store and its
 unique table from one level to the next, and each combine adds its
 unions to them. The OPEN/BLOCKED recomputation, a memoized rewrite of
 the hash-consed combined DAG into the next table, meets each distinct
-subtree once; as it creates a node, it counts the node's vectors and
-notes whether a complete vector (every vertex labeled) lies below it, so
-no table is walked again to size it or to decide. The instance is YES
-iff some level's table holds a complete vector. An explicit labeling is
-then reconstructed by walking the level tables backwards, so a level,
-the trie and the base table become dict nodes only for that walk, which,
-like the one completeness check that anchors it, remembers dead nodes.
+subtree once; one pass over its output store then counts each node's
+vectors and notes whether a complete vector (every vertex labeled) lies
+below it, so no table is walked again to size it or to decide. The
+instance is YES iff some level's table holds a complete vector. An
+explicit labeling is then reconstructed on the stores themselves: a
+retained level keeps its store, the least complete vector is found by a
+descent that remembers dead uids, and the walk back pairs table uids
+with trie ids. Dict nodes (gltc.vectorset) are for tests and the
+benchmark replay's adapters only.
 
 Every recursive walk here creates its memo, returns the memo's size when
 a report needs it, takes one stack frame per position, and deletes its
@@ -42,13 +44,12 @@ closure; the combine walk creates its memos and hands them to it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
-from .encoding import BLOCKED, OPEN, advance_preimage_pairs, aging_table
-from .indsets import independent_set_trie, trie_vectors
+from .encoding import BLOCKED, OPEN, aging_table, preimage_table
+from .indsets import independent_set_trie
 from .instance import Instance, gap_compression, instance_tau, split_components
 from .partition import walk_order
-from .vectorset import LEAF, VectorTrie
+from .vectorset import VectorTrie, decode, encode
 
 Witness = dict[int, int]
 
@@ -118,54 +119,13 @@ class SolveResult:
 # parents, equal subtrees share one uid, and a shape fixes its depth.
 
 
-def _encode(roots):
-    """Intern the dict DAGs below ``roots`` into one node store.
-
-    Returns (shapes, uid of each root). Equal subtrees get one uid even
-    where the dict DAG holds copies of them.
-    """
-    shapes: list[tuple] = [()]
-    unique: dict[tuple, int] = {}
-    uid_of = {id(LEAF): 0}
-
-    def encode(node):
-        uid = uid_of.get(id(node))
-        if uid is None:
-            # a loop, not a generator, so each depth costs one stack frame
-            pairs = []
-            for sym in sorted(node):
-                pairs.append((sym, encode(node[sym])))
-            shape = tuple(pairs)
-            uid = unique.get(shape)
-            if uid is None:
-                uid = unique[shape] = len(shapes)
-                shapes.append(shape)
-            uid_of[id(node)] = uid
-        return uid
-
-    uids = [encode(root) for root in roots]
-    del encode  # encode refers to itself: end the cycle
-    return shapes, uids
-
-
-def _decode(shapes):
-    """The dict node of every uid of a store, children before parents."""
-    nodes = [LEAF]
-    for shape in shapes[1:]:
-        nodes.append({sym: nodes[child] for sym, child in shape})
-    return nodes
-
-
 def _intern_trie(root):
     """A dict 0/1 trie in the int-array form of indsets.independent_set_trie:
-    its node store (see _encode) read back by symbol. Only _combine, for
-    the benchmark replay, and tests intern a trie."""
-    shapes, (root_id,) = _encode((root,))
-    on0, on1 = [-1] * len(shapes), [-1] * len(shapes)
-    for uid, shape in enumerate(shapes):
-        for sym, child in shape:
-            (on1 if sym else on0)[uid] = child
-    return on0, on1, root_id
+    its node store read back by symbol. Only the adapters for the
+    benchmark replay and tests intern a trie."""
+    shapes, (root_id,) = encode((root,))
+    children = [dict(shape) for shape in shapes]
+    return [c.get(0, -1) for c in children], [c.get(1, -1) for c in children], root_id
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +153,7 @@ def _union(u, v, shapes, unique, memo):
     store through its unique table ``unique`` (shape -> uid), so a union
     equal to a node already there is that node. ``memo`` maps each pair
     of uids to its union, keyed on one int with the lesser uid in the
-    high bits (a store stays far below 2**32 nodes). A function at
-    module level holds no closure, so it leaves no reference cycle; it
-    takes one stack frame per depth.
+    high bits (a store stays far below 2**32 nodes).
     """
     if u == v:
         return u
@@ -232,10 +190,9 @@ def _union(u, v, shapes, unique, memo):
 def _image(shapes, trie, root, plan, unique=None):
     """The combination walk on node stores: every advance of a table
     vector below uid ``root`` of store ``shapes`` by a vector of the
-    independent-set trie ``trie`` as int arrays (see
-    indsets.independent_set_trie). Returns
-    the store of the combined DAG, its root uid, the number of entries
-    the image memo held and the number of unions the walk memoized.
+    independent-set ``trie`` (int arrays). Returns the store of the
+    combined DAG, its root uid, the number of entries the image memo
+    held and the number of unions the walk memoized.
 
     A product over single pairs, the image operation of a decision
     diagram: image(u, q) is the set of advances of the vectors below
@@ -251,14 +208,11 @@ def _image(shapes, trie, root, plan, unique=None):
 
     The unions hash-cons into the input store itself, through its unique
     table ``unique``: pass the one the store was built with, or None to
-    build it here. Either way the store grows by the union nodes, so it
-    must not be needed afterwards. Every trie node at a depth below its
-    length has a 0-child and every symbol ages, so a nonempty table has
-    a nonempty image.
-
-    Every node the walk outputs is hash-consed on its shape, so equal
-    combined subtrees share one uid, and the bar rewrite's memo, keyed
-    on uids, meets each of them once.
+    build it here. The store grows by the union nodes, past the reach of
+    ``root``, so the table below ``root`` stays as it was. Every trie
+    node at a depth below its length has a 0-child and every symbol
+    ages, so a nonempty table has a nonempty image. The output is
+    hash-consed too, so the bar rewrite meets each combined subtree once.
     """
     tau = plan[1]
     on0, on1, p_root = trie
@@ -275,34 +229,38 @@ def _image(shapes, trie, root, plan, unique=None):
     memo: dict[int, int] = {0: 0}
 
     def image(u, q):
-        q0, q1 = on0[q], on1[q]
-        syms: list[int] = []
-        groups: list[int] = []
-        opened = -1
+        q0 = on0[q]
+        pairs = []
+        last = group = opened = -1  # last: the symbol ``group`` ages to
         # the shape comes in symbol order and aging keeps that order, so
-        # the children that age to one symbol are adjacent
+        # the children that age to one symbol are adjacent: each group is
+        # folded by _union before its image is taken
         for x, child in shapes[u]:
             if x == OPEN:
                 opened = child
             sym = adv[x]
-            if syms and syms[-1] == sym:
-                groups[-1] = _union(groups[-1], child, shapes, unique, unions)
-            else:
-                syms.append(sym)
-                groups.append(child)
-        pairs = []
-        for sym, group in zip(syms, groups):
-            key = group * trie_size + q0
-            child = memo.get(key)
-            if child is None:
-                child = memo[key] = image(group, q0)
-            pairs.append((sym, child))
+            if sym == last:
+                group = _union(group, child, shapes, unique, unions)
+                continue
+            if last >= 0:
+                key = group * trie_size + q0
+                c = memo.get(key)
+                if c is None:
+                    c = memo[key] = image(group, q0)
+                pairs.append((last, c))
+            last, group = sym, child
+        key = group * trie_size + q0
+        c = memo.get(key)
+        if c is None:
+            c = memo[key] = image(group, q0)
+        pairs.append((last, c))
+        q1 = on1[q]
         if opened >= 0 and q1 >= 0:
             key = opened * trie_size + q1
             child = memo.get(key)
             if child is None:
                 child = memo[key] = image(opened, q1)
-            if syms[-1] == top:  # tau = 0: assign and aged 1 both give symbol 1
+            if last == top:  # tau = 0: assign and aged 1 both give symbol 1
                 child = _union(pairs.pop()[1], child, out, out_unique, out_unions)
             pairs.append((top, child))
         shape = tuple(pairs)
@@ -318,20 +276,15 @@ def _image(shapes, trie, root, plan, unique=None):
 
 
 def _combine(a_nodes, p_node, depth, plan, memo):
-    """_image on dict DAGs: every advance of a table vector below the
-    root in ``a_nodes`` by an independent-set vector below ``p_node``,
-    as a dict node.
-
-    Only the benchmark's per-layer replay (perfbench/layers.py) calls
-    it, with its call shape: ``a_nodes`` holds one root, ``depth`` is 0
-    and ``memo`` is unused (_image keeps its own). All three go at the
-    next change to the benchmark. The table DAG is encoded into a node
-    store and the trie interned, both on every call, and _image's output
-    store is decoded back into dict nodes.
+    """_image on dict DAGs, both inputs encoded and the output decoded
+    on every call. An adapter with the call shape of the benchmark's
+    per-layer replay (perfbench/layers.py): ``a_nodes`` holds one root,
+    ``depth`` is 0 and ``memo`` is unused. It goes with the replay
+    (ROADMAP item 1).
     """
-    shapes, (root,) = _encode(a_nodes)
+    shapes, (root,) = encode(a_nodes)
     out, out_root, _, _ = _image(shapes, _intern_trie(p_node), root, plan)
-    return _decode(out)[out_root]
+    return decode(out)[out_root]
 
 
 # ---------------------------------------------------------------------------
@@ -356,27 +309,27 @@ class _BarPass:
         pos_of = {v: i for i, v in enumerate(ordering)}
         n = len(ordering)
         self.full = (1 << n) - 1
-        self.listed: dict[int, int] = {}
-        self.later = [[0] * (tau + 2) for _ in range(n)]
-        self.earlier = [[0] * (tau + 2) for _ in range(n)]
+        self.listed = listed = {}
+        self.later = later = [[0] * (tau + 2) for _ in range(n)]
+        self.earlier = earlier = [[0] * (tau + 2) for _ in range(n)]
         self.closes = [0] * n
         self.waiting = 0
         self._later_by_closed: dict[int, list[list[int]]] = {}
         for i, v in enumerate(ordering):
             for lab in inst.lam[v]:
-                self.listed[lab] = self.listed.get(lab, 0) | 1 << i
-            last = -1
-            for w in inst.graph.adjacency[v]:
-                j = pos_of[w]
-                side = self.earlier[j] if j > i else self.later[j]
-                diffs = inst.t_of(v, w)
-                # symbol b at w: w's label lies tau + 2 - b below the next one
-                for b in range(2, tau + 2):
-                    if tau - b + 2 in diffs:
-                        side[b] |= 1 << i
-                        last = max(last, j)
-            if last > i:
-                self.closes[last] |= 1 << i
+                listed[lab] = listed.get(lab, 0) | 1 << i
+        last = list(range(n))  # the last blocking neighbour of each position, or itself
+        for (u, v), diffs in inst.t.items():
+            i, j = sorted((pos_of[u], pos_of[v]))
+            for d in diffs:
+                # symbol b at one end: its label lies d = tau + 2 - b below the next one
+                if 0 < d <= tau:
+                    earlier[j][tau + 2 - d] |= 1 << i
+                    later[i][tau + 2 - d] |= 1 << j
+                    last[i] = max(last[i], j)
+        for i, j in enumerate(last):
+            if j > i:
+                self.closes[j] |= 1 << i
                 self.waiting |= 1 << i
 
     def _closed(self, level: int) -> int:
@@ -400,13 +353,11 @@ class _BarPass:
         """The pass applied to every vector below uid ``root`` of the node
         store ``shapes`` in one walk.
 
-        Returns the store of the barred table, a reduced DAG of exactly
-        the nodes reachable from its root, the store's unique table
-        (shape -> uid, which the next combine adds its unions through),
-        the root's uid, its number of vectors, whether it holds a
-        complete vector (every symbol >= 1) and the number of entries the
-        walk memoized. A node's count and flag come from its children's
-        once, when it is created.
+        Returns the store of the barred table (exactly the nodes its
+        root reaches), its unique table (shape -> uid, for the next
+        combine's unions), the root's uid, its number of vectors, whether
+        it holds a complete vector and the entries the walk memoized;
+        the last three come from one pass over the store after the walk.
 
         A call at depth d carries ``blk``, the positions >= d already
         blocked by an earlier neighbour's symbol, and ``pend``, the
@@ -431,8 +382,6 @@ class _BarPass:
                                                      for row in self.later]
         out: list[tuple] = [()]
         unique: dict[tuple, int] = {}
-        count = [1]  # vectors below each output uid; LEAF holds one
-        full = [True]  # whether a complete vector lies below each output uid
         memo: dict[int, object] = {0: 0}
 
         def node(shape):
@@ -440,12 +389,6 @@ class _BarPass:
             if uid is None:
                 uid = unique[shape] = len(out)
                 out.append(shape)
-                total, whole = 0, False
-                for sym, c in shape:
-                    total += count[c]
-                    whole = whole or sym > 0 and full[c]
-                count.append(total)
-                full.append(whole)
             return uid
 
         def one(uid, d, blk):
@@ -476,7 +419,12 @@ class _BarPass:
                 if out_child is None:
                     out_child = memo[key] = one(child, d + 1, c_blk)
                 children.append((sym, out_child))
-            return node(tuple(children))
+            shape = tuple(children)
+            out_uid = unique.get(shape)
+            if out_uid is None:  # node(shape), inlined on the hot path
+                out_uid = unique[shape] = len(out)
+                out.append(shape)
+            return out_uid
 
         def go(uid, d, blk, pend):
             bit = 1 << d
@@ -516,6 +464,16 @@ class _BarPass:
 
         barred = one(root, 0, 0) if root else 0
         del go, one, node  # go and one refer to each other: end the cycle, as _image does
+        # vectors below each uid and whether a complete one is among them,
+        # in one pass, as the store holds children before parents
+        count, full = [1], [True]
+        for shape in out[1:]:
+            total, whole = 0, False
+            for sym, c in shape:
+                total += count[c]
+                whole = whole or sym > 0 and full[c]
+            count.append(total)
+            full.append(whole)
         return out, unique, barred, count[barred], full[barred], len(memo) - 1
 
 
@@ -526,12 +484,11 @@ class ComponentDP:
     order of their coordinates, whatever the order; only cost varies.
 
     Built once per component: ``tau``, the coordinate ``ordering``, the
-    independent-set trie as int arrays, the walk's ``plan`` (vector
+    independent-set ``trie`` as int arrays, the walk's ``plan`` (vector
     length and tau), the OPEN/BLOCKED pass ``bar`` and the level-0
     vector (OPEN where label 1 is permitted, BLOCKED otherwise).
     ``advance`` takes a table one level on as a node store, from
-    ``base_store()`` on, ``step`` as a dict DAG. The dict-node forms,
-    ``indep`` and ``base``, are built on first use.
+    ``base_store()`` on; nothing here builds dict nodes.
     """
 
     def __init__(self, inst: Instance, ordering):
@@ -540,15 +497,7 @@ class ComponentDP:
         self.plan = len(ordering), tau
         self.bar = _BarPass(inst, ordering, tau)
         self._base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
-        self._trie = independent_set_trie(inst.graph, ordering)
-
-    @cached_property
-    def indep(self) -> VectorTrie:
-        return trie_vectors(len(self.ordering), self._trie)
-
-    @cached_property
-    def base(self) -> VectorTrie:
-        return VectorTrie.from_vectors(len(self.ordering), [self._base])
+        self.trie = independent_set_trie(inst.graph, ordering)
 
     def base_store(self) -> list:
         """The level-0 table as ``advance`` takes it, a chain of one-child shapes."""
@@ -561,113 +510,131 @@ class ComponentDP:
 
         ``store`` is the list [shapes, unique table or None, root uid] of
         a nonempty table. It is replaced in place by the new table's, so
-        the old store goes as soon as the combine is done with it.
-        Returns the new table's number of vectors and of DAG nodes,
-        whether it holds a complete vector, the entries the image and
-        rewrite memos held and the unions the combine memoized.
+        the old store goes as soon as the combine is done with it, unless
+        the caller keeps its shapes, which then come back as they were:
+        the unions the combine appends are cut off. Returns the new
+        table's number of vectors and of DAG nodes, whether it holds a
+        complete vector, the entries the image and rewrite memos held and
+        the unions the combine memoized.
         """
         shapes, unique, root = store
         store.clear()
-        combined, croot, entries, unions = _image(shapes, self._trie, root, self.plan, unique)
-        del shapes, unique
+        kept = len(shapes)
+        combined, croot, entries, unions = _image(shapes, self.trie, root, self.plan, unique)
+        del shapes[kept:], shapes, unique  # the unions, then the store unless the caller keeps it
         shapes, unique, root, size, complete, bar_entries = self.bar.rewrite(
             combined, croot, level - 1)
         store[:] = shapes, unique, root
         return size, len(shapes) - 1, complete, entries + bar_entries, unions
-
-    def step(self, table: VectorTrie, level: int) -> tuple[VectorTrie, int, int, int, int]:
-        """``advance`` on a dict DAG, encoded first and decoded after:
-        returns the new table, then ``advance``'s counts but the flag."""
-        if table.root is None:
-            return VectorTrie(table.length), 0, 0, 0, 0
-        shapes, (root,) = _encode((table.root,))
-        store = [shapes, None, root]
-        size, nodes, _, memo, unions = self.advance(store, level)
-        return VectorTrie(table.length, _decode(store[0])[store[2]]), size, nodes, memo, unions
-
-
-def _find_complete(trie: VectorTrie):
-    """Lexicographically least member with every coordinate labeled, or None.
-
-    Nodes found to lead to no complete vector are remembered, so a DAG
-    is walked in time linear in its nodes, not in its paths.
-    """
-    path: list[int] = []
-    dead: set[int] = set()
-
-    def go(node):
-        if node is LEAF:
-            return True
-        if id(node) in dead:
-            return False
-        for sym in sorted(k for k in node if k >= 1):
-            path.append(sym)
-            if go(node[sym]):
-                return True
-            path.pop()
-        dead.add(id(node))
-        return False
-
-    complete = trie.root is not None and go(trie.root)
-    del go  # go refers to itself: end the cycle, which holds ``dead``
-    return tuple(path) if complete else None
 
 
 # ---------------------------------------------------------------------------
 # witness reconstruction
 
 
-def _predecessor(reduced, prev_root, p_root, tau: int):
-    """Find (state vector in the previous table, assign mask) producing
-    ``reduced``, walking both tries in lockstep. Deterministic: first hit
-    in canonical symbol order. Node pairs with no match below them are
-    remembered, so shared DAG nodes are searched once. Below depth n
-    both nodes are dict nodes."""
-    n = len(reduced)
-    options = [advance_preimage_pairs(sym, tau) for sym in reduced]
-    dead: set[tuple[int, int]] = set()
+def _least_complete(shapes, root: int):
+    """The least vector below uid ``root`` of the node store ``shapes``
+    with every coordinate labeled, or None: shapes list their children in
+    symbol order, so the first hit is the lexicographically least. Uids
+    found to lead to no complete vector are remembered, so a DAG is
+    walked in time linear in its nodes, not in its paths.
+    """
+    path: list[int] = []
+    dead: set[int] = set()
 
-    def dfs(i, tnode, pnode):
+    def go(uid):
+        if not uid:  # LEAF
+            return True
+        if uid in dead:
+            return False
+        for sym, child in shapes[uid]:
+            if sym >= 1:
+                path.append(sym)
+                if go(child):
+                    return True
+                path.pop()
+        dead.add(uid)
+        return False
+
+    complete = go(root)
+    del go  # go refers to itself: end the cycle, which holds ``dead``
+    return tuple(path) if complete else None
+
+
+def _walk_back(levels, final, final_level: int, trie, tau: int, ordering) -> Witness:
+    """Walk the complete vector ``final`` of level ``final_level`` back
+    through the retained levels, each a (node store, root uid) pair.
+
+    At each level the predecessor, a vector of the level below and an
+    assign mask that advance to the current vector (its OPEN and BLOCKED
+    both read as OPEN, the symbol before the bar pass), is found by
+    walking that level's store and the independent-set ``trie`` (int
+    arrays) in lockstep over (table uid, trie id) pairs. Deterministic:
+    the first hit in canonical symbol order. Pairs with no match below
+    them are remembered, so shared nodes are searched once. The mask
+    tells which vertices took that level's label.
+    """
+    on0, on1, p_root = trie
+    trie_size, n = len(on0), len(final)
+    ys = preimage_table(tau)
+    labels: Witness = {}
+    path: list[tuple[int, int]] = []
+    dead: set[int] = set()
+    shapes, options = [], []
+
+    def dfs(i, u, q):
         if i == n:
-            return ()
-        key = (id(tnode), id(pnode))
+            return True
+        key = u * trie_size + q
         if key in dead:
-            return None
-        for x, y in options[i]:
-            tc = tnode.get(x)
-            pc = pnode.get(y)
-            if tc is None or pc is None:
-                continue
-            rest = dfs(i + 1, tc, pc)
-            if rest is not None:
-                return ((x, y),) + rest
+            return False
+        by_x = options[i]
+        for x, child in shapes[u]:
+            for y in by_x.get(x, ()):
+                c = on1[q] if y else on0[q]
+                if c >= 0:
+                    path.append((x, y))
+                    if dfs(i + 1, child, c):
+                        return True
+                    path.pop()
         dead.add(key)
-        return None
+        return False
 
-    pairs = dfs(0, prev_root, p_root)
+    vec = final
+    for k in range(final_level, 0, -1):
+        shapes, root = levels[k - 1]
+        options = [ys[sym] if sym > 0 else ys[OPEN] for sym in vec]
+        path.clear()
+        dead.clear()
+        found = dfs(0, root, p_root)
+        assert found, "table member lost its predecessor"
+        for i, (_, y) in enumerate(path):
+            if y:
+                labels[ordering[i]] = k
+        vec = tuple(x for x, _ in path)
     del dfs  # dfs refers to itself: end the cycle, which holds ``dead``
-    return pairs
+    return labels
+
+
+def _find_complete(trie: VectorTrie):
+    """_least_complete on a dict trie, encoded on every call: an adapter
+    for the benchmark's per-layer replay (perfbench/layers.py) that goes
+    with the replay (ROADMAP item 1), as _combine does."""
+    if trie.root is None:
+        return None
+    shapes, (root,) = encode((trie.root,))
+    return _least_complete(shapes, root)
 
 
 def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
                         indep: VectorTrie, tau: int, ordering) -> Witness:
-    """Walk a complete vector back through the retained level tables.
-
-    At each level the assign mask recovered from the tries tells which
-    vertices took that level's label. Requires tables for levels
-    0..final_level.
-    """
-    labels: Witness = {}
-    vec = final
-    for k in range(final_level, 0, -1):
-        reduced = tuple(sym if sym >= 1 else OPEN for sym in vec)
-        pairs = _predecessor(reduced, tables[k - 1].vectors.root, indep.root, tau)
-        assert pairs is not None, "table member lost its predecessor"
-        for i, (_, y) in enumerate(pairs):
-            if y == 1:
-                labels[ordering[i]] = k
-        vec = tuple(x for x, _ in pairs)
-    return labels
+    """_walk_back on dict tries, the level tables from level 0 on and
+    the independent-set trie ``indep``, all encoded on every call: an
+    adapter for the benchmark's per-layer replay (perfbench/layers.py)
+    that goes with the replay (ROADMAP item 1), as _combine does."""
+    shapes, roots = encode([table.vectors.root for table in tables[:final_level]])
+    return _walk_back([(shapes, root) for root in roots], final, final_level,
+                      _intern_trie(indep.root), tau, ordering)
 
 
 def check_witness(inst: Instance, witness: Witness) -> bool:
@@ -695,17 +662,18 @@ def _solve_component(inst: Instance, options: SolveOptions,
     report = ComponentReport(instance=inst, ordering=ordering)
     stats.components.append(report)
     inst, label_map = gap_compression(inst)
-    lmax = max((max(ls) for ls in inst.lam.values() if ls), default=0)
+    lmax = max(label_map, default=0)  # the largest label, compressed
     dp = ComponentDP(inst, ordering)
     store = dp.base_store()
-    tables = [LevelTable(0, dp.base)] if options.store_parents else []
+    # a retained level keeps its store, as advance leaves it
+    levels = [(store[0], store[2])] if options.store_parents else None
     found_level = None
 
     # a component has a vertex, so the base vector is never complete
     for k in range(1, lmax + 1):
         size, nodes, complete, memo, unions = dp.advance(store, k)
-        if options.store_parents:  # decoded now, before the next combine adds its unions
-            tables.append(LevelTable(k, VectorTrie(len(ordering), _decode(store[0])[store[2]])))
+        if levels is not None:
+            levels.append((store[0], store[2]))
         stats.levels += 1
         stats.total_vectors += size
         stats.max_table_size = max(stats.max_table_size, size)
@@ -724,10 +692,10 @@ def _solve_component(inst: Instance, options: SolveOptions,
                 break
     if found_level is None:
         return False, None
-    if not options.store_parents:
+    if levels is None:
         return True, None
-    found = _find_complete(tables[found_level].vectors)
-    witness = reconstruct_witness(tables, found, found_level, dp.indep, dp.tau, dp.ordering)
+    found = _least_complete(*levels[found_level])
+    witness = _walk_back(levels, found, found_level, dp.trie, dp.tau, ordering)
     return True, {v: label_map[lab] for v, lab in witness.items()}
 
 

@@ -5,7 +5,9 @@ vertex ordering, so the solver can walk a set position by position.
 Internal nodes are plain dicts mapping a symbol to the child node; a
 full-length path ends in the shared LEAF sentinel. Builders may share
 subtrees (the structure is then a DAG); everything is treated as
-immutable once built.
+immutable once built. The solver keeps its tables in node stores
+instead (see gltc.solver); ``encode`` and ``decode`` convert, for
+tests and the benchmark replay.
 """
 
 from __future__ import annotations
@@ -133,3 +135,39 @@ class VectorTrie:
 
     def __iter__(self) -> Iterator[Vector]:
         return node_iter(self.root)
+
+
+def encode(roots):
+    """Intern the dict DAGs below ``roots`` into one node store (the
+    solver's table format): returns (shapes, uid of each root). Equal
+    subtrees get one uid even where the dict DAG holds copies of them."""
+    shapes: list[tuple] = [()]
+    unique: dict[tuple, int] = {}
+    uid_of = {id(LEAF): 0}
+
+    def encode_node(node):
+        uid = uid_of.get(id(node))
+        if uid is None:
+            # a loop, not a generator, so each depth costs one stack frame
+            pairs = []
+            for sym in sorted(node):
+                pairs.append((sym, encode_node(node[sym])))
+            shape = tuple(pairs)
+            uid = unique.get(shape)
+            if uid is None:
+                uid = unique[shape] = len(shapes)
+                shapes.append(shape)
+            uid_of[id(node)] = uid
+        return uid
+
+    uids = [encode_node(root) for root in roots]
+    del encode_node  # encode_node refers to itself: end the cycle
+    return shapes, uids
+
+
+def decode(shapes):
+    """The dict node of every uid of a node store, children before parents."""
+    nodes = [LEAF]
+    for shape in shapes[1:]:
+        nodes.append({sym: nodes[child] for sym, child in shape})
+    return nodes

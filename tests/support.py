@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import itertools
 
-from gltc import BLOCKED, OPEN, ComponentDP, Graph, Instance, build_partition, validate
+from gltc import BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition, validate
+from gltc.indsets import trie_vectors
+from gltc.vectorset import decode, encode
 
 
 def path_graph(n: int) -> Graph:
@@ -40,14 +42,36 @@ def line_graph(g: Graph) -> Graph:
     return Graph.from_edges(len(edges), out)
 
 
+def base_table(dp: ComponentDP) -> VectorTrie:
+    """The level-0 table of ``dp`` as a dict trie."""
+    shapes, _, root = dp.base_store()
+    return VectorTrie(len(dp.ordering), decode(shapes)[root])
+
+
+def indep_table(dp: ComponentDP) -> VectorTrie:
+    """The independent-set trie of ``dp`` as a dict trie."""
+    return trie_vectors(len(dp.ordering), dp.trie)
+
+
+def step(dp: ComponentDP, table: VectorTrie, level: int):
+    """``dp.advance`` on a dict trie, encoded first and decoded after:
+    returns the new table, then advance's counts but the flag."""
+    if table.root is None:
+        return VectorTrie(table.length), 0, 0, 0, 0
+    shapes, (root,) = encode((table.root,))
+    store = [shapes, None, root]
+    size, nodes, _, memo, unions = dp.advance(store, level)
+    return VectorTrie(table.length, decode(store[0])[store[2]]), size, nodes, memo, unions
+
+
 def run_tables(inst: Instance, strategy: str = "singleton"):
     """Yield (level, table) for every level of the pipeline, without early exit."""
     part = build_partition(inst, strategy)
     dp = ComponentDP(inst, part.ordering)
-    table = dp.base
+    table = base_table(dp)
     yield 0, table, part, dp.ordering
     for k in range(1, validate(inst).lambda_max + 1):
-        table, _, _, _, _ = dp.step(table, k)
+        table, _, _, _, _ = step(dp, table, k)
         yield k, table, part, dp.ordering
 
 

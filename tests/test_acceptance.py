@@ -30,11 +30,14 @@ from gltc import (
 )
 from gltc.reference import direct_step, mark_blocked
 from support import (
+    base_table,
     complete_graph,
     cycle_graph,
+    indep_table,
     line_graph,
     path_graph,
     star_graph,
+    step,
     uniform_instance,
 )
 
@@ -87,12 +90,12 @@ def test_criterion_2_level_recurrence_conformance():
         )
         part = build_partition(inst, ("singleton", "star", "clique")[seed % 3])
         dp = ComponentDP(inst, part.ordering)
-        table = dp.base
+        table, indep = base_table(dp), indep_table(dp)
         for k in range(1, validate(inst).lambda_max + 1):
-            got, size, _, _, _ = dp.step(table, k)
+            got, size, _, _, _ = step(dp, table, k)
             want = {
                 mark_blocked(vec, k - 1, inst, dp.ordering, dp.tau)
-                for vec in direct_step(table, dp.indep, dp.tau)
+                for vec in direct_step(table, indep, dp.tau)
             }
             if set(got) != want or size != len(want):
                 failures.append((seed, k))

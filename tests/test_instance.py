@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gltc import (
     Graph,
@@ -115,6 +115,64 @@ def _documents(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_documents())
 def test_parse_inverts_serialize(inst):
+    assert parse_instance(serialize_instance(inst)) == inst
+
+
+# What a mutation splices into a document: record kinds, separators,
+# comment marks, signs, other digit forms and numbers past any list size.
+_SPLICES = ("v", "e", "gltc", " ", "\t", "\n", "\r", "#", "-", "+", "0", "1", "7", "-3",
+            "99999999999999999999", "x", "0x1", "1_0", "\u0661", "1e3", "v 1", "e 1 2 0",
+            "gltc 2 1")
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A serialized instance after one to four edits: a run of characters
+    deleted, a piece spliced in, a token dropped, or a line duplicated or
+    moved."""
+    text = serialize_instance(draw(_documents()))
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(("delete", "splice", "drop", "duplicate", "move")))
+        if edit in ("delete", "splice"):
+            i = draw(st.integers(0, len(text)))
+            if edit == "delete":
+                text = text[:i] + text[draw(st.integers(i, min(len(text), i + 8))):]
+            else:
+                text = text[:i] + draw(st.sampled_from(_SPLICES) | st.text(max_size=3)) + text[i:]
+            continue
+        lines = text.split("\n")
+        at = draw(st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            tokens = lines[at].split()
+            if tokens:
+                del tokens[draw(st.integers(0, len(tokens) - 1))]
+            lines[at] = " ".join(tokens)
+        elif edit == "duplicate":
+            lines.insert(draw(st.integers(0, len(lines))), lines[at])
+        else:
+            line = lines.pop(at)
+            lines.insert(draw(st.integers(0, len(lines))), line)
+        text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mutated_documents())
+# one edit each away from a valid document, and each a check that the
+# Instance and Graph constructors repeat with ValueError
+@example("gltc 2 1\nv 1 1\nv 2 1\ne 1 2\n")        # the 0 dropped
+@example("gltc 2 1\nv 1 1\nv 2 1\ne 1 2 0 -3\n")   # a negative difference
+@example("gltc 2 1\nv 1 1\nv 2 -1\ne 1 2 0\n")     # a label below 1
+@example("gltc 2 1\nv 1 1\nv 2 1\ne 2 2 0\n")      # a self-loop
+@example("gltc 2 1\nv 1 1\nv 2 1\ne 1 3 0\n")      # an endpoint out of range
+@example("gltc 2 2\nv 1 1\nv 2 1\ne 1 2 0\ne 2 1 0\n")  # an edge twice
+def test_mutated_documents_parse_or_raise_parse_error(text):
+    # ROADMAP item 5: bad input gets a bounded ParseError, never another
+    # exception; whatever does parse is an instance that round-trips
+    try:
+        inst = parse_instance(text)
+    except ParseError:
+        return
     assert parse_instance(serialize_instance(inst)) == inst
 
 

@@ -25,7 +25,9 @@ from gltc import (
     walk_order,
 )
 from gltc.reference import mark_blocked
-from gltc.solver import _BarPass, _build_plan, _combine, _decode, _encode, _find_complete
+from gltc.solver import _BarPass, _build_plan, _combine, _find_complete
+from gltc.vectorset import decode, encode
+from support import base_table, indep_table, step
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -66,14 +68,14 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
         part = build_partition(inst, strategy)
         dp = ComponentDP(inst, part.ordering)
         plan = _build_plan(part.blocks, dp.tau, inst, True)
-        table = dp.base
+        table, indep = base_table(dp), indep_table(dp)
         for k in range(1, 7):
-            combined = _combine((table.root,), dp.indep.root, 0, plan, {})
-            shapes, (root,) = _encode((combined,))
+            combined = _combine((table.root,), indep.root, 0, plan, {})
+            shapes, (root,) = encode((combined,))
             out, _, root, size, _, _ = dp.bar.rewrite(shapes, root, k - 1)
-            table, want_size, _, _, _ = dp.step(table, k)
+            table, want_size, _, _, _ = step(dp, table, k)
             want = set(table)
-            assert set(VectorTrie(len(dp.ordering), _decode(out)[root])) == want
+            assert set(VectorTrie(len(dp.ordering), decode(out)[root])) == want
             assert size == want_size
             flat = VectorTrie(len(dp.ordering), combined)
             assert {dp.bar.run(vec, k - 1) for vec in flat} == want
@@ -87,10 +89,10 @@ def test_completeness_check_and_witness_walk_of_the_replay_still_run():
     for seed in range(31, 43):
         inst = random_instance(n=6, density=0.5, tau=seed % 4, lmax=5, seed=seed)
         dp = ComponentDP(inst, walk_order(inst.graph))
-        table = dp.base  # from_vectors, so filled with add too
-        plain = [LevelTable(0, table)]
+        table = base_table(dp)
+        plain = [LevelTable(0, VectorTrie.from_vectors(len(dp.ordering), table))]  # add, too
         for k in range(1, 6):
-            table, _, _, _, _ = dp.step(table, k)
+            table, _, _, _, _ = step(dp, table, k)
             added = VectorTrie(len(dp.ordering))
             for vec in table:
                 added.add(vec)
@@ -98,7 +100,7 @@ def test_completeness_check_and_witness_walk_of_the_replay_still_run():
             found = _find_complete(added)
             assert found == _find_complete(table)
             if found is not None:
-                witness = reconstruct_witness(plain, found, k, dp.indep, dp.tau, dp.ordering)
+                witness = reconstruct_witness(plain, found, k, indep_table(dp), dp.tau, dp.ordering)
                 assert check_witness(inst, witness)
                 checked += 1
                 break

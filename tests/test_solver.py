@@ -22,6 +22,7 @@ from gltc import (
     brute_force_solve,
     build_partition,
     check_witness,
+    gap_compression,
     independent_set_vectors,
     instance_tau,
     random_instance,
@@ -30,7 +31,9 @@ from gltc import (
     validate,
     walk_order,
 )
+from gltc.indsets import trie_vectors
 from gltc.reference import direct_step, forward_checking_solve, mark_blocked
+from gltc import indsets as indsets_module
 from gltc import instance as instance_module
 from gltc import partition as partition_module
 from gltc import solver as solver_module
@@ -38,17 +41,19 @@ from gltc import vectorset as vectorset_module
 from gltc.solver import (
     _BarPass,
     _combine,
-    _decode,
-    _encode,
     _find_complete,
     _image,
     _intern_trie,
 )
+from gltc.vectorset import decode, encode
 from support import (
+    base_table,
     complete_graph,
+    indep_table,
     path_graph,
     reference_table,
     run_tables,
+    step,
     uniform_instance,
 )
 
@@ -57,8 +62,8 @@ from support import (
 
 def test_compute_step_on_a_single_open_vertex():
     dp = ComponentDP(uniform_instance(path_graph(1), {1, 2}, set()), (1,))
-    assert list(dp.base) == [(OPEN,)]
-    out, size, _, _, _ = dp.step(dp.base, 1)
+    assert list(base_table(dp)) == [(OPEN,)]
+    out, size, _, _, _ = step(dp, base_table(dp), 1)
     # stay unlabeled, or take the new label (symbol tau + 1; tau is 0 here)
     assert dp.tau == 0 and set(out) == {(OPEN,), (dp.tau + 1,)}
     assert size == 2
@@ -66,7 +71,7 @@ def test_compute_step_on_a_single_open_vertex():
 
 def test_compute_step_on_empty_table_is_empty():
     dp = ComponentDP(uniform_instance(path_graph(1), {1}, set()), (1,))
-    out, size, _, _, _ = dp.step(VectorTrie(1), 1)
+    out, size, _, _, _ = step(dp, VectorTrie(1), 1)
     assert len(out) == 0 and size == 0
 
 
@@ -86,11 +91,11 @@ def test_compute_step_equals_direct_step_randomized(strategy):
         inst = random_instance(n=3 + seed % 4, density=(0.3, 0.6, 0.9)[seed % 3],
                                tau=seed % 3, lmax=4 + seed % 3, seed=400 + seed)
         dp = ComponentDP(inst, build_partition(inst, strategy).ordering)
-        table = dp.base
+        table, indep = base_table(dp), indep_table(dp)
         for k in range(1, validate(inst).lambda_max + 1):
-            got, size, _, _, _ = dp.step(table, k)
+            got, size, _, _, _ = step(dp, table, k)
             want = {mark_blocked(v, k - 1, inst, dp.ordering, dp.tau)
-                    for v in direct_step(table, dp.indep, dp.tau)}
+                    for v in direct_step(table, indep, dp.tau)}
             assert set(got) == want and size == len(want)
             table = got
 
@@ -101,9 +106,9 @@ def _image_vs_direct_step(graph, ordering, tau, vecs):
     n = len(ordering)
     table = VectorTrie.from_vectors(n, vecs)
     indep = independent_set_vectors(graph, ordering)
-    shapes, (root,) = _encode((table.root,))
+    shapes, (root,) = encode((table.root,))
     out, out_root, _, unions = _image(shapes, _intern_trie(indep.root), root, (n, tau))
-    assert set(VectorTrie(n, _decode(out)[out_root])) == set(direct_step(table, indep, tau))
+    assert set(VectorTrie(n, decode(out)[out_root])) == set(direct_step(table, indep, tau))
     # both stores stay hash-consed: every shape in symbol order, and the
     # union nodes added to the input store equal none already there
     for store in (out, shapes):
@@ -197,10 +202,10 @@ def _rewrite_vs_mark_blocked(inst, ordering, level, vecs):
     """_BarPass.rewrite of the table ``vecs`` against reference.mark_blocked
     per vector; returns the rewrite's completeness flag."""
     tau = instance_tau(inst)
-    shapes, (root,) = _encode((VectorTrie.from_vectors(len(ordering), vecs).root,))
+    shapes, (root,) = encode((VectorTrie.from_vectors(len(ordering), vecs).root,))
     out, _, root, size, complete, _ = _BarPass(inst, ordering, tau).rewrite(shapes, root, level)
     want = {mark_blocked(v, level, inst, ordering, tau) for v in vecs}
-    barred = VectorTrie(len(ordering), _decode(out)[root])
+    barred = VectorTrie(len(ordering), decode(out)[root])
     assert set(barred) == want
     assert size == len(want)
     # the flag the rewrite sets as it creates nodes, against the DAG walk
@@ -262,9 +267,9 @@ def _seeded_dps(strategy):
 @pytest.mark.parametrize("strategy", ["singleton", "star", "clique"])
 def test_level_tables_are_reduced_dags(strategy):
     for inst, dp in _seeded_dps(strategy):
-        table = dp.base
+        table = base_table(dp)
         for k in range(1, validate(inst).lambda_max + 1):
-            table, size, nodes, _, _ = dp.step(table, k)
+            table, size, nodes, _, _ = step(dp, table, k)
             shapes, reachable = _distinct_shapes(table.root)
             assert shapes == reachable == nodes
             # the size the rewrite counted, against a separate walk
@@ -276,16 +281,16 @@ def test_combined_dag_is_reduced(strategy):
     # equal combined subtrees must be one object, or the rewrite's memo,
     # keyed on node ids, walks each copy again
     for inst, dp in _seeded_dps(strategy):
-        table = dp.base
+        table, indep = base_table(dp), indep_table(dp)
         for k in range(1, validate(inst).lambda_max + 1):
-            combined = _combine((table.root,), dp.indep.root, 0, dp.plan, {})
+            combined = _combine((table.root,), indep.root, 0, dp.plan, {})
             shapes, reachable = _distinct_shapes(combined)
             assert shapes == reachable
-            table, _, _, _, _ = dp.step(table, k)
+            table, _, _, _, _ = step(dp, table, k)
 
 
 def _stepped(dp, table, level):
-    got, *counts = dp.step(table, level)
+    got, *counts = step(dp, table, level)
     return (set(got), *counts)
 
 
@@ -294,9 +299,9 @@ def test_step_on_any_table_equals_a_fresh_component_dps():
     # in any order, again and rebuilt from their vectors, gives what a
     # fresh ComponentDP gives on each
     for inst, dp in _seeded_dps("singleton"):
-        tables = [dp.base]
+        tables = [base_table(dp)]
         for k in range(1, validate(inst).lambda_max + 1):
-            tables.append(dp.step(tables[-1], k)[0])
+            tables.append(step(dp, tables[-1], k)[0])
         n = len(dp.ordering)
         for k in reversed(range(1, len(tables))):
             for table in (tables[k - 1], tables[k - 1],
@@ -357,10 +362,10 @@ def _tables_by_vertex_id(inst, ordering):
     re-indexed from that coordinate order to vertex-id order."""
     dp = ComponentDP(inst, ordering)
     perm = sorted(range(len(ordering)), key=dp.ordering.__getitem__)
-    table = dp.base
+    table = base_table(dp)
     out = [{tuple(vec[i] for i in perm) for vec in table}]
     for k in range(1, validate(inst).lambda_max + 1):
-        table, _, _, _, _ = dp.step(table, k)
+        table, _, _, _, _ = step(dp, table, k)
         out.append({tuple(vec[i] for i in perm) for vec in table})
     return out
 
@@ -414,15 +419,15 @@ def test_level_step_equals_direct_step_then_mark_blocked(case):
     inst, ordering, level, vecs = case
     dp = ComponentDP(inst, ordering)
     table = VectorTrie.from_vectors(len(ordering), vecs)
-    got, size, _, _, _ = dp.step(table, level)
+    got, size, _, _, _ = step(dp, table, level)
     want = {mark_blocked(v, level - 1, inst, ordering, dp.tau)
-            for v in direct_step(table, dp.indep, dp.tau)}
+            for v in direct_step(table, indep_table(dp), dp.tau)}
     assert set(got) == want and size == len(want)
 
 
 def test_tau_zero_state_mixes_indep_nodes():
     dp = ComponentDP(_EDGE0, (1, 2))
-    indep = dp.indep
+    indep = indep_table(dp)
     assert dp.tau == 0
     assert indep.root[0] is not indep.root[1]
     table = VectorTrie.from_vectors(2, [(1, 1), (OPEN, OPEN)])
@@ -473,47 +478,22 @@ def test_solve_counts_sizes_without_a_second_walk(monkeypatch):
     assert calls == []
 
 
-def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeypatch):
-    # the rewrite flags completeness, so a decision-only solve decodes no
-    # level into dict nodes and never walks one; a witness solve walks one
-    # table per YES component, to anchor its witness
-    calls = {"_decode": 0, "_find_complete": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(solver_module, name)):
-            calls[_name] += 1
-            return _real(*args)
+def test_no_solve_leaves_the_node_store(monkeypatch):
+    # tables, the trie and the level-0 table are born, advanced and walked
+    # back as node stores: no solve, decision or witness, with early exit
+    # on or off, encodes or decodes a DAG, decodes the trie, walks a dict
+    # trie for completeness or builds a VectorTrie, and every witness
+    # still checks
+    calls = dict.fromkeys(("encode", "decode", "trie_vectors", "_find_complete", "VectorTrie"), 0)
+    for module in (solver_module, vectorset_module, indsets_module):
+        for name in calls:
+            real = getattr(module, name, None)
+            if callable(real) and not isinstance(real, type):
+                def counted(*args, _name=name, _real=real):
+                    calls[_name] += 1
+                    return _real(*args)
 
-        monkeypatch.setattr(solver_module, name, counted)
-    decisions, components = set(), 0
-    for seed in range(40):
-        inst = random_instance(n=3 + seed % 6, density=(0.2, 0.5, 0.8)[seed % 3],
-                               tau=seed % 4, lmax=3 + seed % 5, seed=3100 + seed)
-        for early_exit in (True, False):
-            decided = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=False))
-            assert calls == {"_decode": 0, "_find_complete": 0}
-            result = solve(inst, options=SolveOptions(early_exit=early_exit))
-            assert result.decision == decided.decision
-            # solve stops at the first NO component, which reports last
-            yes_components = len(result.stats.components) - (not result.decision)
-            assert calls["_find_complete"] == yes_components
-            calls.update(_decode=0, _find_complete=0)
-            decisions.add(result.decision)
-            components = max(components, yes_components)
-    assert decisions == {True, False} and components > 1
-
-
-def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypatch):
-    # the trie and the level-0 table are born as node stores: a
-    # decision-only solve builds no VectorTrie (so neither a dict trie
-    # nor a dict base table) and encodes nothing; a witness solve decodes
-    # the trie for its walk, and its witnesses still check
-    calls = {"_encode": 0, "trie_vectors": 0, "VectorTrie": 0}
-    for name in ("_encode", "trie_vectors"):
-        def counted(*args, _name=name, _real=getattr(solver_module, name)):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(solver_module, name, counted)
+                monkeypatch.setattr(module, name, counted)
     real_init = VectorTrie.__init__
 
     def counted_init(self, *args):
@@ -521,21 +501,28 @@ def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypa
         real_init(self, *args)
 
     monkeypatch.setattr(VectorTrie, "__init__", counted_init)
-    witnesses = 0
+    decisions, components, witnesses = set(), 0, 0
     for seed in range(40):
         inst = random_instance(n=3 + seed % 6, density=(0.2, 0.5, 0.8)[seed % 3],
                                tau=seed % 4, lmax=3 + seed % 5, seed=3100 + seed)
-        decided = solve(inst, options=SolveOptions(store_parents=False))
-        assert calls == {"_encode": 0, "trie_vectors": 0, "VectorTrie": 0}
-        result = solve(inst)
-        assert result.decision == decided.decision
-        if result.decision:
-            assert check_witness(inst, result.witness)
-            assert calls["trie_vectors"] == len(result.stats.components)
-            witnesses += 1
-        assert calls["_encode"] == 0
-        calls.update(trie_vectors=0, VectorTrie=0)
-    assert 0 < witnesses < 40
+        for early_exit in (True, False):
+            decided = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=False))
+            result = solve(inst, options=SolveOptions(early_exit=early_exit))
+            assert sum(calls.values()) == 0
+            assert result.decision == decided.decision
+            if result.decision:
+                assert check_witness(inst, result.witness)
+                witnesses += 1
+            decisions.add(result.decision)
+            components = max(components, len(result.stats.components) - (not result.decision))
+    assert decisions == {True, False} and components > 1 and witnesses > 0
+    # the counters do see the replay's adapters
+    dp = ComponentDP(inst, walk_order(inst.graph))
+    base = base_table(dp)
+    solver_module._find_complete(base)
+    solver_module._combine((base.root,), indep_table(dp).root, 0, dp.plan, {})
+    assert calls["_find_complete"] == 1 and calls["encode"] == 3 and calls["decode"] == 1
+    assert calls["VectorTrie"] >= 2
 
 
 def test_one_component_solve_splits_components_once(monkeypatch):
@@ -599,7 +586,7 @@ def test_base_table_marks_label_one_availability():
     g = path_graph(2)
     inst = Instance(graph=g, lam={1: frozenset({1, 2}), 2: frozenset({2})},
                     t={(1, 2): frozenset({0})})
-    assert list(ComponentDP(inst, (1, 2)).base) == [(OPEN, BLOCKED)]
+    assert list(base_table(ComponentDP(inst, (1, 2)))) == [(OPEN, BLOCKED)]
 
 
 def test_level_trace_of_sparse_single_vertex():
@@ -709,6 +696,54 @@ def test_k1d_strategy_matches_oracle_on_line_graphs():
     assert checked >= 8
 
 
+def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monkeypatch):
+    # _find_complete and reconstruct_witness, the adapters the benchmark
+    # replay calls, on the solver's retained levels decoded into dict
+    # tries: exactly the vector and the labels of the store walks, and
+    # no complete vector at any level of a NO component
+    walks = []
+    real = solver_module._walk_back
+
+    def recorded(levels, final, final_level, trie, tau, ordering):
+        labels = real(levels, final, final_level, trie, tau, ordering)
+        walks.append((levels, final, final_level, trie, tau, ordering, labels))
+        return labels
+
+    monkeypatch.setattr(solver_module, "_walk_back", recorded)
+    seen = {"several yes components": 0, "no": 0}
+    for seed in range(300):
+        inst = random_instance(n=3 + seed % 8, density=(0.15, 0.35, 0.6)[seed % 3],
+                               tau=seed % 4, lmax=3 + seed % 6, seed=4400 + seed)
+        for early_exit in (True, False):
+            walks.clear()
+            result = solve(inst, options=SolveOptions(early_exit=early_exit))
+            solver_walks = list(walks)  # the adapter calls _walk_back too
+            for levels, final, final_level, trie, tau, ordering, labels in solver_walks:
+                n = len(ordering)
+                tables = [LevelTable(k, VectorTrie(n, decode(shapes)[root]))
+                          for k, (shapes, root) in enumerate(levels)]
+                assert _find_complete(tables[final_level].vectors) == final
+                if early_exit:
+                    assert all(_find_complete(t.vectors) is None for t in tables[:final_level])
+                indep = trie_vectors(n, trie)
+                assert reconstruct_witness(tables, final, final_level, indep, tau, ordering) == labels
+            if result.decision:
+                assert check_witness(inst, result.witness)
+                seen["several yes components"] += len(solver_walks) > 1
+                continue
+            # the NO component ran every level without a complete vector
+            report = result.stats.components[-1]
+            sub, label_map = gap_compression(report.instance)
+            dp = ComponentDP(sub, report.ordering)
+            table = base_table(dp)
+            assert len(report.level_sizes) == max(label_map)
+            for k in range(1, max(label_map) + 1):
+                table = step(dp, table, k)[0]
+                assert _find_complete(table) is None
+            seen["no"] += 1
+    assert all(seen.values()), seen
+
+
 def test_witness_reconstruction_without_early_exit():
     inst = uniform_instance(path_graph(4), {1, 2, 3, 4, 5}, {0, 1})
     result = solve(inst, options=SolveOptions(early_exit=False))
@@ -794,7 +829,7 @@ def test_a_long_path_stays_within_the_recursion_limit():
     # under the default limit of 1000
     inst = uniform_instance(path_graph(800), {1, 2}, {0})
     dp = ComponentDP(inst, walk_order(inst.graph))
-    table, size, _, _, _ = dp.step(dp.base, 1)
+    table, size, _, _, _ = step(dp, base_table(dp), 1)
     assert size > 0
     result = solve(inst, options=SolveOptions(vector_limit=1 << 1000))
     assert result.decision and check_witness(inst, result.witness)

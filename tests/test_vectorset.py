@@ -4,7 +4,7 @@ import pytest
 
 from gltc import ComponentDP, VectorTrie, walk_order
 from gltc.vectorset import node_count
-from support import path_graph, uniform_instance
+from support import base_table, path_graph, step, uniform_instance
 
 
 def test_add_contains_len():
@@ -44,9 +44,9 @@ def _path_table(n, level):
     """The level table of an n-vertex path with lists {1, 2} and T = {0}."""
     inst = uniform_instance(path_graph(n), {1, 2}, {0})
     dp = ComponentDP(inst, walk_order(inst.graph))
-    table = dp.base
+    table = base_table(dp)
     for k in range(1, level + 1):
-        table = dp.step(table, k)[0]
+        table = step(dp, table, k)[0]
     return table
 
 
