@@ -478,13 +478,10 @@ def test_solve_counts_sizes_without_a_second_walk(monkeypatch):
     assert calls == []
 
 
-def test_no_solve_leaves_the_node_store(monkeypatch):
-    # tables, the trie and the level-0 table are born, advanced and walked
-    # back as node stores: no solve, decision or witness, with early exit
-    # on or off, encodes or decodes a DAG, decodes the trie, walks a dict
-    # trie for completeness or builds a VectorTrie, and every witness
-    # still checks
-    calls = dict.fromkeys(("encode", "decode", "trie_vectors", "_find_complete", "VectorTrie"), 0)
+def _counted_calls(monkeypatch, names):
+    """Counts of calls to each of ``names`` through every gltc module that
+    holds it; "VectorTrie" counts constructions."""
+    calls = dict.fromkeys(names, 0)
     for module in (solver_module, vectorset_module, indsets_module):
         for name in calls:
             real = getattr(module, name, None)
@@ -494,35 +491,76 @@ def test_no_solve_leaves_the_node_store(monkeypatch):
                     return _real(*args)
 
                 monkeypatch.setattr(module, name, counted)
-    real_init = VectorTrie.__init__
+    if "VectorTrie" in calls:
+        real_init = VectorTrie.__init__
 
-    def counted_init(self, *args):
-        calls["VectorTrie"] += 1
-        real_init(self, *args)
+        def counted_init(self, *args):
+            calls["VectorTrie"] += 1
+            real_init(self, *args)
 
-    monkeypatch.setattr(VectorTrie, "__init__", counted_init)
-    decisions, components, witnesses = set(), 0, 0
+        monkeypatch.setattr(VectorTrie, "__init__", counted_init)
+    return calls
+
+
+def _seeded_solve_cases():
     for seed in range(40):
         inst = random_instance(n=3 + seed % 6, density=(0.2, 0.5, 0.8)[seed % 3],
                                tau=seed % 4, lmax=3 + seed % 5, seed=3100 + seed)
         for early_exit in (True, False):
-            decided = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=False))
-            result = solve(inst, options=SolveOptions(early_exit=early_exit))
-            assert sum(calls.values()) == 0
-            assert result.decision == decided.decision
-            if result.decision:
-                assert check_witness(inst, result.witness)
-                witnesses += 1
-            decisions.add(result.decision)
-            components = max(components, len(result.stats.components) - (not result.decision))
-    assert decisions == {True, False} and components > 1 and witnesses > 0
+            yield inst, early_exit
+
+
+def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeypatch):
+    # the rewrite flags completeness, so a decision-only solve walks no
+    # level; a witness solve walks one retained store per YES component,
+    # to anchor its witness, and no solve decodes a DAG into dict nodes
+    # or walks a dict trie
+    calls = _counted_calls(monkeypatch, ("decode", "_find_complete", "_least_complete"))
+    decisions, components = set(), 0
+    for inst, early_exit in _seeded_solve_cases():
+        decided = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=False))
+        assert calls == {"decode": 0, "_find_complete": 0, "_least_complete": 0}
+        result = solve(inst, options=SolveOptions(early_exit=early_exit))
+        assert result.decision == decided.decision
+        # solve stops at the first NO component, which reports last
+        yes_components = len(result.stats.components) - (not result.decision)
+        assert calls == {"decode": 0, "_find_complete": 0, "_least_complete": yes_components}
+        calls["_least_complete"] = 0
+        decisions.add(result.decision)
+        components = max(components, yes_components)
+    assert decisions == {True, False} and components > 1
     # the counters do see the replay's adapters
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
     solver_module._find_complete(base)
     solver_module._combine((base.root,), indep_table(dp).root, 0, dp.plan, {})
-    assert calls["_find_complete"] == 1 and calls["encode"] == 3 and calls["decode"] == 1
-    assert calls["VectorTrie"] >= 2
+    assert calls == {"decode": 1, "_find_complete": 1, "_least_complete": 1}
+
+
+def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypatch):
+    # the trie and the level-0 table are born, advanced and walked back as
+    # node stores: no solve, decision or witness, with early exit on or
+    # off, builds a VectorTrie (so neither a dict trie nor a dict base
+    # table), encodes a DAG or decodes the trie, and every witness still
+    # checks
+    calls = _counted_calls(monkeypatch, ("encode", "trie_vectors", "VectorTrie"))
+    witnesses = 0
+    for inst, early_exit in _seeded_solve_cases():
+        decided = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=False))
+        assert calls == {"encode": 0, "trie_vectors": 0, "VectorTrie": 0}
+        result = solve(inst, options=SolveOptions(early_exit=early_exit))
+        assert calls == {"encode": 0, "trie_vectors": 0, "VectorTrie": 0}
+        assert result.decision == decided.decision
+        if result.decision:
+            assert check_witness(inst, result.witness)
+            witnesses += 1
+    assert 0 < witnesses < 80
+    # the counters do see the replay's adapters and the trie's decode
+    dp = ComponentDP(inst, walk_order(inst.graph))
+    base = base_table(dp)
+    indep = indsets_module.trie_vectors(len(dp.ordering), dp.trie)
+    solver_module._combine((base.root,), indep.root, 0, dp.plan, {})
+    assert calls["encode"] == 2 and calls["trie_vectors"] == 1 and calls["VectorTrie"] >= 2
 
 
 def test_one_component_solve_splits_components_once(monkeypatch):
