@@ -17,10 +17,8 @@ from .indsets import independent_set_vectors
 from .instance import (
     Graph,
     Instance,
-    InstanceStats,
     ParseError,
     gap_compression,
-    graph_square,
     instance_tau,
     parse_instance,
     reduce_channel,
@@ -32,27 +30,16 @@ from .instance import (
     validate,
 )
 from .partition import (
-    CLIQUE,
-    SINGLETON,
-    STAR,
-    Block,
     NotK1dFreeError,
-    Partition,
     base_table_row,
-    bfs_spanning_tree,
     build_partition,
     clique_partition,
-    feasible_prefixes,
     predict_complexity,
     singleton_partition,
-    star_block_base,
     star_partition_k1d,
     star_partition_spanning_tree,
-    star_prefix_bound,
-    validate_partition,
-    walk_order,
 )
-from .reference import brute_force_solve  # answer checks in perfbench/run.py
+from .reference import brute_force_solve, feasible_prefixes
 from .solver import (
     ComponentDP,
     LevelTable,
@@ -63,20 +50,23 @@ from .solver import (
     check_witness,
     reconstruct_witness,
     solve,
+    walk_order,
 )
 from .vectorset import LEAF, VectorTrie
 
 __version__ = "0.1.0"
 
+# What the CLI, the demos and perfbench/ import from gltc, plus the public
+# exceptions and result types; everything else is imported from its module.
 __all__ = [
     "BLOCKED", "OPEN", "LEAF", "VectorTrie", "random_instance", "independent_set_vectors",
-    "Graph", "Instance", "InstanceStats", "ParseError", "gap_compression", "graph_square",
-    "instance_tau", "parse_instance", "reduce_channel", "reduce_list_coloring", "reduce_lpq",
-    "reduce_tcoloring", "serialize_instance", "split_components", "validate",
-    "CLIQUE", "SINGLETON", "STAR", "Block", "NotK1dFreeError", "Partition", "base_table_row",
-    "bfs_spanning_tree", "build_partition", "clique_partition", "feasible_prefixes",
-    "predict_complexity", "singleton_partition", "star_block_base", "star_partition_k1d",
-    "star_partition_spanning_tree", "star_prefix_bound", "validate_partition", "walk_order",
-    "brute_force_solve", "ComponentDP", "LevelTable", "ResourceLimitError", "SolveOptions",
-    "SolveResult", "SolveStats", "check_witness", "reconstruct_witness", "solve",
+    "Graph", "Instance", "ParseError", "gap_compression", "instance_tau", "parse_instance",
+    "reduce_channel", "reduce_list_coloring", "reduce_lpq", "reduce_tcoloring",
+    "serialize_instance", "split_components", "validate",
+    "NotK1dFreeError", "base_table_row", "build_partition", "clique_partition",
+    "predict_complexity", "singleton_partition", "star_partition_k1d",
+    "star_partition_spanning_tree",
+    "brute_force_solve", "feasible_prefixes",
+    "ComponentDP", "LevelTable", "ResourceLimitError", "SolveOptions", "SolveResult",
+    "SolveStats", "check_witness", "reconstruct_witness", "solve", "walk_order",
 ]

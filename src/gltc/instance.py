@@ -104,7 +104,8 @@ class Instance:
 
 @dataclass(frozen=True)
 class InstanceStats:
-    """Derived quantities the solver needs up front."""
+    """Summary quantities of an instance, as ``validate`` reports them
+    (``solve`` does not call it, and works out what it needs itself)."""
 
     tau: int
     lambda_max: int
@@ -114,6 +115,8 @@ class InstanceStats:
 
 # ---------------------------------------------------------------------------
 # parsing and serialization
+
+_KIND_ECHO = 20  # characters of an unknown record kind a ParseError repeats
 
 
 def parse_instance(text: str) -> Instance:
@@ -176,7 +179,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"line {lineno}: edge {key[0]}-{key[1]}: 0 not in difference set")
             tsets[key] = frozenset(diffs)
         else:
-            raise ParseError(f"line {lineno}: unknown record '{kind}'")
+            shown = kind if len(kind) <= _KIND_ECHO else kind[:_KIND_ECHO] + "..."
+            raise ParseError(f"line {lineno}: unknown record '{shown}'")
     if n is None:
         raise ParseError("missing 'gltc <n> <m>' header")
     if len(lam) != n:

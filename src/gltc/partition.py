@@ -1,16 +1,15 @@
-"""Vertex partitions, the solver's table-size bound, and its walk order.
+"""Vertex partitions and the table-size bound they prove.
 
 Every state vector restricted to a block is one of the block's feasible
 prefixes, so the smaller the number of feasible per-block prefixes, the
 smaller the state tables. A block is a singleton, a star (first vertex
 adjacent to all others) or a clique. This module builds partitions of all
-three kinds, enumerates feasible block prefixes, and predicts the
-resulting table-size bound (the product of per-block prefix counts and
-its n-th root, the "base"), counting the prefixes without listing them.
-
-A table's content does not depend on the order of its coordinates, so
-the bound holds whatever order the solver walks; ``walk_order`` picks
-that order from the graph alone, to keep the walk's frontier small.
+three kinds and predicts the resulting table-size bound (the product of
+per-block prefix counts and its n-th root, the "base"), counting the
+prefixes without listing them; reference.feasible_prefixes lists them.
+It serves ``gltc predict`` and ``gltc bases``: the solver builds no
+partition, and a table's content does not depend on the order of its
+coordinates, so the bound holds whatever order the solver walks.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ class Block:
 @dataclass(frozen=True)
 class Partition:
     """Ordered blocks covering all vertices; ``ordering`` lists them block
-    by block (the solver walks ``walk_order`` instead)."""
+    by block. The solver walks its own order (solver.walk_order)."""
 
     blocks: tuple[Block, ...]
 
@@ -314,74 +313,11 @@ def clique_partition(g: Graph) -> Partition:
 
 
 # ---------------------------------------------------------------------------
-# the solver's coordinate order
-
-
-def walk_order(g: Graph) -> tuple[int, ...]:
-    """A vertex order with a small frontier, for the solver's walks.
-
-    The frontier after a prefix of the order is the set of placed
-    vertices that still have an unplaced neighbour; the cost of the
-    combine and OPEN/BLOCKED walks follows its largest size (the
-    order's vertex separation). Greedy and deterministic: each step
-    places the unplaced vertex v with the least key (frontier size after
-    placing v, -(placed neighbours of v), v). Each vertex's count of
-    unplaced neighbours is kept up to date, so a candidate costs
-    O(deg(v)) and the whole order O(n * m).
-    """
-    adjacency = g.adjacency
-    left = {v: len(adjacency[v]) for v in adjacency}  # unplaced neighbours
-    unplaced = set(adjacency)
-    order: list[int] = []
-    frontier = 0
-    while unplaced:
-        best = None
-        for v in unplaced:
-            joined = closed = 0
-            for w in adjacency[v]:
-                if w not in unplaced:
-                    joined += 1
-                    closed += left[w] == 1  # v is w's last unplaced neighbour
-            key = (frontier - closed + (left[v] > 0), -joined, v)
-            if best is None or key < best:
-                best = key
-        frontier, _, v = best
-        order.append(v)
-        unplaced.remove(v)
-        for w in adjacency[v]:
-            left[w] -= 1
-    return tuple(order)
-
-
-# ---------------------------------------------------------------------------
-# feasible prefixes and complexity prediction
-
-
-def _feasible_prefixes(block: Block, tau: int, adjacency, tmap):
-    """feasible_prefixes with the edges' forbidden sets ``tmap``, or with
-    equality pruning only when ``tmap`` is None."""
-    verts = block.vertices
-    in_edges = []
-    for i, j in itertools.combinations(range(len(verts)), 2):
-        u, v = verts[i], verts[j]
-        if v in adjacency[u]:
-            in_edges.append((i, j, tmap[_edge_key(u, v)] if tmap is not None else ()))
-    out = []
-    for a in itertools.product(range(tau + 2), repeat=len(verts)):
-        ok = True
-        for i, j, diffs in in_edges:
-            x, y = a[i], a[j]
-            if x >= 2 and y >= 2:
-                if x == y or abs(x - y) in diffs:
-                    ok = False
-                    break
-        if ok:
-            out.append(a)
-    return out
+# complexity prediction
 
 
 def _count_prefixes(block: Block, tau: int, adjacency) -> int:
-    """``len(_feasible_prefixes(block, tau, adjacency, None))``
+    """``len(reference._feasible_prefixes(block, tau, adjacency, None))``
     without listing the prefixes.
 
     A memoized DP over the block's positions: symbols 0 and 1 constrain
@@ -420,20 +356,6 @@ def _count_prefixes(block: Block, tau: int, adjacency) -> int:
     counted = count(0, ())
     del count  # count refers to itself: end the cycle, which holds the memo
     return counted
-
-
-def feasible_prefixes(block: Block, tau: int, inst: Instance,
-                      strengthened: bool = True) -> list[tuple[int, ...]]:
-    """Block prefixes over the labeled alphabet that can occur in a state vector.
-
-    Symbols 2..tau+1 stand for exact labels, so two adjacent in-block
-    vertices can never share one (difference 0 is always forbidden).
-    With ``strengthened`` the known in-block label differences are also
-    checked against the edge's forbidden set; this removes prefixes that
-    no proper partial labeling can produce. Output is in lexicographic
-    order. The solver never lists prefixes; predict_complexity counts them.
-    """
-    return _feasible_prefixes(block, tau, inst.graph.adjacency, inst.t if strengthened else None)
 
 
 def star_prefix_bound(size: int, tau: int) -> int:

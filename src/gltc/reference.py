@@ -14,16 +14,20 @@ each is obviously correct and independent of the production path:
 - forward_checking_solve: backtracking that labels the vertex with the
   fewest labels left and strikes every neighbour label at a forbidden
   difference, which decides random instances of 20 vertices and more.
+- feasible_prefixes: the block prefixes a state vector can show, listed
+  one by one, which partition._count_prefixes counts without listing.
 
 Intended for small instances. The solver never imports this module.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 from .encoding import BLOCKED, OPEN, advance_symbol
-from .instance import Instance, instance_tau
+from .instance import Instance, _edge_key, instance_tau
+from .partition import Block
 from .vectorset import VectorTrie
 
 Vector = tuple[int, ...]
@@ -199,3 +203,41 @@ def mark_blocked(vec: Sequence[int], level: int, inst: Instance,
                 out[i] = BLOCKED
                 break
     return tuple(out)
+
+
+def _feasible_prefixes(block: Block, tau: int, adjacency, tmap):
+    """feasible_prefixes with the edges' forbidden sets ``tmap``, or with
+    equality pruning only when ``tmap`` is None."""
+    verts = block.vertices
+    in_edges = []
+    for i, j in itertools.combinations(range(len(verts)), 2):
+        u, v = verts[i], verts[j]
+        if v in adjacency[u]:
+            in_edges.append((i, j, tmap[_edge_key(u, v)] if tmap is not None else ()))
+    out = []
+    for a in itertools.product(range(tau + 2), repeat=len(verts)):
+        ok = True
+        for i, j, diffs in in_edges:
+            x, y = a[i], a[j]
+            if x >= 2 and y >= 2:
+                if x == y or abs(x - y) in diffs:
+                    ok = False
+                    break
+        if ok:
+            out.append(a)
+    return out
+
+
+def feasible_prefixes(block: Block, tau: int, inst: Instance,
+                      strengthened: bool = True) -> list[tuple[int, ...]]:
+    """Block prefixes over the labeled alphabet that can occur in a state vector.
+
+    Symbols 2..tau+1 stand for exact labels, so two adjacent in-block
+    vertices can never share one (difference 0 is always forbidden).
+    With ``strengthened`` the known in-block label differences are also
+    checked against the edge's forbidden set; this removes prefixes that
+    no proper partial labeling can produce. Output is in lexicographic
+    order. The solver never lists prefixes; partition.predict_complexity
+    counts them.
+    """
+    return _feasible_prefixes(block, tau, inst.graph.adjacency, inst.t if strengthened else None)

@@ -4,15 +4,16 @@ Level k holds the set of state vectors of all proper partial labelings
 using labels 1..k. Advancing to level k+1 combines the table with the
 independent-set vectors (the vertices receiving label k+1 must be
 pairwise non-adjacent), then recomputes which unlabeled vertices can
-still take label k+2. The coordinates follow partition.walk_order, a
-small-frontier order of the graph: a table's content does not depend on
-the order, but the cost of the walks does. No partition is built here;
-partition.predict_complexity bounds the table sizes from outside. The
-combination is a product over single pairs of a table node and an
-independent-set trie node, memoized on the pair. Where two children of a
-table node age to the same symbol, they are first folded into one node
-by a memoized union on the table's own node store (the unique table and
-memoized OR of BDD packages), so every memo key stays one pair.
+still take label k+2. The coordinates follow walk_order, defined here
+next to ComponentDP: a greedy small-frontier order of the graph. A
+table's content does not depend on the order, but the cost of the walks
+does. No partition is built here; partition.predict_complexity bounds
+the table sizes from outside. The combination is a product over single
+pairs of a table node and an independent-set trie node, memoized on the
+pair. Where two children of a table node age to the same symbol, they
+are first folded into one node by a memoized union on the table's own
+node store (the unique table and memoized OR of BDD packages), so every
+memo key stays one pair.
 
 A level table is a hash-consed DAG, a trie in which equal subtrees are
 one node (a reduced multi-valued decision diagram), kept in an integer
@@ -47,8 +48,7 @@ from dataclasses import dataclass, field
 
 from .encoding import BLOCKED, OPEN, aging_table, preimage_table
 from .indsets import independent_set_trie
-from .instance import Instance, gap_compression, instance_tau, split_components
-from .partition import walk_order
+from .instance import Graph, Instance, gap_compression, instance_tau, split_components
 from .vectorset import VectorTrie, decode, encode
 
 Witness = dict[int, int]
@@ -133,8 +133,8 @@ def _intern_trie(root):
 
 
 def _build_plan(blocks, tau: int, inst: Instance | None = None, strengthened: bool = True):
-    """The combination walk's plan, (vector length, tau), with the length
-    summed over a partition's blocks.
+    """The plan tuple _combine takes, (vector length, tau), with the
+    length summed over a partition's blocks.
 
     Only the benchmark's per-layer replay (perfbench/layers.py) calls it;
     ``inst`` and ``strengthened`` are unused and keep its call shape until
@@ -187,7 +187,7 @@ def _union(u, v, shapes, unique, memo):
     return uid
 
 
-def _image(shapes, trie, root, plan, unique=None):
+def _image(shapes, trie, root, tau: int, unique=None):
     """The combination walk on node stores: every advance of a table
     vector below uid ``root`` of store ``shapes`` by a vector of the
     independent-set ``trie`` (int arrays). Returns the store of the
@@ -214,7 +214,6 @@ def _image(shapes, trie, root, plan, unique=None):
     ages, so a nonempty table has a nonempty image. The output is
     hash-consed too, so the bar rewrite meets each combined subtree once.
     """
-    tau = plan[1]
     on0, on1, p_root = trie
     trie_size = len(on0)
     top = tau + 1
@@ -279,11 +278,11 @@ def _combine(a_nodes, p_node, depth, plan, memo):
     """_image on dict DAGs, both inputs encoded and the output decoded
     on every call. An adapter with the call shape of the benchmark's
     per-layer replay (perfbench/layers.py): ``a_nodes`` holds one root,
-    ``depth`` is 0 and ``memo`` is unused. It goes with the replay
-    (ROADMAP item 1).
+    ``depth`` is 0, ``plan`` is _build_plan's (length, tau) and ``memo``
+    is unused. It goes with the replay (ROADMAP item 1).
     """
     shapes, (root,) = encode(a_nodes)
-    out, out_root, _, _ = _image(shapes, _intern_trie(p_node), root, plan)
+    out, out_root, _, _ = _image(shapes, _intern_trie(p_node), root, plan[1])
     return decode(out)[out_root]
 
 
@@ -314,7 +313,6 @@ class _BarPass:
         self.earlier = earlier = [[0] * (tau + 2) for _ in range(n)]
         self.closes = [0] * n
         self.waiting = 0
-        self._later_by_closed: dict[int, list[list[int]]] = {}
         for i, v in enumerate(ordering):
             for lab in inst.lam[v]:
                 listed[lab] = listed.get(lab, 0) | 1 << i
@@ -369,17 +367,14 @@ class _BarPass:
         builds no map. The memo key ``uid << n | blk | pend`` is exact, as
         a uid fixes d; LEAF's is 0, as nothing waits at or lies past the
         last position. Positions the level closes are masked out of
-        ``later`` once per closed mask, so ``blk`` never holds them.
+        ``later`` once per call, so ``blk`` never holds them.
         Output children come in symbol order without sorting: the input's
         do and hold no BLOCKED, and BLOCKED, the least symbol, only ever
         replaces OPEN, the first one.
         """
         closed = self._closed(level)
         n, earlier, closes, waiting = len(self.closes), self.earlier, self.closes, self.waiting
-        later = self._later_by_closed.get(closed)
-        if later is None:
-            later = self._later_by_closed[closed] = [[mask & ~closed for mask in row]
-                                                     for row in self.later]
+        later = [[mask & ~closed for mask in row] for row in self.later]
         out: list[tuple] = [()]
         unique: dict[tuple, int] = {}
         memo: dict[int, object] = {0: 0}
@@ -477,16 +472,56 @@ class _BarPass:
         return out, unique, barred, count[barred], full[barred], len(memo) - 1
 
 
+# ---------------------------------------------------------------------------
+# the coordinate order
+
+
+def walk_order(g: Graph) -> tuple[int, ...]:
+    """A vertex order with a small frontier, for the solver's walks.
+
+    The frontier after a prefix of the order is the set of placed
+    vertices that still have an unplaced neighbour; the cost of the
+    combine and OPEN/BLOCKED walks follows its largest size (the
+    order's vertex separation). Greedy and deterministic: each step
+    places the unplaced vertex v with the least key (frontier size after
+    placing v, -(placed neighbours of v), v). Each vertex's count of
+    unplaced neighbours is kept up to date, so a candidate costs
+    O(deg(v)) and the whole order O(n * m).
+    """
+    adjacency = g.adjacency
+    left = {v: len(adjacency[v]) for v in adjacency}  # unplaced neighbours
+    unplaced = set(adjacency)
+    order: list[int] = []
+    frontier = 0
+    while unplaced:
+        best = None
+        for v in unplaced:
+            joined = closed = 0
+            for w in adjacency[v]:
+                if w not in unplaced:
+                    joined += 1
+                    closed += left[w] == 1  # v is w's last unplaced neighbour
+            key = (frontier - closed + (left[v] > 0), -joined, v)
+            if best is None or key < best:
+                best = key
+        frontier, _, v = best
+        order.append(v)
+        unplaced.remove(v)
+        for w in adjacency[v]:
+            left[w] -= 1
+    return tuple(order)
+
+
 class ComponentDP:
     """The dynamic program of one component, with its coordinates in a
     given vertex order (any permutation of the vertices; the solver uses
-    partition.walk_order). The tables hold the same vectors, up to the
-    order of their coordinates, whatever the order; only cost varies.
+    walk_order). The tables hold the same vectors, up to the order of
+    their coordinates, whatever the order; only cost varies.
 
     Built once per component: ``tau``, the coordinate ``ordering``, the
-    independent-set ``trie`` as int arrays, the walk's ``plan`` (vector
-    length and tau), the OPEN/BLOCKED pass ``bar`` and the level-0
-    vector (OPEN where label 1 is permitted, BLOCKED otherwise).
+    independent-set ``trie`` as int arrays, the OPEN/BLOCKED pass ``bar``
+    and the level-0 vector (OPEN where label 1 is permitted, BLOCKED
+    otherwise).
     ``advance`` takes a table one level on as a node store, from
     ``base_store()`` on; nothing here builds dict nodes.
     """
@@ -494,7 +529,6 @@ class ComponentDP:
     def __init__(self, inst: Instance, ordering):
         self.tau = tau = instance_tau(inst)
         self.ordering = ordering = tuple(ordering)
-        self.plan = len(ordering), tau
         self.bar = _BarPass(inst, ordering, tau)
         self._base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
         self.trie = independent_set_trie(inst.graph, ordering)
@@ -520,7 +554,7 @@ class ComponentDP:
         shapes, unique, root = store
         store.clear()
         kept = len(shapes)
-        combined, croot, entries, unions = _image(shapes, self.trie, root, self.plan, unique)
+        combined, croot, entries, unions = _image(shapes, self.trie, root, self.tau, unique)
         del shapes[kept:], shapes, unique  # the unions, then the store unless the caller keeps it
         shapes, unique, root, size, complete, bar_entries = self.bar.rewrite(
             combined, croot, level - 1)

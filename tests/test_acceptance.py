@@ -6,12 +6,8 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 import time
 
 from gltc import (
-    CLIQUE,
-    Block,
     ComponentDP,
-    SINGLETON,
     SolveOptions,
-    bfs_spanning_tree,
     brute_force_solve,
     build_partition,
     check_witness,
@@ -21,11 +17,17 @@ from gltc import (
     predict_complexity,
     random_instance,
     solve,
-    star_block_base,
     star_partition_k1d,
     star_partition_spanning_tree,
-    star_prefix_bound,
     validate,
+)
+from gltc.partition import (
+    CLIQUE,
+    SINGLETON,
+    Block,
+    bfs_spanning_tree,
+    star_block_base,
+    star_prefix_bound,
     validate_partition,
 )
 from gltc.reference import direct_step, mark_blocked

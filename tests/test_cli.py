@@ -52,6 +52,15 @@ def test_solve_missing_file_exits_2(capsys):
     assert main(["solve", "/no/such/file.gltc"]) == 2
 
 
+def test_solve_long_unknown_record_gives_a_short_error(tmp_path, capsys):
+    path = tmp_path / "long.gltc"
+    path.write_text("gltc 1 0\n" + "x" * 100000 + "\n")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert "line 2: unknown record" in err
+
+
 def test_solve_huge_header_gives_a_short_error(tmp_path, capsys):
     path = tmp_path / "huge.gltc"
     path.write_text("gltc 3000000 0\n")

@@ -11,7 +11,6 @@ from gltc import (
     ParseError,
     brute_force_solve,
     gap_compression,
-    graph_square,
     parse_instance,
     random_instance,
     reduce_channel,
@@ -23,6 +22,7 @@ from gltc import (
     split_components,
     validate,
 )
+from gltc.instance import graph_square
 from support import complete_graph, cycle_graph, path_graph, uniform_instance
 
 
@@ -68,6 +68,16 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_malformed_documents(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_instance(text)
+
+
+def test_parse_clips_a_long_unknown_record_kind():
+    with pytest.raises(ParseError) as info:
+        parse_instance("gltc 1 0\n" + "x" * 100000 + "\n")
+    message = str(info.value)
+    assert len(message) < 100
+    assert message.startswith("line 2: unknown record 'xxxx")
+    with pytest.raises(ParseError, match="line 3: unknown record 'edge'$"):
+        parse_instance("gltc 1 0\nv 1 1\nedge 1 2\n")
 
 
 def test_parse_names_only_the_first_missing_vertex_ids():

@@ -8,30 +8,32 @@ import re
 import pytest
 
 from gltc import (
-    CLIQUE,
-    SINGLETON,
-    STAR,
-    Block,
     Graph,
     NotK1dFreeError,
-    Partition,
     base_table_row,
-    bfs_spanning_tree,
     build_partition,
     clique_partition,
     feasible_prefixes,
     predict_complexity,
     random_instance,
     singleton_partition,
-    star_block_base,
     star_partition_k1d,
     star_partition_spanning_tree,
     split_components,
-    star_prefix_bound,
-    validate_partition,
     walk_order,
 )
-from gltc.partition import _feasible_prefixes
+from gltc.partition import (
+    CLIQUE,
+    SINGLETON,
+    STAR,
+    Block,
+    Partition,
+    bfs_spanning_tree,
+    star_block_base,
+    star_prefix_bound,
+    validate_partition,
+)
+from gltc.reference import _feasible_prefixes
 from support import (
     complete_graph,
     cycle_graph,

@@ -36,6 +36,7 @@ from gltc.reference import direct_step, forward_checking_solve, mark_blocked
 from gltc import indsets as indsets_module
 from gltc import instance as instance_module
 from gltc import partition as partition_module
+from gltc import reference as reference_module
 from gltc import solver as solver_module
 from gltc import vectorset as vectorset_module
 from gltc.solver import (
@@ -107,7 +108,7 @@ def _image_vs_direct_step(graph, ordering, tau, vecs):
     table = VectorTrie.from_vectors(n, vecs)
     indep = independent_set_vectors(graph, ordering)
     shapes, (root,) = encode((table.root,))
-    out, out_root, _, unions = _image(shapes, _intern_trie(indep.root), root, (n, tau))
+    out, out_root, _, unions = _image(shapes, _intern_trie(indep.root), root, tau)
     assert set(VectorTrie(n, decode(out)[out_root])) == set(direct_step(table, indep, tau))
     # both stores stay hash-consed: every shape in symbol order, and the
     # union nodes added to the input store equal none already there
@@ -283,7 +284,7 @@ def test_combined_dag_is_reduced(strategy):
     for inst, dp in _seeded_dps(strategy):
         table, indep = base_table(dp), indep_table(dp)
         for k in range(1, validate(inst).lambda_max + 1):
-            combined = _combine((table.root,), indep.root, 0, dp.plan, {})
+            combined = _combine((table.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
             shapes, reachable = _distinct_shapes(combined)
             assert shapes == reachable
             table, _, _, _, _ = step(dp, table, k)
@@ -431,7 +432,7 @@ def test_tau_zero_state_mixes_indep_nodes():
     assert dp.tau == 0
     assert indep.root[0] is not indep.root[1]
     table = VectorTrie.from_vectors(2, [(1, 1), (OPEN, OPEN)])
-    step = _combine((table.root,), indep.root, 0, dp.plan, {})
+    step = _combine((table.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
     # after a first 1, (1, 1) comes only from the pair (1, 0) and (1, OPEN)
     # only from (OPEN, 1): the state must keep both indep nodes
     assert set(VectorTrie(2, step)) == {(1, 1), (1, OPEN), (OPEN, OPEN), (OPEN, 1)}
@@ -441,13 +442,13 @@ def test_tau_zero_state_mixes_indep_nodes():
 def test_auto_solve_enumerates_no_prefixes(monkeypatch):
     # criterion-5 corpus seeds where auto picks an 8-vertex star block at tau 3
     calls = []
-    real = partition_module._feasible_prefixes
+    real = reference_module._feasible_prefixes
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(partition_module, "_feasible_prefixes", counted)
+    monkeypatch.setattr(reference_module, "_feasible_prefixes", counted)
     for seed in (251, 419):
         inst = random_instance(n=2 + seed % 7, density=(0.2, 0.5, 0.8)[seed % 3],
                                tau=seed % 4, lmax=4 + seed % 9, seed=seed)
@@ -533,7 +534,7 @@ def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeyp
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
     solver_module._find_complete(base)
-    solver_module._combine((base.root,), indep_table(dp).root, 0, dp.plan, {})
+    solver_module._combine((base.root,), indep_table(dp).root, 0, (len(dp.ordering), dp.tau), {})
     assert calls == {"decode": 1, "_find_complete": 1, "_least_complete": 1}
 
 
@@ -559,7 +560,7 @@ def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypa
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
     indep = indsets_module.trie_vectors(len(dp.ordering), dp.trie)
-    solver_module._combine((base.root,), indep.root, 0, dp.plan, {})
+    solver_module._combine((base.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
     assert calls["encode"] == 2 and calls["trie_vectors"] == 1 and calls["VectorTrie"] >= 2
 
 
