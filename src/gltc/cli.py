@@ -72,7 +72,7 @@ def _cmd_solve(args) -> int:
     result = solve(inst, options=options)
     if args.trace:
         for idx, comp in enumerate(result.stats.components):
-            print(f"# component {idx + 1}", file=sys.stderr)
+            print(f"# component {idx + 1} pruned {comp.pruned_labels}", file=sys.stderr)
             cum = 0
             for k, size in enumerate(comp.level_sizes, start=1):
                 cum += size

@@ -4,9 +4,10 @@ An instance couples a simple undirected graph with a finite list of
 permitted labels per vertex and a finite set of forbidden differences
 per edge. Every difference set contains 0, so adjacent vertices can
 never share a label. The module owns the data model, the line-based
-GLTC file format, validation, connected-component splitting, label-gap
-compression and the reductions from four classical labeling models
-(list coloring, L(p,q)-labeling, channel assignment, T-coloring).
+GLTC file format, validation, connected-component splitting, label
+pruning and gap compression, and the reductions from four classical
+labeling models (list coloring, L(p,q)-labeling, channel assignment,
+T-coloring).
 
 File format (UTF-8, line based, '#' starts a comment, blank lines
 ignored)::
@@ -22,14 +23,21 @@ ascending, edges in (min, max) lexicographic order, single spaces.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from dataclasses import dataclass, field
 
 Edge = tuple[int, int]
+_ECHO = 20  # characters of a record kind or digits of an integer a ParseError repeats
+_LONG_INT = re.compile(r"\d{%d,}" % (_ECHO + 1))
 
 
 class ParseError(ValueError):
-    """Malformed instance document; the message carries the offending line."""
+    """Malformed instance document; the message carries the offending line,
+    with every integer longer than _ECHO digits cut short."""
+
+    def __init__(self, message: str):
+        super().__init__(_LONG_INT.sub(lambda m: m[0][:_ECHO] + "...", message))
 
 
 def _edge_key(u: int, v: int) -> Edge:
@@ -116,9 +124,6 @@ class InstanceStats:
 # ---------------------------------------------------------------------------
 # parsing and serialization
 
-_KIND_ECHO = 20  # characters of an unknown record kind a ParseError repeats
-
-
 def parse_instance(text: str) -> Instance:
     """Parse a GLTC document. Raises ParseError with a line number on bad input."""
     n = m = None
@@ -179,7 +184,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"line {lineno}: edge {key[0]}-{key[1]}: 0 not in difference set")
             tsets[key] = frozenset(diffs)
         else:
-            shown = kind if len(kind) <= _KIND_ECHO else kind[:_KIND_ECHO] + "..."
+            shown = kind if len(kind) <= _ECHO else kind[:_ECHO] + "..."
             raise ParseError(f"line {lineno}: unknown record '{shown}'")
     if n is None:
         raise ParseError("missing 'gltc <n> <m>' header")
@@ -279,11 +284,39 @@ def split_components(inst: Instance) -> list[tuple[Instance, dict[int, int]]]:
 
 
 # ---------------------------------------------------------------------------
-# label-gap compression
+# label pruning and gap compression
+
+
+def _prune_unsupported(inst: Instance) -> dict[int, frozenset[int]]:
+    """Arc consistency (AC-3, Mackworth 1977): drop each label a of L(v)
+    that some neighbour u cannot sit beside (no b in L(u) has |a - b|
+    outside T(uv)) until none goes; no proper labeling uses a dropped
+    label. As 0 is in T, a label rules out at most 2|T| - 1 labels of u,
+    so an arc with |L(u)| >= 2|T| is not checked. An emptied list empties
+    its whole component. Returns the lists, ``inst.lam`` itself if no
+    label goes."""
+    lam, adjacency = inst.lam, inst.graph.adjacency
+    arcs = [(v, u, diffs) for (u, v), diffs in inst.t.items()]
+    arcs += [(u, v, diffs) for v, u, diffs in arcs]
+    while arcs:
+        v, u, diffs = arcs.pop()
+        if len(lam[u]) >= 2 * len(diffs):
+            continue
+        bad = lam[v]  # the labels of v that no label of u seen so far supports
+        for b in lam[u]:
+            bad = [a for a in bad if abs(a - b) in diffs]
+        if bad:
+            lam = dict(lam) if lam is inst.lam else lam
+            lam[v] = lam[v].difference(bad)
+            # u needs no recheck: a label of v that supports one of u's is supported by it
+            arcs += [(w, v, inst.t_of(w, v)) for w in adjacency[v] if w != u]
+    return lam
 
 
 def gap_compression(inst: Instance) -> tuple[Instance, dict[int, int]]:
-    """Shrink dead label gaps; returns the instance and the map new -> old label.
+    """Prune unsupported labels (_prune_unsupported), then shrink dead
+    label gaps; returns the instance and the map new -> old label, {}
+    when pruning empties the lists.
 
     Labels below the smallest used label are dropped entirely and any run
     of unused labels between two used ones is capped so consecutive used
@@ -292,18 +325,17 @@ def gap_compression(inst: Instance) -> tuple[Instance, dict[int, int]]:
     forbidden-difference constraint changes and the YES/NO answer is
     unaffected.
     """
-    used = sorted(set().union(*inst.lam.values())) if inst.lam else []
-    if not used:
-        return inst, {}
+    lam = _prune_unsupported(inst)
+    used = sorted(set().union(*lam.values())) if lam else []
+    remap = {used[0]: 1} if used else {}
     tau = instance_tau(inst)
-    remap = {used[0]: 1}
     for prev, cur in zip(used, used[1:]):
         remap[cur] = remap[prev] + min(cur - prev, tau + 1)
-    if list(remap) == list(remap.values()):
-        return inst, {new: old for old, new in remap.items()}
-    lam = {v: frozenset(map(remap.__getitem__, labels)) for v, labels in inst.lam.items()}
-    compressed = Instance(graph=inst.graph, lam=lam, t=inst.t)
-    return compressed, {new: old for old, new in remap.items()}
+    if list(remap) != list(remap.values()):
+        lam = {v: frozenset(map(remap.__getitem__, labels)) for v, labels in lam.items()}
+    if lam is not inst.lam:
+        inst = Instance(graph=inst.graph, lam=lam, t=inst.t)
+    return inst, {new: old for old, new in remap.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Level k holds the set of state vectors of all proper partial labelings
 using labels 1..k. Advancing to level k+1 combines the table with the
 independent-set vectors (the vertices receiving label k+1 must be
 pairwise non-adjacent), then recomputes which unlabeled vertices can
-still take label k+2. The coordinates follow walk_order, defined here
+still take label k+2. Labels that fail arc consistency, which no
+proper labeling uses, are pruned first (instance.gap_compression), and
+a component that pruning empties is NO with no level run. The coordinates follow walk_order, defined here
 next to ComponentDP: a greedy small-frontier order of the graph. A
 table's content does not depend on the order, but the cost of the walks
 does. No partition is built here; partition.predict_complexity bounds
@@ -63,7 +65,8 @@ class SolveOptions:
     """``early_exit`` stops at the first level with a complete vector;
     ``store_parents`` keeps every level table for the witness walk;
     ``vector_limit`` caps the stored vectors (ResourceLimitError).
-    Dead label gaps are always compressed (instance.gap_compression)."""
+    Labels that fail arc consistency are always pruned and dead label
+    gaps compressed (instance.gap_compression)."""
 
     early_exit: bool = True
     store_parents: bool = True
@@ -83,11 +86,13 @@ class ComponentReport:
     """Per-component diagnostics: the vertex order the walks followed and,
     per level, how big the table got (vectors and DAG nodes), how many
     entries the combine and rewrite memos held together and how many
-    unions the combine memoized. A bound for the sizes comes from
-    predict_complexity on a partition of ``instance``."""
+    unions the combine memoized, and the list entries pruned before the
+    DP. A bound for the sizes comes from predict_complexity on a
+    partition of ``instance``."""
 
     instance: Instance
     ordering: tuple[int, ...]
+    pruned_labels: int = 0
     level_sizes: list[int] = field(default_factory=list)
     level_nodes: list[int] = field(default_factory=list)
     level_memo: list[int] = field(default_factory=list)
@@ -691,12 +696,15 @@ def check_witness(inst: Instance, witness: Witness) -> bool:
 def _solve_component(inst: Instance, options: SolveOptions,
                      stats: SolveStats) -> tuple[bool, Witness | None]:
     """Run the DP on one connected (sub-)instance, walked in walk_order,
-    with its dead label gaps compressed."""
+    with its unsupported labels pruned and its dead label gaps compressed."""
     ordering = walk_order(inst.graph)
     report = ComponentReport(instance=inst, ordering=ordering)
     stats.components.append(report)
+    entries = sum(map(len, inst.lam.values()))
     inst, label_map = gap_compression(inst)
-    lmax = max(label_map, default=0)  # the largest label, compressed
+    report.pruned_labels = entries - sum(map(len, inst.lam.values()))
+    if not label_map:  # pruning emptied every list: NO, and no level runs
+        return False, None
     dp = ComponentDP(inst, ordering)
     store = dp.base_store()
     # a retained level keeps its store, as advance leaves it
@@ -704,7 +712,7 @@ def _solve_component(inst: Instance, options: SolveOptions,
     found_level = None
 
     # a component has a vertex, so the base vector is never complete
-    for k in range(1, lmax + 1):
+    for k in range(1, max(label_map) + 1):  # to the largest label, compressed
         size, nodes, complete, memo, unions = dp.advance(store, k)
         if levels is not None:
             levels.append((store[0], store[2]))

@@ -68,6 +68,17 @@ def test_solve_huge_header_gives_a_short_error(tmp_path, capsys):
     assert len(capsys.readouterr().err.encode()) < 1024
 
 
+@pytest.mark.parametrize("text", [
+    "gltc 1 0\nv " + "9" * 4300 + " 1\n",
+    "gltc " + "9" * 4300 + " 0\nv 2 1\n",
+], ids=["vertex-id", "header-count"])
+def test_solve_long_integer_gives_a_short_error(tmp_path, capsys, text):
+    path = tmp_path / "long.gltc"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == 2
+    assert len(capsys.readouterr().err.encode()) < 1024
+
+
 def test_solve_internal_failure_exits_2_not_no(yes_file, monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError
@@ -127,6 +138,15 @@ def test_solve_trace_goes_to_stderr(yes_file, capsys):
     for row in rows:
         k, size, cum = row.split("\t")
         assert int(k) >= 1 and int(size) >= 0 and int(cum) >= int(size)
+
+
+def test_solve_trace_headers_count_the_pruned_labels(yes_file, no_file, capsys):
+    # label 2 has no support on the edge in either document; in NO_DOC
+    # every label goes, so no level runs
+    assert main(["solve", yes_file, "--trace"]) == 0
+    assert capsys.readouterr().err.splitlines()[0] == "# component 1 pruned 2"
+    assert main(["solve", no_file, "--trace"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["# component 1 pruned 4"]
 
 
 def test_solve_limit_exits_2(tmp_path, capsys):

@@ -80,6 +80,19 @@ def test_parse_clips_a_long_unknown_record_kind():
         parse_instance("gltc 1 0\nv 1 1\nedge 1 2\n")
 
 
+@pytest.mark.parametrize("text", [
+    "gltc 1 0\nv " + "9" * 4300 + " 1\n",
+    "gltc " + "9" * 4300 + " 0\nv 2 1\n",
+    "gltc 2 1\nv 1 1\nv 2 1\ne 1 " + "9" * 4300 + " 0\n",
+], ids=["vertex-id", "header-count", "edge-endpoint"])
+def test_parse_clips_a_long_integer(text):
+    with pytest.raises(ParseError) as info:
+        parse_instance(text)
+    message = str(info.value)
+    assert len(message) < 100
+    assert "9" * 20 + "..." in message and "9" * 21 not in message
+
+
 def test_parse_names_only_the_first_missing_vertex_ids():
     with pytest.raises(ParseError) as info:
         parse_instance("gltc 3000000 0\nv 2 1\n")
@@ -259,8 +272,53 @@ def test_connected_solve_copies_no_sub_instance(monkeypatch):
 # --- gap compression -------------------------------------------------------
 
 def test_compress_leaves_dense_lists_alone():
+    inst = uniform_instance(path_graph(2), {1, 2, 3, 4}, {0, 1})
+    assert gap_compression(inst)[0] is inst
+
+
+def test_compress_empties_an_arc_inconsistent_component():
+    # labels 1 and 2 cannot sit on an edge that forbids differences 0 and 1
     inst = uniform_instance(path_graph(2), {1, 2}, {0, 1})
-    assert gap_compression(inst)[0] == inst
+    out, new_to_old = gap_compression(inst)
+    assert out.lam == {1: frozenset(), 2: frozenset()} and new_to_old == {}
+
+
+def _kept_labels(inst):
+    """Each vertex's labels that gap_compression keeps, in the old numbering."""
+    out, new_to_old = gap_compression(inst)
+    return {v: {new_to_old[lab] for lab in labels} for v, labels in out.lam.items()}
+
+
+def test_pruned_labels_are_in_no_proper_labeling():
+    removed = 0
+    for seed in range(60):
+        inst = random_instance(n=3 + seed % 5, density=0.6, tau=1 + seed % 3, lmax=6, seed=seed)
+        kept = _kept_labels(inst)
+        for v, labels in inst.lam.items():
+            for lab in labels - kept[v]:
+                # pinned to a pruned label, the vertex leaves no proper labeling
+                pinned = Instance(graph=inst.graph, lam={**inst.lam, v: frozenset({lab})}, t=inst.t)
+                assert brute_force_solve(pinned) == (False, None), (seed, v, lab)
+                removed += 1
+        # the pruned lists are a fixpoint: every kept label has support on every edge
+        for (u, w), diffs in inst.t.items():
+            for a, b in ((u, w), (w, u)):
+                assert all(any(abs(x - y) not in diffs for y in kept[b]) for x in kept[a])
+        assert solve(inst).decision == brute_force_solve(inst)[0]
+    assert removed >= 200
+
+
+def test_an_emptied_list_empties_its_whole_component():
+    # 1 and 2 lose every label on their edge, and the loss runs down the
+    # path; the lists of 3..5 are long enough to be left unchecked at first
+    g = Graph.from_edges(7, [(1, 2), (2, 3), (3, 4), (4, 5), (6, 7)])
+    lam = {v: frozenset({1, 2, 3, 4}) for v in range(1, 8)}
+    lam[1] = lam[2] = frozenset({1, 2})
+    inst = Instance(graph=g, lam=lam, t={e: frozenset({0, 1}) for e in g.edges})
+    assert _kept_labels(inst) == {**{v: set() for v in range(1, 6)}, 6: {1, 2, 3, 4}, 7: {1, 2, 3, 4}}
+    component, _ = split_components(inst)[0]
+    out, new_to_old = gap_compression(component)
+    assert not any(out.lam.values()) and new_to_old == {}
 
 
 def test_compress_shrinks_internal_gap():

@@ -10,7 +10,13 @@ names only.
 import ast
 import importlib
 import itertools
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from gltc import (
     OPEN,
@@ -105,6 +111,23 @@ def test_completeness_check_and_witness_walk_of_the_replay_still_run():
                 checked += 1
                 break
     assert checked >= 4
+
+
+@pytest.mark.parametrize("workload", ["reductions", "small_mixed"])
+def test_replay_level_sizes_match_solve(workload, tmp_path, monkeypatch):
+    # run.py --trace 1 refuses a replay whose level sizes differ from
+    # solve()'s or pass the predicted bound; large_tau1's one instance
+    # takes about 15 s and 400 MB in the replay, so it is left to run.py
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    workloads.write(workloads.WORKLOADS[workload](7)[:24], tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    subprocess.run([sys.executable, str(PERFBENCH / "layers.py"), "--corpus", str(tmp_path),
+                    "--out", str(tmp_path / "result.json")], env=env, check=True, timeout=120)
+    report = json.loads((tmp_path / "result.json").read_text(encoding="utf-8"))
+    assert report["mismatches"] == []
+    assert report["metrics"]["solver.over_bound"] == 0
+    assert report["metrics"]["solver.levels"] > 0
 
 
 def test_demos_and_test_support_import_no_private_gltc_name():

@@ -669,6 +669,23 @@ def test_solve_k2_no():
     assert not solve(inst).decision
 
 
+def test_a_wiped_out_component_builds_no_dp_and_runs_no_level(monkeypatch):
+    # the first component is YES; labels 1 and 2 cannot sit on the second's
+    # edge, so pruning empties its lists and it is NO before any level
+    g = Graph.from_edges(4, [(1, 2), (3, 4)])
+    lam = {1: frozenset({1, 3}), 2: frozenset({1, 3}), 3: frozenset({1, 2}), 4: frozenset({1, 2})}
+    inst = Instance(graph=g, lam=lam, t={e: frozenset({0, 1}) for e in g.edges})
+    built = []
+    monkeypatch.setattr(solver_module, "ComponentDP",
+                        lambda *args: built.append(args) or ComponentDP(*args))
+    result = solve(inst, options=SolveOptions(early_exit=False))
+    assert not result.decision and result.witness is None
+    first, second = result.stats.components
+    assert first.level_sizes and first.pruned_labels == 0
+    assert second.level_sizes == [] and second.pruned_labels == 4
+    assert len(built) == 1 and result.stats.levels == len(first.level_sizes)
+
+
 def test_solve_triangle_two_colors_is_no():
     inst = uniform_instance(complete_graph(3), {1, 2}, {0})
     assert not solve(inst).decision
@@ -775,8 +792,8 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
             sub, label_map = gap_compression(report.instance)
             dp = ComponentDP(sub, report.ordering)
             table = base_table(dp)
-            assert len(report.level_sizes) == max(label_map)
-            for k in range(1, max(label_map) + 1):
+            assert len(report.level_sizes) == max(label_map, default=0)
+            for k in range(1, max(label_map, default=0) + 1):
                 table = step(dp, table, k)[0]
                 assert _find_complete(table) is None
             seen["no"] += 1
