@@ -24,6 +24,7 @@ from .instance import (
     serialize_instance,
     _edge_key,
 )
+from .partition import _STRATEGIES, _check_strategy
 from .partition import base_table_row, build_partition, predict_complexity
 from .reference import brute_force_solve
 from .solver import ResourceLimitError, SolveOptions, solve
@@ -32,8 +33,6 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
 
-PARTITION_CHOICES = "singleton|star|k1d:<d>|clique|auto"
-
 
 def _load(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
@@ -41,17 +40,11 @@ def _load(path: str) -> Instance:
 
 
 def _check_partition_flag(value: str) -> str:
-    if value in ("singleton", "star", "clique", "auto"):
-        return value
-    if value.startswith("k1d:"):
-        try:
-            d = int(value.split(":", 1)[1])
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"bad k1d parameter in {value!r}") from None
-        if d < 3:
-            raise argparse.ArgumentTypeError("k1d needs d >= 3")
-        return value
-    raise argparse.ArgumentTypeError(f"expected one of {PARTITION_CHOICES}")
+    try:
+        _check_strategy(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _print_decision(decision: bool, witness, want_witness: bool) -> int:
@@ -157,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="decide an instance file")
     p_solve.add_argument("file")
     p_solve.add_argument("--partition", type=_check_partition_flag, default="auto",
-                         metavar=PARTITION_CHOICES,
+                         metavar=_STRATEGIES,
                          help="accepted and ignored: does not affect the solve "
                               "(see predict); goes at the next benchmark change")
     p_solve.add_argument("--witness", action="store_true",
@@ -165,8 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-early-exit", action="store_true")
     p_solve.add_argument("--trace", action="store_true",
                          help="per-level table sizes on stderr")
-    p_solve.add_argument("--limit", type=int, default=1 << 26,
-                         help="cap on stored state vectors")
+    p_solve.add_argument("--limit", type=int, default=SolveOptions.vector_limit,
+                         help="cap on the sum of all level sizes, checked as each level ends")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="brute-force a small instance file")
@@ -203,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_predict = sub.add_parser("predict", help="report per-block prefix counts and base")
     p_predict.add_argument("file")
     p_predict.add_argument("--partition", type=_check_partition_flag, default="auto",
-                           metavar=PARTITION_CHOICES)
+                           metavar=_STRATEGIES)
     p_predict.set_defaults(func=_cmd_predict)
 
     p_bases = sub.add_parser("bases", help="worst-case bases for one tau")

@@ -110,21 +110,16 @@ def bfs_spanning_tree(g: Graph, root: int) -> dict[int, set[int]]:
 def _tree_farthest(tree: dict[int, set[int]], start: int) -> tuple[int, dict[int, int]]:
     """BFS returning the farthest vertex (ties to minimum id) and parent links."""
     parent = {start: 0}
-    order = [start]
+    depth = {start: 0}
     queue = deque([start])
     while queue:
         v = queue.popleft()
         for w in sorted(tree[v]):
             if w not in parent:
                 parent[w] = v
-                order.append(w)
+                depth[w] = depth[v] + 1
                 queue.append(w)
-    depth = {start: 0}
-    for v in order[1:]:
-        depth[v] = depth[parent[v]] + 1
-    maxd = max(depth.values())
-    far = min(v for v in depth if depth[v] == maxd)
-    return far, parent
+    return min(depth, key=lambda v: (-depth[v], v)), parent
 
 
 def tree_longest_path(tree: dict[int, set[int]]) -> list[int]:
@@ -138,19 +133,6 @@ def tree_longest_path(tree: dict[int, set[int]]) -> list[int]:
     if path[0] > path[-1]:
         path.reverse()
     return path
-
-
-def _tree_is_star_center(tree: dict[int, set[int]]) -> int | None:
-    """Min-id vertex adjacent to all others, or None if the tree is no star."""
-    size = len(tree)
-    centers = sorted(v for v, nbrs in tree.items() if len(nbrs) == size - 1)
-    return centers[0] if centers else None
-
-
-def _remove_from_tree(tree: dict[int, set[int]], vertices) -> None:
-    for v in vertices:
-        for w in tree.pop(v):
-            tree[w].discard(v)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +155,7 @@ def star_partition_spanning_tree(g: Graph) -> Partition:
     final block. Non-final blocks have at most Delta(tree) vertices and
     the final one at most Delta(tree)+1.
     """
-    if g.n == 0:
-        return Partition(())
-    tree = bfs_spanning_tree(g, root=1)
-    if len(tree) != g.n:
-        raise ValueError("star partition requires a connected graph")
-    part = Partition(tuple(_peel_tree_stars(tree)))
-    validate_partition(g, part)
-    return part
+    return _star_partition(g, None)
 
 
 def star_partition_k1d(g: Graph, d: int) -> Partition:
@@ -197,28 +172,45 @@ def star_partition_k1d(g: Graph, d: int) -> Partition:
     neighbors, so the loop terminates and the residual stays connected.
     After a pair peel that took x (when the residual is a star, x is one
     of u's leaves) or left at most d vertices, the path is taken anew.
+    Once at most d vertices are left, the peeling is the spanning-tree one.
     """
     if d < 3:
         raise ValueError(f"requires d >= 3, got {d}")
-    if g.n <= d:
-        return star_partition_spanning_tree(g)
+    return _star_partition(g, d)
+
+
+def _star_partition(g: Graph, d: int | None) -> Partition:
+    """The star peeling of both entry points; ``d=None`` bounds no block."""
+    if g.n == 0:
+        return Partition(())
     tree = bfs_spanning_tree(g, root=1)
     if len(tree) != g.n:
         raise ValueError("star partition requires a connected graph")
     blocks: list[Block] = []
+
+    def peel(vertices, kind=STAR):
+        blocks.append(Block(vertices, kind))
+        for v in vertices:
+            for w in tree.pop(v):
+                tree[w].discard(v)
+
     while tree:
-        if len(tree) <= d:
-            blocks.extend(_peel_tree_stars(tree))
-            break
+        if d is None or len(tree) <= d:
+            # the min-id vertex adjacent to all others, if the tree is a star
+            center = min((v for v, nbrs in tree.items() if len(nbrs) == len(tree) - 1),
+                         default=None)
+            if center is not None:
+                rest = tuple(sorted(set(tree) - {center}))
+                peel((center, *rest), STAR if rest else SINGLETON)
+                break
         path = tree_longest_path(tree)
         u = path[1]
         x = path[2]
         while True:
             leaves = sorted(w for w in tree[u] if len(tree[w]) == 1)
-            if len(leaves) <= d - 2:
+            if d is None or len(leaves) <= d - 2:
                 if leaves:
-                    blocks.append(Block((u, *leaves), STAR))
-                    _remove_from_tree(tree, (u, *leaves))
+                    peel((u, *leaves))
                 # with no leaves left u is itself a leaf now; leave it for later
                 break
             pair = next(
@@ -230,8 +222,7 @@ def star_partition_k1d(g: Graph, d: int) -> Partition:
                 None,
             )
             if pair is not None:
-                blocks.append(Block(pair, STAR))
-                _remove_from_tree(tree, pair)
+                peel(pair)
                 if x not in tree or len(tree) <= d:
                     break
                 continue
@@ -240,31 +231,12 @@ def star_partition_k1d(g: Graph, d: int) -> Partition:
             )
             if mover is None:
                 raise NotK1dFreeError(f"input not K_{{1,{d}}}-free (center {u})")
-            tree[u].discard(mover)
-            tree[mover].discard(u)
-            tree[mover].add(x)
+            tree[u].discard(mover)  # mover is a leaf: x becomes its one neighbour
+            tree[mover] = {x}
             tree[x].add(mover)
     part = Partition(tuple(blocks))
     validate_partition(g, part)
     return part
-
-
-def _peel_tree_stars(tree: dict[int, set[int]]) -> list[Block]:
-    """The spanning-tree peeling of star_partition_spanning_tree; empties ``tree``."""
-    blocks: list[Block] = []
-    while tree:
-        center = _tree_is_star_center(tree)
-        if center is not None:
-            rest = tuple(sorted(set(tree) - {center}))
-            blocks.append(Block((center, *rest), STAR if rest else SINGLETON))
-            tree.clear()
-            break
-        path = tree_longest_path(tree)
-        u = path[1]
-        leaves = tuple(sorted(w for w in tree[u] if len(tree[w]) == 1))
-        blocks.append(Block((u, *leaves), STAR))
-        _remove_from_tree(tree, (u, *leaves))
-    return blocks
 
 
 def clique_partition(g: Graph) -> Partition:
@@ -414,6 +386,24 @@ def base_table_row(tau: int) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # strategy dispatch
 
+_STRATEGIES = "singleton|star|k1d:<d>|clique|auto"
+
+
+def _check_strategy(strategy: str) -> int | None:
+    """The d of a ``k1d:<d>`` strategy, None for the other names of
+    ``_STRATEGIES``; ValueError for anything else, on every graph."""
+    if strategy in (SINGLETON, STAR, CLIQUE, "auto"):
+        return None
+    if strategy.startswith("k1d:"):
+        try:
+            d = int(strategy.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad k1d parameter in {strategy!r}") from None
+        if d < 3:
+            raise ValueError("k1d needs d >= 3")
+        return d
+    raise ValueError(f"expected one of {_STRATEGIES}")
+
 
 def build_partition(inst: Instance, strategy: str = "auto") -> Partition:
     """Build a partition of the whole vertex set by strategy name.
@@ -423,35 +413,33 @@ def build_partition(inst: Instance, strategy: str = "auto") -> Partition:
     ties going singleton < star < clique). Star-based strategies are
     applied per connected component and concatenated.
     """
+    d = _check_strategy(strategy)
     g = inst.graph
-    if strategy == "singleton":
+    if strategy == SINGLETON:
         return singleton_partition(g)
-    if strategy == "clique":
+    if strategy == CLIQUE:
         return clique_partition(g)
-    if strategy in ("star", "auto") or strategy.startswith("k1d:"):
-        tau = instance_tau(inst)
-        blocks: list[Block] = []
-        for sub_inst, idmap in split_components(inst):
-            sub = sub_inst.graph
-            if strategy == "star":
-                chosen = star_partition_spanning_tree(sub)
-            elif strategy.startswith("k1d:"):
-                d = int(strategy.split(":", 1)[1])
-                chosen = star_partition_k1d(sub, d)
-            else:
-                candidates = [
-                    singleton_partition(sub),
-                    star_partition_spanning_tree(sub),
-                    clique_partition(sub),
-                ]
-                chosen = min(
-                    candidates,
-                    key=lambda p: predict_complexity(sub, p, tau).product,
-                )
-            blocks.extend(
-                Block(tuple(idmap[v] for v in b.vertices), b.kind) for b in chosen.blocks
+    tau = instance_tau(inst)
+    blocks: list[Block] = []
+    for sub_inst, idmap in split_components(inst):
+        sub = sub_inst.graph
+        if strategy == STAR:
+            chosen = star_partition_spanning_tree(sub)
+        elif d is not None:
+            chosen = star_partition_k1d(sub, d)
+        else:
+            candidates = [
+                singleton_partition(sub),
+                star_partition_spanning_tree(sub),
+                clique_partition(sub),
+            ]
+            chosen = min(
+                candidates,
+                key=lambda p: predict_complexity(sub, p, tau).product,
             )
-        part = Partition(tuple(blocks))
-        validate_partition(g, part)
-        return part
-    raise ValueError(f"unknown partition strategy {strategy!r}")
+        blocks.extend(
+            Block(tuple(idmap[v] for v in b.vertices), b.kind) for b in chosen.blocks
+        )
+    part = Partition(tuple(blocks))
+    validate_partition(g, part)
+    return part

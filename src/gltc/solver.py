@@ -57,14 +57,15 @@ Witness = dict[int, int]
 
 
 class ResourceLimitError(RuntimeError):
-    """The configured cap on stored state vectors was exceeded (not a NO)."""
+    """The sum of level sizes passed ``vector_limit`` (not a NO)."""
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """``early_exit`` stops at the first level with a complete vector;
     ``store_parents`` keeps every level table for the witness walk;
-    ``vector_limit`` caps the stored vectors (ResourceLimitError).
+    ``vector_limit`` caps the sum of level sizes over all levels and
+    components, checked after each level (ResourceLimitError).
     Labels that fail arc consistency are always pruned and dead label
     gaps compressed (instance.gap_compression)."""
 

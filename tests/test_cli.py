@@ -2,8 +2,8 @@
 
 import pytest
 
-from gltc import parse_instance, check_witness
-from gltc.cli import main
+from gltc import SolveOptions, parse_instance, check_witness
+from gltc.cli import build_parser, main
 
 YES_DOC = "gltc 2 1\nv 1 1 2 3\nv 2 1 2 3\ne 1 2 0 1\n"
 NO_DOC = "gltc 2 1\nv 1 1 2\nv 2 1 2\ne 1 2 0 1\n"
@@ -108,6 +108,21 @@ def test_solve_rejects_a_bad_partition_flag(yes_file, part, capsys):
         main(["solve", yes_file, "--partition", part])
     assert exc.value.code == 2
     assert "--partition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("part, message", [
+    ("k1d:2", "k1d needs d >= 3"),
+    ("k1d:abc", "bad k1d parameter in 'k1d:abc'"),
+    ("bogus", "expected one of singleton|star|k1d:<d>|clique|auto"),
+])
+def test_predict_reports_the_strategy_checker_message(yes_file, part, message, capsys):
+    with pytest.raises(SystemExit):
+        main(["predict", yes_file, "--partition", part])
+    assert capsys.readouterr().err.rstrip().endswith(f"argument --partition: {message}")
+
+
+def test_solve_limit_defaults_to_the_solve_options_cap():
+    assert build_parser().parse_args(["solve", "x"]).limit == SolveOptions().vector_limit
 
 
 CLAW_DOC = "gltc 4 3\nv 1 1 2\nv 2 1 2\nv 3 1 2\nv 4 1 2\ne 1 2 0\ne 1 3 0\ne 1 4 0\n"

@@ -3,8 +3,10 @@
 The solver owns its walk order and imports neither the partitions (they
 bound the tables; they do not steer the solve) nor the reference
 implementations. The reference module owns the listing of feasible
-prefixes. ``gltc.__all__`` holds what the CLI, the demos and the benchmark
-scripts import from gltc, plus the public exceptions and result types.
+prefixes. The partition module peels stars in one loop and owns the
+strategy grammar; the CLI only reports its verdict. ``gltc.__all__``
+holds what the CLI, the demos and the benchmark scripts import from
+gltc, plus the public exceptions and result types.
 """
 
 import ast
@@ -64,3 +66,23 @@ def test_package_exports_what_its_callers_import():
     assert len(gltc.__all__) == len(set(gltc.__all__)) == 39
     assert set(gltc.__all__) == used | PUBLIC_TYPES
     assert all(hasattr(gltc, name) for name in gltc.__all__)
+
+
+def test_one_function_peels_stars():
+    tree = ast.parse((SRC / "partition.py").read_text(encoding="utf-8"))
+    callers = {
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "tree_longest_path"
+                for node in ast.walk(fn))
+    }
+    assert len(callers) == 1, callers
+
+
+def test_cli_does_not_parse_strategies():
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    literals = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert not [s for s in literals if "k1d" in s]
+    assert not literals & {"singleton", "star", "clique"}

@@ -1,5 +1,6 @@
 """Partition construction, feasible prefixes, and complexity prediction."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -176,6 +177,51 @@ def test_k1d_on_seeded_graphs_partitions_or_names_a_real_star():
                 assert all(block.size <= d - 1 for block in part.blocks[:-1]), (i, d)
                 assert part.blocks[-1].size <= d, (i, d)
     assert outcomes == {"refused", "partitioned"}
+
+
+def _connected_graph(n, seed):
+    """A seeded connected graph: a random tree plus each other pair with
+    probability 0.3."""
+    rng = random.Random(seed)
+    edges = {(int(rng.random() * v) + 1, v + 1) for v in range(1, n)}
+    edges |= {(u, v) for u, v in itertools.combinations(range(1, n + 1), 2)
+              if rng.random() < 0.3}
+    return Graph.from_edges(n, sorted(edges))
+
+
+def test_k1d_with_d_at_least_n_is_the_spanning_tree_partition():
+    for n in range(1, 16):
+        for seed in range(10):
+            g = _connected_graph(n, 1000 * n + seed)
+            tree_part = star_partition_spanning_tree(g)
+            for d in range(max(3, n), n + 4):
+                assert star_partition_k1d(g, d) == tree_part, (n, seed, d)
+
+
+# The SHA-1 of _peel_outcomes(), the same for the two-loop star peeling and
+# the one-loop peeler that replaced it: a change that moves a block or
+# alters a refusal changes it.
+PEEL_DIGEST = "66f0d4375995f715c09332fed1ba062693675ea2"
+
+
+def _peel_outcomes():
+    digest = hashlib.sha1()
+    for n in range(16):
+        for density in (0.15, 0.3, 0.5, 0.7, 0.9):
+            for seed in range(10):
+                inst = random_instance(n, density, 1, 4, seed)
+                for strategy in ("star", "k1d:3", "k1d:4", "k1d:5", "k1d:6"):
+                    try:
+                        part = build_partition(inst, strategy)
+                        outcome = [(b.vertices, b.kind) for b in part.blocks]
+                    except ValueError as exc:
+                        outcome = (type(exc).__name__, str(exc))
+                    digest.update(repr((n, density, seed, strategy, outcome)).encode())
+    return digest.hexdigest()
+
+
+def test_star_peeling_outcomes_are_pinned():
+    assert _peel_outcomes() == PEEL_DIGEST
 
 
 # --- clique partitions ---------------------------------------------------------
@@ -373,6 +419,17 @@ def test_build_partition_k1d_strategy():
     part = build_partition(inst, "k1d:3")
     validate_partition(inst.graph, part)
     assert max(b.size for b in part.blocks) <= 3
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("strategy, message", [
+    ("k1d:2", "k1d needs d >= 3"),
+    ("k1d:abc", "bad k1d parameter in 'k1d:abc'"),
+])
+def test_build_partition_checks_the_strategy_on_every_graph(n, strategy, message):
+    inst = uniform_instance(path_graph(n), {1}, {0})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build_partition(inst, strategy)
 
 
 def test_build_partition_rejects_unknown_strategy():
