@@ -10,7 +10,6 @@ every level table for a 3-path and shows where the YES verdict appears.
 
 from gltc import ComponentDP, VectorTrie, build_partition, parse_instance, solve, validate, walk_order
 from gltc.encoding import format_vector, is_complete
-from gltc.indsets import trie_vectors
 from gltc.vectorset import decode
 
 # A 3-path where neighbors must differ by more than 1, frequencies 1..4.
@@ -36,24 +35,24 @@ print("blocks (bound only):", [b.vertices for b in part.blocks])
 print("vertex order of the walk:", dp.ordering)
 print()
 
-indep = trie_vectors(len(dp.ordering), dp.trie)
-print(f"{len(indep)} independent-set vectors:", " ".join(format_vector(p) for p in indep))
-print()
 
-
-def vectors(store):
-    """The vectors of a table the solver keeps as a node store [shapes, _, root]."""
-    shapes, _, root = store
+def vectors(shapes, root):
+    """The vectors below uid ``root`` of a node store, the form in which the
+    solver keeps its tables and the independent-set trie."""
     return VectorTrie(len(dp.ordering), decode(shapes)[root])
 
 
+indep = vectors(*dp.trie)
+print(f"{len(indep)} independent-set vectors:", " ".join(format_vector(p) for p in indep))
+print()
+
 store = dp.base_store()
-print("level 0:", " ".join(format_vector(v) for v in vectors(store)))
+print("level 0:", " ".join(format_vector(v) for v in vectors(store[0], store[2])))
 for k in range(1, stats.lambda_max + 1):
     dp.advance(store, k)  # combine, then the open/blocked pass, in place
     rendered = [
         format_vector(v) + ("*" if is_complete(v) else "")
-        for v in vectors(store)
+        for v in vectors(store[0], store[2])
     ]
     print(f"level {k}:", " ".join(rendered))
 

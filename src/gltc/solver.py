@@ -4,38 +4,38 @@ Level k holds the set of state vectors of all proper partial labelings
 using labels 1..k. Advancing to level k+1 combines the table with the
 independent-set vectors (the vertices receiving label k+1 must be
 pairwise non-adjacent), then recomputes which unlabeled vertices can
-still take label k+2. Labels that fail arc consistency, which no
-proper labeling uses, are pruned first (instance.gap_compression), and
-a component that pruning empties is NO with no level run. The coordinates follow walk_order, defined here
-next to ComponentDP: a greedy small-frontier order of the graph. A
-table's content does not depend on the order, but the cost of the walks
-does. No partition is built here; partition.predict_complexity bounds
-the table sizes from outside. The combination is a product over single
-pairs of a table node and an independent-set trie node, memoized on the
-pair. Where two children of a table node age to the same symbol, they
-are first folded into one node by a memoized union on the table's own
-node store (the unique table and memoized OR of BDD packages), so every
-memo key stays one pair.
+still take label k+2. Labels that fail arc consistency, which no proper
+labeling uses, are pruned first (instance.gap_compression), and a
+component that pruning empties is NO with no level run. The coordinates
+follow walk_order, defined here next to ComponentDP: a greedy
+small-frontier order of the graph. A table's content does not depend on
+the order, but the cost of the walks does. No partition is built here;
+partition.predict_complexity bounds the table sizes from outside. The
+combination is a product over single pairs of a table node and an
+independent-set trie node, memoized on the pair. Where two children of a
+table node age to the same symbol, they are first folded into one node
+by a memoized union on the table's own node store (the unique table and
+memoized OR of BDD packages), so every memo key stays one pair.
 
 A level table is a hash-consed DAG, a trie in which equal subtrees are
 one node (a reduced multi-valued decision diagram), kept in an integer
 node store: each node is a uid whose shape is the tuple of its (symbol,
 child uid) pairs, and every memo key of a store walk is one int. Both
-inputs of a component's DP are born in store form: the independent-set
-trie as int arrays (indsets.independent_set_trie) and the level-0 table
-as a chain of one-child shapes. The level loop owns the store and its
-unique table from one level to the next, and each combine adds its
-unions to them. The OPEN/BLOCKED recomputation, a memoized rewrite of
-the hash-consed combined DAG into the next table, meets each distinct
-subtree once; one pass over its output store then counts each node's
-vectors and notes whether a complete vector (every vertex labeled) lies
-below it, so no table is walked again to size it or to decide. The
-instance is YES iff some level's table holds a complete vector. An
-explicit labeling is then reconstructed on the stores themselves: a
-retained level keeps its store, the least complete vector is found by a
-descent that remembers dead uids, and the walk back pairs table uids
-with trie ids. Dict nodes (gltc.vectorset) are for tests and the
-benchmark replay's adapters only.
+inputs of a component's DP are born as node stores: the independent-set
+trie (indsets.independent_set_trie), whose shapes hold a 0-child and
+maybe a 1-child, and the level-0 table as a chain of one-child shapes.
+The level loop owns the store and its unique table from one level to the
+next, and each combine adds its unions to them. The OPEN/BLOCKED
+recomputation, a memoized rewrite of the hash-consed combined DAG into
+the next table, meets each distinct subtree once; one pass over its
+output store then counts each node's vectors and notes whether a
+complete vector (every vertex labeled) lies below it, so no table is
+walked again to size it or to decide. The instance is YES iff some
+level's table holds a complete vector. An explicit labeling is then
+reconstructed on the stores themselves: a retained level keeps its
+store, the least complete vector is found by a descent that remembers
+dead uids, and the walk back pairs table uids with trie uids. Dict nodes
+(gltc.vectorset) are for tests and the benchmark replay's adapters only.
 
 Every recursive walk here creates its memo, returns the memo's size when
 a report needs it, takes one stack frame per position, and deletes its
@@ -118,20 +118,12 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # the node store
 #
-# The level loop keeps each table in a node store: a list mapping each
-# uid to its shape, the tuple of its (symbol, child uid) pairs in symbol
-# order. Uid 0 is LEAF, with the empty shape. A store is built bottom-up
-# and hash-consed on the shape, so children have smaller uids than their
-# parents, equal subtrees share one uid, and a shape fixes its depth.
-
-
-def _intern_trie(root):
-    """A dict 0/1 trie in the int-array form of indsets.independent_set_trie:
-    its node store read back by symbol. Only the adapters for the
-    benchmark replay and tests intern a trie."""
-    shapes, (root_id,) = encode((root,))
-    children = [dict(shape) for shape in shapes]
-    return [c.get(0, -1) for c in children], [c.get(1, -1) for c in children], root_id
+# The level loop keeps each table, and the independent-set trie, in a
+# node store: a list mapping each uid to its shape, the tuple of its
+# (symbol, child uid) pairs in symbol order. Uid 0 is LEAF, with the
+# empty shape. A store is built bottom-up and hash-consed on the shape, so
+# children have smaller uids than their parents, equal subtrees share one
+# uid, and a shape fixes its depth.
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +188,14 @@ def _union(u, v, shapes, unique, memo):
 def _image(shapes, trie, root, tau: int, unique=None):
     """The combination walk on node stores: every advance of a table
     vector below uid ``root`` of store ``shapes`` by a vector of the
-    independent-set ``trie`` (int arrays). Returns the store of the
-    combined DAG, its root uid, the number of entries the image memo
-    held and the number of unions the walk memoized.
+    independent-set ``trie``, a (store, root uid) pair. Returns the store
+    of the combined DAG, its root uid, the number of entries the image
+    memo held and the number of unions the walk memoized.
 
     A product over single pairs, the image operation of a decision
     diagram: image(u, q) is the set of advances of the vectors below
     table uid u by those below trie node q, memoized on the int
-    u * NP + q, NP the trie's node count. Assign 0 ages each symbol
+    u * NP + q, NP the trie's store size. Assign 0 ages each symbol
     through one lookup table, and the children of u that age to the
     same symbol (BLOCKED and OPEN to OPEN, 1 and 2 to 1) are first
     folded into one table uid by _union, so each output child is one
@@ -220,8 +212,8 @@ def _image(shapes, trie, root, tau: int, unique=None):
     ages, so a nonempty table has a nonempty image. The output is
     hash-consed too, so the bar rewrite meets each combined subtree once.
     """
-    on0, on1, p_root = trie
-    trie_size = len(on0)
+    t_shapes, p_root = trie
+    trie_size = len(t_shapes)
     top = tau + 1
     adv = aging_table(tau)  # assign 0 ages symbol x to adv[x]
     if unique is None:
@@ -234,7 +226,8 @@ def _image(shapes, trie, root, tau: int, unique=None):
     memo: dict[int, int] = {0: 0}
 
     def image(u, q):
-        q0 = on0[q]
+        q_shape = t_shapes[q]
+        q0 = q_shape[0][1]
         pairs = []
         last = group = opened = -1  # last: the symbol ``group`` ages to
         # the shape comes in symbol order and aging keeps that order, so
@@ -259,8 +252,8 @@ def _image(shapes, trie, root, tau: int, unique=None):
         if c is None:
             c = memo[key] = image(group, q0)
         pairs.append((last, c))
-        q1 = on1[q]
-        if opened >= 0 and q1 >= 0:
+        if opened >= 0 and len(q_shape) == 2:
+            q1 = q_shape[1][1]
             key = opened * trie_size + q1
             child = memo.get(key)
             if child is None:
@@ -288,7 +281,8 @@ def _combine(a_nodes, p_node, depth, plan, memo):
     is unused. It goes with the replay (ROADMAP item 1).
     """
     shapes, (root,) = encode(a_nodes)
-    out, out_root, _, _ = _image(shapes, _intern_trie(p_node), root, plan[1])
+    trie_shapes, (trie_root,) = encode((p_node,))
+    out, out_root, _, _ = _image(shapes, (trie_shapes, trie_root), root, plan[1])
     return decode(out)[out_root]
 
 
@@ -525,9 +519,9 @@ class ComponentDP:
     their coordinates, whatever the order; only cost varies.
 
     Built once per component: ``tau``, the coordinate ``ordering``, the
-    independent-set ``trie`` as int arrays, the OPEN/BLOCKED pass ``bar``
-    and the level-0 vector (OPEN where label 1 is permitted, BLOCKED
-    otherwise).
+    independent-set ``trie`` as (node store, root uid), the form of each
+    retained level, the OPEN/BLOCKED pass ``bar`` and the level-0 vector
+    (OPEN where label 1 is permitted, BLOCKED otherwise).
     ``advance`` takes a table one level on as a node store, from
     ``base_store()`` on; nothing here builds dict nodes.
     """
@@ -608,14 +602,15 @@ def _walk_back(levels, final, final_level: int, trie, tau: int, ordering) -> Wit
     At each level the predecessor, a vector of the level below and an
     assign mask that advance to the current vector (its OPEN and BLOCKED
     both read as OPEN, the symbol before the bar pass), is found by
-    walking that level's store and the independent-set ``trie`` (int
-    arrays) in lockstep over (table uid, trie id) pairs. Deterministic:
-    the first hit in canonical symbol order. Pairs with no match below
-    them are remembered, so shared nodes are searched once. The mask
-    tells which vertices took that level's label.
+    walking that level's store and the independent-set ``trie``, a
+    (store, root uid) pair, in lockstep over (table uid, trie uid)
+    pairs; a trie node may lack either child. Deterministic: the first
+    hit in canonical symbol order. Pairs with no match below them are
+    remembered, so shared nodes are searched once. The mask tells which
+    vertices took that level's label.
     """
-    on0, on1, p_root = trie
-    trie_size, n = len(on0), len(final)
+    t_shapes, p_root = trie
+    trie_size, n = len(t_shapes), len(final)
     ys = preimage_table(tau)
     labels: Witness = {}
     path: list[tuple[int, int]] = []
@@ -630,9 +625,9 @@ def _walk_back(levels, final, final_level: int, trie, tau: int, ordering) -> Wit
             return False
         by_x = options[i]
         for x, child in shapes[u]:
-            for y in by_x.get(x, ()):
-                c = on1[q] if y else on0[q]
-                if c >= 0:
+            ys_of_x = by_x.get(x, ())
+            for y, c in t_shapes[q]:
+                if y in ys_of_x:
                     path.append((x, y))
                     if dfs(i + 1, child, c):
                         return True
@@ -673,8 +668,9 @@ def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
     adapter for the benchmark's per-layer replay (perfbench/layers.py)
     that goes with the replay (ROADMAP item 1), as _combine does."""
     shapes, roots = encode([table.vectors.root for table in tables[:final_level]])
+    trie_shapes, (trie_root,) = encode((indep.root,))
     return _walk_back([(shapes, root) for root in roots], final, final_level,
-                      _intern_trie(indep.root), tau, ordering)
+                      (trie_shapes, trie_root), tau, ordering)
 
 
 def check_witness(inst: Instance, witness: Witness) -> bool:

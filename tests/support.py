@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 
 from gltc import BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition, validate
-from gltc.indsets import trie_vectors
 from gltc.vectorset import decode, encode
 
 
@@ -50,7 +49,8 @@ def base_table(dp: ComponentDP) -> VectorTrie:
 
 def indep_table(dp: ComponentDP) -> VectorTrie:
     """The independent-set trie of ``dp`` as a dict trie."""
-    return trie_vectors(len(dp.ordering), dp.trie)
+    shapes, root = dp.trie
+    return VectorTrie(len(dp.ordering), decode(shapes)[root])
 
 
 def step(dp: ComponentDP, table: VectorTrie, level: int):

@@ -4,8 +4,8 @@ import itertools
 import random
 
 from gltc import Graph, VectorTrie, independent_set_vectors, random_instance
-from gltc.indsets import independent_set_trie, trie_vectors
-from gltc.solver import _intern_trie
+from gltc.indsets import independent_set_trie
+from gltc.vectorset import decode, encode
 from support import complete_graph, path_graph
 
 
@@ -87,13 +87,13 @@ def _enumerated(g, ordering):
 
 
 def test_the_one_trie_builder_numbers_nodes_as_interning_a_dict_trie_does():
-    # the arrays, node for node, against a dict trie of the enumerated
-    # sets interned into a hash-consed store; decoding them gives back
+    # the store, node for node, against a dict trie of the enumerated
+    # sets interned into a hash-consed store; decoding it gives back
     # exactly those sets
     for g, ordering in _graphs():
         want = _enumerated(g, ordering)
-        trie = independent_set_trie(g, ordering)
-        assert trie == _intern_trie(VectorTrie.from_vectors(g.n, want).root)
-        assert set(trie_vectors(g.n, trie)) == want
+        shapes, root = independent_set_trie(g, ordering)
+        assert (shapes, [root]) == encode((VectorTrie.from_vectors(g.n, want).root,))
+        assert set(VectorTrie(g.n, decode(shapes)[root])) == want
         assert set(independent_set_vectors(g, ordering)) == want
     assert len(want) == 7  # the complete graph: the empty set and six singletons

@@ -31,7 +31,6 @@ from gltc import (
     validate,
     walk_order,
 )
-from gltc.indsets import trie_vectors
 from gltc.reference import direct_step, forward_checking_solve, mark_blocked
 from gltc import indsets as indsets_module
 from gltc import instance as instance_module
@@ -44,7 +43,6 @@ from gltc.solver import (
     _combine,
     _find_complete,
     _image,
-    _intern_trie,
 )
 from gltc.vectorset import decode, encode
 from support import (
@@ -108,7 +106,8 @@ def _image_vs_direct_step(graph, ordering, tau, vecs):
     table = VectorTrie.from_vectors(n, vecs)
     indep = independent_set_vectors(graph, ordering)
     shapes, (root,) = encode((table.root,))
-    out, out_root, _, unions = _image(shapes, _intern_trie(indep.root), root, tau)
+    trie_shapes, (trie_root,) = encode((indep.root,))
+    out, out_root, _, unions = _image(shapes, (trie_shapes, trie_root), root, tau)
     assert set(VectorTrie(n, decode(out)[out_root])) == set(direct_step(table, indep, tau))
     # both stores stay hash-consed: every shape in symbol order, and the
     # union nodes added to the input store equal none already there
@@ -544,13 +543,13 @@ def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypa
     # off, builds a VectorTrie (so neither a dict trie nor a dict base
     # table), encodes a DAG or decodes the trie, and every witness still
     # checks
-    calls = _counted_calls(monkeypatch, ("encode", "trie_vectors", "VectorTrie"))
+    calls = _counted_calls(monkeypatch, ("encode", "decode", "VectorTrie"))
     witnesses = 0
     for inst, early_exit in _seeded_solve_cases():
         decided = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=False))
-        assert calls == {"encode": 0, "trie_vectors": 0, "VectorTrie": 0}
+        assert calls == {"encode": 0, "decode": 0, "VectorTrie": 0}
         result = solve(inst, options=SolveOptions(early_exit=early_exit))
-        assert calls == {"encode": 0, "trie_vectors": 0, "VectorTrie": 0}
+        assert calls == {"encode": 0, "decode": 0, "VectorTrie": 0}
         assert result.decision == decided.decision
         if result.decision:
             assert check_witness(inst, result.witness)
@@ -559,9 +558,9 @@ def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypa
     # the counters do see the replay's adapters and the trie's decode
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
-    indep = indsets_module.trie_vectors(len(dp.ordering), dp.trie)
+    indep = indsets_module.independent_set_vectors(inst.graph, dp.ordering)
     solver_module._combine((base.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
-    assert calls["encode"] == 2 and calls["trie_vectors"] == 1 and calls["VectorTrie"] >= 2
+    assert calls["encode"] == 2 and calls["decode"] == 2 and calls["VectorTrie"] >= 2
 
 
 def test_one_component_solve_splits_components_once(monkeypatch):
@@ -781,7 +780,7 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
                 assert _find_complete(tables[final_level].vectors) == final
                 if early_exit:
                     assert all(_find_complete(t.vectors) is None for t in tables[:final_level])
-                indep = trie_vectors(n, trie)
+                indep = VectorTrie(n, decode(trie[0])[trie[1]])
                 assert reconstruct_witness(tables, final, final_level, indep, tau, ordering) == labels
             if result.decision:
                 assert check_witness(inst, result.witness)
