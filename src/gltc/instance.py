@@ -313,28 +313,51 @@ def _prune_unsupported(inst: Instance) -> dict[int, frozenset[int]]:
     return lam
 
 
+def _clip_differences(inst: Instance, lam: dict[int, frozenset[int]]) -> dict[Edge, frozenset]:
+    """Drop from each T(uv) the differences above the edge's span under
+    the lists ``lam``, max(max L(u) - min L(v), max L(v) - min L(u)):
+    no labeling gives them. 0 stays, as a span is never negative; an
+    edge with an empty list, which no labeling covers, keeps only 0.
+    Returns ``inst.t`` itself if no difference goes."""
+    lo, hi = {}, {}
+    for v, labels in lam.items():
+        if labels:
+            lo[v], hi[v] = min(labels), max(labels)
+    t = inst.t
+    for (u, v), diffs in inst.t.items():
+        span = max(hi[u] - lo[v], hi[v] - lo[u]) if u in lo and v in lo else 0
+        if max(diffs) > span:
+            t = dict(t) if t is inst.t else t
+            t[u, v] = frozenset(d for d in diffs if d <= span)
+    return t
+
+
 def gap_compression(inst: Instance) -> tuple[Instance, dict[int, int]]:
-    """Prune unsupported labels (_prune_unsupported), then shrink dead
+    """Prune unsupported labels (_prune_unsupported), drop the
+    differences no labeling gives (_clip_differences), then shrink dead
     label gaps; returns the instance and the map new -> old label, {}
     when pruning empties the lists.
 
     Labels below the smallest used label are dropped entirely and any run
     of unused labels between two used ones is capped so consecutive used
-    labels end up at most tau+1 apart. Differences <= tau between labels
-    are preserved exactly and differences > tau stay > tau, so no
-    forbidden-difference constraint changes and the YES/NO answer is
-    unaffected.
+    labels end up at most tau+1 apart, tau taken after the clipping.
+    Differences <= tau between labels are preserved exactly and
+    differences > tau stay > tau, so no forbidden-difference constraint
+    changes and the YES/NO answer is unaffected. The clipping keeps
+    tau, and with it the DP's alphabet, within the lists' span however
+    large a forbidden difference the input names.
     """
     lam = _prune_unsupported(inst)
+    t = _clip_differences(inst, lam)
     used = sorted(set().union(*lam.values())) if lam else []
     remap = {used[0]: 1} if used else {}
-    tau = instance_tau(inst)
+    tau = max(map(max, t.values()), default=0)
     for prev, cur in zip(used, used[1:]):
         remap[cur] = remap[prev] + min(cur - prev, tau + 1)
     if list(remap) != list(remap.values()):
         lam = {v: frozenset(map(remap.__getitem__, labels)) for v, labels in lam.items()}
-    if lam is not inst.lam:
-        inst = Instance(graph=inst.graph, lam=lam, t=inst.t)
+    if lam is not inst.lam or t is not inst.t:
+        inst = Instance(graph=inst.graph, lam=lam, t=t)
     return inst, {new: old for old, new in remap.items()}
 
 
@@ -379,7 +402,9 @@ def reduce_channel(g: Graph, omega: dict[Edge, int], lam: dict[int, frozenset[in
     """Channel assignment: endpoint labels of edge e must differ by >= omega(e)."""
     t = {}
     for e in g.edges:
-        w = omega[e]
+        w = omega.get(e)
+        if w is None:
+            raise ValueError(f"edge {e[0]}-{e[1]}: no weight given")
         if w < 1:
             raise ValueError(f"edge {e[0]}-{e[1]}: weight must be >= 1, got {w}")
         t[e] = frozenset(range(w))

@@ -375,12 +375,15 @@ def base_table_row(tau: int) -> dict[str, float]:
     graphs, and unit-disk graphs."""
     if tau < 1:
         raise ValueError("base table rows are defined for tau >= 1")
-    return {
-        "general": float(tau + 2),
-        "subcubic": star_block_base(tau, 3),
-        "matching": star_block_base(tau, 2),
-        "unit_disk": max(star_block_base(tau, 2), star_block_base(tau, 6)),
-    }
+    try:
+        return {
+            "general": float(tau + 2),
+            "subcubic": star_block_base(tau, 3),
+            "matching": star_block_base(tau, 2),
+            "unit_disk": max(star_block_base(tau, 2), star_block_base(tau, 6)),
+        }
+    except OverflowError:
+        raise ValueError("tau too large: a base overflows a float") from None
 
 
 # ---------------------------------------------------------------------------

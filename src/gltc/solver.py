@@ -66,8 +66,9 @@ class SolveOptions:
     ``store_parents`` keeps every level table for the witness walk;
     ``vector_limit`` caps the sum of level sizes over all levels and
     components, checked after each level (ResourceLimitError).
-    Labels that fail arc consistency are always pruned and dead label
-    gaps compressed (instance.gap_compression)."""
+    Labels that fail arc consistency are always pruned, differences no
+    labeling gives dropped and dead label gaps compressed
+    (instance.gap_compression)."""
 
     early_exit: bool = True
     store_parents: bool = True

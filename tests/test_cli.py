@@ -2,7 +2,7 @@
 
 import pytest
 
-from gltc import SolveOptions, parse_instance, check_witness
+from gltc import SolveOptions, gap_compression, instance_tau, parse_instance, check_witness
 from gltc.cli import build_parser, main
 
 YES_DOC = "gltc 2 1\nv 1 1 2 3\nv 2 1 2 3\ne 1 2 0 1\n"
@@ -265,6 +265,33 @@ def test_bases_row(capsys):
     assert lines[2] == "subcubic 2.8020"
     assert lines[3] == "matching 2.8284"
     assert lines[4] == "unit_disk 2.8339"
+
+
+def test_bases_huge_tau_gives_a_short_error(capsys):
+    # a 400-digit tau overflows a float base: bad input, not an internal error
+    assert main(["bases", "--tau", "9" * 400]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err) < 100
+
+
+# a 3-path with lists {1, 2}: no labeling gives edge 1-2 a difference of 10^6
+HUGE_DIFF_DOC = "gltc 3 2\nv 1 1 2\nv 2 1 2\nv 3 1 2\ne 1 2 0 1000000\ne 2 3 0\n"
+
+
+def test_solve_a_difference_beyond_every_label_span(tmp_path, capsys):
+    # the DP sizes its alphabet and masks by tau, so the difference no
+    # labeling gives is dropped first; checked before the solve, which
+    # would otherwise build masks for a million symbols
+    inst = parse_instance(HUGE_DIFF_DOC)
+    assert instance_tau(inst) == 1_000_000
+    assert instance_tau(gap_compression(inst)[0]) == 0
+    path = tmp_path / "huge.gltc"
+    path.write_text(HUGE_DIFF_DOC)
+    assert main(["solve", str(path), "--witness"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "YES"
+    witness = {int(v): int(lab) for _, v, lab in map(str.split, out[1:])}
+    assert check_witness(inst, witness)
 
 
 def test_solve_and_oracle_agree_on_generated_fixtures(tmp_path, capsys):

@@ -10,7 +10,9 @@ from gltc import (
     Instance,
     ParseError,
     brute_force_solve,
+    check_witness,
     gap_compression,
+    instance_tau,
     parse_instance,
     random_instance,
     reduce_channel,
@@ -354,6 +356,40 @@ def test_compress_preserves_oracle_decision():
         assert brute_force_solve(gap_compression(spread)[0])[0] == brute_force_solve(spread)[0]
 
 
+def test_compress_drops_differences_beyond_the_label_span():
+    # edge 1-2 spans at most 1 and edge 2-3 at most max(6 - 1, 2 - 6) = 5;
+    # no label loses its support, and the gap 2..6 survives as tau is 3
+    g = path_graph(3)
+    lam = {1: frozenset({1, 2}), 2: frozenset({1, 2}), 3: frozenset({6})}
+    inst = Instance(graph=g, lam=lam, t={(1, 2): frozenset({0, 10**6}),
+                                         (2, 3): frozenset({0, 3, 6, 9})})
+    out, new_to_old = gap_compression(inst)
+    assert out.t == {(1, 2): frozenset({0}), (2, 3): frozenset({0, 3})}
+    assert out.lam == lam and new_to_old == {1: 1, 2: 2, 6: 6}
+
+
+def test_differences_beyond_the_label_span_change_no_decision():
+    # every edge gets a huge difference and one at or just past the
+    # largest span the lists allow: the compressed tau stays below lmax
+    # (0 where pruning empties the lists) and every decision matches the
+    # oracle on the widened instance
+    answers = set()
+    for seed in range(40):
+        lmax = 4 + seed % 3
+        inst = random_instance(n=3 + seed % 5, density=0.5, tau=seed % 3, lmax=lmax,
+                               seed=2600 + seed)
+        t = {e: diffs | {10 ** (3 + i % 7), lmax - 1 + i % 2}
+             for i, (e, diffs) in enumerate(sorted(inst.t.items()))}
+        wide = Instance(graph=inst.graph, lam=inst.lam, t=t)
+        assert instance_tau(gap_compression(wide)[0]) < lmax
+        result = solve(wide)
+        assert result.decision == brute_force_solve(wide)[0], seed
+        if result.decision:
+            assert check_witness(wide, result.witness)
+        answers.add(result.decision)
+    assert answers == {True, False}
+
+
 # --- graph square ----------------------------------------------------------
 
 def test_square_of_path3_is_triangle():
@@ -432,6 +468,12 @@ def test_channel_reduction():
     assert decision and witness in ({1: 1, 2: 3}, {1: 3, 2: 1})
     with pytest.raises(ValueError):
         reduce_channel(g, {(1, 2): 0}, _lists(g, {1}))
+
+
+def test_channel_reduction_names_an_edge_with_no_weight():
+    g = path_graph(3)
+    with pytest.raises(ValueError, match="edge 2-3"):
+        reduce_channel(g, {(1, 2): 2}, _lists(g, {1, 2}))
 
 
 def test_tcoloring_reduction():

@@ -4,15 +4,19 @@ The solver owns its walk order and imports neither the partitions (they
 bound the tables; they do not steer the solve) nor the reference
 implementations. The reference module owns the listing of feasible
 prefixes. The partition module peels stars in one loop and owns the
-strategy grammar; the CLI only reports its verdict. ``gltc.__all__``
-holds what the CLI, the demos and the benchmark scripts import from
-gltc, plus the public exceptions and result types.
+strategy grammar; the CLI only reports its verdict. The independent-set
+trie is a node store like the level tables, with no second format and
+no converter. ``gltc.__all__`` holds what the CLI, the demos and the
+benchmark scripts import from gltc, plus the public exceptions and
+result types.
 """
 
 import ast
+import tokenize
 from pathlib import Path
 
 import gltc
+from gltc import indsets as indsets_module
 from gltc import partition as partition_module
 from gltc import reference as reference_module
 from gltc import solver as solver_module
@@ -86,3 +90,17 @@ def test_cli_does_not_parse_strategies():
                 if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert not [s for s in literals if "k1d" in s]
     assert not literals & {"singleton", "star", "clique"}
+
+
+def test_one_node_format_for_the_trie():
+    assert not hasattr(indsets_module, "trie_vectors")
+    assert not hasattr(indsets_module, "Trie")
+    assert not hasattr(solver_module, "_intern_trie")
+    # no identifier of the int-array form is left anywhere in the package
+    names = set()
+    for path in SRC.glob("*.py"):
+        with path.open("rb") as f:
+            names |= {tok.string for tok in tokenize.tokenize(f.readline)
+                      if tok.type == tokenize.NAME}
+    assert "shapes" in names  # identifiers are seen
+    assert not names & {"on0", "on1"}
