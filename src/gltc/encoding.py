@@ -12,6 +12,9 @@ level k of the dynamic program is one of tau+3 symbols:
 Advancing a level ages every symbol by one and optionally hands the new
 label to an OPEN vertex; a follow-up pass then recomputes OPEN/BLOCKED
 for the unlabeled vertices against the next label.
+
+A vector is complete when every vertex is labeled (is_complete); tally
+counts and flags complete vectors for every node of a node store.
 """
 
 from __future__ import annotations
@@ -73,6 +76,23 @@ def preimage_table(tau: int) -> tuple[dict[int, tuple[int, ...]], ...]:
 def is_complete(vec: Sequence[int]) -> bool:
     """True iff every coordinate carries a label (no OPEN or BLOCKED)."""
     return all(sym >= 1 for sym in vec)
+
+
+def tally(shapes) -> tuple[list[int], list[bool]]:
+    """For every uid of a node store, the number of vectors below it and
+    whether a complete one is among them: satcount and anysat of a
+    decision diagram (Bryant 1986) in one bottom-up pass, as a store
+    lists children before parents. Uid 0 is LEAF, the empty vector.
+    """
+    count, full = [1], [True]
+    for shape in shapes[1:]:
+        total, whole = 0, False
+        for sym, child in shape:
+            total += count[child]
+            whole = whole or sym > 0 and full[child]
+        count.append(total)
+        full.append(whole)
+    return count, full
 
 
 def format_vector(vec: Sequence[int]) -> str:

@@ -296,12 +296,14 @@ def _count_prefixes(block: Block, tau: int, adjacency) -> int:
     nothing and count twice, and a symbol in 2..tau+1 must differ from
     those of its earlier in-block neighbours. The state after a position
     is the symbols of the earlier positions that still have a later
-    neighbour (0 standing for both free symbols).
+    neighbour, 0 standing for both free symbols. The count does not
+    change when the tau labeled symbols are renamed, so a state names
+    them 1, 2, ... in order of first appearance, and a position takes
+    each named symbol its neighbours left free once and one fresh symbol
+    for all the tau - used others: the work does not grow with tau.
     """
     verts = block.vertices
     s = len(verts)
-    if s == 1:
-        return tau + 2
     earlier = [[j for j in range(i) if verts[j] in adjacency[verts[i]]] for i in range(s)]
     last = [max((i for i in range(s) if j in earlier[i]), default=j) for j in range(s)]
     live = [tuple(j for j in range(i) if last[j] >= i) for i in range(s + 1)]
@@ -315,13 +317,17 @@ def _count_prefixes(block: Block, tau: int, adjacency) -> int:
         if total is None:
             known = dict(zip(live[i], state))
             taken = {known[j] for j in earlier[i]}
+            used = max(state, default=0)  # the state names its symbols 1..used
             total = 0
-            for sym in range(tau + 1):
-                if sym and sym in taken:
-                    continue
-                known[i] = sym
-                rest = count(i + 1, tuple(known[j] for j in live[i + 1]))
-                total += rest if sym else 2 * rest
+            fresh = used + 1  # one name for the tau - used symbols the state lacks
+            for sym, weight in ((0, 2), *((sym, 1) for sym in range(1, fresh) if sym not in taken),
+                                (fresh, tau - used)):
+                if weight:
+                    known[i] = sym
+                    names = {0: 0}
+                    rest = count(i + 1, tuple(names.setdefault(known[j], len(names))
+                                              for j in live[i + 1]))
+                    total += weight * rest
             memo[key] = total
         return total
 

@@ -69,9 +69,9 @@ def brute_force_solve(inst: Instance, descending: bool = False) -> tuple[bool, W
                 del assignment[i]
         return False
 
-    if dfs(1):
-        return True, dict(assignment)
-    return False, None
+    found = dfs(1)
+    del dfs  # dfs refers to itself: end the cycle
+    return (True, dict(assignment)) if found else (False, None)
 
 
 def forward_checking_solve(inst: Instance) -> tuple[bool, Witness | None]:

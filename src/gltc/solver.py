@@ -27,15 +27,17 @@ maybe a 1-child, and the level-0 table as a chain of one-child shapes.
 The level loop owns the store and its unique table from one level to the
 next, and each combine adds its unions to them. The OPEN/BLOCKED
 recomputation, a memoized rewrite of the hash-consed combined DAG into
-the next table, meets each distinct subtree once; one pass over its
-output store then counts each node's vectors and notes whether a
-complete vector (every vertex labeled) lies below it, so no table is
-walked again to size it or to decide. The instance is YES iff some
-level's table holds a complete vector. An explicit labeling is then
-reconstructed on the stores themselves: a retained level keeps its
-store, the least complete vector is found by a descent that remembers
-dead uids, and the walk back pairs table uids with trie uids. Dict nodes
-(gltc.vectorset) are for tests and the benchmark replay's adapters only.
+the next table, meets each distinct subtree once; encoding.tally, one
+pass over its output store, then counts each node's vectors and flags
+whether a complete vector (every vertex labeled) lies below it, so no
+table is walked again to size it or to decide. The instance is YES iff
+some level's table holds a complete vector; as completeness persists
+from level to level, the last level run decides. An explicit labeling
+is then reconstructed on the stores themselves: a retained level keeps
+its store, the least complete vector is read off the last table's flags
+by a descent that never backtracks, and the walk back pairs table uids
+with trie uids. Dict nodes (gltc.vectorset) are for tests and the
+benchmark replay's adapters only.
 
 Every recursive walk here creates its memo, returns the memo's size when
 a report needs it, takes one stack frame per position, and deletes its
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .encoding import BLOCKED, OPEN, aging_table, preimage_table
+from .encoding import BLOCKED, OPEN, aging_table, preimage_table, tally
 from .indsets import independent_set_trie
 from .instance import Graph, Instance, gap_compression, instance_tau, split_components
 from .vectorset import VectorTrie, decode, encode
@@ -354,9 +356,9 @@ class _BarPass:
 
         Returns the store of the barred table (exactly the nodes its
         root reaches), its unique table (shape -> uid, for the next
-        combine's unions), the root's uid, its number of vectors, whether
-        it holds a complete vector and the entries the walk memoized;
-        the last three come from one pass over the store after the walk.
+        combine's unions), the root's uid, its number of vectors, the
+        complete flag of every uid and the entries the walk memoized;
+        the count and the flags come from encoding.tally of the store.
 
         A call at depth d carries ``blk``, the positions >= d already
         blocked by an earlier neighbour's symbol, and ``pend``, the
@@ -460,17 +462,8 @@ class _BarPass:
 
         barred = one(root, 0, 0) if root else 0
         del go, one, node  # go and one refer to each other: end the cycle, as _image does
-        # vectors below each uid and whether a complete one is among them,
-        # in one pass, as the store holds children before parents
-        count, full = [1], [True]
-        for shape in out[1:]:
-            total, whole = 0, False
-            for sym, c in shape:
-                total += count[c]
-                whole = whole or sym > 0 and full[c]
-            count.append(total)
-            full.append(whole)
-        return out, unique, barred, count[barred], full[barred], len(memo) - 1
+        count, full = tally(out)
+        return out, unique, barred, count[barred], full, len(memo) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -537,63 +530,52 @@ class ComponentDP:
     def base_store(self) -> list:
         """The level-0 table as ``advance`` takes it, a chain of one-child shapes."""
         shapes = [(), *(((sym, i),) for i, sym in enumerate(reversed(self._base)))]
-        return [shapes, None, len(shapes) - 1]
+        return [shapes, None, len(shapes) - 1, None]
 
     def advance(self, store: list, level: int) -> tuple[int, int, bool, int, int]:
         """Advance the level ``level - 1`` table to level ``level``: the
         combine (_image), then the bar pass (_BarPass.rewrite).
 
-        ``store`` is the list [shapes, unique table or None, root uid] of
-        a nonempty table. It is replaced in place by the new table's, so
-        the old store goes as soon as the combine is done with it, unless
-        the caller keeps its shapes, which then come back as they were:
-        the unions the combine appends are cut off. Returns the new
-        table's number of vectors and of DAG nodes, whether it holds a
-        complete vector, the entries the image and rewrite memos held and
-        the unions the combine memoized.
+        ``store`` is the list [shapes, unique table or None, root uid,
+        tally flags or None] of a nonempty table. It is replaced in place
+        by the new table's, so the old store goes as soon as the combine
+        is done with it, unless the caller keeps its shapes, which then
+        come back as they were: the unions the combine appends are cut
+        off. Returns the new table's number of vectors and of DAG nodes,
+        whether it holds a complete vector, the entries the image and
+        rewrite memos held and the unions the combine memoized.
         """
-        shapes, unique, root = store
+        shapes, unique, root, _ = store
         store.clear()
         kept = len(shapes)
         combined, croot, entries, unions = _image(shapes, self.trie, root, self.tau, unique)
         del shapes[kept:], shapes, unique  # the unions, then the store unless the caller keeps it
-        shapes, unique, root, size, complete, bar_entries = self.bar.rewrite(
+        shapes, unique, root, size, full, bar_entries = self.bar.rewrite(
             combined, croot, level - 1)
-        store[:] = shapes, unique, root
-        return size, len(shapes) - 1, complete, entries + bar_entries, unions
+        store[:] = shapes, unique, root, full
+        return size, len(shapes) - 1, full[root], entries + bar_entries, unions
 
 
 # ---------------------------------------------------------------------------
 # witness reconstruction
 
 
-def _least_complete(shapes, root: int):
+def _least_complete(shapes, full, root: int):
     """The least vector below uid ``root`` of the node store ``shapes``
-    with every coordinate labeled, or None: shapes list their children in
-    symbol order, so the first hit is the lexicographically least. Uids
-    found to lead to no complete vector are remembered, so a DAG is
-    walked in time linear in its nodes, not in its paths.
+    with every coordinate labeled, or None: a descent to the first
+    labeled child, in symbol order, that the store's tally flags ``full``
+    mark complete. It never backtracks, one node per position.
     """
+    if not full[root]:
+        return None
     path: list[int] = []
-    dead: set[int] = set()
-
-    def go(uid):
-        if not uid:  # LEAF
-            return True
-        if uid in dead:
-            return False
-        for sym, child in shapes[uid]:
-            if sym >= 1:
+    while root:  # uid 0 is LEAF
+        for sym, child in shapes[root]:
+            if sym > 0 and full[child]:
                 path.append(sym)
-                if go(child):
-                    return True
-                path.pop()
-        dead.add(uid)
-        return False
-
-    complete = go(root)
-    del go  # go refers to itself: end the cycle, which holds ``dead``
-    return tuple(path) if complete else None
+                root = child
+                break
+    return tuple(path)
 
 
 def _walk_back(levels, final, final_level: int, trie, tau: int, ordering) -> Witness:
@@ -653,13 +635,13 @@ def _walk_back(levels, final, final_level: int, trie, tau: int, ordering) -> Wit
 
 
 def _find_complete(trie: VectorTrie):
-    """_least_complete on a dict trie, encoded on every call: an adapter
-    for the benchmark's per-layer replay (perfbench/layers.py) that goes
-    with the replay (ROADMAP item 1), as _combine does."""
+    """_least_complete on a dict trie, encoded and tallied on every call:
+    an adapter for the benchmark's per-layer replay (perfbench/layers.py)
+    that goes with the replay (ROADMAP item 1), as _combine does."""
     if trie.root is None:
         return None
     shapes, (root,) = encode((trie.root,))
-    return _least_complete(shapes, root)
+    return _least_complete(shapes, tally(shapes)[1], root)
 
 
 def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
@@ -707,7 +689,6 @@ def _solve_component(inst: Instance, options: SolveOptions,
     store = dp.base_store()
     # a retained level keeps its store, as advance leaves it
     levels = [(store[0], store[2])] if options.store_parents else None
-    found_level = None
 
     # a component has a vertex, so the base vector is never complete
     for k in range(1, max(label_map) + 1):  # to the largest label, compressed
@@ -724,18 +705,18 @@ def _solve_component(inst: Instance, options: SolveOptions,
         if stats.total_vectors > options.vector_limit:
             raise ResourceLimitError(
                 f"stored vectors exceeded the limit of {options.vector_limit}")
-        # completeness persists from level to level, so without early exit
-        # the last level decides, and its vector anchors the witness
-        if complete:
-            found_level = k
-            if options.early_exit:
-                break
-    if found_level is None:
+        if complete and options.early_exit:
+            break
+    # completeness persists from level to level (the empty independent set
+    # lets every vector skip a label), so with early exit on or off the
+    # last level run decides, and its table anchors the witness
+    if not complete:
         return False, None
     if levels is None:
         return True, None
-    found = _least_complete(*levels[found_level])
-    witness = _walk_back(levels, found, found_level, dp.trie, dp.tau, ordering)
+    shapes, _, root, full = store
+    found = _least_complete(shapes, full, root)
+    witness = _walk_back(levels, found, k, dp.trie, dp.tau, ordering)
     return True, {v: label_map[lab] for v, lab in witness.items()}
 
 
@@ -755,16 +736,13 @@ def solve(inst: Instance, strategy: str = "auto",
     if not all(inst.lam.values()):  # a vertex with an empty list: NO
         return SolveResult(False, None, stats)
     witness: Witness | None = {}
-    decision = True
     for sub, idmap in split_components(inst):
         ok, sub_witness = _solve_component(sub, options, stats)
         if not ok:
-            decision = False
-            witness = None
-            break
+            return SolveResult(False, None, stats)
         if witness is not None and sub_witness is not None:
             for v, lab in sub_witness.items():
                 witness[idmap[v]] = lab
         else:
             witness = None
-    return SolveResult(decision, witness, stats)
+    return SolveResult(True, witness, stats)

@@ -14,40 +14,25 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from .encoding import tally
+
 Vector = tuple[int, ...]
 
 LEAF = object()
 
 
 def node_count(node) -> int:
-    """Number of vectors below ``node``.
-
-    Counts paths top-down, one depth at a time: every vector below a
-    node has the same length, so each node sits at one depth, and a
-    layer maps each of its nodes to the number of paths reaching it. No
-    recursion, so a table of any length is counted, and each shared node
-    once. The count is a Python int of any size, but ``len()`` of a
+    """Number of vectors below ``node``: the DAG is encoded into a node
+    store, which encoding.tally counts, each shared node once. Encoding
+    takes one stack frame per position, as every walk of the package
+    does. The count is a Python int of any size, but ``len()`` of a
     VectorTrie must fit a C ssize_t and raises OverflowError from 2**63
     vectors on: count such a table with ``node_count(table.root)``.
     """
     if node is None:
         return 0
-    paths = {id(node): 1}
-    nodes = [node]
-    while nodes and nodes[0] is not LEAF:
-        below: dict[int, int] = {}
-        children = []
-        for parent in nodes:
-            reaching = paths[id(parent)]
-            for child in parent.values():
-                key = id(child)
-                if key in below:
-                    below[key] += reaching
-                else:
-                    below[key] = reaching
-                    children.append(child)
-        paths, nodes = below, children
-    return paths.get(id(LEAF), 0)
+    shapes, (root,) = encode((node,))
+    return tally(shapes)[0][root]
 
 
 def node_iter(node) -> Iterator[Vector]:

@@ -43,7 +43,7 @@ def line_graph(g: Graph) -> Graph:
 
 def base_table(dp: ComponentDP) -> VectorTrie:
     """The level-0 table of ``dp`` as a dict trie."""
-    shapes, _, root = dp.base_store()
+    shapes, _, root, _ = dp.base_store()
     return VectorTrie(len(dp.ordering), decode(shapes)[root])
 
 
@@ -59,7 +59,7 @@ def step(dp: ComponentDP, table: VectorTrie, level: int):
     if table.root is None:
         return VectorTrie(table.length), 0, 0, 0, 0
     shapes, (root,) = encode((table.root,))
-    store = [shapes, None, root]
+    store = [shapes, None, root, None]
     size, nodes, _, memo, unions = dp.advance(store, level)
     return VectorTrie(table.length, decode(store[0])[store[2]]), size, nodes, memo, unions
 

@@ -1,9 +1,17 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from gltc import SolveOptions, gap_compression, instance_tau, parse_instance, check_witness
 from gltc.cli import build_parser, main
+from gltc.partition import star_prefix_bound
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 YES_DOC = "gltc 2 1\nv 1 1 2 3\nv 2 1 2 3\ne 1 2 0 1\n"
 NO_DOC = "gltc 2 1\nv 1 1 2\nv 2 1 2\ne 1 2 0 1\n"
@@ -292,6 +300,21 @@ def test_solve_a_difference_beyond_every_label_span(tmp_path, capsys):
     assert out[0] == "YES"
     witness = {int(v): int(lab) for _, v, lab in map(str.split, out[1:])}
     assert check_witness(inst, witness)
+
+
+def test_predict_a_difference_beyond_every_label_span(tmp_path):
+    # predict prices the raw instance, tau = 10**6; the prefix count names
+    # the labeled symbols by first appearance, so its work does not grow
+    # with tau; in a subprocess, so work that does grow with it times out
+    # instead of hanging the suite
+    path = tmp_path / "huge.gltc"
+    path.write_text(HUGE_DIFF_DOC)
+    proc = subprocess.run([sys.executable, "-m", "gltc.cli", "predict", str(path)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=5)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["partition auto",
+                                            f"f {star_prefix_bound(3, 1_000_000)}"]
 
 
 def test_solve_and_oracle_agree_on_generated_fixtures(tmp_path, capsys):

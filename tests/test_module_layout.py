@@ -6,9 +6,10 @@ implementations. The reference module owns the listing of feasible
 prefixes. The partition module peels stars in one loop and owns the
 strategy grammar; the CLI only reports its verdict. The independent-set
 trie is a node store like the level tables, with no second format and
-no converter. ``gltc.__all__`` holds what the CLI, the demos and the
-benchmark scripts import from gltc, plus the public exceptions and
-result types.
+no converter, and one fold, encoding.tally, counts a store's vectors and
+flags its complete ones. ``gltc.__all__`` holds what the CLI, the demos
+and the benchmark scripts import from gltc, plus the public exceptions
+and result types.
 """
 
 import ast
@@ -104,3 +105,44 @@ def test_one_node_format_for_the_trie():
                       if tok.type == tokenize.NAME}
     assert "shapes" in names  # identifiers are seen
     assert not names & {"on0", "on1"}
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(fn):
+    """The AST nodes of a function's body, not those of functions nested in it."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, FUNCTIONS):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _folds_children(fn) -> bool:
+    """True when ``fn`` sums table entries (``total += count[c]``,
+    ``below[key] += paths``) or folds flags read from one into a variable
+    (``whole = whole or full[c]``)."""
+    for node in _own_nodes(fn):
+        if (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                and (isinstance(node.target, ast.Subscript) or isinstance(node.value, ast.Subscript))):
+            return True
+        if (isinstance(node, (ast.Assign, ast.AugAssign)) and isinstance(node.value, ast.BoolOp)
+                and any(isinstance(n, ast.Subscript) for n in ast.walk(node.value))):
+            return True
+    return False
+
+
+def test_one_tally():
+    folds = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef) and _folds_children(fn):
+                folds.add(f"{path.stem}.{fn.name}")
+    assert folds == {"encoding.tally"}
+    # the witness anchor and the dict-trie count are straight-line uses of it
+    for path, name in (("solver.py", "_least_complete"), ("vectorset.py", "node_count")):
+        tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
+        (fn,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == name]
+        assert not any(isinstance(n, FUNCTIONS) for n in _own_nodes(fn)), name

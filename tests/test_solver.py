@@ -32,6 +32,8 @@ from gltc import (
     walk_order,
 )
 from gltc.reference import direct_step, forward_checking_solve, mark_blocked
+from gltc import encoding as encoding_module
+from gltc.encoding import is_complete
 from gltc import indsets as indsets_module
 from gltc import instance as instance_module
 from gltc import partition as partition_module
@@ -203,13 +205,14 @@ def _rewrite_vs_mark_blocked(inst, ordering, level, vecs):
     per vector; returns the rewrite's completeness flag."""
     tau = instance_tau(inst)
     shapes, (root,) = encode((VectorTrie.from_vectors(len(ordering), vecs).root,))
-    out, _, root, size, complete, _ = _BarPass(inst, ordering, tau).rewrite(shapes, root, level)
+    out, _, root, size, full, _ = _BarPass(inst, ordering, tau).rewrite(shapes, root, level)
+    complete = full[root]
     want = {mark_blocked(v, level, inst, ordering, tau) for v in vecs}
     barred = VectorTrie(len(ordering), decode(out)[root])
     assert set(barred) == want
     assert size == len(want)
-    # the flag the rewrite sets as it creates nodes, against the DAG walk
-    assert complete == (_find_complete(barred) is not None)
+    # the rewrite's tally flag, against the vectors one by one
+    assert complete == any(map(is_complete, want))
     # the store's hash-consing is canonical only if every shape comes in
     # symbol order, which the rewrite keeps without sorting
     assert all(list(shape) == sorted(shape) for shape in out)
@@ -482,7 +485,7 @@ def _counted_calls(monkeypatch, names):
     """Counts of calls to each of ``names`` through every gltc module that
     holds it; "VectorTrie" counts constructions."""
     calls = dict.fromkeys(names, 0)
-    for module in (solver_module, vectorset_module, indsets_module):
+    for module in (solver_module, vectorset_module, indsets_module, encoding_module):
         for name in calls:
             real = getattr(module, name, None)
             if callable(real) and not isinstance(real, type):
@@ -535,6 +538,28 @@ def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeyp
     solver_module._find_complete(base)
     solver_module._combine((base.root,), indep_table(dp).root, 0, (len(dp.ordering), dp.tau), {})
     assert calls == {"decode": 1, "_find_complete": 1, "_least_complete": 1}
+
+
+def test_solve_tallies_each_level_once(monkeypatch):
+    # the rewrite tallies the store it builds, once per level run, and the
+    # witness anchor descends the last level's flags without a tally of
+    # its own, with witness and early exit each on or off
+    calls = _counted_calls(monkeypatch, ("tally",))
+    levels = witnesses = 0
+    for inst, early_exit in _seeded_solve_cases():
+        for parents in (True, False):
+            result = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=parents))
+            assert calls["tally"] == result.stats.levels
+            calls["tally"] = 0
+            levels += result.stats.levels
+            witnesses += result.witness is not None
+    assert levels > 0 and 0 < witnesses < 80
+    # the counter does see the tallies of the dict-trie entry points
+    dp = ComponentDP(inst, walk_order(inst.graph))
+    base = base_table(dp)
+    solver_module._find_complete(base)
+    vectorset_module.node_count(base.root)
+    assert calls["tally"] == 2
 
 
 def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypatch):
@@ -849,7 +874,8 @@ def test_solve_stats_report_levels_and_sizes():
 
 def test_solves_leave_no_reference_cycles():
     # every recursive walk ends its closure's cycle, so a solve frees its
-    # memos on return and leaves nothing for the cyclic garbage collector
+    # memos on return and leaves nothing for the cyclic garbage collector;
+    # the reference solvers, too
     two_parts = uniform_instance(Graph.from_edges(6, [(1, 2), (2, 3), (4, 5), (5, 6)]),
                                  {1, 2, 3}, {0, 1})
     cases = [
@@ -868,6 +894,8 @@ def test_solves_leave_no_reference_cycles():
     try:
         for inst, opts in cases:
             solve(inst, options=opts)
+            brute_force_solve(inst)
+            forward_checking_solve(inst)
         gc.set_debug(gc.DEBUG_SAVEALL)
         unreachable = gc.collect()
         closures = sorted({obj.__qualname__ for obj in gc.garbage

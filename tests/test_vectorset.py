@@ -50,9 +50,9 @@ def _path_table(n, level):
     return table
 
 
-def test_node_count_of_a_long_table_needs_no_recursion():
-    # 800 positions are deeper than the default recursion limit of 1000
-    # allows a walk that takes two frames per position. At level 1 the
+def test_node_count_of_a_long_table_takes_one_frame_per_position():
+    # 800 positions fit under the default recursion limit of 1000 only
+    # for a walk that takes at most one frame per position. At level 1 the
     # vectors are the independent sets of the path, F(802) of them
     # (Fibonacci numbers, F(1) = F(2) = 1)
     fib = [0, 1]
