@@ -2,10 +2,12 @@
 
 The solver never enumerates labelings. It tracks, per label level k, the
 set of state vectors of all proper partial labelings with labels 1..k.
-Each vertex holds one symbol: 'B' (blocked for the next label), '0'
-(open for the next label), '1' (labeled long ago, inert), or 2..tau+1
-(a recent label, still constraining its neighbors). This script prints
-every level table for a 3-path and shows where the YES verdict appears.
+Each vertex holds one of tau+2 symbols: '0' (unlabeled), '1' (labeled
+long ago, inert), or 2..tau+1 (a recent label, still constraining its
+neighbors). Whether an unlabeled vertex may take the next label follows
+from its list and its neighbors' recent labels, so the tables do not
+store it. This script prints every level table for a 3-path and shows
+where the YES verdict appears.
 """
 
 from gltc import ComponentDP, VectorTrie, build_partition, parse_instance, solve, validate, walk_order
@@ -26,9 +28,8 @@ part = build_partition(inst, "star")
 # built once per component, as the solver does: tau, the vertex order of
 # the coordinates (walk_order, chosen from the graph to keep the walk
 # narrow; the solver builds no partition, which only bounds the table
-# sizes), the independent-set vectors in that order, the moves of the
-# combination walk, the per-vertex data of the open/blocked pass and the
-# level-0 table
+# sizes), the independent-set vectors in that order and the per-vertex
+# masks that say which vertices each label is barred from
 dp = ComponentDP(inst, walk_order(inst.graph))
 print(f"tau={dp.tau}, labels up to {stats.lambda_max}")
 print("blocks (bound only):", [b.vertices for b in part.blocks])
@@ -46,13 +47,15 @@ indep = vectors(*dp.trie)
 print(f"{len(indep)} independent-set vectors:", " ".join(format_vector(p) for p in indep))
 print()
 
-store = dp.base_store()
-print("level 0:", " ".join(format_vector(v) for v in vectors(store[0], store[2])))
+store = dp.base_store()  # [node store, root uid, complete flags]
+print("level 0:", " ".join(format_vector(v) for v in vectors(store[0], store[1])))
 for k in range(1, stats.lambda_max + 1):
-    dp.advance(store, k)  # combine, then the open/blocked pass, in place
+    # one walk: every vector meets every independent set whose vertices
+    # are unlabeled and free to take label k, in place
+    dp.advance(store, k)
     rendered = [
         format_vector(v) + ("*" if is_complete(v) else "")
-        for v in vectors(store[0], store[2])
+        for v in vectors(store[0], store[1])
     ]
     print(f"level {k}:", " ".join(rendered))
 

@@ -15,6 +15,7 @@ from .gen import random_instance
 from .instance import (
     Instance,
     ParseError,
+    gap_compression,
     instance_tau,
     parse_instance,
     reduce_channel,
@@ -120,7 +121,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    inst = _load(args.file)
+    # price the instance solve runs: lists pruned, differences no labeling
+    # gives dropped, tau taken after that
+    inst, _ = gap_compression(_load(args.file))
     part = build_partition(inst, args.partition)
     est = predict_complexity(inst.graph, part, instance_tau(inst))
     print(f"partition {args.partition}")

@@ -1,17 +1,24 @@
 """Per-vertex state symbols and the level-advance operators of the solver.
 
 With tau the largest forbidden difference, the state of a vertex at
-level k of the dynamic program is one of tau+3 symbols:
+level k of the dynamic program is one of tau+2 symbols, the alphabet of
+the paper's O*((tau+2)^n) bound:
 
-    BLOCKED (-1)  unlabeled, the upcoming label is inadmissible
-    OPEN    (0)   unlabeled, the upcoming label is admissible
+    OPEN    (0)   unlabeled
     1             labeled at least tau levels ago; inert from now on
     j in 2..tau+1 labeled exactly k+j-tau-1; still close enough to
                   interact with future labels
 
+Whether an unlabeled vertex may take label k+1 follows from its list and
+the recent labels of its neighbours, so the solver's tables do not store
+it. The reference definitions (gltc.reference) and the benchmark
+replay's tables spell it out with one more symbol, BLOCKED (-1):
+unlabeled, and label k+1 is inadmissible; OPEN then means admissible,
+and reference.project maps BLOCKED back to OPEN.
+
 Advancing a level ages every symbol by one and optionally hands the new
-label to an OPEN vertex; a follow-up pass then recomputes OPEN/BLOCKED
-for the unlabeled vertices against the next label.
+label to an admissible OPEN vertex (advance_symbol; BLOCKED never takes
+it).
 
 A vector is complete when every vertex is labeled (is_complete); tally
 counts and flags complete vectors for every node of a node store.
@@ -27,7 +34,8 @@ OPEN = 0
 
 
 def symbol_alphabet(tau: int) -> tuple[int, ...]:
-    """All tau+3 symbols in canonical order BLOCKED < OPEN < 1 < ... < tau+1."""
+    """The reference alphabet, tau+3 symbols in canonical order
+    BLOCKED < OPEN < 1 < ... < tau+1; the solver's tables use all but BLOCKED."""
     return (BLOCKED,) + tuple(range(tau + 2))
 
 

@@ -8,6 +8,9 @@ each is obviously correct and independent of the production path:
 - direct_step: the combination step materialized pair by pair;
 - mark_blocked: the OPEN/BLOCKED recomputation straight from the
   instance;
+- project: the map from these vectors over BLOCKED and OPEN to the
+  solver's, which hold one unlabeled symbol; the solver's level-k table
+  is the projection of the reference one, vector for vector;
 - inclusion_exclusion_list_coloring: the tau = 0 decision counted over
   vertex subsets, a method that shares nothing with the solver's DP and
   reaches further than brute force;
@@ -203,6 +206,18 @@ def mark_blocked(vec: Sequence[int], level: int, inst: Instance,
                 out[i] = BLOCKED
                 break
     return tuple(out)
+
+
+def project(vec: Sequence[int]) -> Vector:
+    """The solver's form of a reference vector: BLOCKED and OPEN both
+    become OPEN, the one unlabeled symbol, and labels pass through.
+
+    On the vectors of one level table the map is one to one, since
+    whether an unlabeled position may take the next label follows from
+    its list and its neighbours' recent labels, so the projected table
+    holds exactly as many vectors.
+    """
+    return tuple(OPEN if sym == BLOCKED else sym for sym in vec)
 
 
 def _feasible_prefixes(block: Block, tau: int, adjacency, tmap):

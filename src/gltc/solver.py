@@ -1,21 +1,29 @@
 """Label-by-label dynamic program over state-vector sets kept as DAGs.
 
 Level k holds the set of state vectors of all proper partial labelings
-using labels 1..k. Advancing to level k+1 combines the table with the
-independent-set vectors (the vertices receiving label k+1 must be
-pairwise non-adjacent), then recomputes which unlabeled vertices can
-still take label k+2. Labels that fail arc consistency, which no proper
-labeling uses, are pruned first (instance.gap_compression), and a
-component that pruning empties is NO with no level run. The coordinates
-follow walk_order, defined here next to ComponentDP: a greedy
-small-frontier order of the graph. A table's content does not depend on
-the order, but the cost of the walks does. No partition is built here;
-partition.predict_complexity bounds the table sizes from outside. The
-combination is a product over single pairs of a table node and an
-independent-set trie node, memoized on the pair. Where two children of a
-table node age to the same symbol, they are first folded into one node
-by a memoized union on the table's own node store (the unique table and
-memoized OR of BDD packages), so every memo key stays one pair.
+using labels 1..k, over tau+2 symbols per vertex: OPEN (0), the one
+unlabeled symbol, and the labeled symbols 1..tau+1 (gltc.encoding).
+Whether an unlabeled vertex may take the next label is not stored: it
+follows from its list and its neighbours' recent labels, which the walk
+reads on the way down. BLOCKED exists only on the reference side and in
+the benchmark replay's tables. Labels that fail arc consistency, which
+no proper labeling uses, are pruned first (instance.gap_compression),
+and a component that pruning empties is NO with no level run. The
+coordinates follow walk_order, defined here next to ComponentDP: a
+greedy small-frontier order of the graph. A table's content does not
+depend on the order, but the cost of the walk does. No partition is
+built here; partition.predict_complexity bounds the table sizes from
+outside.
+
+Advancing to level k+1 is one memoized walk, _level_walk: a product
+over single pairs of a table node and an independent-set trie node (the
+vertices receiving label k+1 must be pairwise non-adjacent), filtered by
+two bitmasks it carries down, the later positions an earlier
+neighbour's recent label bars from k+1 and the earlier positions given
+k+1 that a later neighbour may still bar. Where two children of a table
+node age to the same symbol, they are folded into one node by a
+memoized union (the unique table and memoized OR of BDD packages), on
+the input store where both leave the same masks, else on the output.
 
 A level table is a hash-consed DAG, a trie in which equal subtrees are
 one node (a reduced multi-valued decision diagram), kept in an integer
@@ -23,12 +31,9 @@ node store: each node is a uid whose shape is the tuple of its (symbol,
 child uid) pairs, and every memo key of a store walk is one int. Both
 inputs of a component's DP are born as node stores: the independent-set
 trie (indsets.independent_set_trie), whose shapes hold a 0-child and
-maybe a 1-child, and the level-0 table as a chain of one-child shapes.
-The level loop owns the store and its unique table from one level to the
-next, and each combine adds its unions to them. The OPEN/BLOCKED
-recomputation, a memoized rewrite of the hash-consed combined DAG into
-the next table, meets each distinct subtree once; encoding.tally, one
-pass over its output store, then counts each node's vectors and flags
+maybe a 1-child, and the level-0 table as a chain of one-child OPEN
+shapes. The walk builds the next table's store, hash-consed once, and
+encoding.tally, one pass over it, counts each node's vectors and flags
 whether a complete vector (every vertex labeled) lies below it, so no
 table is walked again to size it or to decide. The instance is YES iff
 some level's table holds a complete vector; as completeness persists
@@ -36,14 +41,14 @@ from level to level, the last level run decides. An explicit labeling
 is then reconstructed on the stores themselves: a retained level keeps
 its store, the least complete vector is read off the last table's flags
 by a descent that never backtracks, and the walk back pairs table uids
-with trie uids. Dict nodes (gltc.vectorset) are for tests and the
-benchmark replay's adapters only.
+with trie uids under the same masks. Dict nodes (gltc.vectorset) are for
+tests and the benchmark replay's adapters only.
 
 Every recursive walk here creates its memo, returns the memo's size when
 a report needs it, takes one stack frame per position, and deletes its
 own closure before returning, so no reference cycle is left for the
 garbage collector. The union walk is a module-level function with no
-closure; the combine walk creates its memos and hands them to it.
+closure; the level walk creates its memos and hands them to it.
 """
 
 from __future__ import annotations
@@ -89,10 +94,9 @@ class LevelTable:
 class ComponentReport:
     """Per-component diagnostics: the vertex order the walks followed and,
     per level, how big the table got (vectors and DAG nodes), how many
-    entries the combine and rewrite memos held together and how many
-    unions the combine memoized, and the list entries pruned before the
-    DP. A bound for the sizes comes from predict_complexity on a
-    partition of ``instance``."""
+    entries the level walk memoized and how many unions it made, and the
+    list entries pruned before the DP. A bound for the sizes comes from
+    predict_complexity on a partition of ``instance``."""
 
     instance: Instance
     ordering: tuple[int, ...]
@@ -130,7 +134,7 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# the combination step
+# the level walk
 
 
 def _build_plan(blocks, tau: int, inst: Instance | None = None, strengthened: bool = True):
@@ -188,104 +192,163 @@ def _union(u, v, shapes, unique, memo):
     return uid
 
 
-def _image(shapes, trie, root, tau: int, unique=None):
-    """The combination walk on node stores: every advance of a table
-    vector below uid ``root`` of store ``shapes`` by a vector of the
-    independent-set ``trie``, a (store, root uid) pair. Returns the store
-    of the combined DAG, its root uid, the number of entries the image
-    memo held and the number of unions the walk memoized.
+def _level_walk(shapes, root, trie, tau: int, filters):
+    """One level of the DP on node stores: every advance of a vector below
+    uid ``root`` of the table store ``shapes`` by a vector of the
+    independent-set ``trie``, a (store, root uid) pair, that gives the
+    new label only to unlabeled positions free to take it. Returns the
+    new table's store (exactly the nodes its root reaches, hash-consed),
+    its root uid, the entries the walk memoized and the unions it made.
 
-    A product over single pairs, the image operation of a decision
-    diagram: image(u, q) is the set of advances of the vectors below
-    table uid u by those below trie node q, memoized on the int
-    u * NP + q, NP the trie's store size. Assign 0 ages each symbol
-    through one lookup table, and the children of u that age to the
-    same symbol (BLOCKED and OPEN to OPEN, 1 and 2 to 1) are first
-    folded into one table uid by _union, so each output child is one
-    pair, image(group, q's 0-child). Assign 1 takes OPEN, and only
-    OPEN, to tau + 1: image(OPEN child, q's 1-child) where q has one.
-    For tau = 0 that symbol is 1, which aged 1 also gives; only there
-    the two output children are merged by _union on the output store.
+    The image operation of a decision diagram, a product over single
+    pairs of a table node and a trie node, filtered on the way down by
+    ``filters``: _BarPass.filters for the label, or _unbarred. A call at
+    depth d carries ``blk``, the positions >= d that an earlier
+    neighbour's recent label bars from the new one, and ``pend``, the
+    earlier positions given the new label that a later neighbour may
+    still bar. An unlabeled position (OPEN; BLOCKED never takes the
+    label) ages to OPEN, and takes the label, symbol tau + 1, where the
+    trie node has a 1-child and neither ``closed`` (its list lacks the
+    label) nor ``blk`` holds it; it then waits in ``pend`` if a later
+    neighbour can bar it. A recent label (2..tau+1) adds its ``later``
+    row to ``blk``, and a hit on ``pend`` from its ``earlier`` row cuts
+    the branch: the call returns -1 where every branch is cut. The memo
+    key ``(u * NP + q) << n | blk | pend``, NP the trie's store size, is
+    one exact int: ``blk`` holds positions at or past d only, ``pend``
+    those before it, and a uid fixes d.
 
-    The unions hash-cons into the input store itself, through its unique
-    table ``unique``: pass the one the store was built with, or None to
-    build it here. The store grows by the union nodes, past the reach of
-    ``root``, so the table below ``root`` stays as it was. Every trie
-    node at a depth below its length has a 0-child and every symbol
-    ages, so a nonempty table has a nonempty image. The output is
-    hash-consed too, so the bar rewrite meets each combined subtree once.
+    Children of a table node that age to one symbol (1 and 2 to 1) and
+    leave one ``blk`` are first folded into one table uid by _union,
+    hash-consed into the input store, whose unique table is built on the
+    first such union; the store is cut back to its own nodes on return.
+    Where they leave different masks, and for tau = 0 where the new label
+    and an aged 1 both give 1, the output children are merged by _union
+    on the output store. The nodes that only such a union read are
+    dropped from the output store before returning (_reachable).
     """
     t_shapes, p_root = trie
     trie_size = len(t_shapes)
+    closed, later, earlier, closes, waiting = filters
+    n = len(closes)
     top = tau + 1
     adv = aging_table(tau)  # assign 0 ages symbol x to adv[x]
-    if unique is None:
-        unique = {shape: uid for uid, shape in enumerate(shapes)}
-    unions: dict[int, int] = {}
     out: list[tuple] = [()]
-    out_unique: dict[tuple, int] = {}
-    out_unions: dict[int, int] = {}
-    # the pair (LEAF, the trie's LEAF) packs to 0 and advances to LEAF
+    unique: dict[tuple, int] = {}
+    unions: dict[int, int] = {}
+    in_unique: dict[tuple, int] = {}
+    in_unions: dict[int, int] = {}
+    kept = len(shapes)
+    # the pair (LEAF, the trie's LEAF), where nothing is barred or pending
     memo: dict[int, int] = {0: 0}
 
-    def image(u, q):
+    def walk(u, q, d, blk, pend):
         q_shape = t_shapes[q]
         q0 = q_shape[0][1]
+        bit = 1 << d
+        blk_next = blk & ~bit
+        pend_next = pend & ~closes[d]
+        row_later, row_earlier = later[d], earlier[d]
         pairs = []
-        last = group = opened = -1  # last: the symbol ``group`` ages to
-        # the shape comes in symbol order and aging keeps that order, so
-        # the children that age to one symbol are adjacent: each group is
-        # folded by _union before its image is taken
+        last = group = g_blk = opened = -1
         for x, child in shapes[u]:
-            if x == OPEN:
+            c_blk = blk_next
+            if x > 0:
+                if pend & row_earlier[x]:
+                    continue
+                c_blk |= row_later[x]
+            elif x == OPEN:
                 opened = child
             sym = adv[x]
-            if sym == last:
-                group = _union(group, child, shapes, unique, unions)
+            if sym == last and c_blk == g_blk:
+                if not in_unique:
+                    in_unique.update((shape, uid) for uid, shape in enumerate(shapes))
+                group = _union(group, child, shapes, in_unique, in_unions)
                 continue
-            if last >= 0:
-                key = group * trie_size + q0
+            if group >= 0:
+                key = (group * trie_size + q0) << n | g_blk | pend_next
                 c = memo.get(key)
                 if c is None:
-                    c = memo[key] = image(group, q0)
+                    c = memo[key] = walk(group, q0, d + 1, g_blk, pend_next)
+                if c >= 0:
+                    if pairs and pairs[-1][0] == last:
+                        c = _union(pairs.pop()[1], c, out, unique, unions)
+                    pairs.append((last, c))
+            last, group, g_blk = sym, child, c_blk
+        if group >= 0:
+            key = (group * trie_size + q0) << n | g_blk | pend_next
+            c = memo.get(key)
+            if c is None:
+                c = memo[key] = walk(group, q0, d + 1, g_blk, pend_next)
+            if c >= 0:
+                if pairs and pairs[-1][0] == last:
+                    c = _union(pairs.pop()[1], c, out, unique, unions)
                 pairs.append((last, c))
-            last, group = sym, child
-        key = group * trie_size + q0
-        c = memo.get(key)
-        if c is None:
-            c = memo[key] = image(group, q0)
-        pairs.append((last, c))
-        if opened >= 0 and len(q_shape) == 2:
+        if opened >= 0 and len(q_shape) == 2 and not (blk | closed) & bit:
             q1 = q_shape[1][1]
-            key = opened * trie_size + q1
-            child = memo.get(key)
-            if child is None:
-                child = memo[key] = image(opened, q1)
-            if last == top:  # tau = 0: assign and aged 1 both give symbol 1
-                child = _union(pairs.pop()[1], child, out, out_unique, out_unions)
-            pairs.append((top, child))
+            c_pend = pend_next | bit & waiting
+            key = (opened * trie_size + q1) << n | blk_next | c_pend
+            c = memo.get(key)
+            if c is None:
+                c = memo[key] = walk(opened, q1, d + 1, blk_next, c_pend)
+            if c >= 0:
+                if pairs and pairs[-1][0] == top:  # tau = 0: the new label and aged 1 both give 1
+                    c = _union(pairs.pop()[1], c, out, unique, unions)
+                pairs.append((top, c))
+        if not pairs:
+            return -1
         shape = tuple(pairs)
-        uid = out_unique.get(shape)
+        uid = unique.get(shape)
         if uid is None:
-            uid = out_unique[shape] = len(out)
+            uid = unique[shape] = len(out)
             out.append(shape)
         return uid
 
-    out_root = image(root, p_root) if root else 0
-    del image  # image refers to itself: end the cycle, which holds the memos
-    return out, out_root, len(memo) - 1, len(unions) + len(out_unions)
+    out_root = walk(root, p_root, 0, 0, 0) if root else 0
+    del walk  # walk refers to itself: end the cycle, which holds the memo
+    del shapes[kept:]
+    out, out_root = _reachable(out, out_root)
+    return out, out_root, len(memo) - 1, len(unions) + len(in_unions)
+
+
+def _reachable(shapes, root: int):
+    """The nodes of a store that uid ``root`` reaches, renumbered in store
+    order, and the root's new uid; the store itself when it holds no other."""
+    reach = [False] * (root + 1)
+    reach[0] = reach[root] = True
+    for uid in range(root, 0, -1):
+        if reach[uid]:
+            for _, child in shapes[uid]:
+                reach[child] = True
+    if root == len(shapes) - 1 and all(reach):
+        return shapes, root
+    new = [0] * (root + 1)
+    out: list[tuple] = [()]
+    for uid in range(1, root + 1):
+        if reach[uid]:
+            new[uid] = len(out)
+            out.append(tuple([(sym, new[child]) for sym, child in shapes[uid]]))
+    return out, len(out) - 1
+
+
+def _unbarred(n: int, tau: int):
+    """Filters that bar nothing, for tables whose OPEN and BLOCKED already
+    say which positions may take the label: the replay's adapters."""
+    zeros = [[0] * (tau + 2)] * n
+    return 0, zeros, zeros, [0] * n, 0
 
 
 def _combine(a_nodes, p_node, depth, plan, memo):
-    """_image on dict DAGs, both inputs encoded and the output decoded
-    on every call. An adapter with the call shape of the benchmark's
-    per-layer replay (perfbench/layers.py): ``a_nodes`` holds one root,
-    ``depth`` is 0, ``plan`` is _build_plan's (length, tau) and ``memo``
-    is unused. It goes with the replay (ROADMAP item 1).
+    """_level_walk on dict DAGs with nothing barred, both inputs encoded
+    and the output decoded on every call. An adapter with the call shape
+    of the benchmark's per-layer replay (perfbench/layers.py), whose
+    tables carry OPEN and BLOCKED: ``a_nodes`` holds one root, ``depth``
+    is 0, ``plan`` is _build_plan's (length, tau) and ``memo`` is unused.
+    It goes with the replay (ROADMAP item 1).
     """
     shapes, (root,) = encode(a_nodes)
     trie_shapes, (trie_root,) = encode((p_node,))
-    out, out_root, _, _ = _image(shapes, (trie_shapes, trie_root), root, plan[1])
+    out, out_root, _, _ = _level_walk(shapes, root, (trie_shapes, trie_root), plan[1],
+                                      _unbarred(*plan))
     return decode(out)[out_root]
 
 
@@ -294,19 +357,21 @@ def _combine(a_nodes, p_node, depth, plan, memo):
 
 
 class _BarPass:
-    """Precomputed per-position data for the OPEN/BLOCKED recomputation.
+    """Precomputed per-position data on which positions a label is barred
+    from: its list lacks it, or a neighbour's recent label lies at a
+    forbidden difference from it.
 
-    The solver applies the pass to a whole combined table with
-    ``rewrite``. ``run`` applies it to one vector; only the benchmark's
-    per-layer replay (perfbench/layers.py) still calls it, and it goes
-    at the next change to the benchmark.
+    ``filters`` gives the masks _level_walk and _walk_back filter with.
+    ``run`` marks OPEN positions of one vector BLOCKED; only the
+    benchmark's per-layer replay (perfbench/layers.py) still calls it, and
+    it goes at the next change to the benchmark.
     """
 
     def __init__(self, inst: Instance, ordering, tau: int):
         # Bitmasks over positions: listed[lab] holds the positions whose
-        # list has label lab; a symbol at position j blocks the later
+        # list has label lab; a symbol at position j bars the later
         # positions later[j][sym] and the earlier ones earlier[j][sym] (lists
-        # by symbol); closes[j] holds the positions whose last blocking
+        # by symbol); closes[j] holds the positions whose last barring
         # neighbour sits at j; waiting holds those with any later one.
         pos_of = {v: i for i, v in enumerate(ordering)}
         n = len(ordering)
@@ -319,7 +384,7 @@ class _BarPass:
         for i, v in enumerate(ordering):
             for lab in inst.lam[v]:
                 listed[lab] = listed.get(lab, 0) | 1 << i
-        last = list(range(n))  # the last blocking neighbour of each position, or itself
+        last = list(range(n))  # the last barring neighbour of each position, or itself
         for (u, v), diffs in inst.t.items():
             i, j = sorted((pos_of[u], pos_of[v]))
             for d in diffs:
@@ -333,137 +398,28 @@ class _BarPass:
                 self.closes[j] |= 1 << i
                 self.waiting |= 1 << i
 
-    def _closed(self, level: int) -> int:
-        """Positions whose list lacks label ``level + 2``: no OPEN survives there."""
-        return self.full & ~self.listed.get(level + 2, 0)
+    def filters(self, label: int):
+        """(closed, later, earlier, closes, waiting) for ``label``, read
+        against a table of the level before it: ``closed`` holds the
+        positions whose list lacks the label, and it is masked out of
+        every ``later`` row, so a barred mask never holds them."""
+        closed = self.full & ~self.listed.get(label, 0)
+        later = [[mask & ~closed for mask in row] for row in self.later]
+        return closed, later, self.earlier, self.closes, self.waiting
 
     def run(self, vec, level: int):
-        """One vector through the pass; kept for the benchmark replay only."""
-        blk = self._closed(level)
+        """One vector's OPEN positions barred from label ``level + 2``
+        marked BLOCKED; kept for the benchmark replay only."""
+        blk = self.full & ~self.listed.get(level + 2, 0)
         later, earlier = self.later, self.earlier
         for j, sym in enumerate(vec):
-            if sym > 1:  # only a recent label (2..tau+1) blocks
+            if sym > 1:  # only a recent label (2..tau+1) bars
                 blk |= later[j][sym] | earlier[j][sym]
         out = list(vec)
         for i, sym in enumerate(vec):
             if sym == OPEN and blk >> i & 1:
                 out[i] = BLOCKED
         return tuple(out)
-
-    def rewrite(self, shapes, root: int, level: int):
-        """The pass applied to every vector below uid ``root`` of the node
-        store ``shapes`` in one walk.
-
-        Returns the store of the barred table (exactly the nodes its
-        root reaches), its unique table (shape -> uid, for the next
-        combine's unions), the root's uid, its number of vectors, the
-        complete flag of every uid and the entries the walk memoized;
-        the count and the flags come from encoding.tally of the store.
-
-        A call at depth d carries ``blk``, the positions >= d already
-        blocked by an earlier neighbour's symbol, and ``pend``, the
-        earlier OPEN positions still waiting on a later neighbour. It
-        maps each subset of ``pend`` its suffixes block to the output uid
-        of those suffixes; the caller settles OPEN or BLOCKED for its own
-        pending coordinate. With ``pend`` empty, as at the root, all lands
-        under the empty subset, so that call (``one``) returns one uid and
-        builds no map. The memo key ``uid << n | blk | pend`` is exact, as
-        a uid fixes d; LEAF's is 0, as nothing waits at or lies past the
-        last position. Positions the level closes are masked out of
-        ``later`` once per call, so ``blk`` never holds them.
-        Output children come in symbol order without sorting: the input's
-        do and hold no BLOCKED, and BLOCKED, the least symbol, only ever
-        replaces OPEN, the first one.
-        """
-        closed = self._closed(level)
-        n, earlier, closes, waiting = len(self.closes), self.earlier, self.closes, self.waiting
-        later = [[mask & ~closed for mask in row] for row in self.later]
-        out: list[tuple] = [()]
-        unique: dict[tuple, int] = {}
-        memo: dict[int, object] = {0: 0}
-
-        def node(shape):
-            uid = unique.get(shape)
-            if uid is None:
-                uid = unique[shape] = len(out)
-                out.append(shape)
-            return uid
-
-        def one(uid, d, blk):
-            bit = 1 << d
-            blk_next = blk & ~bit
-            row = later[d]
-            children = []
-            for sym, child in shapes[uid]:
-                c_blk = blk_next
-                if sym != OPEN:
-                    c_blk |= row[sym]
-                elif (blk | closed) & bit:
-                    sym = BLOCKED
-                elif waiting & bit:
-                    # the suffixes settle this OPEN: those that block it
-                    # give a BLOCKED child, before the OPEN one
-                    key = child << n | c_blk | bit
-                    sub = memo.get(key)
-                    if sub is None:
-                        sub = memo[key] = go(child, d + 1, c_blk, bit)
-                    if bit in sub:
-                        children.append((BLOCKED, sub[bit]))
-                    if 0 in sub:
-                        children.append((OPEN, sub[0]))
-                    continue
-                key = child << n | c_blk
-                out_child = memo.get(key)
-                if out_child is None:
-                    out_child = memo[key] = one(child, d + 1, c_blk)
-                children.append((sym, out_child))
-            shape = tuple(children)
-            out_uid = unique.get(shape)
-            if out_uid is None:  # node(shape), inlined on the hot path
-                out_uid = unique[shape] = len(out)
-                out.append(shape)
-            return out_uid
-
-        def go(uid, d, blk, pend):
-            bit = 1 << d
-            blk_next = blk & ~bit
-            pend_next = pend & ~closes[d]
-            row_later, row_earlier = later[d], earlier[d]
-            groups: dict[int, list] = {}
-            for sym, child in shapes[uid]:
-                hits, own, c_blk, c_pend = 0, 0, blk_next, pend_next
-                if sym != OPEN:
-                    hits = pend & row_earlier[sym]
-                    c_blk, c_pend = c_blk | row_later[sym], c_pend & ~hits
-                elif (blk | closed) & bit:
-                    sym = BLOCKED
-                elif waiting & bit:
-                    own = bit
-                    c_pend |= bit
-                if not c_pend:
-                    key = child << n | c_blk
-                    out_child = memo.get(key)
-                    if out_child is None:
-                        out_child = memo[key] = one(child, d + 1, c_blk)
-                    groups.setdefault(hits, []).append((sym, out_child))
-                    continue
-                key = child << n | c_blk | c_pend
-                sub = memo.get(key)
-                if sub is None:
-                    sub = memo[key] = go(child, d + 1, c_blk, c_pend)
-                for mask, out_child in sub.items():
-                    mask |= hits
-                    if mask & own:
-                        # BLOCKED goes before an OPEN this group may hold
-                        groups.setdefault(mask ^ own, []).insert(0, (BLOCKED, out_child))
-                    else:
-                        groups.setdefault(mask, []).append((sym, out_child))
-            return {mask: node(tuple(children)) for mask, children in groups.items()}
-
-        barred = one(root, 0, 0) if root else 0
-        del go, one, node  # go and one refer to each other: end the cycle, as _image does
-        count, full = tally(out)
-        return out, unique, barred, count[barred], full, len(memo) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +431,8 @@ def walk_order(g: Graph) -> tuple[int, ...]:
 
     The frontier after a prefix of the order is the set of placed
     vertices that still have an unplaced neighbour; the cost of the
-    combine and OPEN/BLOCKED walks follows its largest size (the
-    order's vertex separation). Greedy and deterministic: each step
+    level walk follows its largest size (the order's vertex
+    separation). Greedy and deterministic: each step
     places the unplaced vertex v with the least key (frontier size after
     placing v, -(placed neighbours of v), v). Each vertex's count of
     unplaced neighbours is kept up to date, so a candidate costs
@@ -514,46 +470,42 @@ class ComponentDP:
 
     Built once per component: ``tau``, the coordinate ``ordering``, the
     independent-set ``trie`` as (node store, root uid), the form of each
-    retained level, the OPEN/BLOCKED pass ``bar`` and the level-0 vector
-    (OPEN where label 1 is permitted, BLOCKED otherwise).
-    ``advance`` takes a table one level on as a node store, from
-    ``base_store()`` on; nothing here builds dict nodes.
+    retained level, and the masks ``bar`` that say which positions each
+    label is barred from. ``advance`` takes a table one level on as a
+    node store, from ``base_store()`` on; nothing here builds dict nodes.
     """
 
     def __init__(self, inst: Instance, ordering):
         self.tau = tau = instance_tau(inst)
         self.ordering = ordering = tuple(ordering)
         self.bar = _BarPass(inst, ordering, tau)
-        self._base = tuple(OPEN if 1 in inst.lam[v] else BLOCKED for v in ordering)
         self.trie = independent_set_trie(inst.graph, ordering)
 
     def base_store(self) -> list:
-        """The level-0 table as ``advance`` takes it, a chain of one-child shapes."""
-        shapes = [(), *(((sym, i),) for i, sym in enumerate(reversed(self._base)))]
-        return [shapes, None, len(shapes) - 1, None]
+        """The level-0 table as ``advance`` takes it: its one vector, every
+        position OPEN, as a chain of one-child shapes."""
+        shapes = [(), *(((OPEN, i),) for i in range(len(self.ordering)))]
+        return [shapes, len(shapes) - 1, None]
 
     def advance(self, store: list, level: int) -> tuple[int, int, bool, int, int]:
-        """Advance the level ``level - 1`` table to level ``level``: the
-        combine (_image), then the bar pass (_BarPass.rewrite).
+        """Advance the level ``level - 1`` table to level ``level`` in one
+        _level_walk, filtered by the masks of label ``level``.
 
-        ``store`` is the list [shapes, unique table or None, root uid,
-        tally flags or None] of a nonempty table. It is replaced in place
-        by the new table's, so the old store goes as soon as the combine
-        is done with it, unless the caller keeps its shapes, which then
-        come back as they were: the unions the combine appends are cut
-        off. Returns the new table's number of vectors and of DAG nodes,
-        whether it holds a complete vector, the entries the image and
-        rewrite memos held and the unions the combine memoized.
+        ``store`` is the list [shapes, root uid, tally flags or None] of a
+        nonempty table. It is replaced in place by the new table's, so the
+        old store goes as soon as the walk is done with it, unless the
+        caller keeps its shapes, which the walk only reads. Returns the new
+        table's number of vectors and of DAG nodes, whether it holds a
+        complete vector, the entries the walk memoized and the unions it
+        made; the count and the flags come from encoding.tally.
         """
-        shapes, unique, root, _ = store
+        shapes, root, _ = store
         store.clear()
-        kept = len(shapes)
-        combined, croot, entries, unions = _image(shapes, self.trie, root, self.tau, unique)
-        del shapes[kept:], shapes, unique  # the unions, then the store unless the caller keeps it
-        shapes, unique, root, size, full, bar_entries = self.bar.rewrite(
-            combined, croot, level - 1)
-        store[:] = shapes, unique, root, full
-        return size, len(shapes) - 1, full[root], entries + bar_entries, unions
+        shapes, root, entries, unions = _level_walk(shapes, root, self.trie, self.tau,
+                                                    self.bar.filters(level))
+        count, full = tally(shapes)
+        store[:] = shapes, root, full
+        return count[root], len(shapes) - 1, full[root], entries, unions
 
 
 # ---------------------------------------------------------------------------
@@ -578,19 +530,22 @@ def _least_complete(shapes, full, root: int):
     return tuple(path)
 
 
-def _walk_back(levels, final, final_level: int, trie, tau: int, ordering) -> Witness:
+def _walk_back(levels, final, final_level, trie, tau: int, ordering, bar) -> Witness:
     """Walk the complete vector ``final`` of level ``final_level`` back
     through the retained levels, each a (node store, root uid) pair.
 
-    At each level the predecessor, a vector of the level below and an
-    assign mask that advance to the current vector (its OPEN and BLOCKED
-    both read as OPEN, the symbol before the bar pass), is found by
-    walking that level's store and the independent-set ``trie``, a
-    (store, root uid) pair, in lockstep over (table uid, trie uid)
-    pairs; a trie node may lack either child. Deterministic: the first
-    hit in canonical symbol order. Pairs with no match below them are
-    remembered, so shared nodes are searched once. The mask tells which
-    vertices took that level's label.
+    At each level k the predecessor, a vector of the level below and an
+    assign mask that advance to the current vector, is found by walking
+    that level's store and the independent-set ``trie``, a (store, root
+    uid) pair, in lockstep over (table uid, trie uid) pairs; a trie node
+    may lack either child. A position takes label k only where
+    _level_walk would let it: ``bar``'s filters for label k carry the
+    same ``blk`` and ``pend`` masks (None: nothing is barred beyond the
+    tables' own BLOCKED, as in the replay's tables). Deterministic: the
+    first hit in canonical symbol order. States with no match below them
+    are remembered, keyed as _level_walk's memo, so shared nodes are
+    searched once per mask pair. The mask tells which vertices took that
+    level's label.
     """
     t_shapes, p_root = trie
     trie_size, n = len(t_shapes), len(final)
@@ -599,20 +554,31 @@ def _walk_back(levels, final, final_level: int, trie, tau: int, ordering) -> Wit
     path: list[tuple[int, int]] = []
     dead: set[int] = set()
     shapes, options = [], []
+    closed, later, earlier, closes, waiting = _unbarred(n, tau)
 
-    def dfs(i, u, q):
+    def dfs(i, u, q, blk, pend):
         if i == n:
             return True
-        key = u * trie_size + q
+        key = (u * trie_size + q) << n | blk | pend
         if key in dead:
             return False
+        bit = 1 << i
+        blk_next, pend_next = blk & ~bit, pend & ~closes[i]
+        free = not (blk | closed) & bit
         by_x = options[i]
         for x, child in shapes[u]:
-            ys_of_x = by_x.get(x, ())
+            ys_of_x = by_x.get(x)
+            if ys_of_x is None:
+                continue
+            c_blk = blk_next
+            if x > 0:
+                if pend & earlier[i][x]:
+                    continue
+                c_blk |= later[i][x]
             for y, c in t_shapes[q]:
-                if y in ys_of_x:
+                if y in ys_of_x and (free or not y):
                     path.append((x, y))
-                    if dfs(i + 1, child, c):
+                    if dfs(i + 1, child, c, c_blk, pend_next | bit & waiting if y else pend_next):
                         return True
                     path.pop()
         dead.add(key)
@@ -621,10 +587,12 @@ def _walk_back(levels, final, final_level: int, trie, tau: int, ordering) -> Wit
     vec = final
     for k in range(final_level, 0, -1):
         shapes, root = levels[k - 1]
+        if bar is not None:
+            closed, later, earlier, closes, waiting = bar.filters(k)
         options = [ys[sym] if sym > 0 else ys[OPEN] for sym in vec]
         path.clear()
         dead.clear()
-        found = dfs(0, root, p_root)
+        found = dfs(0, root, p_root, 0, 0)
         assert found, "table member lost its predecessor"
         for i, (_, y) in enumerate(path):
             if y:
@@ -645,15 +613,17 @@ def _find_complete(trie: VectorTrie):
 
 
 def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
-                        indep: VectorTrie, tau: int, ordering) -> Witness:
+                        indep: VectorTrie, tau: int, ordering, bar=None) -> Witness:
     """_walk_back on dict tries, the level tables from level 0 on and
     the independent-set trie ``indep``, all encoded on every call: an
     adapter for the benchmark's per-layer replay (perfbench/layers.py)
-    that goes with the replay (ROADMAP item 1), as _combine does."""
+    that goes with the replay (ROADMAP item 1), as _combine does. The
+    replay's tables carry OPEN and BLOCKED, so by default nothing more is
+    barred; the solver's tables need their component's ``bar``."""
     shapes, roots = encode([table.vectors.root for table in tables[:final_level]])
     trie_shapes, (trie_root,) = encode((indep.root,))
     return _walk_back([(shapes, root) for root in roots], final, final_level,
-                      (trie_shapes, trie_root), tau, ordering)
+                      (trie_shapes, trie_root), tau, ordering, bar)
 
 
 def check_witness(inst: Instance, witness: Witness) -> bool:
@@ -688,13 +658,13 @@ def _solve_component(inst: Instance, options: SolveOptions,
     dp = ComponentDP(inst, ordering)
     store = dp.base_store()
     # a retained level keeps its store, as advance leaves it
-    levels = [(store[0], store[2])] if options.store_parents else None
+    levels = [(store[0], store[1])] if options.store_parents else None
 
     # a component has a vertex, so the base vector is never complete
     for k in range(1, max(label_map) + 1):  # to the largest label, compressed
         size, nodes, complete, memo, unions = dp.advance(store, k)
         if levels is not None:
-            levels.append((store[0], store[2]))
+            levels.append((store[0], store[1]))
         stats.levels += 1
         stats.total_vectors += size
         stats.max_table_size = max(stats.max_table_size, size)
@@ -714,9 +684,9 @@ def _solve_component(inst: Instance, options: SolveOptions,
         return False, None
     if levels is None:
         return True, None
-    shapes, _, root, full = store
+    shapes, root, full = store
     found = _least_complete(shapes, full, root)
-    witness = _walk_back(levels, found, k, dp.trie, dp.tau, ordering)
+    witness = _walk_back(levels, found, k, dp.trie, dp.tau, ordering, dp.bar)
     return True, {v: label_map[lab] for v, lab in witness.items()}
 
 

@@ -43,7 +43,7 @@ def line_graph(g: Graph) -> Graph:
 
 def base_table(dp: ComponentDP) -> VectorTrie:
     """The level-0 table of ``dp`` as a dict trie."""
-    shapes, _, root, _ = dp.base_store()
+    shapes, root, _ = dp.base_store()
     return VectorTrie(len(dp.ordering), decode(shapes)[root])
 
 
@@ -59,9 +59,9 @@ def step(dp: ComponentDP, table: VectorTrie, level: int):
     if table.root is None:
         return VectorTrie(table.length), 0, 0, 0, 0
     shapes, (root,) = encode((table.root,))
-    store = [shapes, None, root, None]
+    store = [shapes, root, None]
     size, nodes, _, memo, unions = dp.advance(store, level)
-    return VectorTrie(table.length, decode(store[0])[store[2]]), size, nodes, memo, unions
+    return VectorTrie(table.length, decode(store[0])[store[1]]), size, nodes, memo, unions
 
 
 def run_tables(inst: Instance, strategy: str = "singleton"):
@@ -98,7 +98,10 @@ def proper_partial_labelings(inst: Instance, k: int):
 
 def reference_table(inst: Instance, ordering, k: int, tau: int) -> set:
     """The level-k table straight from its semantics: encode every proper
-    partial labeling with labels 1..k, no dynamic program involved."""
+    partial labeling with labels 1..k, no dynamic program involved. An
+    unlabeled vertex is OPEN or BLOCKED for label k + 1, as the reference
+    recurrence (direct_step, then mark_blocked) marks it; the solver's
+    tables are its reference.project."""
     out = set()
     for phi in proper_partial_labelings(inst, k):
         vec = []

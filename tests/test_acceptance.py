@@ -8,6 +8,7 @@ import time
 from gltc import (
     ComponentDP,
     SolveOptions,
+    VectorTrie,
     brute_force_solve,
     build_partition,
     check_witness,
@@ -30,7 +31,7 @@ from gltc.partition import (
     star_prefix_bound,
     validate_partition,
 )
-from gltc.reference import direct_step, mark_blocked
+from gltc.reference import direct_step, mark_blocked, project
 from support import (
     base_table,
     complete_graph,
@@ -93,16 +94,22 @@ def test_criterion_2_level_recurrence_conformance():
         part = build_partition(inst, ("singleton", "star", "clique")[seed % 3])
         dp = ComponentDP(inst, part.ordering)
         table, indep = base_table(dp), indep_table(dp)
+        n = len(dp.ordering)
+        # the reference recurrence keeps OPEN and BLOCKED; the solver's
+        # tables are its projection, one to one
+        ref = VectorTrie.from_vectors(n, [mark_blocked(vec, -1, inst, dp.ordering, dp.tau)
+                                          for vec in table])
         for k in range(1, validate(inst).lambda_max + 1):
             got, size, _, _, _ = step(dp, table, k)
-            want = {
+            marked = {
                 mark_blocked(vec, k - 1, inst, dp.ordering, dp.tau)
-                for vec in direct_step(table, indep, dp.tau)
+                for vec in direct_step(ref, indep, dp.tau)
             }
-            if set(got) != want or size != len(want):
+            want = set(map(project, marked))
+            if set(got) != want or size != len(want) or len(want) != len(marked):
                 failures.append((seed, k))
                 break
-            table = got
+            table, ref = got, VectorTrie.from_vectors(n, marked)
     _report(2, "level recurrence equals pairwise reference", failures)
 
 

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from gltc import SolveOptions, gap_compression, instance_tau, parse_instance, check_witness
+from gltc import (SolveOptions, check_witness, gap_compression, instance_tau, parse_instance,
+                  serialize_instance)
 from gltc.cli import build_parser, main
 from gltc.partition import star_prefix_bound
 
@@ -303,18 +304,35 @@ def test_solve_a_difference_beyond_every_label_span(tmp_path, capsys):
 
 
 def test_predict_a_difference_beyond_every_label_span(tmp_path):
-    # predict prices the raw instance, tau = 10**6; the prefix count names
-    # the labeled symbols by first appearance, so its work does not grow
-    # with tau; in a subprocess, so work that does grow with it times out
-    # instead of hanging the suite
+    # predict prices the instance solve runs, where the difference no
+    # labeling gives is dropped and tau is 0, not the raw tau = 10**6 (its
+    # bound would be f 1000004000009000008); in a subprocess, so work that
+    # grows with the raw tau times out instead of hanging the suite
     path = tmp_path / "huge.gltc"
     path.write_text(HUGE_DIFF_DOC)
     proc = subprocess.run([sys.executable, "-m", "gltc.cli", "predict", str(path)],
                           env=dict(os.environ, PYTHONPATH=str(SRC)),
                           capture_output=True, text=True, timeout=5)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[:2] == ["partition auto",
-                                            f"f {star_prefix_bound(3, 1_000_000)}"]
+    assert proc.stdout.splitlines()[:2] == ["partition auto", "f 2 2 2"]
+    assert f"f {star_prefix_bound(3, 1_000_000)}" not in proc.stdout
+
+
+def test_predict_prices_the_instance_solve_runs(tmp_path, capsys):
+    # the huge difference, dropped, gives the report of the same path
+    # without it, for every strategy that applies to a path
+    inst, _ = gap_compression(parse_instance(HUGE_DIFF_DOC))
+    assert instance_tau(inst) == 0
+    raw, clipped = tmp_path / "huge.gltc", tmp_path / "clipped.gltc"
+    raw.write_text(HUGE_DIFF_DOC)
+    clipped.write_text(serialize_instance(inst))
+    for part in ("auto", "singleton", "star", "k1d:3", "clique"):
+        reports = []
+        for path in (raw, clipped):
+            assert main(["predict", str(path), "--partition", part]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert "1000004000009000008" not in reports[0]
 
 
 def test_solve_and_oracle_agree_on_generated_fixtures(tmp_path, capsys):

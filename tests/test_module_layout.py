@@ -7,7 +7,9 @@ prefixes. The partition module peels stars in one loop and owns the
 strategy grammar; the CLI only reports its verdict. The independent-set
 trie is a node store like the level tables, with no second format and
 no converter, and one fold, encoding.tally, counts a store's vectors and
-flags its complete ones. ``gltc.__all__`` holds what the CLI, the demos
+flags its complete ones. One walk takes a level table to the next, and
+the tables it builds hold one unlabeled symbol: BLOCKED is written only
+by the benchmark replay's per-vector pass. ``gltc.__all__`` holds what the CLI, the demos
 and the benchmark scripts import from gltc, plus the public exceptions
 and result types.
 """
@@ -17,6 +19,7 @@ import tokenize
 from pathlib import Path
 
 import gltc
+from gltc import BLOCKED, SolveOptions, random_instance, solve
 from gltc import indsets as indsets_module
 from gltc import partition as partition_module
 from gltc import reference as reference_module
@@ -146,3 +149,49 @@ def test_one_tally():
         tree = ast.parse((SRC / path).read_text(encoding="utf-8"))
         (fn,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == name]
         assert not any(isinstance(n, FUNCTIONS) for n in _own_nodes(fn)), name
+
+
+def _functions(path: Path):
+    return [fn for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_one_level_walk():
+    names = {fn.name for path in SRC.glob("*.py") for fn in _functions(path)}
+    assert "_level_walk" in names  # function names are seen
+    assert not names & {"_image", "rewrite"}
+    # advance is straight-line code around one call of the walk
+    (advance,) = [fn for fn in _functions(SRC / "solver.py") if fn.name == "advance"]
+    called = [getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in _own_nodes(advance) if isinstance(node, ast.Call)]
+    assert called.count("_level_walk") == 1
+    loops = (ast.For, ast.While, *FUNCTIONS)
+    assert not any(isinstance(node, loops) for node in _own_nodes(advance))
+    # in solver.py only the replay's per-vector pass names BLOCKED
+    writers = {fn.name for fn in _functions(SRC / "solver.py")
+               if any(isinstance(node, ast.Name) and node.id == "BLOCKED"
+                      for node in _own_nodes(fn))}
+    assert writers == {"run"}
+
+
+def test_solves_walk_once_per_level_and_never_emit_blocked(monkeypatch):
+    walks = []
+    real = solver_module._level_walk
+
+    def recorded(*args):
+        out = real(*args)
+        walks.append(out)
+        return out
+
+    monkeypatch.setattr(solver_module, "_level_walk", recorded)
+    symbols = set()
+    for seed in range(40):
+        inst = random_instance(n=3 + seed % 6, density=(0.2, 0.5, 0.8)[seed % 3],
+                               tau=seed % 4, lmax=3 + seed % 5, seed=3100 + seed)
+        for early_exit in (True, False):
+            walks.clear()
+            result = solve(inst, options=SolveOptions(early_exit=early_exit))
+            assert len(walks) == result.stats.levels
+            for shapes, _, _, _ in walks:
+                symbols |= {sym for shape in shapes for sym, _ in shape}
+    assert BLOCKED not in symbols and min(symbols) == 0 and max(symbols) == 4

@@ -30,9 +30,8 @@ from gltc import (
     reconstruct_witness,
     walk_order,
 )
-from gltc.reference import mark_blocked
+from gltc.reference import direct_step, mark_blocked, project
 from gltc.solver import _BarPass, _build_plan, _combine, _find_complete
-from gltc.vectorset import decode, encode
 from support import base_table, indep_table, step
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -67,41 +66,48 @@ def test_per_vector_bar_pass_of_the_replay_still_runs():
 
 
 def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
-    # perfbench/layers.py combines with its own plan and a fresh memo, then
-    # bars the flattened result vector by vector
+    # perfbench/layers.py keeps OPEN and BLOCKED in its tables: it combines
+    # with its own plan and a fresh memo, then bars the flattened result
+    # vector by vector; projected, its tables are the solver's, vector for
+    # vector, and the solver's level walk of the projected table equals
+    # the replay's step
     for strategy, seed in (("star", 21), ("clique", 22), ("singleton", 23)):
         inst = random_instance(n=7, density=0.5, tau=seed % 3, lmax=6, seed=seed)
         part = build_partition(inst, strategy)
         dp = ComponentDP(inst, part.ordering)
+        n = len(dp.ordering)
         plan = _build_plan(part.blocks, dp.tau, inst, True)
         table, indep = base_table(dp), indep_table(dp)
+        replay = VectorTrie.from_vectors(n, [dp.bar.run(vec, -1) for vec in table])
         for k in range(1, 7):
-            combined = _combine((table.root,), indep.root, 0, plan, {})
-            shapes, (root,) = encode((combined,))
-            out, _, root, size, _, _ = dp.bar.rewrite(shapes, root, k - 1)
+            combined = _combine((replay.root,), indep.root, 0, plan, {})
+            flat = VectorTrie(n, combined)
+            assert set(flat) == set(direct_step(replay, indep, dp.tau))
+            assert set(map(project, replay)) == set(table)
             table, want_size, _, _, _ = step(dp, table, k)
             want = set(table)
-            assert set(VectorTrie(len(dp.ordering), decode(out)[root])) == want
-            assert size == want_size
-            flat = VectorTrie(len(dp.ordering), combined)
-            assert {dp.bar.run(vec, k - 1) for vec in flat} == want
+            barred = {dp.bar.run(vec, k - 1) for vec in flat}
+            assert set(map(project, barred)) == want
+            assert len(barred) == want_size
+            replay = VectorTrie.from_vectors(n, barred)
 
 
 def test_completeness_check_and_witness_walk_of_the_replay_still_run():
     # perfbench/layers.py fills fresh tries vector by vector with
-    # VectorTrie.add, then checks each for a complete vector and walks the
-    # witness back through them
+    # VectorTrie.add, each vector barred for the next label, then checks
+    # each for a complete vector and walks the witness back through them
     checked = 0
     for seed in range(31, 43):
         inst = random_instance(n=6, density=0.5, tau=seed % 4, lmax=5, seed=seed)
         dp = ComponentDP(inst, walk_order(inst.graph))
         table = base_table(dp)
-        plain = [LevelTable(0, VectorTrie.from_vectors(len(dp.ordering), table))]  # add, too
+        plain = [LevelTable(0, VectorTrie.from_vectors(
+            len(dp.ordering), [dp.bar.run(vec, -1) for vec in table]))]  # add, too
         for k in range(1, 6):
             table, _, _, _, _ = step(dp, table, k)
             added = VectorTrie(len(dp.ordering))
             for vec in table:
-                added.add(vec)
+                added.add(dp.bar.run(vec, k - 1))
             plain.append(LevelTable(k, added))
             found = _find_complete(added)
             assert found == _find_complete(table)

@@ -1,6 +1,7 @@
 """The dynamic program: combination steps, level pipeline, solve, witnesses."""
 
 import gc
+import itertools
 import random
 import time
 import types
@@ -31,7 +32,7 @@ from gltc import (
     validate,
     walk_order,
 )
-from gltc.reference import direct_step, forward_checking_solve, mark_blocked
+from gltc.reference import direct_step, forward_checking_solve, mark_blocked, project
 from gltc import encoding as encoding_module
 from gltc.encoding import is_complete
 from gltc import indsets as indsets_module
@@ -44,7 +45,8 @@ from gltc.solver import (
     _BarPass,
     _combine,
     _find_complete,
-    _image,
+    _level_walk,
+    _unbarred,
 )
 from gltc.vectorset import decode, encode
 from support import (
@@ -88,34 +90,47 @@ def test_direct_step_examples():
 
 @pytest.mark.parametrize("strategy", ["singleton", "star", "clique"])
 def test_compute_step_equals_direct_step_randomized(strategy):
+    # the reference recurrence runs on its own tables, over OPEN and
+    # BLOCKED, from the level-0 vector marked for label 1; the solver's
+    # table is its projection at every level, vector for vector
     for seed in range(25):
         inst = random_instance(n=3 + seed % 4, density=(0.3, 0.6, 0.9)[seed % 3],
                                tau=seed % 3, lmax=4 + seed % 3, seed=400 + seed)
         dp = ComponentDP(inst, build_partition(inst, strategy).ordering)
         table, indep = base_table(dp), indep_table(dp)
+        n = len(dp.ordering)
+        ref = VectorTrie.from_vectors(n, [mark_blocked(v, -1, inst, dp.ordering, dp.tau)
+                                          for v in table])
         for k in range(1, validate(inst).lambda_max + 1):
             got, size, _, _, _ = step(dp, table, k)
-            want = {mark_blocked(v, k - 1, inst, dp.ordering, dp.tau)
-                    for v in direct_step(table, indep, dp.tau)}
-            assert set(got) == want and size == len(want)
-            table = got
+            marked = {mark_blocked(v, k - 1, inst, dp.ordering, dp.tau)
+                      for v in direct_step(ref, indep, dp.tau)}
+            want = set(map(project, marked))
+            assert set(got) == want and size == len(want) == len(marked)
+            table, ref = got, VectorTrie.from_vectors(n, marked)
 
 
 def _image_vs_direct_step(graph, ordering, tau, vecs):
-    """_image of the table ``vecs`` by the independent sets of ``graph``
-    against reference.direct_step; returns the union entries it made."""
+    """_level_walk, with nothing barred, of the table ``vecs`` by the
+    independent sets of ``graph`` against reference.direct_step; returns
+    the union entries it made."""
     n = len(ordering)
     table = VectorTrie.from_vectors(n, vecs)
     indep = independent_set_vectors(graph, ordering)
     shapes, (root,) = encode((table.root,))
+    kept = list(shapes)
     trie_shapes, (trie_root,) = encode((indep.root,))
-    out, out_root, _, unions = _image(shapes, (trie_shapes, trie_root), root, tau)
+    out, out_root, _, unions = _level_walk(shapes, root, (trie_shapes, trie_root), tau,
+                                           _unbarred(n, tau))
     assert set(VectorTrie(n, decode(out)[out_root])) == set(direct_step(table, indep, tau))
-    # both stores stay hash-consed: every shape in symbol order, and the
-    # union nodes added to the input store equal none already there
+    # both stores stay hash-consed, every shape in symbol order; the
+    # walk only reads the input store, and its output store holds just
+    # the nodes the root reaches
     for store in (out, shapes):
         assert all(list(shape) == sorted(shape) for shape in store)
         assert len(set(store)) == len(store)
+    assert shapes == kept
+    assert out_root == len(out) - 1 and _distinct_shapes(decode(out)[out_root]) == (out_root,) * 2
     return unions
 
 
@@ -138,7 +153,8 @@ _NO_EDGES = Graph.from_edges(3, [])
 # tau = 0: at the root, OPEN assigned and 1 aged both give symbol 1, with
 # different trie children, so only a union on the output store merges them
 _ASSIGN_MEETS_AGED = (_EDGE, (1, 2), 0, [(OPEN, OPEN), (1, 1)])
-# a node with BLOCKED and OPEN children: both age to OPEN
+# a node with BLOCKED and OPEN children: both age to OPEN, and only OPEN
+# may take the label
 _BLOCKED_AND_OPEN = (_EDGE, (2, 1), 1, [(BLOCKED, OPEN), (OPEN, 1), (BLOCKED, 2)])
 # children 1 and 2 whose subtrees share the suffixes (1, OPEN) and (OPEN, *)
 _OVERLAPPING_1_AND_2 = (_NO_EDGES, (1, 2, 3), 1,
@@ -164,8 +180,9 @@ def test_image_unions_on_the_pinned_tables(case):
 
 @st.composite
 def _bar_cases(draw):
-    """A random instance, vertex ordering, level and combined table (the
-    combination step leaves no BLOCKED symbol)."""
+    """A random instance, vertex ordering, level and table over the
+    solver's alphabet (no BLOCKED), which the walk advances with label
+    level + 2."""
     n = draw(st.integers(1, 6))
     inst = random_instance(n=n, density=draw(st.sampled_from((0.3, 0.6, 0.9))),
                            tau=draw(st.integers(0, 3)), lmax=draw(st.integers(1, 6)),
@@ -178,9 +195,10 @@ def _bar_cases(draw):
 
 
 # On a 2-path with tau = 1 and T = {0, 1}, symbol 2 (labeled at the current
-# level) blocks its OPEN neighbour whichever side of it the neighbour lies on.
+# level) bars its OPEN neighbour from the next label whichever side of it
+# the neighbour lies on.
 _PAIR = uniform_instance(path_graph(2), {1, 2, 3}, {0, 1})
-# tau = 0, so no symbol blocks and no position waits; vertex 2 lacks
+# tau = 0, so no symbol bars and no position waits; vertex 2 lacks
 # label 2, so level 0 closes its position
 _TAU0_PATH = Instance(graph=path_graph(3), lam={1: frozenset({1, 2}), 2: frozenset({1}),
                                                 3: frozenset({1, 2})},
@@ -189,41 +207,72 @@ _TAU0_PATH = Instance(graph=path_graph(3), lam={1: frozenset({1, 2}), 2: frozens
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_bar_cases())
-@example((_PAIR, (1, 2), 0, [(OPEN, 2)]))   # a later neighbour blocks
-@example((_PAIR, (1, 2), 0, [(2, OPEN)]))   # an earlier neighbour blocks
+@example((_PAIR, (1, 2), 0, [(OPEN, 2)]))   # a later neighbour bars
+@example((_PAIR, (1, 2), 0, [(2, OPEN)]))   # an earlier neighbour bars
 @example((_PAIR, (2, 1), 1, [(OPEN, 2), (2, OPEN), (OPEN, 1), (OPEN, OPEN)]))
 # the root call has nothing pending, and its waiting OPEN's one child
-# gives a BLOCKED sibling (under 2) and an OPEN one (under 1)
+# leads to a cut branch (under 2) and a kept one (under 1)
 @example((_PAIR, (1, 2), 0, [(OPEN, 2), (OPEN, 1)]))
 @example((_TAU0_PATH, (1, 2, 3), 0, [(OPEN, OPEN, 1), (1, OPEN, OPEN), (OPEN, 1, OPEN)]))
 def test_bar_rewrite_equals_mark_blocked_per_vector(case):
-    _rewrite_vs_mark_blocked(*case)
+    _walk_vs_mark_blocked(*case)
 
 
-def _rewrite_vs_mark_blocked(inst, ordering, level, vecs):
-    """_BarPass.rewrite of the table ``vecs`` against reference.mark_blocked
-    per vector; returns the rewrite's completeness flag."""
-    tau = instance_tau(inst)
-    shapes, (root,) = encode((VectorTrie.from_vectors(len(ordering), vecs).root,))
-    out, _, root, size, full, _ = _BarPass(inst, ordering, tau).rewrite(shapes, root, level)
-    complete = full[root]
-    want = {mark_blocked(v, level, inst, ordering, tau) for v in vecs}
-    barred = VectorTrie(len(ordering), decode(out)[root])
+def _walk_vs_mark_blocked(inst, ordering, level, vecs, indep=None):
+    """_level_walk of the table ``vecs`` with the filters of label
+    level + 2, against the reference per vector: reference.mark_blocked
+    for that label, reference.direct_step by the independent sets
+    ``indep`` (by default all of the instance graph's), then
+    reference.project. Returns the walk's completeness flag."""
+    tau, n = instance_tau(inst), len(ordering)
+    if indep is None:
+        indep = independent_set_vectors(inst.graph, ordering)
+    shapes, (root,) = encode((VectorTrie.from_vectors(n, vecs).root,))
+    trie = encode((indep.root,))
+    filters = _BarPass(inst, ordering, tau).filters(level + 2)
+    out, root, _, _ = _level_walk(shapes, root, (trie[0], trie[1][0]), tau, filters)
+    count, full = encoding_module.tally(out)
+    size, complete = count[root], full[root]
+    marked = VectorTrie.from_vectors(n, [mark_blocked(v, level, inst, ordering, tau) for v in vecs])
+    want = set(map(project, direct_step(marked, indep, tau)))
+    barred = VectorTrie(n, decode(out)[root])
     assert set(barred) == want
     assert size == len(want)
-    # the rewrite's tally flag, against the vectors one by one
+    # the walk's tally flag, against the vectors one by one
     assert complete == any(map(is_complete, want))
     # the store's hash-consing is canonical only if every shape comes in
-    # symbol order, which the rewrite keeps without sorting
+    # symbol order, which the walk keeps without sorting
     assert all(list(shape) == sorted(shape) for shape in out)
     return complete
 
 
+def _small_independent_family(graph, ordering, rng, count):
+    """The empty set, every singleton and ``count`` random independent
+    sets of up to four vertices with all their subsets, as a trie in
+    ``ordering``: closed under subsets, as the full family is, so every
+    trie node has a 0-child."""
+    pos = {v: i for i, v in enumerate(ordering)}
+    sets = {frozenset()}
+    for _ in range(count):
+        chosen = set()
+        for v in rng.sample(range(1, graph.n + 1), 4):
+            if not graph.adjacency[v] & chosen:
+                chosen.add(v)
+        for r in range(len(chosen) + 1):
+            sets.update(map(frozenset, itertools.combinations(chosen, r)))
+    sets.update(frozenset({v}) for v in range(1, graph.n + 1))
+    n = len(ordering)
+    return VectorTrie.from_vectors(
+        n, [tuple(int(i in {pos[v] for v in s}) for i in range(n)) for s in sets])
+
+
 def test_bar_rewrite_keys_past_a_machine_word():
-    # the rewrite memo's int key, uid << n | blk | pend, passes 64 bits
-    # at n >= 64; 200 vectors of length 72 at tau >= 1, so blk and pend
-    # hold far positions too, in ten tables of which half hold a complete
-    # vector
+    # the walk memo's int key, (uid pair) << n | blk | pend, passes 64
+    # bits at n >= 64; 200 vectors of length 72 at tau >= 1, so blk and
+    # pend hold far positions too, in ten tables of which half hold a
+    # complete vector. The full independent-set family of these graphs is
+    # far too large for the pairwise reference, so each table is advanced
+    # by a family of small independent sets closed under subsets
     rng = random.Random(72)
 
     def draw(symbols):
@@ -238,7 +287,8 @@ def test_bar_rewrite_keys_past_a_machine_word():
         symbols = (OPEN, OPEN, *range(1, tau + 2))
         vecs = [draw(symbols) for _ in range(19)]
         vecs.append(draw(range(1, tau + 2)) if batch % 2 else draw(symbols))
-        flags.append(_rewrite_vs_mark_blocked(inst, ordering, batch % 5, vecs))
+        indep = _small_independent_family(inst.graph, ordering, rng, 8)
+        flags.append(_walk_vs_mark_blocked(inst, ordering, batch % 5, vecs, indep))
     assert flags == [False, True] * 5
 
 
@@ -275,14 +325,14 @@ def test_level_tables_are_reduced_dags(strategy):
             table, size, nodes, _, _ = step(dp, table, k)
             shapes, reachable = _distinct_shapes(table.root)
             assert shapes == reachable == nodes
-            # the size the rewrite counted, against a separate walk
+            # the size advance counted, against a separate walk
             assert size == len(table)
 
 
 @pytest.mark.parametrize("strategy", ["singleton", "star", "clique"])
 def test_combined_dag_is_reduced(strategy):
-    # equal combined subtrees must be one object, or the rewrite's memo,
-    # keyed on node ids, walks each copy again
+    # equal combined subtrees must be one object, or the next walk's memo,
+    # keyed on node uids, walks each copy again
     for inst, dp in _seeded_dps(strategy):
         table, indep = base_table(dp), indep_table(dp)
         for k in range(1, validate(inst).lambda_max + 1):
@@ -391,19 +441,33 @@ def test_level_tables_are_partition_independent():
 
 
 @st.composite
-def _step_cases(draw):
+def _step_cases(draw, alphabet_from=BLOCKED):
     """A random instance, vertex ordering, level and previous table over
-    the whole alphabet (BLOCKED included); the independent-set trie is
-    the instance graph's."""
+    the whole alphabet (BLOCKED included), or from ``alphabet_from`` on;
+    the independent-set trie is the instance graph's."""
     n = draw(st.integers(1, 6))
     inst = random_instance(n=n, density=draw(st.sampled_from((0.3, 0.6, 0.9))),
                            tau=draw(st.integers(0, 3)), lmax=draw(st.integers(1, 6)),
                            seed=draw(st.integers(0, 10_000)))
     ordering = tuple(draw(st.permutations(range(1, n + 1))))
     tau = instance_tau(inst)
-    vector = st.tuples(*[st.integers(BLOCKED, tau + 1)] * n)
+    vector = st.tuples(*[st.integers(alphabet_from, tau + 1)] * n)
     vecs = draw(st.lists(vector, min_size=1, max_size=40))
     return inst, ordering, draw(st.integers(1, validate(inst).lambda_max)), vecs
+
+
+def _reference_step(inst, ordering, level, table, indep, tau):
+    """The level-``level`` table by the reference recurrence, projected:
+    each vector's OPEN positions marked for label ``level`` (an input
+    BLOCKED stays BLOCKED, as the walk reads it), reference.direct_step,
+    reference.mark_blocked for the next label, then reference.project."""
+    def barred(vec):
+        marked = mark_blocked(project(vec), level - 2, inst, ordering, tau)
+        return tuple(BLOCKED if x == BLOCKED else y for x, y in zip(vec, marked))
+
+    before = VectorTrie.from_vectors(len(ordering), map(barred, table))
+    return {project(mark_blocked(v, level - 1, inst, ordering, tau))
+            for v in direct_step(before, indep, tau)}
 
 
 # tau = 0 on a 2-path: the independent-set trie's root has distinct children
@@ -423,9 +487,27 @@ def test_level_step_equals_direct_step_then_mark_blocked(case):
     dp = ComponentDP(inst, ordering)
     table = VectorTrie.from_vectors(len(ordering), vecs)
     got, size, _, _, _ = step(dp, table, level)
-    want = {mark_blocked(v, level - 1, inst, ordering, dp.tau)
-            for v in direct_step(table, indep_table(dp), dp.tau)}
+    want = _reference_step(inst, ordering, level, table, indep_table(dp), dp.tau)
     assert set(got) == want and size == len(want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_step_cases(alphabet_from=OPEN))
+@example((_EDGE0, (1, 2), 1, [(1, 1), (OPEN, OPEN)]))
+@example((_PAIR, (1, 2), 2, [(OPEN, 2), (2, OPEN), (OPEN, 1), (OPEN, OPEN)]))
+def test_advancing_a_u_table_equals_projecting_the_reference_step(case):
+    # a table in the solver's alphabet, one unlabeled symbol: the step is
+    # the projection of the reference step on the marked table, one to one
+    inst, ordering, level, vecs = case
+    dp = ComponentDP(inst, ordering)
+    table = VectorTrie.from_vectors(len(ordering), vecs)
+    got, size, _, _, _ = step(dp, table, level)
+    marked = VectorTrie.from_vectors(len(ordering), [
+        mark_blocked(v, level - 2, inst, ordering, dp.tau) for v in vecs])
+    reference = {mark_blocked(v, level - 1, inst, ordering, dp.tau)
+                 for v in direct_step(marked, indep_table(dp), dp.tau)}
+    want = set(map(project, reference))
+    assert set(got) == want and size == len(want) == len(reference)
 
 
 def test_tau_zero_state_mixes_indep_nodes():
@@ -462,7 +544,7 @@ def test_auto_solve_enumerates_no_prefixes(monkeypatch):
 
 
 def test_solve_counts_sizes_without_a_second_walk(monkeypatch):
-    # the criterion-7 instance: the rewrite returns each level's size, so
+    # the criterion-7 instance: advance returns each level's size, so
     # no table is walked again with node_count
     calls = []
     real = vectorset_module.node_count
@@ -514,7 +596,7 @@ def _seeded_solve_cases():
 
 
 def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeypatch):
-    # the rewrite flags completeness, so a decision-only solve walks no
+    # the level walk's tally flags completeness, so a decision-only solve walks no
     # level; a witness solve walks one retained store per YES component,
     # to anchor its witness, and no solve decodes a DAG into dict nodes
     # or walks a dict trie
@@ -541,7 +623,7 @@ def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeyp
 
 
 def test_solve_tallies_each_level_once(monkeypatch):
-    # the rewrite tallies the store it builds, once per level run, and the
+    # advance tallies the store the walk builds, once per level run, and the
     # witness anchor descends the last level's flags without a tally of
     # its own, with witness and early exit each on or off
     calls = _counted_calls(monkeypatch, ("tally",))
@@ -631,36 +713,48 @@ def test_solve_builds_no_partition(monkeypatch):
 
 # --- level tables match their definition --------------------------------------
 
+def _projected(reference):
+    """reference.project of every vector, checked one to one."""
+    out = set(map(project, reference))
+    assert len(out) == len(reference)
+    return out
+
+
 def test_tables_equal_definition_level_encoding():
     for seed in range(12):
         inst = random_instance(n=2 + seed % 4, density=(0.4, 0.8)[seed % 2],
                                tau=seed % 3, lmax=3 + seed % 4, seed=600 + seed)
         tau = instance_tau(inst)
         for k, table, _, ordering in run_tables(inst, "singleton"):
-            assert set(table) == reference_table(inst, ordering, k, tau)
+            assert set(table) == _projected(reference_table(inst, ordering, k, tau))
     # one larger pinned case at the top of the checkable range
     inst = random_instance(n=5, density=0.5, tau=2, lmax=6, seed=617)
     tau = instance_tau(inst)
     for k, table, _, ordering in run_tables(inst, "star"):
-        assert set(table) == reference_table(inst, ordering, k, tau)
+        assert set(table) == _projected(reference_table(inst, ordering, k, tau))
 
 
 def test_base_table_marks_label_one_availability():
     g = path_graph(2)
     inst = Instance(graph=g, lam={1: frozenset({1, 2}), 2: frozenset({2})},
                     t={(1, 2): frozenset({0})})
-    assert list(base_table(ComponentDP(inst, (1, 2)))) == [(OPEN, BLOCKED)]
+    dp = ComponentDP(inst, (1, 2))
+    # the level-0 vector is all unlabeled; the first step reads that
+    # vertex 2 lacks label 1, so only vertex 1 takes it (symbol tau + 1 = 1)
+    assert list(base_table(dp)) == [project((OPEN, BLOCKED))] == [(OPEN, OPEN)]
+    assert set(step(dp, base_table(dp), 1)[0]) == {(OPEN, OPEN), (1, OPEN)}
 
 
 def test_level_trace_of_sparse_single_vertex():
-    # lists {2} only (tau=0): label 1 is never admissible, so level 0 starts
-    # BLOCKED; the unlabeled branch reopens at level 1 and the label lands at
-    # level 2, where the labeled symbol is tau+1 = 1
+    # lists {2} only (tau=0): label 1 is never admissible, so level 0 is
+    # BLOCKED in the reference (OPEN once projected); the unlabeled branch
+    # reopens at level 1 and the label lands at level 2, where the labeled
+    # symbol is tau+1 = 1
     inst = Instance(graph=path_graph(1), lam={1: frozenset({2})}, t={})
     tables = {k: set(t) for k, t, _, _ in run_tables(inst, "singleton")}
-    assert tables[0] == {(BLOCKED,)}
+    assert tables[0] == {project((BLOCKED,))}
     assert tables[1] == {(OPEN,)}
-    assert tables[2] == {(BLOCKED,), (1,)}
+    assert tables[2] == {project((BLOCKED,)), (1,)}
     result = solve(inst)
     assert result.decision and result.witness == {1: 2}
 
@@ -747,8 +841,8 @@ def test_solve_disconnected_answer_is_conjunction():
 
 
 def test_criterion_7_walk_memoizes_half_the_entries_of_the_star_order():
-    # the star order's frontier is 10 and its image and rewrite walks
-    # memoize 20,726 entries, its unions 12,418; walk_order's frontier is 7
+    # the star order's frontier is 10 and its level walks memoize 16,782
+    # entries, its unions 5,618; walk_order's frontier is 7
     inst = random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024)
     report = solve(inst, strategy="star").stats.components[0]
     assert report.level_sizes == [85, 594, 4018, 36163, 62427, 207528, 238692, 694656]
@@ -784,9 +878,9 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
     walks = []
     real = solver_module._walk_back
 
-    def recorded(levels, final, final_level, trie, tau, ordering):
-        labels = real(levels, final, final_level, trie, tau, ordering)
-        walks.append((levels, final, final_level, trie, tau, ordering, labels))
+    def recorded(*args):
+        labels = real(*args)
+        walks.append((*args, labels))
         return labels
 
     monkeypatch.setattr(solver_module, "_walk_back", recorded)
@@ -798,7 +892,7 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
             walks.clear()
             result = solve(inst, options=SolveOptions(early_exit=early_exit))
             solver_walks = list(walks)  # the adapter calls _walk_back too
-            for levels, final, final_level, trie, tau, ordering, labels in solver_walks:
+            for levels, final, final_level, trie, tau, ordering, bar, labels in solver_walks:
                 n = len(ordering)
                 tables = [LevelTable(k, VectorTrie(n, decode(shapes)[root]))
                           for k, (shapes, root) in enumerate(levels)]
@@ -806,7 +900,10 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
                 if early_exit:
                     assert all(_find_complete(t.vectors) is None for t in tables[:final_level])
                 indep = VectorTrie(n, decode(trie[0])[trie[1]])
-                assert reconstruct_witness(tables, final, final_level, indep, tau, ordering) == labels
+                # the solver's tables hold one unlabeled symbol, so the
+                # adapter needs the component's barring masks
+                assert reconstruct_witness(tables, final, final_level, indep, tau, ordering,
+                                           bar) == labels
             if result.decision:
                 assert check_witness(inst, result.witness)
                 seen["several yes components"] += len(solver_walks) > 1
@@ -919,7 +1016,7 @@ def test_a_long_path_stays_within_the_recursion_limit():
 
 
 def test_a_70_vertex_tau_1_path_solves_past_a_machine_word():
-    # the 800-vertex path is tau = 0, so its rewrite keys carry no blk or
+    # the 800-vertex path is tau = 0, so its walk keys carry no blk or
     # pend bits; at tau = 1 over 70 positions they reach past 64 bits, and
     # the tables hold about 2**90 vectors; lists of 3 labels out of 5 give
     # a YES, lists of 2 a NO
