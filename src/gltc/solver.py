@@ -613,17 +613,16 @@ def _find_complete(trie: VectorTrie):
 
 
 def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
-                        indep: VectorTrie, tau: int, ordering, bar=None) -> Witness:
+                        indep: VectorTrie, tau: int, ordering) -> Witness:
     """_walk_back on dict tries, the level tables from level 0 on and
     the independent-set trie ``indep``, all encoded on every call: an
     adapter for the benchmark's per-layer replay (perfbench/layers.py)
     that goes with the replay (ROADMAP item 1), as _combine does. The
-    replay's tables carry OPEN and BLOCKED, so by default nothing more is
-    barred; the solver's tables need their component's ``bar``."""
+    replay's tables carry OPEN and BLOCKED, so nothing more is barred."""
     shapes, roots = encode([table.vectors.root for table in tables[:final_level]])
     trie_shapes, (trie_root,) = encode((indep.root,))
     return _walk_back([(shapes, root) for root in roots], final, final_level,
-                      (trie_shapes, trie_root), tau, ordering, bar)
+                      (trie_shapes, trie_root), tau, ordering, None)
 
 
 def check_witness(inst: Instance, witness: Witness) -> bool:

@@ -900,10 +900,14 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
                 if early_exit:
                     assert all(_find_complete(t.vectors) is None for t in tables[:final_level])
                 indep = VectorTrie(n, decode(trie[0])[trie[1]])
-                # the solver's tables hold one unlabeled symbol, so the
-                # adapter needs the component's barring masks
-                assert reconstruct_witness(tables, final, final_level, indep, tau, ordering,
-                                           bar) == labels
+                # the solver's tables hold one unlabeled symbol, so the walk
+                # back over the re-encoded tables needs the component's
+                # barring masks (the replay's tables spell out BLOCKED and
+                # go through reconstruct_witness, which passes none)
+                shapes, roots = encode([t.vectors.root for t in tables[:final_level]])
+                trie_shapes, (trie_root,) = encode((indep.root,))
+                assert real([(shapes, root) for root in roots], final, final_level,
+                            (trie_shapes, trie_root), tau, ordering, bar) == labels
             if result.decision:
                 assert check_witness(inst, result.witness)
                 seen["several yes components"] += len(solver_walks) > 1
