@@ -172,7 +172,8 @@ def advance_vector(a: Sequence[int], mask: Sequence[int], tau: int) -> Optional[
 def direct_step(table: VectorTrie, indep: VectorTrie, tau: int) -> VectorTrie:
     """Combination step: advance every table vector by every independent-set
     vector and drop the impossible pairs. Quadratic in the table sizes."""
-    combined = (advance_vector(a, p, tau) for a in table for p in indep)
+    masks = list(indep)
+    combined = (advance_vector(a, p, tau) for a in table for p in masks)
     return VectorTrie.from_vectors(table.length, (c for c in combined if c is not None))
 
 

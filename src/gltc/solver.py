@@ -211,11 +211,11 @@ def _level_walk(shapes, root, trie, tau: int, filters):
     trie node has a 1-child and neither ``closed`` (its list lacks the
     label) nor ``blk`` holds it; it then waits in ``pend`` if a later
     neighbour can bar it. A recent label (2..tau+1) adds its ``later``
-    row to ``blk``, and a hit on ``pend`` from its ``earlier`` row cuts
-    the branch: the call returns -1 where every branch is cut. The memo
-    key ``(u * NP + q) << n | blk | pend``, NP the trie's store size, is
-    one exact int: ``blk`` holds positions at or past d only, ``pend``
-    those before it, and a uid fixes d.
+    row, less ``closed``, to ``blk``, and a hit on ``pend`` from its
+    ``earlier`` row cuts the branch: the call returns -1 where every
+    branch is cut. The memo key ``(u * NP + q) << n | blk | pend``, NP the
+    trie's store size, is one exact int: ``blk`` holds positions at or
+    past d only, ``pend`` those before it, and a uid fixes d.
 
     Children of a table node that age to one symbol (1 and 2 to 1) and
     leave one ``blk`` are first folded into one table uid by _union,
@@ -223,12 +223,13 @@ def _level_walk(shapes, root, trie, tau: int, filters):
     first such union; the store is cut back to its own nodes on return.
     Where they leave different masks, and for tau = 0 where the new label
     and an aged 1 both give 1, the output children are merged by _union
-    on the output store. The nodes that only such a union read are
-    dropped from the output store before returning (_reachable).
+    on the output store. Only such a union can leave nodes the root does
+    not reach, so only a walk that made one runs _reachable to drop them.
     """
     t_shapes, p_root = trie
     trie_size = len(t_shapes)
     closed, later, earlier, closes, waiting = filters
+    avail = ~closed  # a later row bars only the positions whose list has the label
     n = len(closes)
     top = tau + 1
     adv = aging_table(tau)  # assign 0 ages symbol x to adv[x]
@@ -255,7 +256,7 @@ def _level_walk(shapes, root, trie, tau: int, filters):
             if x > 0:
                 if pend & row_earlier[x]:
                     continue
-                c_blk |= row_later[x]
+                c_blk |= row_later[x] & avail
             elif x == OPEN:
                 opened = child
             sym = adv[x]
@@ -306,7 +307,8 @@ def _level_walk(shapes, root, trie, tau: int, filters):
     out_root = walk(root, p_root, 0, 0, 0) if root else 0
     del walk  # walk refers to itself: end the cycle, which holds the memo
     del shapes[kept:]
-    out, out_root = _reachable(out, out_root)
+    if unions:  # else every node the walk built is a child of a later one
+        out, out_root = _reachable(out, out_root)
     return out, out_root, len(memo) - 1, len(unions) + len(in_unions)
 
 
@@ -357,9 +359,9 @@ def _combine(a_nodes, p_node, depth, plan, memo):
 
 
 class _BarPass:
-    """Precomputed per-position data on which positions a label is barred
-    from: its list lacks it, or a neighbour's recent label lies at a
-    forbidden difference from it.
+    """Per-position data, built once per component, on which positions a
+    label is barred from: its list lacks it, or a neighbour's recent label
+    lies at a forbidden difference from it.
 
     ``filters`` gives the masks _level_walk and _walk_back filter with.
     ``run`` marks OPEN positions of one vector BLOCKED; only the
@@ -401,11 +403,10 @@ class _BarPass:
     def filters(self, label: int):
         """(closed, later, earlier, closes, waiting) for ``label``, read
         against a table of the level before it: ``closed`` holds the
-        positions whose list lacks the label, and it is masked out of
-        every ``later`` row, so a barred mask never holds them."""
+        positions whose list lacks the label; the rows are the static
+        ones, and a reader masks ``closed`` out of each ``later`` row."""
         closed = self.full & ~self.listed.get(label, 0)
-        later = [[mask & ~closed for mask in row] for row in self.later]
-        return closed, later, self.earlier, self.closes, self.waiting
+        return closed, self.later, self.earlier, self.closes, self.waiting
 
     def run(self, vec, level: int):
         """One vector's OPEN positions barred from label ``level + 2``
@@ -545,7 +546,9 @@ def _walk_back(levels, final, final_level, trie, tau: int, ordering, bar) -> Wit
     first hit in canonical symbol order. States with no match below them
     are remembered, keyed as _level_walk's memo, so shared nodes are
     searched once per mask pair. The mask tells which vertices took that
-    level's label.
+    level's label. The walk stops at the first level k whose vector holds
+    no aged label (symbol 1): each label left is recent, k + sym - tau - 1
+    for its symbol sym >= 2, and the levels below only replay its aging.
     """
     t_shapes, p_root = trie
     trie_size, n = len(t_shapes), len(final)
@@ -574,7 +577,7 @@ def _walk_back(levels, final, final_level, trie, tau: int, ordering, bar) -> Wit
             if x > 0:
                 if pend & earlier[i][x]:
                     continue
-                c_blk |= later[i][x]
+                c_blk |= later[i][x] & ~closed
             for y, c in t_shapes[q]:
                 if y in ys_of_x and (free or not y):
                     path.append((x, y))
@@ -584,8 +587,8 @@ def _walk_back(levels, final, final_level, trie, tau: int, ordering, bar) -> Wit
         dead.add(key)
         return False
 
-    vec = final
-    for k in range(final_level, 0, -1):
+    vec, k = final, final_level
+    while k and 1 in vec:  # an aged label (symbol 1) is read only by walking on down
         shapes, root = levels[k - 1]
         if bar is not None:
             closed, later, earlier, closes, waiting = bar.filters(k)
@@ -598,7 +601,11 @@ def _walk_back(levels, final, final_level, trie, tau: int, ordering, bar) -> Wit
             if y:
                 labels[ordering[i]] = k
         vec = tuple(x for x, _ in path)
+        k -= 1
     del dfs  # dfs refers to itself: end the cycle, which holds ``dead``
+    for i, sym in enumerate(vec):  # above level 0, each label left is recent: 2..tau+1
+        if k and sym >= 2:
+            labels[ordering[i]] = k + sym - tau - 1
     return labels
 
 

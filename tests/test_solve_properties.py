@@ -1,12 +1,14 @@
 """Properties of solve: changes to an instance whose effect on the answer
 is known without solving it. Every YES met along the way must also carry
-a witness that check_witness accepts."""
+a witness that check_witness accepts, and every decision must agree with
+reference.forward_checking_solve."""
 
 import random
 
 from hypothesis import example, given, settings, strategies as st
 
 from gltc import Graph, Instance, check_witness, instance_tau, random_instance, solve
+from gltc.reference import forward_checking_solve
 from support import complete_graph, path_graph, uniform_instance
 
 _SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -28,6 +30,7 @@ _PATH_3 = uniform_instance(path_graph(3), {1, 2, 3}, {0, 1})      # YES
 def _decision(inst: Instance) -> bool:
     result = solve(inst)
     assert not result.decision or check_witness(inst, result.witness)
+    assert result.decision == forward_checking_solve(inst)[0]
     return result.decision
 
 

@@ -1,10 +1,13 @@
 """The dynamic program: combination steps, level pipeline, solve, witnesses."""
 
 import gc
+import hashlib
+import importlib
 import itertools
 import random
 import time
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,9 +29,11 @@ from gltc import (
     gap_compression,
     independent_set_vectors,
     instance_tau,
+    parse_instance,
     random_instance,
     reconstruct_witness,
     solve,
+    split_components,
     validate,
     walk_order,
 )
@@ -52,6 +57,7 @@ from gltc.vectorset import decode, encode
 from support import (
     base_table,
     complete_graph,
+    cycle_graph,
     indep_table,
     path_graph,
     reference_table,
@@ -923,6 +929,103 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
                 assert _find_complete(table) is None
             seen["no"] += 1
     assert all(seen.values()), seen
+
+
+def test_advance_leaves_exactly_the_nodes_its_root_reaches(monkeypatch):
+    # only a union on the output store can leave a node that the new root
+    # does not reach, so the walk drops unreached nodes only after one;
+    # either way the store advance leaves holds exactly what its root
+    # reaches, and level_nodes counts it
+    out_unions: list[bool] = []
+    real_union = solver_module._union
+    kinds = set()
+
+    def union(u, v, shapes, unique, memo):
+        out_unions.append(shapes is not table_shapes)
+        return real_union(u, v, shapes, unique, memo)
+
+    monkeypatch.setattr(solver_module, "_union", union)
+    for seed in range(120):
+        inst = random_instance(n=3 + seed % 8, density=(0.25, 0.45, 0.7)[seed % 3],
+                               tau=seed % 4, lmax=3 + seed % 7, seed=5100 + seed)
+        for sub, _ in split_components(inst):
+            sub, label_map = gap_compression(sub)
+            if not label_map:
+                continue
+            dp = ComponentDP(sub, walk_order(sub.graph))
+            store = dp.base_store()
+            for k in range(1, max(label_map) + 1):
+                out_unions.clear()
+                table_shapes = store[0]
+                _, nodes, _, _, _ = dp.advance(store, k)
+                kinds.add(any(out_unions))
+                shapes, root, _ = store
+                reached, stack = {0, root}, [root]
+                while stack:
+                    for _, child in shapes[stack.pop()]:
+                        if child not in reached:
+                            reached.add(child)
+                            stack.append(child)
+                assert reached == set(range(len(shapes))), (seed, k)
+                assert root == len(shapes) - 1 == nodes
+    assert kinds == {False, True}
+
+
+def test_the_walk_back_stops_at_the_first_level_with_no_aged_label(monkeypatch):
+    # tau = 2: on the 4-cycle with lists {1..4} and T = {0, 2} the least
+    # complete vector appears at level 2, and both its labels are within
+    # tau of it, so the witness reads straight off the final vector; on
+    # the path with T = {0, 1, 2} the witness 1, 4, 1 appears at level 4,
+    # and below level 3 label 1 is recent again. Each walk records its
+    # final level and the index of every retained level store it searched.
+    walks = []
+    real = solver_module._walk_back
+
+    class Levels(list):
+        def __getitem__(self, i):
+            walks[-1][1].append(i)
+            return super().__getitem__(i)
+
+    def counted(levels, final, final_level, *rest):
+        walks.append((final_level, []))
+        return real(Levels(levels), final, final_level, *rest)
+
+    monkeypatch.setattr(solver_module, "_walk_back", counted)
+    for graph, diffs, searched in ((cycle_graph(4), {0, 2}, []),
+                                   (path_graph(3), {0, 1, 2}, [3, 2])):
+        inst = uniform_instance(graph, {1, 2, 3, 4}, diffs)
+        walks.clear()
+        result = solve(inst)
+        assert result.decision and check_witness(inst, result.witness)
+        (final_level, reads), = walks
+        assert reads == searched and len(reads) < final_level
+
+
+# The SHA-1 of _default_witnesses(), computed while the witness walk still
+# searched every level down to level 0: a walk that stops early but reads
+# a label wrong, or finds another predecessor, changes it.
+WITNESS_DIGEST = "14836edbbf9d042909dab57bd1cba52de5c91f6b"
+
+
+def _default_witnesses(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    cases = [(item.name, parse_instance(item.text))
+             for name in sorted(workloads.WORKLOADS) for item in workloads.WORKLOADS[name](2024)]
+    cases += [(seed, random_instance(n=3 + seed % 10, density=(0.3, 0.5, 0.7)[seed % 3],
+                                     tau=seed % 4, lmax=3 + seed % 8, seed=6200 + seed))
+              for seed in range(400)]
+    digest = hashlib.sha1()
+    for name, inst in cases:
+        result = solve(inst)
+        assert not result.decision or check_witness(inst, result.witness), name
+        witness = sorted(result.witness.items()) if result.decision else None
+        digest.update(repr((name, witness)).encode())
+    return digest.hexdigest()
+
+
+def test_default_witnesses_are_pinned(monkeypatch):
+    assert _default_witnesses(monkeypatch) == WITNESS_DIGEST
 
 
 def test_witness_reconstruction_without_early_exit():
