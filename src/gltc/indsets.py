@@ -28,15 +28,21 @@ def independent_set_trie(g: Graph, ordering: Sequence[int] | None = None) -> tup
     """
     if ordering is None:
         ordering = tuple(range(1, g.n + 1))
-    n = g.n
-    assert sorted(ordering) == list(range(1, n + 1)), "ordering must be a permutation"
+    assert sorted(ordering) == list(range(1, g.n + 1)), "ordering must be a permutation"
     pos_of = {v: i for i, v in enumerate(ordering)}
-    nbr_mask = [0] * n
-    for i, v in enumerate(ordering):
+    nbr_mask = []
+    for v in ordering:
         mask = 0
         for w in g.adjacency[v]:
             mask |= 1 << pos_of[w]
-        nbr_mask[i] = mask
+        nbr_mask.append(mask)
+    return trie_from_masks(nbr_mask)
+
+
+def trie_from_masks(nbr_mask: Sequence[int]) -> tuple[list, int]:
+    """independent_set_trie given each position's neighbours as a bitmask
+    over positions, ``nbr_mask[i]``, as the solver already holds them."""
+    n = len(nbr_mask)
     shapes: list[tuple] = [()]
     unique: dict[tuple, int] = {}
     memo: dict[int, int] = {}

@@ -55,7 +55,6 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        nbrs: dict[int, set[int]] = {v: set() for v in range(1, self.n + 1)}
         for u, v in self.edges:
             if u == v:
                 raise ValueError(f"edge {u}-{v}: self-loops not allowed")
@@ -63,9 +62,7 @@ class Graph:
                 raise ValueError(f"edge {u}-{v}: vertex id out of range 1..{self.n}")
             if u > v:
                 raise ValueError(f"edge {u}-{v}: edges must be stored as (min, max)")
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        self.adjacency = {v: frozenset(s) for v, s in nbrs.items()}
+        self.adjacency = _adjacency(self.n, self.edges)
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -108,6 +105,27 @@ class Instance:
 
     def t_of(self, u: int, v: int) -> frozenset[int]:
         return self.t[_edge_key(u, v)]
+
+
+def _adjacency(n: int, edges) -> dict[int, frozenset[int]]:
+    nbrs: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return {v: frozenset(s) for v, s in nbrs.items()}
+
+
+def _unchecked(n: int, adjacency: dict[int, frozenset[int]], lam: dict[int, frozenset[int]],
+               t: dict[Edge, frozenset[int]]) -> Instance:
+    """An Instance from parts already known to be valid, with none of the
+    public constructors' checks: what parse_instance has checked field by
+    field, or a subset or renumbering of a checked instance (induced_instance,
+    gap_compression). ``adjacency`` must be the edge set ``t``'s."""
+    graph = object.__new__(Graph)
+    graph.n, graph.edges, graph.adjacency = n, frozenset(t), adjacency
+    inst = object.__new__(Instance)
+    inst.graph, inst.lam, inst.t = graph, lam, t
+    return inst
 
 
 @dataclass(frozen=True)
@@ -153,7 +171,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"line {lineno}: vertex line needs an id")
             try:
                 vid = int(tokens[1])
-                labels = list(map(int, tokens[2:]))
+                labels = frozenset(map(int, tokens[2:]))
             except ValueError:
                 raise ParseError(f"line {lineno}: vertex fields must be integers") from None
             if not 1 <= vid <= n:
@@ -162,13 +180,13 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"line {lineno}: duplicate vertex {vid}")
             if min(labels, default=1) < 1:
                 raise ParseError(f"line {lineno}: vertex {vid}: labels must be >= 1")
-            lam[vid] = frozenset(labels)
+            lam[vid] = labels
         elif kind == "e":
             if len(tokens) < 3:
                 raise ParseError(f"line {lineno}: edge line needs two endpoints")
             try:
                 u, v = int(tokens[1]), int(tokens[2])
-                diffs = list(map(int, tokens[3:]))
+                diffs = frozenset(map(int, tokens[3:]))
             except ValueError:
                 raise ParseError(f"line {lineno}: edge fields must be integers") from None
             if u == v:
@@ -182,7 +200,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"line {lineno}: edge {u}-{v}: differences must be >= 0")
             if 0 not in diffs:
                 raise ParseError(f"line {lineno}: edge {key[0]}-{key[1]}: 0 not in difference set")
-            tsets[key] = frozenset(diffs)
+            tsets[key] = diffs
         else:
             shown = kind if len(kind) <= _ECHO else kind[:_ECHO] + "..."
             raise ParseError(f"line {lineno}: unknown record '{shown}'")
@@ -194,8 +212,7 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(f"missing vertex lines for {n - len(lam)} ids, first {first}")
     if len(tsets) != m:
         raise ParseError(f"header declares {m} edges but {len(tsets)} were given")
-    graph = Graph(n=n, edges=frozenset(tsets))
-    return Instance(graph=graph, lam=lam, t=tsets)
+    return _unchecked(n, _adjacency(n, tsets), lam, tsets)
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -263,12 +280,16 @@ def induced_instance(inst: Instance, vertices: list[int]) -> tuple[Instance, dic
     """Vertex-induced sub-instance on ids 1..k plus the map new id -> original id."""
     vertices = sorted(vertices)
     to_new = {v: i + 1 for i, v in enumerate(vertices)}
-    # renumbering keeps the order of ids, so every edge stays (min, max)
-    edges = {(to_new[u], to_new[w]): inst.t[u, w]
-             for u in vertices for w in inst.graph.adjacency[u] if u < w and w in to_new}
-    graph = Graph(n=len(vertices), edges=frozenset(edges))
+    adjacency, edges = {}, {}
+    for u in vertices:
+        nbrs = [w for w in inst.graph.adjacency[u] if w in to_new]
+        adjacency[to_new[u]] = frozenset(map(to_new.__getitem__, nbrs))
+        # renumbering keeps the order of ids, so every edge stays (min, max)
+        for w in nbrs:
+            if u < w:
+                edges[to_new[u], to_new[w]] = inst.t[u, w]
     lam = {to_new[v]: inst.lam[v] for v in vertices}
-    return Instance(graph=graph, lam=lam, t=edges), dict(enumerate(vertices, 1))
+    return _unchecked(len(vertices), adjacency, lam, edges), dict(enumerate(vertices, 1))
 
 
 def split_components(inst: Instance) -> list[tuple[Instance, dict[int, int]]]:
@@ -292,7 +313,8 @@ def _prune_unsupported(inst: Instance) -> dict[int, frozenset[int]]:
     that some neighbour u cannot sit beside (no b in L(u) has |a - b|
     outside T(uv)) until none goes; no proper labeling uses a dropped
     label. As 0 is in T, a label rules out at most 2|T| - 1 labels of u,
-    so an arc with |L(u)| >= 2|T| is not checked. An emptied list empties
+    so an arc with |L(u)| >= 2|T| is not checked, and the scan of an arc
+    stops once every label of v has support. An emptied list empties
     its whole component. Returns the lists, ``inst.lam`` itself if no
     label goes."""
     lam, adjacency = inst.lam, inst.graph.adjacency
@@ -305,6 +327,8 @@ def _prune_unsupported(inst: Instance) -> dict[int, frozenset[int]]:
         bad = lam[v]  # the labels of v that no label of u seen so far supports
         for b in lam[u]:
             bad = [a for a in bad if abs(a - b) in diffs]
+            if not bad:
+                break
         if bad:
             lam = dict(lam) if lam is inst.lam else lam
             lam[v] = lam[v].difference(bad)
@@ -357,7 +381,7 @@ def gap_compression(inst: Instance) -> tuple[Instance, dict[int, int]]:
     if list(remap) != list(remap.values()):
         lam = {v: frozenset(map(remap.__getitem__, labels)) for v, labels in lam.items()}
     if lam is not inst.lam or t is not inst.t:
-        inst = Instance(graph=inst.graph, lam=lam, t=t)
+        inst = _unchecked(inst.graph.n, inst.graph.adjacency, lam, t)
     return inst, {new: old for old, new in remap.items()}
 
 

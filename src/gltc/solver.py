@@ -30,12 +30,13 @@ one node (a reduced multi-valued decision diagram), kept in an integer
 node store: each node is a uid whose shape is the tuple of its (symbol,
 child uid) pairs, and every memo key of a store walk is one int. Both
 inputs of a component's DP are born as node stores: the independent-set
-trie (indsets.independent_set_trie), whose shapes hold a 0-child and
-maybe a 1-child, and the level-0 table as a chain of one-child OPEN
-shapes. The walk builds the next table's store, hash-consed once, and
-encoding.tally, one pass over it, counts each node's vectors and flags
-whether a complete vector (every vertex labeled) lies below it, so no
-table is walked again to size it or to decide. The instance is YES iff
+trie (indsets.trie_from_masks, on the neighbour masks _BarPass records),
+whose shapes hold a 0-child and maybe a 1-child, and the level-0 table
+as a chain of one-child OPEN shapes. The walk builds the next table's
+store, hash-consed once, and encoding.tally, one pass over it, counts
+each node's vectors and flags whether a complete vector (every vertex
+labeled) lies below it, so no table is walked again to size it or to
+decide. The instance is YES iff
 some level's table holds a complete vector; as completeness persists
 from level to level, the last level run decides. An explicit labeling
 is then reconstructed on the stores themselves: a retained level keeps
@@ -56,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .encoding import BLOCKED, OPEN, aging_table, preimage_table, tally
-from .indsets import independent_set_trie
+from .indsets import trie_from_masks
 from .instance import Graph, Instance, gap_compression, instance_tau, split_components
 from .vectorset import VectorTrie, decode, encode
 
@@ -361,7 +362,9 @@ def _combine(a_nodes, p_node, depth, plan, memo):
 class _BarPass:
     """Per-position data, built once per component, on which positions a
     label is barred from: its list lacks it, or a neighbour's recent label
-    lies at a forbidden difference from it.
+    lies at a forbidden difference from it. The one walk over the edges
+    in position coordinates also records each position's neighbours,
+    ``nbr_mask``, from which ComponentDP builds the independent-set trie.
 
     ``filters`` gives the masks _level_walk and _walk_back filter with.
     ``run`` marks OPEN positions of one vector BLOCKED; only the
@@ -371,34 +374,43 @@ class _BarPass:
 
     def __init__(self, inst: Instance, ordering, tau: int):
         # Bitmasks over positions: listed[lab] holds the positions whose
-        # list has label lab; a symbol at position j bars the later
-        # positions later[j][sym] and the earlier ones earlier[j][sym] (lists
-        # by symbol); closes[j] holds the positions whose last barring
-        # neighbour sits at j; waiting holds those with any later one.
+        # list has label lab; nbr_mask[j] holds position j's neighbours; a
+        # symbol at position j bars the later positions later[j][sym] and
+        # the earlier ones earlier[j][sym] (lists by symbol); closes[j]
+        # holds the positions whose last barring neighbour sits at j;
+        # waiting holds those with any later one.
         pos_of = {v: i for i, v in enumerate(ordering)}
         n = len(ordering)
         self.full = (1 << n) - 1
         self.listed = listed = {}
         self.later = later = [[0] * (tau + 2) for _ in range(n)]
         self.earlier = earlier = [[0] * (tau + 2) for _ in range(n)]
-        self.closes = [0] * n
-        self.waiting = 0
+        self.nbr_mask = nbr_mask = [0] * n
+        self.closes = closes = [0] * n
+        waiting = 0
         for i, v in enumerate(ordering):
+            bit = 1 << i
             for lab in inst.lam[v]:
-                listed[lab] = listed.get(lab, 0) | 1 << i
+                listed[lab] = listed.get(lab, 0) | bit
         last = list(range(n))  # the last barring neighbour of each position, or itself
         for (u, v), diffs in inst.t.items():
-            i, j = sorted((pos_of[u], pos_of[v]))
+            i, j = pos_of[u], pos_of[v]
+            if i > j:
+                i, j = j, i
+            nbr_mask[i] |= 1 << j
+            nbr_mask[j] |= 1 << i
             for d in diffs:
                 # symbol b at one end: its label lies d = tau + 2 - b below the next one
                 if 0 < d <= tau:
                     earlier[j][tau + 2 - d] |= 1 << i
                     later[i][tau + 2 - d] |= 1 << j
-                    last[i] = max(last[i], j)
+                    if j > last[i]:
+                        last[i] = j
         for i, j in enumerate(last):
             if j > i:
-                self.closes[j] |= 1 << i
-                self.waiting |= 1 << i
+                closes[j] |= 1 << i
+                waiting |= 1 << i
+        self.waiting = waiting
 
     def filters(self, label: int):
         """(closed, later, earlier, closes, waiting) for ``label``, read
@@ -470,17 +482,18 @@ class ComponentDP:
     their coordinates, whatever the order; only cost varies.
 
     Built once per component: ``tau``, the coordinate ``ordering``, the
-    independent-set ``trie`` as (node store, root uid), the form of each
-    retained level, and the masks ``bar`` that say which positions each
-    label is barred from. ``advance`` takes a table one level on as a
-    node store, from ``base_store()`` on; nothing here builds dict nodes.
+    masks ``bar`` that say which positions each label is barred from, and
+    the independent-set ``trie`` as (node store, root uid), the form of
+    each retained level, built from ``bar``'s neighbour masks. ``advance``
+    takes a table one level on as a node store, from ``base_store()`` on;
+    nothing here builds dict nodes.
     """
 
     def __init__(self, inst: Instance, ordering):
         self.tau = tau = instance_tau(inst)
         self.ordering = ordering = tuple(ordering)
         self.bar = _BarPass(inst, ordering, tau)
-        self.trie = independent_set_trie(inst.graph, ordering)
+        self.trie = trie_from_masks(self.bar.nbr_mask)
 
     def base_store(self) -> list:
         """The level-0 table as ``advance`` takes it: its one vector, every
@@ -557,7 +570,8 @@ def _walk_back(levels, final, final_level, trie, tau: int, ordering, bar) -> Wit
     path: list[tuple[int, int]] = []
     dead: set[int] = set()
     shapes, options = [], []
-    closed, later, earlier, closes, waiting = _unbarred(n, tau)
+    if bar is None:
+        closed, later, earlier, closes, waiting = _unbarred(n, tau)
 
     def dfs(i, u, q, blk, pend):
         if i == n:

@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from gltc import Graph, VectorTrie, independent_set_vectors, random_instance
+from gltc import ComponentDP, Graph, VectorTrie, independent_set_vectors, random_instance
 from gltc.indsets import independent_set_trie
 from gltc.vectorset import decode, encode
 from support import complete_graph, path_graph
@@ -97,3 +97,14 @@ def test_the_one_trie_builder_numbers_nodes_as_interning_a_dict_trie_does():
         assert set(VectorTrie(g.n, decode(shapes)[root])) == want
         assert set(independent_set_vectors(g, ordering)) == want
     assert len(want) == 7  # the complete graph: the empty set and six singletons
+
+
+def test_component_dp_builds_the_trie_the_public_builder_does():
+    # ComponentDP builds its trie from the neighbour masks of its bar
+    # rows, independent_set_trie from the graph's adjacency
+    for seed in range(78):
+        n = seed % 13
+        inst = random_instance(n=n, density=(0.2, 0.4, 0.6, 0.8)[seed % 4], tau=seed % 3,
+                               lmax=3, seed=5200 + seed)
+        ordering = tuple(random.Random(seed).sample(range(1, n + 1), n))
+        assert ComponentDP(inst, ordering).trie == independent_set_trie(inst.graph, ordering)

@@ -1,6 +1,9 @@
 """Data model, file format, validation, components, compression, reductions."""
 
+import importlib
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,7 +27,7 @@ from gltc import (
     split_components,
     validate,
 )
-from gltc.instance import graph_square
+from gltc.instance import graph_square, induced_instance
 from support import complete_graph, cycle_graph, path_graph, uniform_instance
 
 
@@ -269,6 +272,48 @@ def test_connected_solve_copies_no_sub_instance(monkeypatch):
     g = Graph.from_edges(5, [(1, 2), (3, 4), (4, 5)])
     assert solve(uniform_instance(g, {1, 2}, {0}), strategy="star").decision
     assert calls == [(1, 2), (3, 4, 5)]
+
+
+def _assert_as_if_checked(inst):
+    """``inst`` equals its own data rebuilt through the checked public
+    constructors, adjacency included."""
+    rebuilt = Instance(graph=Graph(n=inst.graph.n, edges=frozenset(inst.t)),
+                       lam=dict(inst.lam), t=dict(inst.t))
+    assert inst == rebuilt
+    assert inst.graph.adjacency == rebuilt.graph.adjacency
+
+
+def _assert_derived_as_if_checked(inst, rng):
+    """parse_instance, split_components, induced_instance on a random
+    vertex subset and gap_compression build what the checked constructors
+    would from the same data."""
+    _assert_as_if_checked(inst)
+    _assert_as_if_checked(gap_compression(inst)[0])
+    for sub, _ in split_components(inst):
+        _assert_as_if_checked(sub)
+        _assert_as_if_checked(gap_compression(sub)[0])
+    subset = [v for v in range(1, inst.graph.n + 1) if rng.random() < 0.6]
+    _assert_as_if_checked(induced_instance(inst, subset)[0])
+
+
+def test_unchecked_instances_equal_checked_ones_on_random_instances():
+    rng = random.Random(23)
+    for seed in range(80):
+        # density 0 and 0.15 give disconnected instances, n = 0 the empty one
+        inst = random_instance(n=seed % 13, density=(0.0, 0.15, 0.3, 0.6)[seed % 4], tau=seed % 4,
+                               lmax=2 + seed % 6, seed=2300 + seed)
+        parsed = parse_instance(serialize_instance(inst))
+        assert parsed == inst
+        _assert_derived_as_if_checked(parsed, rng)
+
+
+def test_unchecked_instances_equal_checked_ones_on_the_benchmark_corpora(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(2024)
+    for name in sorted(workloads.WORKLOADS):
+        for item in workloads.WORKLOADS[name](2024):
+            _assert_derived_as_if_checked(parse_instance(item.text), rng)
 
 
 # --- gap compression -------------------------------------------------------

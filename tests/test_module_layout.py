@@ -6,8 +6,8 @@ implementations. The reference module owns the listing of feasible
 prefixes. The partition module peels stars in one loop and owns the
 strategy grammar; the CLI only reports its verdict. The independent-set
 trie is a node store like the level tables, with no second format and
-no converter, and one fold, encoding.tally, counts a store's vectors and
-flags its complete ones. One walk takes a level table to the next, and
+no converter, built by one recursive builder, and one fold,
+encoding.tally, counts a store's vectors and flags its complete ones. One walk takes a level table to the next, and
 the tables it builds hold one unlabeled symbol: BLOCKED is written only
 by the benchmark replay's per-vector pass. ``gltc.__all__`` holds what the CLI, the demos
 and the benchmark scripts import from gltc, plus the public exceptions
@@ -113,6 +113,12 @@ def test_one_node_format_for_the_trie():
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 
+def _called(fn) -> list:
+    """The names a function's own body calls, with repeats."""
+    return [getattr(node.func, "id", getattr(node.func, "attr", None))
+            for node in _own_nodes(fn) if isinstance(node, ast.Call)]
+
+
 def _own_nodes(fn):
     """The AST nodes of a function's body, not those of functions nested in it."""
     stack = list(fn.body)
@@ -156,15 +162,26 @@ def _functions(path: Path):
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
 
 
+def test_one_trie_builder():
+    functions = _functions(SRC / "indsets.py")
+    recursive = [fn.name for fn in functions if fn.name in _called(fn)]
+    assert recursive == ["build"]
+    # the graph entry point only works out the masks and hands them on,
+    # and the solver builds its tries from the masks it already holds
+    (public,) = [fn for fn in functions if fn.name == "independent_set_trie"]
+    assert "trie_from_masks" in _called(public)
+    assert not any(isinstance(node, FUNCTIONS) for node in _own_nodes(public))
+    called = {name for fn in _functions(SRC / "solver.py") for name in _called(fn)}
+    assert "trie_from_masks" in called and "independent_set_trie" not in called
+
+
 def test_one_level_walk():
     names = {fn.name for path in SRC.glob("*.py") for fn in _functions(path)}
     assert "_level_walk" in names  # function names are seen
     assert not names & {"_image", "rewrite"}
     # advance is straight-line code around one call of the walk
     (advance,) = [fn for fn in _functions(SRC / "solver.py") if fn.name == "advance"]
-    called = [getattr(node.func, "id", getattr(node.func, "attr", None))
-              for node in _own_nodes(advance) if isinstance(node, ast.Call)]
-    assert called.count("_level_walk") == 1
+    assert _called(advance).count("_level_walk") == 1
     loops = (ast.For, ast.While, *FUNCTIONS)
     assert not any(isinstance(node, loops) for node in _own_nodes(advance))
     # in solver.py only the replay's per-vector pass names BLOCKED

@@ -1001,31 +1001,49 @@ def test_the_walk_back_stops_at_the_first_level_with_no_aged_label(monkeypatch):
         assert reads == searched and len(reads) < final_level
 
 
-# The SHA-1 of _default_witnesses(), computed while the witness walk still
-# searched every level down to level 0: a walk that stops early but reads
-# a label wrong, or finds another predecessor, changes it.
+# SHA-1s over the solves of the default-option cases below. The witness
+# digest was computed while the witness walk still searched every level
+# down to level 0: a walk that stops early but reads a label wrong, or
+# finds another predecessor, changes it. The table digest covers (name,
+# decision, levels, then per component level_sizes, level_nodes,
+# level_memo and level_unions): a change that must leave every table
+# alone is checked by it.
 WITNESS_DIGEST = "14836edbbf9d042909dab57bd1cba52de5c91f6b"
+TABLE_DIGEST = "cab2fdf12d482206b005b8f27ae5448726650903"
 
 
-def _default_witnesses(monkeypatch):
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    workloads = importlib.import_module("workloads")
+@pytest.fixture(scope="module")
+def default_digests():
+    """(witness digest, table digest) over the seed-2024 corpora of the
+    three benchmark workloads and 400 seeded random instances."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
     cases = [(item.name, parse_instance(item.text))
              for name in sorted(workloads.WORKLOADS) for item in workloads.WORKLOADS[name](2024)]
     cases += [(seed, random_instance(n=3 + seed % 10, density=(0.3, 0.5, 0.7)[seed % 3],
                                      tau=seed % 4, lmax=3 + seed % 8, seed=6200 + seed))
               for seed in range(400)]
-    digest = hashlib.sha1()
+    witnesses, tables = hashlib.sha1(), hashlib.sha1()
     for name, inst in cases:
         result = solve(inst)
         assert not result.decision or check_witness(inst, result.witness), name
         witness = sorted(result.witness.items()) if result.decision else None
-        digest.update(repr((name, witness)).encode())
-    return digest.hexdigest()
+        witnesses.update(repr((name, witness)).encode())
+        reports = result.stats.components
+        tables.update(repr((name, result.decision, result.stats.levels,
+                            [c.level_sizes for c in reports], [c.level_nodes for c in reports],
+                            [c.level_memo for c in reports], [c.level_unions for c in reports]))
+                      .encode())
+    return witnesses.hexdigest(), tables.hexdigest()
 
 
-def test_default_witnesses_are_pinned(monkeypatch):
-    assert _default_witnesses(monkeypatch) == WITNESS_DIGEST
+def test_default_witnesses_are_pinned(default_digests):
+    assert default_digests[0] == WITNESS_DIGEST
+
+
+def test_default_tables_are_pinned(default_digests):
+    assert default_digests[1] == TABLE_DIGEST
 
 
 def test_witness_reconstruction_without_early_exit():
