@@ -7,7 +7,11 @@ each is obviously correct and independent of the production path:
   order, trying each vertex's permitted labels in ascending order;
 - direct_step: the combination step materialized pair by pair;
 - mark_blocked: the OPEN/BLOCKED recomputation straight from the
-  instance;
+  instance; an input BLOCKED stays BLOCKED, so marking twice for one
+  label marks once;
+- level_step: the paper's level recurrence, the one composition of the
+  two: each vector marked for the label, direct_step, each result
+  marked for the next label;
 - project: the map from these vectors over BLOCKED and OPEN to the
   solver's, which hold one unlabeled symbol; the solver's level-k table
   is the projection of the reference one, vector for vector;
@@ -181,10 +185,10 @@ def mark_blocked(vec: Sequence[int], level: int, inst: Instance,
                  ordering: Sequence[int] | None = None, tau: int | None = None) -> Vector:
     """Recompute OPEN/BLOCKED for unlabeled coordinates against label level+2.
 
-    Labeled coordinates (>= 1) pass through unchanged. An unlabeled
-    coordinate stays OPEN iff level+2 is on its vertex's list and no
-    neighbor carries a label whose difference with level+2 is forbidden;
-    otherwise it becomes BLOCKED.
+    Labeled and BLOCKED coordinates pass through unchanged, so the map is
+    idempotent. An OPEN coordinate stays OPEN iff level+2 is on its
+    vertex's list and no neighbor carries a label whose difference with
+    level+2 is forbidden; otherwise it becomes BLOCKED.
     """
     if ordering is None:
         ordering = tuple(range(1, inst.graph.n + 1))
@@ -194,8 +198,7 @@ def mark_blocked(vec: Sequence[int], level: int, inst: Instance,
     next_label = level + 2
     out = list(vec)
     for i, sym in enumerate(vec):
-        if sym != OPEN:
-            assert sym != BLOCKED, "input vectors never carry BLOCKED"
+        if sym != OPEN:  # a label, or BLOCKED: marking never unbars
             continue
         v = ordering[i]
         if next_label not in inst.lam[v]:
@@ -207,6 +210,19 @@ def mark_blocked(vec: Sequence[int], level: int, inst: Instance,
                 out[i] = BLOCKED
                 break
     return tuple(out)
+
+
+def level_step(table: VectorTrie, indep: VectorTrie, inst: Instance,
+               ordering: Sequence[int], tau: int, label: int) -> VectorTrie:
+    """The level recurrence that gives label ``label``: every vector of
+    ``table`` marked for it, direct_step by the independent sets
+    ``indep``, every result marked for ``label + 1``. Over OPEN and
+    BLOCKED; the solver's table is its project."""
+    n = table.length
+    before = VectorTrie.from_vectors(n, (mark_blocked(vec, label - 2, inst, ordering, tau)
+                                         for vec in table))
+    return VectorTrie.from_vectors(n, (mark_blocked(vec, label - 1, inst, ordering, tau)
+                                       for vec in direct_step(before, indep, tau)))
 
 
 def project(vec: Sequence[int]) -> Vector:

@@ -544,7 +544,7 @@ def _least_complete(shapes, full, root: int):
     return tuple(path)
 
 
-def _walk_back(levels, final, final_level, trie, tau: int, ordering, bar) -> Witness:
+def _walk_back(levels, final, final_level, trie, tau: int, ordering, filters) -> Witness:
     """Walk the complete vector ``final`` of level ``final_level`` back
     through the retained levels, each a (node store, root uid) pair.
 
@@ -553,15 +553,16 @@ def _walk_back(levels, final, final_level, trie, tau: int, ordering, bar) -> Wit
     that level's store and the independent-set ``trie``, a (store, root
     uid) pair, in lockstep over (table uid, trie uid) pairs; a trie node
     may lack either child. A position takes label k only where
-    _level_walk would let it: ``bar``'s filters for label k carry the
-    same ``blk`` and ``pend`` masks (None: nothing is barred beyond the
-    tables' own BLOCKED, as in the replay's tables). Deterministic: the
-    first hit in canonical symbol order. States with no match below them
-    are remembered, keyed as _level_walk's memo, so shared nodes are
-    searched once per mask pair. The mask tells which vertices took that
-    level's label. The walk stops at the first level k whose vector holds
-    no aged label (symbol 1): each label left is recent, k + sym - tau - 1
-    for its symbol sym >= 2, and the levels below only replay its aging.
+    _level_walk would let it: ``filters(k)`` (_BarPass.filters, or
+    _unbarred for every label on the replay's tables, whose BLOCKED
+    already says it) carries the same ``blk`` and ``pend`` masks.
+    Deterministic: the first hit in canonical symbol order. States with
+    no match below them are remembered, keyed as _level_walk's memo, so
+    shared nodes are searched once per mask pair. The mask tells which
+    vertices took that level's label. The walk stops at the first level
+    k whose vector holds no aged label (symbol 1): each label left is
+    recent, k + sym - tau - 1 for its symbol sym >= 2, and the levels
+    below only replay its aging.
     """
     t_shapes, p_root = trie
     trie_size, n = len(t_shapes), len(final)
@@ -570,8 +571,6 @@ def _walk_back(levels, final, final_level, trie, tau: int, ordering, bar) -> Wit
     path: list[tuple[int, int]] = []
     dead: set[int] = set()
     shapes, options = [], []
-    if bar is None:
-        closed, later, earlier, closes, waiting = _unbarred(n, tau)
 
     def dfs(i, u, q, blk, pend):
         if i == n:
@@ -604,8 +603,7 @@ def _walk_back(levels, final, final_level, trie, tau: int, ordering, bar) -> Wit
     vec, k = final, final_level
     while k and 1 in vec:  # an aged label (symbol 1) is read only by walking on down
         shapes, root = levels[k - 1]
-        if bar is not None:
-            closed, later, earlier, closes, waiting = bar.filters(k)
+        closed, later, earlier, closes, waiting = filters(k)
         options = [ys[sym] if sym > 0 else ys[OPEN] for sym in vec]
         path.clear()
         dead.clear()
@@ -642,8 +640,9 @@ def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
     replay's tables carry OPEN and BLOCKED, so nothing more is barred."""
     shapes, roots = encode([table.vectors.root for table in tables[:final_level]])
     trie_shapes, (trie_root,) = encode((indep.root,))
+    unbarred = _unbarred(len(final), tau)
     return _walk_back([(shapes, root) for root in roots], final, final_level,
-                      (trie_shapes, trie_root), tau, ordering, None)
+                      (trie_shapes, trie_root), tau, ordering, lambda _: unbarred)
 
 
 def check_witness(inst: Instance, witness: Witness) -> bool:
@@ -706,7 +705,7 @@ def _solve_component(inst: Instance, options: SolveOptions,
         return True, None
     shapes, root, full = store
     found = _least_complete(shapes, full, root)
-    witness = _walk_back(levels, found, k, dp.trie, dp.tau, ordering, dp.bar)
+    witness = _walk_back(levels, found, k, dp.trie, dp.tau, ordering, dp.bar.filters)
     return True, {v: label_map[lab] for v, lab in witness.items()}
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 from gltc import BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition, validate
+from gltc.reference import extension_predicate, level_step, project
 from gltc.vectorset import decode, encode
 
 
@@ -75,6 +76,24 @@ def run_tables(inst: Instance, strategy: str = "singleton"):
         yield k, table, part, dp.ordering
 
 
+def recurrence_mismatch(inst: Instance, strategy: str):
+    """Step the solver's tables, in ``strategy``'s vertex order, and the
+    reference recurrence (reference.level_step, over OPEN and BLOCKED)
+    side by side from level 0. Returns the first level whose solver table
+    is not the project of the reference one, one to one, with the size
+    advance counted, or None."""
+    dp = ComponentDP(inst, build_partition(inst, strategy).ordering)
+    table, indep = base_table(dp), indep_table(dp)
+    ref = table
+    for k in range(1, validate(inst).lambda_max + 1):
+        table, size, _, _, _ = step(dp, table, k)
+        ref = level_step(ref, indep, inst, dp.ordering, dp.tau, k)
+        want = set(map(project, ref))
+        if set(table) != want or size != len(want) or len(want) != len(ref):
+            return k
+    return None
+
+
 def proper_partial_labelings(inst: Instance, k: int):
     """Every proper labeling of a subset of the vertices with labels 1..k."""
     n = inst.graph.n
@@ -85,10 +104,7 @@ def proper_partial_labelings(inst: Instance, k: int):
             return
         yield from extend(i + 1, phi)
         for lab in sorted(inst.lam[i]):
-            if lab > k:
-                continue
-            if all(abs(lab - phi[w]) not in inst.t_of(i, w)
-                   for w in inst.graph.adjacency[i] if w in phi):
+            if lab <= k and extension_predicate(phi, i, lab, inst):
                 phi[i] = lab
                 yield from extend(i + 1, phi)
                 del phi[i]
@@ -100,8 +116,8 @@ def reference_table(inst: Instance, ordering, k: int, tau: int) -> set:
     """The level-k table straight from its semantics: encode every proper
     partial labeling with labels 1..k, no dynamic program involved. An
     unlabeled vertex is OPEN or BLOCKED for label k + 1, as the reference
-    recurrence (direct_step, then mark_blocked) marks it; the solver's
-    tables are its reference.project."""
+    recurrence (reference.level_step) marks it; the solver's tables are
+    its reference.project."""
     out = set()
     for phi in proper_partial_labelings(inst, k):
         vec = []
@@ -110,10 +126,6 @@ def reference_table(inst: Instance, ordering, k: int, tau: int) -> set:
                 lab = phi[v]
                 vec.append(1 if lab <= k - tau else lab - k + tau + 1)
             else:
-                extendable = (k + 1) in inst.lam[v] and all(
-                    (k + 1) - phi[w] not in inst.t_of(v, w)
-                    for w in inst.graph.adjacency[v] if w in phi
-                )
-                vec.append(OPEN if extendable else BLOCKED)
+                vec.append(OPEN if extension_predicate(phi, v, k + 1, inst) else BLOCKED)
         out.add(tuple(vec))
     return out

@@ -6,9 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 import time
 
 from gltc import (
-    ComponentDP,
     SolveOptions,
-    VectorTrie,
     brute_force_solve,
     build_partition,
     check_witness,
@@ -31,16 +29,13 @@ from gltc.partition import (
     star_prefix_bound,
     validate_partition,
 )
-from gltc.reference import direct_step, mark_blocked, project
 from support import (
-    base_table,
     complete_graph,
     cycle_graph,
-    indep_table,
     line_graph,
     path_graph,
+    recurrence_mismatch,
     star_graph,
-    step,
     uniform_instance,
 )
 
@@ -91,25 +86,11 @@ def test_criterion_2_level_recurrence_conformance():
             lmax=4 + seed % 3,
             seed=20_000 + seed,
         )
-        part = build_partition(inst, ("singleton", "star", "clique")[seed % 3])
-        dp = ComponentDP(inst, part.ordering)
-        table, indep = base_table(dp), indep_table(dp)
-        n = len(dp.ordering)
         # the reference recurrence keeps OPEN and BLOCKED; the solver's
         # tables are its projection, one to one
-        ref = VectorTrie.from_vectors(n, [mark_blocked(vec, -1, inst, dp.ordering, dp.tau)
-                                          for vec in table])
-        for k in range(1, validate(inst).lambda_max + 1):
-            got, size, _, _, _ = step(dp, table, k)
-            marked = {
-                mark_blocked(vec, k - 1, inst, dp.ordering, dp.tau)
-                for vec in direct_step(ref, indep, dp.tau)
-            }
-            want = set(map(project, marked))
-            if set(got) != want or size != len(want) or len(want) != len(marked):
-                failures.append((seed, k))
-                break
-            table, ref = got, VectorTrie.from_vectors(n, marked)
+        k = recurrence_mismatch(inst, ("singleton", "star", "clique")[seed % 3])
+        if k is not None:
+            failures.append((seed, k))
     _report(2, "level recurrence equals pairwise reference", failures)
 
 

@@ -1,8 +1,10 @@
 """The symbol alphabet and the two level-advance operators."""
 
+import random
+
 import pytest
 
-from gltc import instance_tau, random_instance
+from gltc import VectorTrie, independent_set_vectors, instance_tau, random_instance
 from gltc.encoding import (
     BLOCKED,
     OPEN,
@@ -11,7 +13,7 @@ from gltc.encoding import (
     is_complete,
     symbol_alphabet,
 )
-from gltc.reference import advance_vector, mark_blocked
+from gltc.reference import advance_vector, level_step, mark_blocked
 from support import path_graph, uniform_instance
 
 
@@ -104,6 +106,34 @@ def test_mark_blocked_symbols_zero_and_one_never_block():
                 assert out[i] == vec[i]
             else:
                 assert (out[i] == OPEN) == (2 in inst.lam[v])
+
+
+def test_mark_blocked_is_idempotent_and_never_unbars():
+    # an input BLOCKED stays BLOCKED and labels pass through, so marking
+    # a marked vector again for the same label changes nothing
+    rng = random.Random(24)
+    for seed in range(20):
+        inst = random_instance(n=5, density=0.6, tau=seed % 4, lmax=6, seed=2400 + seed)
+        tau = instance_tau(inst)
+        ordering = tuple(rng.sample(range(1, 6), 5))
+        alphabet = symbol_alphabet(tau)
+        for _ in range(50):
+            vec = tuple(rng.choice(alphabet) for _ in range(5))
+            level = rng.randrange(-1, 6)
+            once = mark_blocked(vec, level, inst, ordering, tau)
+            assert mark_blocked(once, level, inst, ordering, tau) == once
+            assert all(y == x for x, y in zip(vec, once) if x != OPEN)
+
+
+def test_level_step_gives_no_label_to_an_input_blocked():
+    # tau = 0 on a 2-path: both lists hold label 1, but position 1 comes
+    # in BLOCKED, so only position 2 may take it; from OPEN either may
+    inst = uniform_instance(path_graph(2), {1, 2}, {0})
+    indep = independent_set_vectors(inst.graph, (1, 2))
+    blocked = VectorTrie.from_vectors(2, [(BLOCKED, OPEN)])
+    assert set(level_step(blocked, indep, inst, (1, 2), 0, 1)) == {(OPEN, OPEN), (OPEN, 1)}
+    fresh = VectorTrie.from_vectors(2, [(OPEN, OPEN)])
+    assert set(level_step(fresh, indep, inst, (1, 2), 0, 1)) == {(OPEN, OPEN), (1, OPEN), (OPEN, 1)}
 
 
 def test_is_complete():

@@ -3,15 +3,17 @@
 The solver owns its walk order and imports neither the partitions (they
 bound the tables; they do not steer the solve) nor the reference
 implementations. The reference module owns the listing of feasible
-prefixes. The partition module peels stars in one loop and owns the
-strategy grammar; the CLI only reports its verdict. The independent-set
-trie is a node store like the level tables, with no second format and
-no converter, built by one recursive builder, and one fold,
-encoding.tally, counts a store's vectors and flags its complete ones. One walk takes a level table to the next, and
-the tables it builds hold one unlabeled symbol: BLOCKED is written only
-by the benchmark replay's per-vector pass. ``gltc.__all__`` holds what the CLI, the demos
-and the benchmark scripts import from gltc, plus the public exceptions
-and result types.
+prefixes, and writes the level recurrence once, in
+reference.level_step. The partition module peels stars in one loop and
+owns the strategy grammar; the CLI only reports its verdict. The
+independent-set trie is a node store like the level tables, with no
+second format and no converter, built by one recursive builder, and one
+fold, encoding.tally, counts a store's vectors and flags its complete
+ones. One walk takes a level table to the next, and the tables it
+builds hold one unlabeled symbol: BLOCKED is written only by the
+benchmark replay's per-vector pass. ``gltc.__all__`` holds what the
+CLI, the demos and the benchmark scripts import from gltc, plus the
+public exceptions and result types.
 """
 
 import ast
@@ -189,6 +191,16 @@ def test_one_level_walk():
                if any(isinstance(node, ast.Name) and node.id == "BLOCKED"
                       for node in _own_nodes(fn))}
     assert writers == {"run"}
+
+
+def test_one_reference_recurrence():
+    # the level recurrence, direct_step between two mark_blocked passes,
+    # is written once, and every other caller goes through it
+    paths = [path for folder in (SRC, ROOT / "tests", ROOT / "demos", ROOT / "perfbench")
+             for path in folder.glob("*.py")]
+    both = {f"{path.stem}.{fn.name}" for path in paths for fn in _functions(path)
+            if {"direct_step", "mark_blocked"} <= set(_called(fn))}
+    assert both == {"reference.level_step"}
 
 
 def test_solves_walk_once_per_level_and_never_emit_blocked(monkeypatch):

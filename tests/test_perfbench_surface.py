@@ -30,7 +30,7 @@ from gltc import (
     reconstruct_witness,
     walk_order,
 )
-from gltc.reference import direct_step, mark_blocked, project
+from gltc.reference import level_step, mark_blocked, project
 from gltc.solver import _BarPass, _build_plan, _combine, _find_complete
 from support import base_table, indep_table, step
 
@@ -68,9 +68,9 @@ def test_per_vector_bar_pass_of_the_replay_still_runs():
 def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
     # perfbench/layers.py keeps OPEN and BLOCKED in its tables: it combines
     # with its own plan and a fresh memo, then bars the flattened result
-    # vector by vector; projected, its tables are the solver's, vector for
-    # vector, and the solver's level walk of the projected table equals
-    # the replay's step
+    # vector by vector; its tables are reference.level_step's and,
+    # projected, the solver's, vector for vector, and the solver's level
+    # walk of the projected table equals the replay's step
     for strategy, seed in (("star", 21), ("clique", 22), ("singleton", 23)):
         inst = random_instance(n=7, density=0.5, tau=seed % 3, lmax=6, seed=seed)
         part = build_partition(inst, strategy)
@@ -82,11 +82,15 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
         for k in range(1, 7):
             combined = _combine((replay.root,), indep.root, 0, plan, {})
             flat = VectorTrie(n, combined)
-            assert set(flat) == set(direct_step(replay, indep, dp.tau))
+            reference = set(level_step(replay, indep, inst, dp.ordering, dp.tau, k))
+            # the replay's table is marked already, so the pairwise step
+            # of it is the reference step before its last marking
+            assert set(flat) == set(map(project, reference))
             assert set(map(project, replay)) == set(table)
             table, want_size, _, _, _ = step(dp, table, k)
             want = set(table)
             barred = {dp.bar.run(vec, k - 1) for vec in flat}
+            assert barred == reference
             assert set(map(project, barred)) == want
             assert len(barred) == want_size
             replay = VectorTrie.from_vectors(n, barred)

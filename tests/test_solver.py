@@ -37,7 +37,7 @@ from gltc import (
     validate,
     walk_order,
 )
-from gltc.reference import direct_step, forward_checking_solve, mark_blocked, project
+from gltc.reference import direct_step, forward_checking_solve, level_step, project
 from gltc import encoding as encoding_module
 from gltc.encoding import is_complete
 from gltc import indsets as indsets_module
@@ -60,6 +60,7 @@ from support import (
     cycle_graph,
     indep_table,
     path_graph,
+    recurrence_mismatch,
     reference_table,
     run_tables,
     step,
@@ -97,23 +98,13 @@ def test_direct_step_examples():
 @pytest.mark.parametrize("strategy", ["singleton", "star", "clique"])
 def test_compute_step_equals_direct_step_randomized(strategy):
     # the reference recurrence runs on its own tables, over OPEN and
-    # BLOCKED, from the level-0 vector marked for label 1; the solver's
-    # table is its projection at every level, vector for vector
+    # BLOCKED, from the level-0 vector; the solver's table is its
+    # projection at every level, vector for vector (criterion 2 runs the
+    # same check on its own corpus)
     for seed in range(25):
         inst = random_instance(n=3 + seed % 4, density=(0.3, 0.6, 0.9)[seed % 3],
                                tau=seed % 3, lmax=4 + seed % 3, seed=400 + seed)
-        dp = ComponentDP(inst, build_partition(inst, strategy).ordering)
-        table, indep = base_table(dp), indep_table(dp)
-        n = len(dp.ordering)
-        ref = VectorTrie.from_vectors(n, [mark_blocked(v, -1, inst, dp.ordering, dp.tau)
-                                          for v in table])
-        for k in range(1, validate(inst).lambda_max + 1):
-            got, size, _, _, _ = step(dp, table, k)
-            marked = {mark_blocked(v, k - 1, inst, dp.ordering, dp.tau)
-                      for v in direct_step(ref, indep, dp.tau)}
-            want = set(map(project, marked))
-            assert set(got) == want and size == len(want) == len(marked)
-            table, ref = got, VectorTrie.from_vectors(n, marked)
+        assert recurrence_mismatch(inst, strategy) is None, seed
 
 
 def _image_vs_direct_step(graph, ordering, tau, vecs):
@@ -221,15 +212,14 @@ _TAU0_PATH = Instance(graph=path_graph(3), lam={1: frozenset({1, 2}), 2: frozens
 @example((_PAIR, (1, 2), 0, [(OPEN, 2), (OPEN, 1)]))
 @example((_TAU0_PATH, (1, 2, 3), 0, [(OPEN, OPEN, 1), (1, OPEN, OPEN), (OPEN, 1, OPEN)]))
 def test_bar_rewrite_equals_mark_blocked_per_vector(case):
-    _walk_vs_mark_blocked(*case)
+    _walk_vs_level_step(*case)
 
 
-def _walk_vs_mark_blocked(inst, ordering, level, vecs, indep=None):
+def _walk_vs_level_step(inst, ordering, level, vecs, indep=None):
     """_level_walk of the table ``vecs`` with the filters of label
-    level + 2, against the reference per vector: reference.mark_blocked
-    for that label, reference.direct_step by the independent sets
-    ``indep`` (by default all of the instance graph's), then
-    reference.project. Returns the walk's completeness flag."""
+    level + 2, against reference.level_step for that label by the
+    independent sets ``indep`` (by default all of the instance graph's),
+    projected. Returns the walk's completeness flag."""
     tau, n = instance_tau(inst), len(ordering)
     if indep is None:
         indep = independent_set_vectors(inst.graph, ordering)
@@ -239,10 +229,9 @@ def _walk_vs_mark_blocked(inst, ordering, level, vecs, indep=None):
     out, root, _, _ = _level_walk(shapes, root, (trie[0], trie[1][0]), tau, filters)
     count, full = encoding_module.tally(out)
     size, complete = count[root], full[root]
-    marked = VectorTrie.from_vectors(n, [mark_blocked(v, level, inst, ordering, tau) for v in vecs])
-    want = set(map(project, direct_step(marked, indep, tau)))
-    barred = VectorTrie(n, decode(out)[root])
-    assert set(barred) == want
+    table = VectorTrie.from_vectors(n, vecs)
+    want = set(map(project, level_step(table, indep, inst, ordering, tau, level + 2)))
+    assert set(VectorTrie(n, decode(out)[root])) == want
     assert size == len(want)
     # the walk's tally flag, against the vectors one by one
     assert complete == any(map(is_complete, want))
@@ -294,7 +283,7 @@ def test_bar_rewrite_keys_past_a_machine_word():
         vecs = [draw(symbols) for _ in range(19)]
         vecs.append(draw(range(1, tau + 2)) if batch % 2 else draw(symbols))
         indep = _small_independent_family(inst.graph, ordering, rng, 8)
-        flags.append(_walk_vs_mark_blocked(inst, ordering, batch % 5, vecs, indep))
+        flags.append(_walk_vs_level_step(inst, ordering, batch % 5, vecs, indep))
     assert flags == [False, True] * 5
 
 
@@ -462,20 +451,6 @@ def _step_cases(draw, alphabet_from=BLOCKED):
     return inst, ordering, draw(st.integers(1, validate(inst).lambda_max)), vecs
 
 
-def _reference_step(inst, ordering, level, table, indep, tau):
-    """The level-``level`` table by the reference recurrence, projected:
-    each vector's OPEN positions marked for label ``level`` (an input
-    BLOCKED stays BLOCKED, as the walk reads it), reference.direct_step,
-    reference.mark_blocked for the next label, then reference.project."""
-    def barred(vec):
-        marked = mark_blocked(project(vec), level - 2, inst, ordering, tau)
-        return tuple(BLOCKED if x == BLOCKED else y for x, y in zip(vec, marked))
-
-    before = VectorTrie.from_vectors(len(ordering), map(barred, table))
-    return {project(mark_blocked(v, level - 1, inst, ordering, tau))
-            for v in direct_step(before, indep, tau)}
-
-
 # tau = 0 on a 2-path: the independent-set trie's root has distinct children
 # for 0 and 1, so a first coordinate 1 comes from (1, 0) and (OPEN, 1) and
 # the walk's state after it holds two indep nodes
@@ -493,7 +468,8 @@ def test_level_step_equals_direct_step_then_mark_blocked(case):
     dp = ComponentDP(inst, ordering)
     table = VectorTrie.from_vectors(len(ordering), vecs)
     got, size, _, _, _ = step(dp, table, level)
-    want = _reference_step(inst, ordering, level, table, indep_table(dp), dp.tau)
+    # an input BLOCKED stays BLOCKED, as the walk reads it
+    want = set(map(project, level_step(table, indep_table(dp), inst, ordering, dp.tau, level)))
     assert set(got) == want and size == len(want)
 
 
@@ -508,10 +484,7 @@ def test_advancing_a_u_table_equals_projecting_the_reference_step(case):
     dp = ComponentDP(inst, ordering)
     table = VectorTrie.from_vectors(len(ordering), vecs)
     got, size, _, _, _ = step(dp, table, level)
-    marked = VectorTrie.from_vectors(len(ordering), [
-        mark_blocked(v, level - 2, inst, ordering, dp.tau) for v in vecs])
-    reference = {mark_blocked(v, level - 1, inst, ordering, dp.tau)
-                 for v in direct_step(marked, indep_table(dp), dp.tau)}
+    reference = level_step(table, indep_table(dp), inst, ordering, dp.tau, level)
     want = set(map(project, reference))
     assert set(got) == want and size == len(want) == len(reference)
 
@@ -898,7 +871,7 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
             walks.clear()
             result = solve(inst, options=SolveOptions(early_exit=early_exit))
             solver_walks = list(walks)  # the adapter calls _walk_back too
-            for levels, final, final_level, trie, tau, ordering, bar, labels in solver_walks:
+            for levels, final, final_level, trie, tau, ordering, filters, labels in solver_walks:
                 n = len(ordering)
                 tables = [LevelTable(k, VectorTrie(n, decode(shapes)[root]))
                           for k, (shapes, root) in enumerate(levels)]
@@ -909,11 +882,11 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
                 # the solver's tables hold one unlabeled symbol, so the walk
                 # back over the re-encoded tables needs the component's
                 # barring masks (the replay's tables spell out BLOCKED and
-                # go through reconstruct_witness, which passes none)
+                # go through reconstruct_witness, whose filters bar nothing)
                 shapes, roots = encode([t.vectors.root for t in tables[:final_level]])
                 trie_shapes, (trie_root,) = encode((indep.root,))
                 assert real([(shapes, root) for root in roots], final, final_level,
-                            (trie_shapes, trie_root), tau, ordering, bar) == labels
+                            (trie_shapes, trie_root), tau, ordering, filters) == labels
             if result.decision:
                 assert check_witness(inst, result.witness)
                 seen["several yes components"] += len(solver_walks) > 1
