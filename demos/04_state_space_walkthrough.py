@@ -10,7 +10,16 @@ store it. This script prints every level table for a 3-path and shows
 where the YES verdict appears.
 """
 
-from gltc import ComponentDP, VectorTrie, build_partition, parse_instance, solve, validate, walk_order
+from gltc import (
+    ComponentDP,
+    VectorTrie,
+    build_partition,
+    independent_set_vectors,
+    parse_instance,
+    solve,
+    validate,
+    walk_order,
+)
 from gltc.encoding import format_vector, is_complete
 from gltc.vectorset import decode
 
@@ -28,8 +37,8 @@ part = build_partition(inst, "star")
 # built once per component, as the solver does: tau, the vertex order of
 # the coordinates (walk_order, chosen from the graph to keep the walk
 # narrow; the solver builds no partition, which only bounds the table
-# sizes), the independent-set vectors in that order and the per-vertex
-# masks that say which vertices each label is barred from
+# sizes) and the per-vertex masks that say which vertices each label is
+# barred from and which vertices are adjacent
 dp = ComponentDP(inst, walk_order(inst.graph))
 print(f"tau={dp.tau}, labels up to {stats.lambda_max}")
 print("blocks (bound only):", [b.vertices for b in part.blocks])
@@ -39,11 +48,13 @@ print()
 
 def vectors(shapes, root):
     """The vectors below uid ``root`` of a node store, the form in which the
-    solver keeps its tables and the independent-set trie."""
+    solver keeps its tables."""
     return VectorTrie(len(dp.ordering), decode(shapes)[root])
 
 
-indep = vectors(*dp.trie)
+# the sets of vertices that may take one label together; the walk never
+# lists them, it reads the adjacency masks position by position
+indep = independent_set_vectors(inst.graph, dp.ordering)
 print(f"{len(indep)} independent-set vectors:", " ".join(format_vector(p) for p in indep))
 print()
 

@@ -1,12 +1,14 @@
 """Characteristic vectors of all independent sets of a graph.
 
 The vectors are built directly into a trie whose depth follows the
-global vertex ordering, so the solver can walk it position by position
-in lockstep with a level table. Construction memoizes on the set of
-still-relevant blocked positions and hash-conses each node on its
-children, which keeps the structure far below the 2^n worst case on most
-graphs. The trie is built as a node store, the form of the solver's
-level tables; dict nodes are decoded from it only on demand.
+global vertex ordering, the coordinate order of a level table, for the
+reference step (reference.direct_step), the demos and the benchmark
+replay; the solver builds none, and its walks read the neighbour masks
+instead. Construction memoizes on the set of still-relevant blocked
+positions and hash-conses each node on its children, which keeps the
+structure far below the 2^n worst case on most graphs. The trie is
+built as a node store, the form of the solver's level tables; dict
+nodes are decoded from it only on demand.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def independent_set_trie(g: Graph, ordering: Sequence[int] | None = None) -> tup
 
 def trie_from_masks(nbr_mask: Sequence[int]) -> tuple[list, int]:
     """independent_set_trie given each position's neighbours as a bitmask
-    over positions, ``nbr_mask[i]``, as the solver already holds them."""
+    over positions, ``nbr_mask[i]``, as the solver's walks read them."""
     n = len(nbr_mask)
     shapes: list[tuple] = [()]
     unique: dict[tuple, int] = {}

@@ -15,34 +15,35 @@ depend on the order, but the cost of the walk does. No partition is
 built here; partition.predict_complexity bounds the table sizes from
 outside.
 
-Advancing to level k+1 is one memoized walk, _level_walk: a product
-over single pairs of a table node and an independent-set trie node (the
-vertices receiving label k+1 must be pairwise non-adjacent), filtered by
-two bitmasks it carries down, the later positions an earlier
-neighbour's recent label bars from k+1 and the earlier positions given
-k+1 that a later neighbour may still bar. Where two children of a table
-node age to the same symbol, they are folded into one node by a
-memoized union (the unique table and memoized OR of BDD packages), on
-the input store where both leave the same masks, else on the output.
+Advancing to level k+1 is one memoized walk, _level_walk, over the
+nodes of the table, which pairs each vector with every independent set
+of unlabeled vertices free to take label k+1 without listing the sets.
+It carries two bitmasks down: the later positions still free to take
+k+1, and the earlier positions given k+1 that a later neighbour may
+still bar. A later position stops being free when its list lacks k+1,
+when an earlier neighbour's recent label bars it, or when an earlier
+neighbour takes k+1 (the vertices receiving a label are pairwise
+non-adjacent), so the walk reads _BarPass's neighbour masks and no
+independent-set trie is built. Where two children of a table node age
+to the same symbol, they are folded into one node by a memoized union
+(the unique table and memoized OR of BDD packages), on the input store
+where both leave the same masks, else on the output.
 
 A level table is a hash-consed DAG, a trie in which equal subtrees are
 one node (a reduced multi-valued decision diagram), kept in an integer
 node store: each node is a uid whose shape is the tuple of its (symbol,
-child uid) pairs, and every memo key of a store walk is one int. Both
-inputs of a component's DP are born as node stores: the independent-set
-trie (indsets.trie_from_masks, on the neighbour masks _BarPass records),
-whose shapes hold a 0-child and maybe a 1-child, and the level-0 table
-as a chain of one-child OPEN shapes. The walk builds the next table's
-store, hash-consed once, and encoding.tally, one pass over it, counts
-each node's vectors and flags whether a complete vector (every vertex
-labeled) lies below it, so no table is walked again to size it or to
-decide. The instance is YES iff
+child uid) pairs, and every memo key of a store walk is one int. The
+level-0 table is born as a store, a chain of one-child OPEN shapes. The
+walk builds the next table's store, hash-consed once, and
+encoding.tally, one pass over it, counts each node's vectors and flags
+whether a complete vector (every vertex labeled) lies below it, so no
+table is walked again to size it or to decide. The instance is YES iff
 some level's table holds a complete vector; as completeness persists
 from level to level, the last level run decides. An explicit labeling
 is then reconstructed on the stores themselves: a retained level keeps
 its store, the least complete vector is read off the last table's flags
-by a descent that never backtracks, and the walk back pairs table uids
-with trie uids under the same masks. Dict nodes (gltc.vectorset) are for
+by a descent that never backtracks, and the walk back carries the same
+masks down each retained store. Dict nodes (gltc.vectorset) are for
 tests and the benchmark replay's adapters only.
 
 Every recursive walk here creates its memo, returns the memo's size when
@@ -57,7 +58,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .encoding import BLOCKED, OPEN, aging_table, preimage_table, tally
-from .indsets import trie_from_masks
 from .instance import Graph, Instance, gap_compression, instance_tau, split_components
 from .vectorset import VectorTrie, decode, encode
 
@@ -126,12 +126,11 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # the node store
 #
-# The level loop keeps each table, and the independent-set trie, in a
-# node store: a list mapping each uid to its shape, the tuple of its
-# (symbol, child uid) pairs in symbol order. Uid 0 is LEAF, with the
-# empty shape. A store is built bottom-up and hash-consed on the shape, so
-# children have smaller uids than their parents, equal subtrees share one
-# uid, and a shape fixes its depth.
+# The level loop keeps each table in a node store: a list mapping each
+# uid to its shape, the tuple of its (symbol, child uid) pairs in symbol
+# order. Uid 0 is LEAF, with the empty shape. A store is built bottom-up
+# and hash-consed on the shape, so children have smaller uids than their
+# parents, equal subtrees share one uid, and a shape fixes its depth.
 
 
 # ---------------------------------------------------------------------------
@@ -193,33 +192,34 @@ def _union(u, v, shapes, unique, memo):
     return uid
 
 
-def _level_walk(shapes, root, trie, tau: int, filters):
+def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     """One level of the DP on node stores: every advance of a vector below
-    uid ``root`` of the table store ``shapes`` by a vector of the
-    independent-set ``trie``, a (store, root uid) pair, that gives the
-    new label only to unlabeled positions free to take it. Returns the
-    new table's store (exactly the nodes its root reaches, hash-consed),
-    its root uid, the entries the walk memoized and the unions it made.
+    uid ``root`` of the table store ``shapes`` by an independent set, of
+    the graph whose neighbour masks are ``nbr_mask``, that gives the new
+    label only to unlabeled positions free to take it. Returns the new
+    table's store (exactly the nodes its root reaches, hash-consed), its
+    root uid, the entries the walk memoized and the unions it made.
 
-    The image operation of a decision diagram, a product over single
-    pairs of a table node and a trie node, filtered on the way down by
-    ``filters``: _BarPass.filters for the label, or _unbarred. A call at
-    depth d carries ``blk``, the positions >= d that an earlier
-    neighbour's recent label bars from the new one, and ``pend``, the
-    earlier positions given the new label that a later neighbour may
-    still bar. An unlabeled position (OPEN; BLOCKED never takes the
-    label) ages to OPEN, and takes the label, symbol tau + 1, where the
-    trie node has a 1-child and neither ``closed`` (its list lacks the
-    label) nor ``blk`` holds it; it then waits in ``pend`` if a later
-    neighbour can bar it. A recent label (2..tau+1) adds its ``later``
-    row, less ``closed``, to ``blk``, and a hit on ``pend`` from its
-    ``earlier`` row cuts the branch: the call returns -1 where every
-    branch is cut. The memo key ``(u * NP + q) << n | blk | pend``, NP the
-    trie's store size, is one exact int: ``blk`` holds positions at or
-    past d only, ``pend`` those before it, and a uid fixes d.
+    The image operation of a decision diagram, filtered on the way down
+    by ``filters``: _BarPass.filters for the label, or _unbarred. A call
+    at depth d carries ``allow``, the positions >= d still free to take
+    the new label, and ``pend``, the earlier positions given the new
+    label that a later neighbour may still bar. ``allow`` starts as
+    ``listed``, the positions whose list has the label; a recent
+    label (2..tau+1) removes its ``later`` row, and giving the label to
+    position d removes d's neighbours. An unlabeled position (OPEN;
+    BLOCKED never takes the label) ages to OPEN, and takes the label,
+    symbol tau + 1, where ``allow`` holds it; it then waits in ``pend``
+    if a later neighbour can bar it. A hit on ``pend`` from a recent
+    label's ``earlier`` row cuts the branch: the call returns -1 where
+    every branch is cut. The memo key ``u << n | allow | pend`` is one
+    exact int: ``allow`` holds positions at or past d only, ``pend``
+    those before it, and a uid fixes d. It is canonical too: every path
+    that leaves the same positions free meets one entry, whether a
+    neighbour given the label or a recent label's bar removed them.
 
     Children of a table node that age to one symbol (1 and 2 to 1) and
-    leave one ``blk`` are first folded into one table uid by _union,
+    leave one ``allow`` are first folded into one table uid by _union,
     hash-consed into the input store, whose unique table is built on the
     first such union; the store is cut back to its own nodes on return.
     Where they leave different masks, and for tau = 0 where the new label
@@ -227,10 +227,7 @@ def _level_walk(shapes, root, trie, tau: int, filters):
     on the output store. Only such a union can leave nodes the root does
     not reach, so only a walk that made one runs _reachable to drop them.
     """
-    t_shapes, p_root = trie
-    trie_size = len(t_shapes)
-    closed, later, earlier, closes, waiting = filters
-    avail = ~closed  # a later row bars only the positions whose list has the label
+    listed, later, earlier, closes, waiting = filters
     n = len(closes)
     top = tau + 1
     adv = aging_table(tau)  # assign 0 ages symbol x to adv[x]
@@ -240,58 +237,56 @@ def _level_walk(shapes, root, trie, tau: int, filters):
     in_unique: dict[tuple, int] = {}
     in_unions: dict[int, int] = {}
     kept = len(shapes)
-    # the pair (LEAF, the trie's LEAF), where nothing is barred or pending
+    # LEAF, where nothing is free or pending
     memo: dict[int, int] = {0: 0}
 
-    def walk(u, q, d, blk, pend):
-        q_shape = t_shapes[q]
-        q0 = q_shape[0][1]
+    def walk(u, d, allow, pend):
         bit = 1 << d
-        blk_next = blk & ~bit
+        allow_next = allow & ~bit
         pend_next = pend & ~closes[d]
         row_later, row_earlier = later[d], earlier[d]
         pairs = []
-        last = group = g_blk = opened = -1
+        last = group = g_allow = opened = -1
         for x, child in shapes[u]:
-            c_blk = blk_next
+            c_allow = allow_next
             if x > 0:
                 if pend & row_earlier[x]:
                     continue
-                c_blk |= row_later[x] & avail
+                c_allow &= ~row_later[x]
             elif x == OPEN:
                 opened = child
             sym = adv[x]
-            if sym == last and c_blk == g_blk:
+            if sym == last and c_allow == g_allow:
                 if not in_unique:
                     in_unique.update((shape, uid) for uid, shape in enumerate(shapes))
                 group = _union(group, child, shapes, in_unique, in_unions)
                 continue
             if group >= 0:
-                key = (group * trie_size + q0) << n | g_blk | pend_next
+                key = group << n | g_allow | pend_next
                 c = memo.get(key)
                 if c is None:
-                    c = memo[key] = walk(group, q0, d + 1, g_blk, pend_next)
+                    c = memo[key] = walk(group, d + 1, g_allow, pend_next)
                 if c >= 0:
                     if pairs and pairs[-1][0] == last:
                         c = _union(pairs.pop()[1], c, out, unique, unions)
                     pairs.append((last, c))
-            last, group, g_blk = sym, child, c_blk
+            last, group, g_allow = sym, child, c_allow
         if group >= 0:
-            key = (group * trie_size + q0) << n | g_blk | pend_next
+            key = group << n | g_allow | pend_next
             c = memo.get(key)
             if c is None:
-                c = memo[key] = walk(group, q0, d + 1, g_blk, pend_next)
+                c = memo[key] = walk(group, d + 1, g_allow, pend_next)
             if c >= 0:
                 if pairs and pairs[-1][0] == last:
                     c = _union(pairs.pop()[1], c, out, unique, unions)
                 pairs.append((last, c))
-        if opened >= 0 and len(q_shape) == 2 and not (blk | closed) & bit:
-            q1 = q_shape[1][1]
+        if opened >= 0 and allow & bit:
+            c_allow = allow_next & ~nbr_mask[d]
             c_pend = pend_next | bit & waiting
-            key = (opened * trie_size + q1) << n | blk_next | c_pend
+            key = opened << n | c_allow | c_pend
             c = memo.get(key)
             if c is None:
-                c = memo[key] = walk(opened, q1, d + 1, blk_next, c_pend)
+                c = memo[key] = walk(opened, d + 1, c_allow, c_pend)
             if c >= 0:
                 if pairs and pairs[-1][0] == top:  # tau = 0: the new label and aged 1 both give 1
                     c = _union(pairs.pop()[1], c, out, unique, unions)
@@ -305,7 +300,7 @@ def _level_walk(shapes, root, trie, tau: int, filters):
             out.append(shape)
         return uid
 
-    out_root = walk(root, p_root, 0, 0, 0) if root else 0
+    out_root = walk(root, 0, listed, 0) if root else 0
     del walk  # walk refers to itself: end the cycle, which holds the memo
     del shapes[kept:]
     if unions:  # else every node the walk built is a child of a later one
@@ -337,20 +332,38 @@ def _unbarred(n: int, tau: int):
     """Filters that bar nothing, for tables whose OPEN and BLOCKED already
     say which positions may take the label: the replay's adapters."""
     zeros = [[0] * (tau + 2)] * n
-    return 0, zeros, zeros, [0] * n, 0
+    return (1 << n) - 1, zeros, zeros, [0] * n, 0
+
+
+def _trie_neighbours(node, n: int) -> list[int]:
+    """Each position's neighbours as a bitmask over positions, read off
+    the dict trie ``node`` of a graph's independent sets, as the replay
+    passes it: on the path that takes 1 only at position i, a later
+    position j with no 1-child is a neighbour of i. For the replay's
+    adapters only; it goes with them (ROADMAP item 1)."""
+    nbr_mask = [0] * n
+    for i in range(n):
+        below = node[1]
+        for j in range(i + 1, n):
+            if 1 not in below:
+                nbr_mask[i] |= 1 << j
+                nbr_mask[j] |= 1 << i
+            below = below[0]
+        node = node[0]
+    return nbr_mask
 
 
 def _combine(a_nodes, p_node, depth, plan, memo):
-    """_level_walk on dict DAGs with nothing barred, both inputs encoded
+    """_level_walk on a dict DAG with nothing barred, the table encoded
     and the output decoded on every call. An adapter with the call shape
     of the benchmark's per-layer replay (perfbench/layers.py), whose
-    tables carry OPEN and BLOCKED: ``a_nodes`` holds one root, ``depth``
+    tables carry OPEN and BLOCKED: ``a_nodes`` holds one root, ``p_node``
+    is the dict independent-set trie, read by _trie_neighbours, ``depth``
     is 0, ``plan`` is _build_plan's (length, tau) and ``memo`` is unused.
     It goes with the replay (ROADMAP item 1).
     """
     shapes, (root,) = encode(a_nodes)
-    trie_shapes, (trie_root,) = encode((p_node,))
-    out, out_root, _, _ = _level_walk(shapes, root, (trie_shapes, trie_root), plan[1],
+    out, out_root, _, _ = _level_walk(shapes, root, _trie_neighbours(p_node, plan[0]), plan[1],
                                       _unbarred(*plan))
     return decode(out)[out_root]
 
@@ -364,7 +377,8 @@ class _BarPass:
     label is barred from: its list lacks it, or a neighbour's recent label
     lies at a forbidden difference from it. The one walk over the edges
     in position coordinates also records each position's neighbours,
-    ``nbr_mask``, from which ComponentDP builds the independent-set trie.
+    ``nbr_mask``, which the walks remove from the positions free to take
+    a label once a neighbour takes it.
 
     ``filters`` gives the masks _level_walk and _walk_back filter with.
     ``run`` marks OPEN positions of one vector BLOCKED; only the
@@ -413,12 +427,11 @@ class _BarPass:
         self.waiting = waiting
 
     def filters(self, label: int):
-        """(closed, later, earlier, closes, waiting) for ``label``, read
-        against a table of the level before it: ``closed`` holds the
-        positions whose list lacks the label; the rows are the static
-        ones, and a reader masks ``closed`` out of each ``later`` row."""
-        closed = self.full & ~self.listed.get(label, 0)
-        return closed, self.later, self.earlier, self.closes, self.waiting
+        """(listed, later, earlier, closes, waiting) for ``label``, read
+        against a table of the level before it: ``listed`` holds the
+        positions whose list has the label; the rows are the static
+        ones."""
+        return self.listed.get(label, 0), self.later, self.earlier, self.closes, self.waiting
 
     def run(self, vec, level: int):
         """One vector's OPEN positions barred from label ``level + 2``
@@ -481,19 +494,18 @@ class ComponentDP:
     walk_order). The tables hold the same vectors, up to the order of
     their coordinates, whatever the order; only cost varies.
 
-    Built once per component: ``tau``, the coordinate ``ordering``, the
-    masks ``bar`` that say which positions each label is barred from, and
-    the independent-set ``trie`` as (node store, root uid), the form of
-    each retained level, built from ``bar``'s neighbour masks. ``advance``
-    takes a table one level on as a node store, from ``base_store()`` on;
-    nothing here builds dict nodes.
+    Built once per component: ``tau``, the coordinate ``ordering`` and
+    the masks ``bar`` that say which positions each label is barred from
+    and, in ``bar.nbr_mask``, each position's neighbours, which never
+    take one label together. ``advance`` takes a table one level on as a
+    node store, from ``base_store()`` on; nothing here builds dict nodes
+    or an independent-set trie.
     """
 
     def __init__(self, inst: Instance, ordering):
         self.tau = tau = instance_tau(inst)
         self.ordering = ordering = tuple(ordering)
         self.bar = _BarPass(inst, ordering, tau)
-        self.trie = trie_from_masks(self.bar.nbr_mask)
 
     def base_store(self) -> list:
         """The level-0 table as ``advance`` takes it: its one vector, every
@@ -515,7 +527,7 @@ class ComponentDP:
         """
         shapes, root, _ = store
         store.clear()
-        shapes, root, entries, unions = _level_walk(shapes, root, self.trie, self.tau,
+        shapes, root, entries, unions = _level_walk(shapes, root, self.bar.nbr_mask, self.tau,
                                                     self.bar.filters(level))
         count, full = tally(shapes)
         store[:] = shapes, root, full
@@ -544,70 +556,72 @@ def _least_complete(shapes, full, root: int):
     return tuple(path)
 
 
-def _walk_back(levels, final, final_level, trie, tau: int, ordering, filters) -> Witness:
+def _walk_back(levels, final, final_level, nbr_mask, tau: int, ordering, filters) -> Witness:
     """Walk the complete vector ``final`` of level ``final_level`` back
     through the retained levels, each a (node store, root uid) pair.
 
     At each level k the predecessor, a vector of the level below and an
-    assign mask that advance to the current vector, is found by walking
-    that level's store and the independent-set ``trie``, a (store, root
-    uid) pair, in lockstep over (table uid, trie uid) pairs; a trie node
-    may lack either child. A position takes label k only where
-    _level_walk would let it: ``filters(k)`` (_BarPass.filters, or
-    _unbarred for every label on the replay's tables, whose BLOCKED
-    already says it) carries the same ``blk`` and ``pend`` masks.
-    Deterministic: the first hit in canonical symbol order. States with
-    no match below them are remembered, keyed as _level_walk's memo, so
-    shared nodes are searched once per mask pair. The mask tells which
-    vertices took that level's label. The walk stops at the first level
-    k whose vector holds no aged label (symbol 1): each label left is
-    recent, k + sym - tau - 1 for its symbol sym >= 2, and the levels
-    below only replay its aging.
+    assign mask that advance to the current vector, is found by a
+    depth-first walk of that level's store. A position takes label k
+    only where _level_walk would let it: ``filters(k)``
+    (_BarPass.filters, or _unbarred for every label on the replay's
+    tables, whose BLOCKED already says it) and the neighbour masks
+    ``nbr_mask`` give the same ``allow`` and ``pend`` masks.
+    Deterministic: the first hit in canonical symbol order, assign bit 0
+    before 1. States with no match below them are remembered, keyed as
+    _level_walk's memo, so shared nodes are searched once per mask pair.
+    The mask tells which vertices took that level's label. The walk
+    stops at the first level k whose vector holds no aged label (symbol
+    1): each label left is recent, k + sym - tau - 1 for its symbol
+    sym >= 2, and the levels below only replay its aging.
     """
-    t_shapes, p_root = trie
-    trie_size, n = len(t_shapes), len(final)
+    n = len(final)
     ys = preimage_table(tau)
     labels: Witness = {}
     path: list[tuple[int, int]] = []
     dead: set[int] = set()
     shapes, options = [], []
 
-    def dfs(i, u, q, blk, pend):
+    def dfs(i, u, allow, pend):
         if i == n:
             return True
-        key = (u * trie_size + q) << n | blk | pend
+        key = u << n | allow | pend
         if key in dead:
             return False
         bit = 1 << i
-        blk_next, pend_next = blk & ~bit, pend & ~closes[i]
-        free = not (blk | closed) & bit
+        allow_next, pend_next = allow & ~bit, pend & ~closes[i]
         by_x = options[i]
         for x, child in shapes[u]:
             ys_of_x = by_x.get(x)
             if ys_of_x is None:
                 continue
-            c_blk = blk_next
+            c_allow = allow_next
             if x > 0:
                 if pend & earlier[i][x]:
                     continue
-                c_blk |= later[i][x] & ~closed
-            for y, c in t_shapes[q]:
-                if y in ys_of_x and (free or not y):
-                    path.append((x, y))
-                    if dfs(i + 1, child, c, c_blk, pend_next | bit & waiting if y else pend_next):
-                        return True
-                    path.pop()
+                c_allow &= ~later[i][x]
+            for y in ys_of_x:
+                if y and not allow & bit:
+                    continue
+                path.append((x, y))
+                if y:
+                    found = dfs(i + 1, child, c_allow & ~nbr_mask[i], pend_next | bit & waiting)
+                else:
+                    found = dfs(i + 1, child, c_allow, pend_next)
+                if found:
+                    return True
+                path.pop()
         dead.add(key)
         return False
 
     vec, k = final, final_level
     while k and 1 in vec:  # an aged label (symbol 1) is read only by walking on down
         shapes, root = levels[k - 1]
-        closed, later, earlier, closes, waiting = filters(k)
+        listed, later, earlier, closes, waiting = filters(k)
         options = [ys[sym] if sym > 0 else ys[OPEN] for sym in vec]
         path.clear()
         dead.clear()
-        found = dfs(0, root, p_root, 0, 0)
+        found = dfs(0, root, listed, 0)
         assert found, "table member lost its predecessor"
         for i, (_, y) in enumerate(path):
             if y:
@@ -633,16 +647,16 @@ def _find_complete(trie: VectorTrie):
 
 def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
                         indep: VectorTrie, tau: int, ordering) -> Witness:
-    """_walk_back on dict tries, the level tables from level 0 on and
-    the independent-set trie ``indep``, all encoded on every call: an
-    adapter for the benchmark's per-layer replay (perfbench/layers.py)
-    that goes with the replay (ROADMAP item 1), as _combine does. The
-    replay's tables carry OPEN and BLOCKED, so nothing more is barred."""
+    """_walk_back on dict tries, the level tables from level 0 on encoded
+    and the neighbours read off the independent-set trie ``indep`` on
+    every call: an adapter for the benchmark's per-layer replay
+    (perfbench/layers.py) that goes with the replay (ROADMAP item 1), as
+    _combine does. The replay's tables carry OPEN and BLOCKED, so nothing
+    more is barred."""
     shapes, roots = encode([table.vectors.root for table in tables[:final_level]])
-    trie_shapes, (trie_root,) = encode((indep.root,))
     unbarred = _unbarred(len(final), tau)
     return _walk_back([(shapes, root) for root in roots], final, final_level,
-                      (trie_shapes, trie_root), tau, ordering, lambda _: unbarred)
+                      _trie_neighbours(indep.root, len(final)), tau, ordering, lambda _: unbarred)
 
 
 def check_witness(inst: Instance, witness: Witness) -> bool:
@@ -705,7 +719,7 @@ def _solve_component(inst: Instance, options: SolveOptions,
         return True, None
     shapes, root, full = store
     found = _least_complete(shapes, full, root)
-    witness = _walk_back(levels, found, k, dp.trie, dp.tau, ordering, dp.bar.filters)
+    witness = _walk_back(levels, found, k, dp.bar.nbr_mask, dp.tau, ordering, dp.bar.filters)
     return True, {v: label_map[lab] for v, lab in witness.items()}
 
 

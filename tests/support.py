@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 from gltc import BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition, validate
+from gltc.indsets import trie_from_masks
 from gltc.reference import extension_predicate, level_step, project
 from gltc.vectorset import decode, encode
 
@@ -49,8 +50,9 @@ def base_table(dp: ComponentDP) -> VectorTrie:
 
 
 def indep_table(dp: ComponentDP) -> VectorTrie:
-    """The independent-set trie of ``dp`` as a dict trie."""
-    shapes, root = dp.trie
+    """The independent sets of ``dp``'s graph, from the neighbour masks
+    its walks read, as a dict trie."""
+    shapes, root = trie_from_masks(dp.bar.nbr_mask)
     return VectorTrie(len(dp.ordering), decode(shapes)[root])
 
 

@@ -4,7 +4,7 @@ import itertools
 import random
 
 from gltc import ComponentDP, Graph, VectorTrie, independent_set_vectors, random_instance
-from gltc.indsets import independent_set_trie
+from gltc.indsets import independent_set_trie, trie_from_masks
 from gltc.vectorset import decode, encode
 from support import complete_graph, path_graph
 
@@ -100,11 +100,12 @@ def test_the_one_trie_builder_numbers_nodes_as_interning_a_dict_trie_does():
 
 
 def test_component_dp_builds_the_trie_the_public_builder_does():
-    # ComponentDP builds its trie from the neighbour masks of its bar
-    # rows, independent_set_trie from the graph's adjacency
+    # the neighbour masks ComponentDP's walks read give the trie that
+    # independent_set_trie builds from the graph's adjacency
     for seed in range(78):
         n = seed % 13
         inst = random_instance(n=n, density=(0.2, 0.4, 0.6, 0.8)[seed % 4], tau=seed % 3,
                                lmax=3, seed=5200 + seed)
         ordering = tuple(random.Random(seed).sample(range(1, n + 1), n))
-        assert ComponentDP(inst, ordering).trie == independent_set_trie(inst.graph, ordering)
+        nbr_mask = ComponentDP(inst, ordering).bar.nbr_mask
+        assert trie_from_masks(nbr_mask) == independent_set_trie(inst.graph, ordering)

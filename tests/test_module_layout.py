@@ -9,8 +9,9 @@ owns the strategy grammar; the CLI only reports its verdict. The
 independent-set trie is a node store like the level tables, with no
 second format and no converter, built by one recursive builder, and one
 fold, encoding.tally, counts a store's vectors and flags its complete
-ones. One walk takes a level table to the next, and the tables it
-builds hold one unlabeled symbol: BLOCKED is written only by the
+ones. The solver builds no trie: its walks read neighbour masks. One
+walk takes a level table to the next, and the tables it builds hold one
+unlabeled symbol: BLOCKED is written only by the
 benchmark replay's per-vector pass. ``gltc.__all__`` holds what the
 CLI, the demos and the benchmark scripts import from gltc, plus the
 public exceptions and result types.
@@ -168,13 +169,19 @@ def test_one_trie_builder():
     functions = _functions(SRC / "indsets.py")
     recursive = [fn.name for fn in functions if fn.name in _called(fn)]
     assert recursive == ["build"]
-    # the graph entry point only works out the masks and hands them on,
-    # and the solver builds its tries from the masks it already holds
+    # the graph entry point only works out the masks and hands them on
     (public,) = [fn for fn in functions if fn.name == "independent_set_trie"]
     assert "trie_from_masks" in _called(public)
     assert not any(isinstance(node, FUNCTIONS) for node in _own_nodes(public))
-    called = {name for fn in _functions(SRC / "solver.py") for name in _called(fn)}
-    assert "trie_from_masks" in called and "independent_set_trie" not in called
+    # the solver builds no trie: its walks take the neighbour masks
+    solver_functions = _functions(SRC / "solver.py")
+    called = {name for fn in solver_functions for name in _called(fn)}
+    assert "_level_walk" in called  # calls are seen
+    assert not called & {"trie_from_masks", "independent_set_trie", "independent_set_vectors"}
+    walks = {fn.name: [arg.arg for arg in fn.args.args] for fn in solver_functions
+             if fn.name in ("_level_walk", "_walk_back")}
+    assert len(walks) == 2 and all("nbr_mask" in args for args in walks.values())
+    assert not any("trie" in arg for args in walks.values() for arg in args)
 
 
 def test_one_level_walk():

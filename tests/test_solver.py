@@ -51,6 +51,7 @@ from gltc.solver import (
     _combine,
     _find_complete,
     _level_walk,
+    _trie_neighbours,
     _unbarred,
 )
 from gltc.vectorset import decode, encode
@@ -107,17 +108,23 @@ def test_compute_step_equals_direct_step_randomized(strategy):
         assert recurrence_mismatch(inst, strategy) is None, seed
 
 
+def _neighbour_masks(graph, ordering):
+    """Each position's neighbours in ``graph`` as a bitmask over the
+    positions of ``ordering``, as _BarPass records them."""
+    pos = {v: i for i, v in enumerate(ordering)}
+    return [sum(1 << pos[w] for w in graph.adjacency[v]) for v in ordering]
+
+
 def _image_vs_direct_step(graph, ordering, tau, vecs):
     """_level_walk, with nothing barred, of the table ``vecs`` by the
-    independent sets of ``graph`` against reference.direct_step; returns
-    the union entries it made."""
+    independent sets of ``graph``, given as its neighbour masks, against
+    reference.direct_step; returns the union entries it made."""
     n = len(ordering)
     table = VectorTrie.from_vectors(n, vecs)
     indep = independent_set_vectors(graph, ordering)
     shapes, (root,) = encode((table.root,))
     kept = list(shapes)
-    trie_shapes, (trie_root,) = encode((indep.root,))
-    out, out_root, _, unions = _level_walk(shapes, root, (trie_shapes, trie_root), tau,
+    out, out_root, _, unions = _level_walk(shapes, root, _neighbour_masks(graph, ordering), tau,
                                            _unbarred(n, tau))
     assert set(VectorTrie(n, decode(out)[out_root])) == set(direct_step(table, indep, tau))
     # both stores stay hash-consed, every shape in symbol order; the
@@ -148,7 +155,8 @@ def _image_cases(draw):
 _EDGE = path_graph(2)
 _NO_EDGES = Graph.from_edges(3, [])
 # tau = 0: at the root, OPEN assigned and 1 aged both give symbol 1, with
-# different trie children, so only a union on the output store merges them
+# different positions left free, so only a union on the output store
+# merges them
 _ASSIGN_MEETS_AGED = (_EDGE, (1, 2), 0, [(OPEN, OPEN), (1, 1)])
 # a node with BLOCKED and OPEN children: both age to OPEN, and only OPEN
 # may take the label
@@ -200,6 +208,13 @@ _PAIR = uniform_instance(path_graph(2), {1, 2, 3}, {0, 1})
 _TAU0_PATH = Instance(graph=path_graph(3), lam={1: frozenset({1, 2}), 2: frozenset({1}),
                                                 3: frozenset({1, 2})},
                       t={(1, 2): frozenset({0}), (2, 3): frozenset({0})})
+# v3 is adjacent to v1 with T = {0} and to v2 with T = {0, 1}: where v1
+# takes the label, adjacency keeps v3 from it; where v1 is aged and v2
+# holds a recent label (symbol 2), v2's bar does. Both paths reach the
+# one (OPEN) node at v3 with no position free and none pending
+_ADJACENT_OR_BARRED = Instance(graph=Graph.from_edges(3, [(1, 3), (2, 3)]),
+                               lam={v: frozenset({1, 2, 3}) for v in (1, 2, 3)},
+                               t={(1, 3): frozenset({0}), (2, 3): frozenset({0, 1})})
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -211,22 +226,23 @@ _TAU0_PATH = Instance(graph=path_graph(3), lam={1: frozenset({1, 2}), 2: frozens
 # leads to a cut branch (under 2) and a kept one (under 1)
 @example((_PAIR, (1, 2), 0, [(OPEN, 2), (OPEN, 1)]))
 @example((_TAU0_PATH, (1, 2, 3), 0, [(OPEN, OPEN, 1), (1, OPEN, OPEN), (OPEN, 1, OPEN)]))
+@example((_ADJACENT_OR_BARRED, (1, 2, 3), 1, [(OPEN, 1, OPEN), (1, 2, OPEN)]))
 def test_bar_rewrite_equals_mark_blocked_per_vector(case):
     _walk_vs_level_step(*case)
 
 
-def _walk_vs_level_step(inst, ordering, level, vecs, indep=None):
+def _walk_vs_level_step(inst, ordering, level, vecs, graph=None):
     """_level_walk of the table ``vecs`` with the filters of label
-    level + 2, against reference.level_step for that label by the
-    independent sets ``indep`` (by default all of the instance graph's),
-    projected. Returns the walk's completeness flag."""
+    level + 2, against reference.level_step for that label, both by the
+    independent sets of ``graph`` (by default the instance graph): as
+    neighbour masks to the walk, as a trie of sets to level_step.
+    Returns the walk's completeness flag."""
     tau, n = instance_tau(inst), len(ordering)
-    if indep is None:
-        indep = independent_set_vectors(inst.graph, ordering)
+    graph = inst.graph if graph is None else graph
+    indep = independent_set_vectors(graph, ordering)
     shapes, (root,) = encode((VectorTrie.from_vectors(n, vecs).root,))
-    trie = encode((indep.root,))
     filters = _BarPass(inst, ordering, tau).filters(level + 2)
-    out, root, _, _ = _level_walk(shapes, root, (trie[0], trie[1][0]), tau, filters)
+    out, root, _, _ = _level_walk(shapes, root, _neighbour_masks(graph, ordering), tau, filters)
     count, full = encoding_module.tally(out)
     size, complete = count[root], full[root]
     table = VectorTrie.from_vectors(n, vecs)
@@ -241,33 +257,22 @@ def _walk_vs_level_step(inst, ordering, level, vecs, indep=None):
     return complete
 
 
-def _small_independent_family(graph, ordering, rng, count):
-    """The empty set, every singleton and ``count`` random independent
-    sets of up to four vertices with all their subsets, as a trie in
-    ``ordering``: closed under subsets, as the full family is, so every
-    trie node has a 0-child."""
-    pos = {v: i for i, v in enumerate(ordering)}
-    sets = {frozenset()}
-    for _ in range(count):
-        chosen = set()
-        for v in rng.sample(range(1, graph.n + 1), 4):
-            if not graph.adjacency[v] & chosen:
-                chosen.add(v)
-        for r in range(len(chosen) + 1):
-            sets.update(map(frozenset, itertools.combinations(chosen, r)))
-    sets.update(frozenset({v}) for v in range(1, graph.n + 1))
-    n = len(ordering)
-    return VectorTrie.from_vectors(
-        n, [tuple(int(i in {pos[v] for v in s}) for i in range(n)) for s in sets])
+def _dense_supergraph(graph, rng, density):
+    """``graph`` with every other vertex pair joined with probability
+    ``density``: its independent sets are few and small, and each is an
+    independent set of ``graph``."""
+    extra = [pair for pair in itertools.combinations(range(1, graph.n + 1), 2)
+             if not graph.adjacent(*pair) and rng.random() < density]
+    return Graph.from_edges(graph.n, [*graph.edges, *extra])
 
 
 def test_bar_rewrite_keys_past_a_machine_word():
-    # the walk memo's int key, (uid pair) << n | blk | pend, passes 64
-    # bits at n >= 64; 200 vectors of length 72 at tau >= 1, so blk and
-    # pend hold far positions too, in ten tables of which half hold a
-    # complete vector. The full independent-set family of these graphs is
-    # far too large for the pairwise reference, so each table is advanced
-    # by a family of small independent sets closed under subsets
+    # the walk memo's int key, uid << n | allow | pend, passes 64 bits at
+    # n >= 64; 200 vectors of length 72 at tau >= 1, so allow and pend
+    # hold far positions too, in ten tables of which half hold a complete
+    # vector. The full independent-set family of these graphs is far too
+    # large for the pairwise reference, so each table is advanced by the
+    # independent sets of a dense supergraph, a few hundred small ones
     rng = random.Random(72)
 
     def draw(symbols):
@@ -282,9 +287,26 @@ def test_bar_rewrite_keys_past_a_machine_word():
         symbols = (OPEN, OPEN, *range(1, tau + 2))
         vecs = [draw(symbols) for _ in range(19)]
         vecs.append(draw(range(1, tau + 2)) if batch % 2 else draw(symbols))
-        indep = _small_independent_family(inst.graph, ordering, rng, 8)
-        flags.append(_walk_vs_level_step(inst, ordering, batch % 5, vecs, indep))
+        dense = _dense_supergraph(inst.graph, rng, 0.9)
+        flags.append(_walk_vs_level_step(inst, ordering, batch % 5, vecs, dense))
     assert flags == [False, True] * 5
+
+
+def test_adjacency_and_a_bar_that_free_the_same_positions_share_a_memo_entry():
+    # the walk's memo key holds the positions still free to take the
+    # label, however they were removed: the two tables apart memoize 4
+    # and 2 entries, together 5, where a key on the independent-set trie
+    # node and the barred mask took 6
+    dp = ComponentDP(_ADJACENT_OR_BARRED, (1, 2, 3))
+    entries = []
+    for vecs in ([(OPEN, 1, OPEN)], [(1, 2, OPEN)], [(OPEN, 1, OPEN), (1, 2, OPEN)]):
+        table = VectorTrie.from_vectors(3, vecs)
+        got, size, _, memo, _ = step(dp, table, 3)
+        want = set(map(project, level_step(table, indep_table(dp), _ADJACENT_OR_BARRED,
+                                           dp.ordering, dp.tau, 3)))
+        assert set(got) == want and size == len(want)
+        entries.append(memo)
+    assert entries == [4, 2, 5]
 
 
 def _reachable_nodes(root):
@@ -398,7 +420,7 @@ def test_dag_walks_visit_nodes_not_paths():
     stuck = _doubling_chain(39, _CountedNode({1: LEAF, 2: LEAF}))
     live = _doubling_chain(39, _CountedNode({OPEN: LEAF}))
     prev = VectorTrie(40, _CountedNode({1: stuck, 2: live}))
-    indep = VectorTrie.from_vectors(40, [(0,) * 39 + (1,)])
+    indep = independent_set_vectors(complete_graph(40), range(1, 41))  # at most one vertex
     final = (1,) * 39 + (2,)
     labels = reconstruct_witness([LevelTable(0, prev)], final, 1, indep, 1, range(1, 41))
     assert labels == {40: 1}
@@ -641,12 +663,13 @@ def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypa
             assert check_witness(inst, result.witness)
             witnesses += 1
     assert 0 < witnesses < 80
-    # the counters do see the replay's adapters and the trie's decode
+    # the counters do see the replay's adapters and the trie's decode;
+    # _combine encodes the table and reads the trie as dict nodes
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
     indep = indsets_module.independent_set_vectors(inst.graph, dp.ordering)
     solver_module._combine((base.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
-    assert calls["encode"] == 2 and calls["decode"] == 2 and calls["VectorTrie"] >= 2
+    assert calls["encode"] == 1 and calls["decode"] == 2 and calls["VectorTrie"] >= 2
 
 
 def test_one_component_solve_splits_components_once(monkeypatch):
@@ -871,22 +894,20 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
             walks.clear()
             result = solve(inst, options=SolveOptions(early_exit=early_exit))
             solver_walks = list(walks)  # the adapter calls _walk_back too
-            for levels, final, final_level, trie, tau, ordering, filters, labels in solver_walks:
+            for levels, final, final_level, nbr_mask, tau, ordering, filters, labels in solver_walks:
                 n = len(ordering)
                 tables = [LevelTable(k, VectorTrie(n, decode(shapes)[root]))
                           for k, (shapes, root) in enumerate(levels)]
                 assert _find_complete(tables[final_level].vectors) == final
                 if early_exit:
                     assert all(_find_complete(t.vectors) is None for t in tables[:final_level])
-                indep = VectorTrie(n, decode(trie[0])[trie[1]])
                 # the solver's tables hold one unlabeled symbol, so the walk
                 # back over the re-encoded tables needs the component's
                 # barring masks (the replay's tables spell out BLOCKED and
                 # go through reconstruct_witness, whose filters bar nothing)
                 shapes, roots = encode([t.vectors.root for t in tables[:final_level]])
-                trie_shapes, (trie_root,) = encode((indep.root,))
                 assert real([(shapes, root) for root in roots], final, final_level,
-                            (trie_shapes, trie_root), tau, ordering, filters) == labels
+                            nbr_mask, tau, ordering, filters) == labels
             if result.decision:
                 assert check_witness(inst, result.witness)
                 seen["several yes components"] += len(solver_walks) > 1
@@ -902,6 +923,18 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
                 assert _find_complete(table) is None
             seen["no"] += 1
     assert all(seen.values()), seen
+
+
+def test_replay_adapters_read_the_solvers_neighbour_masks_off_the_trie():
+    # _combine and reconstruct_witness are passed the replay's dict
+    # independent-set trie, and walk with the masks read off it
+    for seed in range(30):
+        n = 1 + seed % 10
+        inst = random_instance(n=n, density=(0.2, 0.5, 0.8)[seed % 3], tau=seed % 3, lmax=3,
+                               seed=8800 + seed)
+        dp = ComponentDP(inst, walk_order(inst.graph))
+        indep = independent_set_vectors(inst.graph, dp.ordering)
+        assert _trie_neighbours(indep.root, n) == dp.bar.nbr_mask
 
 
 def test_advance_leaves_exactly_the_nodes_its_root_reaches(monkeypatch):
@@ -978,17 +1011,22 @@ def test_the_walk_back_stops_at_the_first_level_with_no_aged_label(monkeypatch):
 # digest was computed while the witness walk still searched every level
 # down to level 0: a walk that stops early but reads a label wrong, or
 # finds another predecessor, changes it. The table digest covers (name,
-# decision, levels, then per component level_sizes, level_nodes,
-# level_memo and level_unions): a change that must leave every table
-# alone is checked by it.
+# decision, levels, then per component level_sizes and level_nodes): a
+# change that must leave every table alone is checked by it. The walk
+# digest covers (name, then per component level_memo and level_unions),
+# what the level walk did to build those tables; it was pinned when the
+# walk's memo key became one mask of the positions free to take the
+# label, which merges entries the independent-set trie kept apart.
 WITNESS_DIGEST = "14836edbbf9d042909dab57bd1cba52de5c91f6b"
-TABLE_DIGEST = "cab2fdf12d482206b005b8f27ae5448726650903"
+TABLE_DIGEST = "a032bde2673a0fc008ca166cd7e0c6bea3b5f98e"
+WALK_DIGEST = "16d06ad1556e3c18a35c46f13f54cf53b1a1fc99"
 
 
 @pytest.fixture(scope="module")
 def default_digests():
-    """(witness digest, table digest) over the seed-2024 corpora of the
-    three benchmark workloads and 400 seeded random instances."""
+    """(witness digest, table digest, walk digest) over the seed-2024
+    corpora of the three benchmark workloads and 400 seeded random
+    instances."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         workloads = importlib.import_module("workloads")
@@ -997,7 +1035,7 @@ def default_digests():
     cases += [(seed, random_instance(n=3 + seed % 10, density=(0.3, 0.5, 0.7)[seed % 3],
                                      tau=seed % 4, lmax=3 + seed % 8, seed=6200 + seed))
               for seed in range(400)]
-    witnesses, tables = hashlib.sha1(), hashlib.sha1()
+    witnesses, tables, walks = hashlib.sha1(), hashlib.sha1(), hashlib.sha1()
     for name, inst in cases:
         result = solve(inst)
         assert not result.decision or check_witness(inst, result.witness), name
@@ -1005,10 +1043,11 @@ def default_digests():
         witnesses.update(repr((name, witness)).encode())
         reports = result.stats.components
         tables.update(repr((name, result.decision, result.stats.levels,
-                            [c.level_sizes for c in reports], [c.level_nodes for c in reports],
-                            [c.level_memo for c in reports], [c.level_unions for c in reports]))
+                            [c.level_sizes for c in reports], [c.level_nodes for c in reports]))
                       .encode())
-    return witnesses.hexdigest(), tables.hexdigest()
+        walks.update(repr((name, [c.level_memo for c in reports],
+                           [c.level_unions for c in reports])).encode())
+    return witnesses.hexdigest(), tables.hexdigest(), walks.hexdigest()
 
 
 def test_default_witnesses_are_pinned(default_digests):
@@ -1017,6 +1056,10 @@ def test_default_witnesses_are_pinned(default_digests):
 
 def test_default_tables_are_pinned(default_digests):
     assert default_digests[1] == TABLE_DIGEST
+
+
+def test_default_walks_are_pinned(default_digests):
+    assert default_digests[2] == WALK_DIGEST
 
 
 def test_witness_reconstruction_without_early_exit():
@@ -1114,10 +1157,10 @@ def test_a_long_path_stays_within_the_recursion_limit():
 
 
 def test_a_70_vertex_tau_1_path_solves_past_a_machine_word():
-    # the 800-vertex path is tau = 0, so its walk keys carry no blk or
-    # pend bits; at tau = 1 over 70 positions they reach past 64 bits, and
-    # the tables hold about 2**90 vectors; lists of 3 labels out of 5 give
-    # a YES, lists of 2 a NO
+    # the 800-vertex path is tau = 0, so no position waits in its walk
+    # keys' pend bits; at tau = 1 over 70 positions pend and the free
+    # positions reach past 64 bits, and the tables hold about 2**90
+    # vectors; lists of 3 labels out of 5 give a YES, lists of 2 a NO
     graph = path_graph(70)
     for size, want in ((3, True), (2, False)):
         rng = random.Random(70)
