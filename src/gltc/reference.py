@@ -1,7 +1,9 @@
 """Reference implementations the solver is checked against.
 
 Plain definitions with no sharing, memoization or precomputation, so
-each is obviously correct and independent of the production path:
+each is obviously correct and independent of the production path. Tables
+are plain sets of vector tuples: the steps take any iterable of vectors
+and return frozensets, and nothing here reads a trie or a node store.
 
 - brute_force_solve: chronological backtracking over vertices in id
   order, trying each vertex's permitted labels in ascending order;
@@ -30,12 +32,11 @@ Intended for small instances. The solver never imports this module.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .encoding import BLOCKED, OPEN, advance_symbol
 from .instance import Instance, _edge_key, instance_tau
 from .partition import Block
-from .vectorset import VectorTrie
 
 Vector = tuple[int, ...]
 Witness = dict[int, int]
@@ -173,12 +174,12 @@ def advance_vector(a: Sequence[int], mask: Sequence[int], tau: int) -> Optional[
     return tuple(out)
 
 
-def direct_step(table: VectorTrie, indep: VectorTrie, tau: int) -> VectorTrie:
+def direct_step(table: Iterable[Vector], indep: Iterable[Vector], tau: int) -> frozenset:
     """Combination step: advance every table vector by every independent-set
     vector and drop the impossible pairs. Quadratic in the table sizes."""
     masks = list(indep)
     combined = (advance_vector(a, p, tau) for a in table for p in masks)
-    return VectorTrie.from_vectors(table.length, (c for c in combined if c is not None))
+    return frozenset(c for c in combined if c is not None)
 
 
 def mark_blocked(vec: Sequence[int], level: int, inst: Instance,
@@ -212,17 +213,15 @@ def mark_blocked(vec: Sequence[int], level: int, inst: Instance,
     return tuple(out)
 
 
-def level_step(table: VectorTrie, indep: VectorTrie, inst: Instance,
-               ordering: Sequence[int], tau: int, label: int) -> VectorTrie:
+def level_step(table: Iterable[Vector], indep: Iterable[Vector], inst: Instance,
+               ordering: Sequence[int], tau: int, label: int) -> frozenset:
     """The level recurrence that gives label ``label``: every vector of
     ``table`` marked for it, direct_step by the independent sets
     ``indep``, every result marked for ``label + 1``. Over OPEN and
     BLOCKED; the solver's table is its project."""
-    n = table.length
-    before = VectorTrie.from_vectors(n, (mark_blocked(vec, label - 2, inst, ordering, tau)
-                                         for vec in table))
-    return VectorTrie.from_vectors(n, (mark_blocked(vec, label - 1, inst, ordering, tau)
-                                       for vec in direct_step(before, indep, tau)))
+    before = frozenset(mark_blocked(vec, label - 2, inst, ordering, tau) for vec in table)
+    return frozenset(mark_blocked(vec, label - 1, inst, ordering, tau)
+                     for vec in direct_step(before, indep, tau))
 
 
 def project(vec: Sequence[int]) -> Vector:

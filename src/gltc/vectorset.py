@@ -100,18 +100,6 @@ class VectorTrie:
         node[vec[-1]] = LEAF
         return True
 
-    def __contains__(self, vec) -> bool:
-        if len(vec) != self.length:
-            return False
-        node = self.root
-        if node is None:
-            return False
-        for sym in vec:
-            node = node.get(sym)
-            if node is None:
-                return False
-        return node is LEAF
-
     def __len__(self) -> int:
         return node_count(self.root)
 

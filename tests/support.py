@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import itertools
 
-from gltc import BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition, validate
-from gltc.indsets import trie_from_masks
+from gltc import (BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition,
+                  independent_set_vectors, validate)
 from gltc.reference import extension_predicate, level_step, project
 from gltc.vectorset import decode, encode
 
@@ -43,16 +43,16 @@ def line_graph(g: Graph) -> Graph:
     return Graph.from_edges(len(edges), out)
 
 
+def neighbour_masks(graph: Graph, ordering) -> list[int]:
+    """Each position's neighbours in ``graph`` as a bitmask over the
+    positions of ``ordering``, as _BarPass records them."""
+    pos = {v: i for i, v in enumerate(ordering)}
+    return [sum(1 << pos[w] for w in graph.adjacency[v]) for v in ordering]
+
+
 def base_table(dp: ComponentDP) -> VectorTrie:
     """The level-0 table of ``dp`` as a dict trie."""
     shapes, root, _ = dp.base_store()
-    return VectorTrie(len(dp.ordering), decode(shapes)[root])
-
-
-def indep_table(dp: ComponentDP) -> VectorTrie:
-    """The independent sets of ``dp``'s graph, from the neighbour masks
-    its walks read, as a dict trie."""
-    shapes, root = trie_from_masks(dp.bar.nbr_mask)
     return VectorTrie(len(dp.ordering), decode(shapes)[root])
 
 
@@ -85,8 +85,8 @@ def recurrence_mismatch(inst: Instance, strategy: str):
     is not the project of the reference one, one to one, with the size
     advance counted, or None."""
     dp = ComponentDP(inst, build_partition(inst, strategy).ordering)
-    table, indep = base_table(dp), indep_table(dp)
-    ref = table
+    table = ref = base_table(dp)
+    indep = independent_set_vectors(inst.graph, dp.ordering)
     for k in range(1, validate(inst).lambda_max + 1):
         table, size, _, _, _ = step(dp, table, k)
         ref = level_step(ref, indep, inst, dp.ordering, dp.tau, k)

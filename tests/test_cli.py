@@ -335,6 +335,29 @@ def test_predict_prices_the_instance_solve_runs(tmp_path, capsys):
         assert "1000004000009000008" not in reports[0]
 
 
+def test_solve_on_a_long_path_never_exits_1(tmp_path):
+    # a YES: a 1,200-vertex path with lists {1, 2, 3} and T = {0, 1}. A
+    # solve that runs out of stack exits 2 with one line, never 1 (NO);
+    # one that finishes prints a witness that checks. In a subprocess, so
+    # the exit code is the process's own
+    n = 1200
+    doc = "".join([f"gltc {n} {n - 1}\n", *(f"v {v} 1 2 3\n" for v in range(1, n + 1)),
+                   *(f"e {v} {v + 1} 0 1\n" for v in range(1, n))])
+    path = tmp_path / "path.gltc"
+    path.write_text(doc)
+    proc = subprocess.run([sys.executable, "-m", "gltc.cli", "solve", str(path), "--witness"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode in (0, 2), proc.stderr
+    if proc.returncode == 2:
+        assert len(proc.stderr.splitlines()) == 1
+    else:
+        out = proc.stdout.splitlines()
+        assert out[0] == "YES"
+        witness = {int(v): int(lab) for _, v, lab in map(str.split, out[1:])}
+        assert check_witness(parse_instance(doc), witness)
+
+
 def test_solve_and_oracle_agree_on_generated_fixtures(tmp_path, capsys):
     for seed in range(8):
         main(["gen", "--n", "6", "--density", "0.5", "--tau", "1",

@@ -3,19 +3,18 @@
 import itertools
 import random
 
-from gltc import ComponentDP, Graph, VectorTrie, independent_set_vectors, random_instance
-from gltc.indsets import independent_set_trie, trie_from_masks
-from gltc.vectorset import decode, encode
-from support import complete_graph, path_graph
+from gltc import ComponentDP, Graph, independent_set_vectors, random_instance
+from support import complete_graph, neighbour_masks, path_graph
 
 
-def _naive_vectors(g):
-    out = set()
-    for bits in itertools.product((0, 1), repeat=g.n):
-        chosen = [v for v, b in zip(range(1, g.n + 1), bits) if b]
-        if all(not g.adjacent(u, v) for u, v in itertools.combinations(chosen, 2)):
-            out.add(bits)
-    return out
+def _enumerated(g, ordering=None):
+    """Every independent-set vector in ``ordering``'s coordinates (by
+    default id order), by itertools."""
+    if ordering is None:
+        ordering = range(1, g.n + 1)
+    return {bits for bits in itertools.product((0, 1), repeat=g.n)
+            if not any(itertools.starmap(g.adjacent, itertools.combinations(
+                itertools.compress(ordering, bits), 2)))}
 
 
 def test_edgeless_graph_has_all_subsets():
@@ -36,12 +35,12 @@ def test_path3_frozen_vectors():
 def test_counts_match_naive_filter():
     for seed in range(12):
         g = random_instance(n=4 + seed % 6, density=0.4, tau=0, lmax=1, seed=seed).graph
-        assert set(independent_set_vectors(g)) == _naive_vectors(g)
+        assert set(independent_set_vectors(g)) == _enumerated(g)
 
 
 def test_count_on_twelve_vertices():
     g = random_instance(n=12, density=0.3, tau=0, lmax=1, seed=99).graph
-    assert len(independent_set_vectors(g)) == len(_naive_vectors(g))
+    assert len(independent_set_vectors(g)) == len(_enumerated(g))
 
 
 def test_empty_set_and_singletons_always_present():
@@ -79,33 +78,19 @@ def _graphs():
     yield complete_graph(6), (6, 2, 4, 1, 5, 3)
 
 
-def _enumerated(g, ordering):
-    """Every independent-set vector in ``ordering``'s coordinates, by itertools."""
-    return {bits for bits in itertools.product((0, 1), repeat=g.n)
-            if all(not g.adjacent(ordering[i], ordering[j])
-                   for i, j in itertools.combinations(range(g.n), 2) if bits[i] and bits[j])}
-
-
-def test_the_one_trie_builder_numbers_nodes_as_interning_a_dict_trie_does():
-    # the store, node for node, against a dict trie of the enumerated
-    # sets interned into a hash-consed store; decoding it gives back
-    # exactly those sets
+def test_vectors_are_the_enumerated_sets_in_any_ordering():
     for g, ordering in _graphs():
         want = _enumerated(g, ordering)
-        shapes, root = independent_set_trie(g, ordering)
-        assert (shapes, [root]) == encode((VectorTrie.from_vectors(g.n, want).root,))
-        assert set(VectorTrie(g.n, decode(shapes)[root])) == want
         assert set(independent_set_vectors(g, ordering)) == want
     assert len(want) == 7  # the complete graph: the empty set and six singletons
 
 
-def test_component_dp_builds_the_trie_the_public_builder_does():
-    # the neighbour masks ComponentDP's walks read give the trie that
-    # independent_set_trie builds from the graph's adjacency
+def test_component_dp_neighbour_masks_are_the_graphs_adjacency():
+    # the neighbour masks ComponentDP's walks read are the graph's
+    # adjacency over positions
     for seed in range(78):
         n = seed % 13
         inst = random_instance(n=n, density=(0.2, 0.4, 0.6, 0.8)[seed % 4], tau=seed % 3,
                                lmax=3, seed=5200 + seed)
         ordering = tuple(random.Random(seed).sample(range(1, n + 1), n))
-        nbr_mask = ComponentDP(inst, ordering).bar.nbr_mask
-        assert trie_from_masks(nbr_mask) == independent_set_trie(inst.graph, ordering)
+        assert ComponentDP(inst, ordering).bar.nbr_mask == neighbour_masks(inst.graph, ordering)

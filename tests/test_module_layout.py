@@ -5,14 +5,14 @@ bound the tables; they do not steer the solve) nor the reference
 implementations. The reference module owns the listing of feasible
 prefixes, and writes the level recurrence once, in
 reference.level_step. The partition module peels stars in one loop and
-owns the strategy grammar; the CLI only reports its verdict. The
-independent-set trie is a node store like the level tables, with no
-second format and no converter, built by one recursive builder, and one
-fold, encoding.tally, counts a store's vectors and flags its complete
-ones. The solver builds no trie: its walks read neighbour masks. One
-walk takes a level table to the next, and the tables it builds hold one
-unlabeled symbol: BLOCKED is written only by the
-benchmark replay's per-vector pass. ``gltc.__all__`` holds what the
+owns the strategy grammar; the CLI only reports its verdict. One
+function lists the independent sets by their definition, and the
+reference recurrence runs on plain sets, importing none of the package's
+set types. One fold, encoding.tally, counts a store's vectors and flags
+its complete ones. The solver builds no independent-set trie: its walks
+read neighbour masks. One walk takes a level table to the next, and the
+tables it builds hold one unlabeled symbol: BLOCKED is written only by
+the benchmark replay's per-vector pass. ``gltc.__all__`` holds what the
 CLI, the demos and the benchmark scripts import from gltc, plus the
 public exceptions and result types.
 """
@@ -166,13 +166,20 @@ def _functions(path: Path):
 
 
 def test_one_trie_builder():
+    # indsets lists the family by its definition in one function, with
+    # no recursive or nested builder
     functions = _functions(SRC / "indsets.py")
-    recursive = [fn.name for fn in functions if fn.name in _called(fn)]
-    assert recursive == ["build"]
-    # the graph entry point only works out the masks and hands them on
-    (public,) = [fn for fn in functions if fn.name == "independent_set_trie"]
-    assert "trie_from_masks" in _called(public)
+    assert [fn.name for fn in functions] == ["independent_set_vectors"]
+    (public,) = functions
+    assert "independent_set_vectors" not in _called(public)
     assert not any(isinstance(node, FUNCTIONS) for node in _own_nodes(public))
+    # the reference recurrence runs on plain sets, with none of the
+    # package's set types or builders
+    found = list(_imports_from(SRC / "reference.py"))
+    modules = {module for module, _ in found}
+    modules |= {f"gltc.{name}" for module, names in found if module == "gltc" for name in names}
+    assert "gltc.encoding" in modules  # relative imports are seen
+    assert not modules & {"gltc.vectorset", "gltc.indsets", "gltc.solver"}
     # the solver builds no trie: its walks take the neighbour masks
     solver_functions = _functions(SRC / "solver.py")
     called = {name for fn in solver_functions for name in _called(fn)}

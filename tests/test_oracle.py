@@ -178,9 +178,13 @@ def test_no_instances_run_every_level(inst):
 _FAMILY_GRID = [(n, density, tau, seed) for n in (18, 20)
                 for density, tau in ((0.3, 1), (0.3, 2), (0.4, 2), (0.5, 1)) for seed in (0, 1)]
 _FAMILY_CASES = [case for case in _FAMILY_GRID if case not in {(20, 0.4, 2, 1), (20, 0.5, 1, 1)}]
+# n = 22, density 0.3: the cases whose witness solve takes under 0.2 s,
+# all YES, each refused by the default vector cap
+_FAMILY_CASES_N22 = [(22, 0.3, 1, 0), (22, 0.3, 1, 1), (22, 0.3, 2, 0)]
 
 
-@pytest.mark.parametrize("case", _FAMILY_CASES, ids=lambda c: "n{}-d{}-t{}-s{}".format(*c))
+@pytest.mark.parametrize("case", _FAMILY_CASES + _FAMILY_CASES_N22,
+                         ids=lambda c: "n{}-d{}-t{}-s{}".format(*c))
 def test_family_cases_agree_with_forward_checking(case):
     n, density, tau, seed = case
     inst = random_instance(n=n, density=density, tau=tau, lmax=n // 2, seed=seed)

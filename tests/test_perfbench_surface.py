@@ -25,6 +25,7 @@ from gltc import (
     VectorTrie,
     build_partition,
     check_witness,
+    independent_set_vectors,
     instance_tau,
     random_instance,
     reconstruct_witness,
@@ -32,7 +33,7 @@ from gltc import (
 )
 from gltc.reference import level_step, mark_blocked, project
 from gltc.solver import _BarPass, _build_plan, _combine, _find_complete
-from support import base_table, indep_table, step
+from support import base_table, step
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -77,7 +78,7 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
         dp = ComponentDP(inst, part.ordering)
         n = len(dp.ordering)
         plan = _build_plan(part.blocks, dp.tau, inst, True)
-        table, indep = base_table(dp), indep_table(dp)
+        table, indep = base_table(dp), independent_set_vectors(inst.graph, dp.ordering)
         replay = VectorTrie.from_vectors(n, [dp.bar.run(vec, -1) for vec in table])
         for k in range(1, 7):
             combined = _combine((replay.root,), indep.root, 0, plan, {})
@@ -116,7 +117,8 @@ def test_completeness_check_and_witness_walk_of_the_replay_still_run():
             found = _find_complete(added)
             assert found == _find_complete(table)
             if found is not None:
-                witness = reconstruct_witness(plain, found, k, indep_table(dp), dp.tau, dp.ordering)
+                indep = independent_set_vectors(inst.graph, dp.ordering)
+                witness = reconstruct_witness(plain, found, k, indep, dp.tau, dp.ordering)
                 assert check_witness(inst, witness)
                 checked += 1
                 break

@@ -59,7 +59,7 @@ from support import (
     base_table,
     complete_graph,
     cycle_graph,
-    indep_table,
+    neighbour_masks,
     path_graph,
     recurrence_mismatch,
     reference_table,
@@ -108,13 +108,6 @@ def test_compute_step_equals_direct_step_randomized(strategy):
         assert recurrence_mismatch(inst, strategy) is None, seed
 
 
-def _neighbour_masks(graph, ordering):
-    """Each position's neighbours in ``graph`` as a bitmask over the
-    positions of ``ordering``, as _BarPass records them."""
-    pos = {v: i for i, v in enumerate(ordering)}
-    return [sum(1 << pos[w] for w in graph.adjacency[v]) for v in ordering]
-
-
 def _image_vs_direct_step(graph, ordering, tau, vecs):
     """_level_walk, with nothing barred, of the table ``vecs`` by the
     independent sets of ``graph``, given as its neighbour masks, against
@@ -124,7 +117,7 @@ def _image_vs_direct_step(graph, ordering, tau, vecs):
     indep = independent_set_vectors(graph, ordering)
     shapes, (root,) = encode((table.root,))
     kept = list(shapes)
-    out, out_root, _, unions = _level_walk(shapes, root, _neighbour_masks(graph, ordering), tau,
+    out, out_root, _, unions = _level_walk(shapes, root, neighbour_masks(graph, ordering), tau,
                                            _unbarred(n, tau))
     assert set(VectorTrie(n, decode(out)[out_root])) == set(direct_step(table, indep, tau))
     # both stores stay hash-consed, every shape in symbol order; the
@@ -242,7 +235,7 @@ def _walk_vs_level_step(inst, ordering, level, vecs, graph=None):
     indep = independent_set_vectors(graph, ordering)
     shapes, (root,) = encode((VectorTrie.from_vectors(n, vecs).root,))
     filters = _BarPass(inst, ordering, tau).filters(level + 2)
-    out, root, _, _ = _level_walk(shapes, root, _neighbour_masks(graph, ordering), tau, filters)
+    out, root, _, _ = _level_walk(shapes, root, neighbour_masks(graph, ordering), tau, filters)
     count, full = encoding_module.tally(out)
     size, complete = count[root], full[root]
     table = VectorTrie.from_vectors(n, vecs)
@@ -298,12 +291,13 @@ def test_adjacency_and_a_bar_that_free_the_same_positions_share_a_memo_entry():
     # and 2 entries, together 5, where a key on the independent-set trie
     # node and the barred mask took 6
     dp = ComponentDP(_ADJACENT_OR_BARRED, (1, 2, 3))
+    indep = independent_set_vectors(_ADJACENT_OR_BARRED.graph, dp.ordering)
     entries = []
     for vecs in ([(OPEN, 1, OPEN)], [(1, 2, OPEN)], [(OPEN, 1, OPEN), (1, 2, OPEN)]):
         table = VectorTrie.from_vectors(3, vecs)
         got, size, _, memo, _ = step(dp, table, 3)
-        want = set(map(project, level_step(table, indep_table(dp), _ADJACENT_OR_BARRED,
-                                           dp.ordering, dp.tau, 3)))
+        want = set(map(project, level_step(table, indep, _ADJACENT_OR_BARRED, dp.ordering,
+                                           dp.tau, 3)))
         assert set(got) == want and size == len(want)
         entries.append(memo)
     assert entries == [4, 2, 5]
@@ -351,7 +345,7 @@ def test_combined_dag_is_reduced(strategy):
     # equal combined subtrees must be one object, or the next walk's memo,
     # keyed on node uids, walks each copy again
     for inst, dp in _seeded_dps(strategy):
-        table, indep = base_table(dp), indep_table(dp)
+        table, indep = base_table(dp), independent_set_vectors(inst.graph, dp.ordering)
         for k in range(1, validate(inst).lambda_max + 1):
             combined = _combine((table.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
             shapes, reachable = _distinct_shapes(combined)
@@ -491,7 +485,8 @@ def test_level_step_equals_direct_step_then_mark_blocked(case):
     table = VectorTrie.from_vectors(len(ordering), vecs)
     got, size, _, _, _ = step(dp, table, level)
     # an input BLOCKED stays BLOCKED, as the walk reads it
-    want = set(map(project, level_step(table, indep_table(dp), inst, ordering, dp.tau, level)))
+    indep = independent_set_vectors(inst.graph, ordering)
+    want = set(map(project, level_step(table, indep, inst, ordering, dp.tau, level)))
     assert set(got) == want and size == len(want)
 
 
@@ -506,14 +501,15 @@ def test_advancing_a_u_table_equals_projecting_the_reference_step(case):
     dp = ComponentDP(inst, ordering)
     table = VectorTrie.from_vectors(len(ordering), vecs)
     got, size, _, _, _ = step(dp, table, level)
-    reference = level_step(table, indep_table(dp), inst, ordering, dp.tau, level)
+    indep = independent_set_vectors(inst.graph, ordering)
+    reference = level_step(table, indep, inst, ordering, dp.tau, level)
     want = set(map(project, reference))
     assert set(got) == want and size == len(want) == len(reference)
 
 
 def test_tau_zero_state_mixes_indep_nodes():
     dp = ComponentDP(_EDGE0, (1, 2))
-    indep = indep_table(dp)
+    indep = independent_set_vectors(_EDGE0.graph, dp.ordering)
     assert dp.tau == 0
     assert indep.root[0] is not indep.root[1]
     table = VectorTrie.from_vectors(2, [(1, 1), (OPEN, OPEN)])
@@ -619,7 +615,8 @@ def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeyp
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
     solver_module._find_complete(base)
-    solver_module._combine((base.root,), indep_table(dp).root, 0, (len(dp.ordering), dp.tau), {})
+    indep = independent_set_vectors(inst.graph, dp.ordering)
+    solver_module._combine((base.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
     assert calls == {"decode": 1, "_find_complete": 1, "_least_complete": 1}
 
 
@@ -663,13 +660,13 @@ def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypa
             assert check_witness(inst, result.witness)
             witnesses += 1
     assert 0 < witnesses < 80
-    # the counters do see the replay's adapters and the trie's decode;
-    # _combine encodes the table and reads the trie as dict nodes
+    # the counters do see the replay's adapter: _combine encodes the
+    # table, reads the trie as dict nodes and decodes its output
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
     indep = indsets_module.independent_set_vectors(inst.graph, dp.ordering)
     solver_module._combine((base.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
-    assert calls["encode"] == 1 and calls["decode"] == 2 and calls["VectorTrie"] >= 2
+    assert calls["encode"] == 1 and calls["decode"] == 1 and calls["VectorTrie"] >= 2
 
 
 def test_one_component_solve_splits_components_once(monkeypatch):
