@@ -58,11 +58,7 @@ def _print_decision(decision: bool, witness, want_witness: bool) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load(args.file)
-    options = SolveOptions(
-        early_exit=not args.no_early_exit,
-        store_parents=args.witness,
-        vector_limit=args.limit,
-    )
+    options = SolveOptions(early_exit=not args.no_early_exit, store_parents=args.witness)
     result = solve(inst, options=options)
     if args.trace:
         for idx, comp in enumerate(result.stats.components):
@@ -161,8 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--no-early-exit", action="store_true")
     p_solve.add_argument("--trace", action="store_true",
                          help="per-level table sizes on stderr")
-    p_solve.add_argument("--limit", type=int, default=SolveOptions.vector_limit,
-                         help="cap on the sum of all level sizes, checked as each level ends")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_oracle = sub.add_parser("oracle", help="brute-force a small instance file")

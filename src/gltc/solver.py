@@ -47,14 +47,16 @@ masks down each retained store. Dict nodes (gltc.vectorset) are for
 tests and the benchmark replay's adapters only.
 
 Every recursive walk here creates its memo, returns the memo's size when
-a report needs it, takes one stack frame per position, and deletes its
-own closure before returning, so no reference cycle is left for the
-garbage collector. The union walk is a module-level function with no
-closure; the level walk creates its memos and hands them to it.
+a report needs it, takes one stack frame per position (solve raises the
+recursion limit to fit), and deletes its own closure before returning,
+so no reference cycle is left for the garbage collector. The union walk
+is a module-level function with no closure; the level walk creates its
+memos and hands them to it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .encoding import BLOCKED, OPEN, aging_table, preimage_table, tally
@@ -64,23 +66,32 @@ from .vectorset import VectorTrie, decode, encode
 Witness = dict[int, int]
 
 
+# The most table nodes, level-walk memo entries and unions one component's
+# levels may make in all, checked after each level, before the solve is
+# refused. The sum, not the number of vectors the tables stand for, is
+# what a solve holds: 76 to 131 bytes of peak RSS per entry in witness
+# solves of a million entries or more on CPython 3.11, so a solve within
+# the cap peaks under about 2.2 GB, plus the level that passes it.
+ENTRY_LIMIT = 1 << 24
+
+
 class ResourceLimitError(RuntimeError):
-    """The sum of level sizes passed ``vector_limit`` (not a NO)."""
+    """One component's levels made more than ``ENTRY_LIMIT`` table nodes,
+    walk memo entries and unions in all, summed after each level: the
+    solve is refused, which is not a NO."""
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     """``early_exit`` stops at the first level with a complete vector;
-    ``store_parents`` keeps every level table for the witness walk;
-    ``vector_limit`` caps the sum of level sizes over all levels and
-    components, checked after each level (ResourceLimitError).
+    ``store_parents`` keeps every level table for the witness walk.
     Labels that fail arc consistency are always pruned, differences no
     labeling gives dropped and dead label gaps compressed
-    (instance.gap_compression)."""
+    (instance.gap_compression). What a solve may hold is capped by the
+    constant ``ENTRY_LIMIT``, not by an option."""
 
     early_exit: bool = True
     store_parents: bool = True
-    vector_limit: int = 1 << 26
 
 
 @dataclass
@@ -112,7 +123,6 @@ class ComponentReport:
 class SolveStats:
     levels: int = 0
     max_table_size: int = 0
-    total_vectors: int = 0
     components: list[ComponentReport] = field(default_factory=list)
 
 
@@ -693,21 +703,22 @@ def _solve_component(inst: Instance, options: SolveOptions,
     # a retained level keeps its store, as advance leaves it
     levels = [(store[0], store[1])] if options.store_parents else None
 
+    held = 0  # the component's stores go when it returns, so the cap is per component
     # a component has a vertex, so the base vector is never complete
     for k in range(1, max(label_map) + 1):  # to the largest label, compressed
         size, nodes, complete, memo, unions = dp.advance(store, k)
         if levels is not None:
             levels.append((store[0], store[1]))
         stats.levels += 1
-        stats.total_vectors += size
         stats.max_table_size = max(stats.max_table_size, size)
         report.level_sizes.append(size)
         report.level_nodes.append(nodes)
         report.level_memo.append(memo)
         report.level_unions.append(unions)
-        if stats.total_vectors > options.vector_limit:
-            raise ResourceLimitError(
-                f"stored vectors exceeded the limit of {options.vector_limit}")
+        held += nodes + memo + unions
+        if held > ENTRY_LIMIT:
+            raise ResourceLimitError(f"{held} table nodes and walk entries by level {k}, "
+                                     f"past the limit of {ENTRY_LIMIT}")
         if complete and options.early_exit:
             break
     # completeness persists from level to level (the empty independent set
@@ -733,19 +744,30 @@ def solve(inst: Instance, strategy: str = "auto",
     affect the solve, since a partition only bounds the tables (see
     build_partition and predict_complexity). It goes at the next change
     to the benchmark, which still passes it.
+
+    The walks take one stack frame per position, and a union called from
+    the level walk at most one more per position below it, so for the
+    duration of the call the recursion limit, which is process-wide, is
+    raised by twice the number of vertices and then restored. From
+    CPython 3.11 on, calls from Python to Python do not grow the C stack.
     """
     options = options or SolveOptions()
     stats = SolveStats()
     if not all(inst.lam.values()):  # a vertex with an empty list: NO
         return SolveResult(False, None, stats)
-    witness: Witness | None = {}
-    for sub, idmap in split_components(inst):
-        ok, sub_witness = _solve_component(sub, options, stats)
-        if not ok:
-            return SolveResult(False, None, stats)
-        if witness is not None and sub_witness is not None:
-            for v, lab in sub_witness.items():
-                witness[idmap[v]] = lab
-        else:
-            witness = None
-    return SolveResult(True, witness, stats)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2 * inst.graph.n)
+    try:
+        witness: Witness | None = {}
+        for sub, idmap in split_components(inst):
+            ok, sub_witness = _solve_component(sub, options, stats)
+            if not ok:
+                return SolveResult(False, None, stats)
+            if witness is not None and sub_witness is not None:
+                for v, lab in sub_witness.items():
+                    witness[idmap[v]] = lab
+            else:
+                witness = None
+        return SolveResult(True, witness, stats)
+    finally:
+        sys.setrecursionlimit(limit)

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from gltc import (SolveOptions, check_witness, gap_compression, instance_tau, parse_instance,
+from gltc import (check_witness, gap_compression, instance_tau, parse_instance,
                   serialize_instance)
-from gltc.cli import build_parser, main
+from gltc import solver as solver_module
+from gltc.cli import main
 from gltc.partition import star_prefix_bound
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -130,10 +131,6 @@ def test_predict_reports_the_strategy_checker_message(yes_file, part, message, c
     assert capsys.readouterr().err.rstrip().endswith(f"argument --partition: {message}")
 
 
-def test_solve_limit_defaults_to_the_solve_options_cap():
-    assert build_parser().parse_args(["solve", "x"]).limit == SolveOptions().vector_limit
-
-
 CLAW_DOC = "gltc 4 3\nv 1 1 2\nv 2 1 2\nv 3 1 2\nv 4 1 2\ne 1 2 0\ne 1 3 0\ne 1 4 0\n"
 
 
@@ -173,12 +170,16 @@ def test_solve_trace_headers_count_the_pruned_labels(yes_file, no_file, capsys):
     assert capsys.readouterr().err.splitlines() == ["# component 1 pruned 4"]
 
 
-def test_solve_limit_exits_2(tmp_path, capsys):
+def test_solve_limit_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver_module, "ENTRY_LIMIT", 2)
     path = tmp_path / "wide.gltc"
     labels = " ".join(str(i) for i in range(1, 9))
-    path.write_text(f"gltc 3 0\nv 1 {labels}\nv 2 {labels}\nv 3 {labels}\n")
-    assert main(["solve", str(path), "--limit", "2"]) == 2
-    assert "limit" in capsys.readouterr().err
+    path.write_text(f"gltc 3 2\nv 1 {labels}\nv 2 {labels}\nv 3 {labels}\ne 1 2 0\ne 2 3 0\n")
+    assert main(["solve", str(path)]) == 2  # the first level makes 9 entries
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("limit: ")
 
 
 def test_oracle_agrees_with_solve(yes_file, no_file, capsys):
@@ -356,6 +357,28 @@ def test_solve_on_a_long_path_never_exits_1(tmp_path):
         assert out[0] == "YES"
         witness = {int(v): int(lab) for _, v, lab in map(str.split, out[1:])}
         assert check_witness(parse_instance(doc), witness)
+
+
+@pytest.mark.parametrize("n, labels, diffs", [
+    (26, "1 2", "0"),  # 2**26 vectors at level 2, in 26 table nodes
+    (100, "1 2 3", "0 1"),  # about 2**127 vectors at level 3, in 298
+    (1200, "1 2 3", "0 1"),  # walks 1,200 positions deep
+])
+def test_solve_long_paths_at_default_options(tmp_path, n, labels, diffs):
+    # YES instances whose tables hold far more vectors than the solve
+    # holds entries; the exit code is the process's own
+    doc = "".join([f"gltc {n} {n - 1}\n", *(f"v {v} {labels}\n" for v in range(1, n + 1)),
+                   *(f"e {v} {v + 1} {diffs}\n" for v in range(1, n))])
+    path = tmp_path / "path.gltc"
+    path.write_text(doc)
+    proc = subprocess.run([sys.executable, "-m", "gltc.cli", "solve", str(path), "--witness"],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    out = proc.stdout.splitlines()
+    assert out[0] == "YES"
+    witness = {int(v): int(lab) for _, v, lab in map(str.split, out[1:])}
+    assert check_witness(parse_instance(doc), witness)
 
 
 def test_solve_and_oracle_agree_on_generated_fixtures(tmp_path, capsys):

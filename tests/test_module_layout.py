@@ -12,21 +12,26 @@ set types. One fold, encoding.tally, counts a store's vectors and flags
 its complete ones. The solver builds no independent-set trie: its walks
 read neighbour masks. One walk takes a level table to the next, and the
 tables it builds hold one unlabeled symbol: BLOCKED is written only by
-the benchmark replay's per-vector pass. ``gltc.__all__`` holds what the
-CLI, the demos and the benchmark scripts import from gltc, plus the
-public exceptions and result types.
+the benchmark replay's per-vector pass. What a solve may hold is capped
+by one constant of the solver, not by an option. ``gltc.__all__`` holds
+what the CLI, the demos and the benchmark scripts import from gltc, plus
+the public exceptions and result types.
 """
 
 import ast
+import dataclasses
 import tokenize
 from pathlib import Path
 
+import pytest
+
 import gltc
-from gltc import BLOCKED, SolveOptions, random_instance, solve
+from gltc import BLOCKED, SolveOptions, SolveStats, random_instance, solve
 from gltc import indsets as indsets_module
 from gltc import partition as partition_module
 from gltc import reference as reference_module
 from gltc import solver as solver_module
+from gltc.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gltc"
@@ -238,3 +243,12 @@ def test_solves_walk_once_per_level_and_never_emit_blocked(monkeypatch):
             for shapes, _, _, _ in walks:
                 symbols |= {sym for shape in shapes for sym, _ in shape}
     assert BLOCKED not in symbols and min(symbols) == 0 and max(symbols) == 4
+
+
+def test_the_solve_cap_is_a_constant_not_an_option(capsys):
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["early_exit", "store_parents"]
+    assert "total_vectors" not in {f.name for f in dataclasses.fields(SolveStats)}
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "x.gltc", "--limit", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --limit 5" in capsys.readouterr().err

@@ -179,7 +179,7 @@ _FAMILY_GRID = [(n, density, tau, seed) for n in (18, 20)
                 for density, tau in ((0.3, 1), (0.3, 2), (0.4, 2), (0.5, 1)) for seed in (0, 1)]
 _FAMILY_CASES = [case for case in _FAMILY_GRID if case not in {(20, 0.4, 2, 1), (20, 0.5, 1, 1)}]
 # n = 22, density 0.3: the cases whose witness solve takes under 0.2 s,
-# all YES, each refused by the default vector cap
+# all YES
 _FAMILY_CASES_N22 = [(22, 0.3, 1, 0), (22, 0.3, 1, 1), (22, 0.3, 2, 0)]
 
 
@@ -189,8 +189,7 @@ def test_family_cases_agree_with_forward_checking(case):
     n, density, tau, seed = case
     inst = random_instance(n=n, density=density, tau=tau, lmax=n // 2, seed=seed)
     decision, witness = forward_checking_solve(inst)
-    # the cap passed explicitly: the default one refuses some of these
-    result = solve(inst, options=SolveOptions(vector_limit=1 << 40))
+    result = solve(inst)
     assert result.decision == decision
     if decision:
         assert check_witness(inst, witness) and check_witness(inst, result.witness)
@@ -201,15 +200,15 @@ def test_family_cases_agree_with_forward_checking(case):
 def test_family_cases_hold_the_nine_level_no():
     assert len(_FAMILY_CASES) == 14 and (18, 0.4, 2, 1) in _FAMILY_CASES
     inst = random_instance(n=18, density=0.4, tau=2, lmax=9, seed=1)
-    result = solve(inst, options=SolveOptions(vector_limit=1 << 40))
+    result = solve(inst)
     assert not result.decision and result.stats.levels == 9
 
 
 def test_scaling_instance_at_n20():
     # the scaling instance (tau 1, density 0.3, seed 2024, lmax 2n) at
-    # n = 20, with every level built and no cap on the stored vectors
+    # n = 20, with every level built
     inst = random_instance(n=20, density=0.3, tau=1, lmax=40, seed=2024)
-    result = solve(inst, options=SolveOptions(early_exit=False, vector_limit=1 << 40))
+    result = solve(inst, options=SolveOptions(early_exit=False))
     assert result.decision and check_witness(inst, result.witness)
     assert sum(sum(c.level_sizes) for c in result.stats.components) == 716_451_012
     assert forward_checking_solve(inst)[0]

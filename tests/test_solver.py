@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import itertools
 import random
+import sys
 import time
 import types
 from pathlib import Path
@@ -1071,10 +1072,13 @@ def test_solve_without_parent_storage_returns_no_witness():
     assert result.decision and result.witness is None
 
 
-def test_solve_resource_limit_is_not_a_no():
+def test_solve_resource_limit_is_not_a_no(monkeypatch):
+    monkeypatch.setattr(solver_module, "ENTRY_LIMIT", 3)
     inst = random_instance(n=7, density=0.3, tau=1, lmax=9, seed=42)
+    limit = sys.getrecursionlimit()
     with pytest.raises(ResourceLimitError):
-        solve(inst, options=SolveOptions(vector_limit=3))
+        solve(inst)
+    assert sys.getrecursionlimit() == limit  # restored on the way out
 
 
 def test_solve_respects_tau_zero_list_coloring():
@@ -1143,13 +1147,17 @@ def test_solves_leave_no_reference_cycles():
 
 
 def test_a_long_path_stays_within_the_recursion_limit():
-    # every walk takes one stack frame per position, so 800 positions fit
-    # under the default limit of 1000
+    # every walk takes one stack frame per position, so one level step
+    # over 800 positions fits under the default limit of 1000 even
+    # outside solve, which raises the limit by twice the vertices; the
+    # path's tables hold up to 2**800 vectors in about 6,400 entries
     inst = uniform_instance(path_graph(800), {1, 2}, {0})
     dp = ComponentDP(inst, walk_order(inst.graph))
     table, size, _, _, _ = step(dp, base_table(dp), 1)
     assert size > 0
-    result = solve(inst, options=SolveOptions(vector_limit=1 << 1000))
+    limit = sys.getrecursionlimit()
+    result = solve(inst)
+    assert sys.getrecursionlimit() == limit
     assert result.decision and check_witness(inst, result.witness)
 
 
@@ -1167,8 +1175,7 @@ def test_a_70_vertex_tau_1_path_solves_past_a_machine_word():
         assert instance_tau(inst) == 1
         assert forward_checking_solve(inst)[0] == want
         for parents in (True, False):
-            result = solve(inst, options=SolveOptions(store_parents=parents,
-                                                      vector_limit=1 << 1000))
+            result = solve(inst, options=SolveOptions(store_parents=parents))
             assert result.decision == want
             if parents and want:
                 assert check_witness(inst, result.witness)
