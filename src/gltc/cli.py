@@ -9,6 +9,7 @@ limit or any internal failure (so a crash is never read as NO).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .gen import random_instance
@@ -139,7 +140,12 @@ def _cmd_bases(args) -> int:
     return EXIT_YES
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gltc`` argument parser, built once per process and shared by
+    every later call, so in-process callers of ``main`` do not pay for
+    rebuilding it. Parsing leaves it as it was: each ``parse_args`` fills
+    a fresh namespace from the defaults. Callers must not add to it."""
     parser = argparse.ArgumentParser(
         prog="gltc",
         description="Exact solver for the generalized list T-coloring decision problem.",

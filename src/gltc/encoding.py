@@ -20,8 +20,10 @@ Advancing a level ages every symbol by one and optionally hands the new
 label to an admissible OPEN vertex (advance_symbol; BLOCKED never takes
 it).
 
-A vector is complete when every vertex is labeled (is_complete); tally
-counts and flags complete vectors for every node of a node store.
+A vector is complete when every vertex is labeled (is_complete). tally
+is the one fold over a node store: it keeps the nodes a root reaches,
+renumbered where some are not, then counts each one's vectors and flags
+whether a complete one lies below it.
 """
 
 from __future__ import annotations
@@ -86,12 +88,37 @@ def is_complete(vec: Sequence[int]) -> bool:
     return all(sym >= 1 for sym in vec)
 
 
-def tally(shapes) -> tuple[list[int], list[bool]]:
-    """For every uid of a node store, the number of vectors below it and
-    whether a complete one is among them: satcount and anysat of a
-    decision diagram (Bryant 1986) in one bottom-up pass, as a store
-    lists children before parents. Uid 0 is LEAF, the empty vector.
+def tally(shapes, root: int, reached: bool = False) -> tuple[list[tuple], int, list[int], list[bool]]:
+    """The nodes of a node store that uid ``root`` reaches and, for each,
+    the number of vectors below it and whether a complete one is among
+    them: satcount and anysat of a decision diagram (Bryant 1986).
+    Returns (store, root uid, counts, flags), all in the reached nodes'
+    uids. Uid 0 is LEAF, the empty vector.
+
+    Unless the caller knows that the root ``reached`` every node, as it
+    does in the store of a level walk that made no union on its output,
+    one downward pass marks what the root reaches, and where some node is
+    unreached the reached ones are renumbered in store order into a new
+    store. Then one bottom-up pass, as a store lists children before
+    parents, counts and flags every node of the store. (One loop that
+    renumbers, counts and flags each node as it goes measured slower in
+    CPython than the two.)
     """
+    if not reached:
+        reach = [False] * (root + 1)
+        reach[0] = reach[root] = True
+        for uid in range(root, 0, -1):
+            if reach[uid]:
+                for _, child in shapes[uid]:
+                    reach[child] = True
+        if root < len(shapes) - 1 or not all(reach):
+            new = [0] * (root + 1)
+            out: list[tuple] = [()]
+            for uid in range(1, root + 1):
+                if reach[uid]:
+                    new[uid] = len(out)
+                    out.append(tuple([(sym, new[child]) for sym, child in shapes[uid]]))
+            shapes = out
     count, full = [1], [True]
     for shape in shapes[1:]:
         total, whole = 0, False
@@ -100,7 +127,7 @@ def tally(shapes) -> tuple[list[int], list[bool]]:
             whole = whole or sym > 0 and full[child]
         count.append(total)
         full.append(whole)
-    return count, full
+    return shapes, len(shapes) - 1, count, full
 
 
 def format_vector(vec: Sequence[int]) -> str:

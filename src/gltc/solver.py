@@ -51,11 +51,18 @@ a report needs it, takes one stack frame per position (solve raises the
 recursion limit to fit), and deletes its own closure before returning,
 so no reference cycle is left for the garbage collector. The union walk
 is a module-level function with no closure; the level walk creates its
-memos and hands them to it.
+memos and hands them to it. As nothing a solve builds can form a cycle
+(a store is a list of tuples of int pairs, a memo a dict of ints), solve
+also switches the cyclic collector off while it runs, whose passes over
+millions of memo entries and shapes would find nothing to free. So solve
+changes two process-wide settings for its duration, the recursion limit
+and the collector, and restores both; concurrent solves in threads of
+one process are unsupported.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 from dataclasses import dataclass, field
 
@@ -207,8 +214,9 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     uid ``root`` of the table store ``shapes`` by an independent set, of
     the graph whose neighbour masks are ``nbr_mask``, that gives the new
     label only to unlabeled positions free to take it. Returns the new
-    table's store (exactly the nodes its root reaches, hash-consed), its
-    root uid, the entries the walk memoized and the unions it made.
+    table's store (hash-consed), its root uid, the entries the walk
+    memoized, the unions it made and whether the root reaches every node
+    of the store.
 
     The image operation of a decision diagram, filtered on the way down
     by ``filters``: _BarPass.filters for the label, or _unbarred. A call
@@ -216,7 +224,8 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     the new label, and ``pend``, the earlier positions given the new
     label that a later neighbour may still bar. ``allow`` starts as
     ``listed``, the positions whose list has the label; a recent
-    label (2..tau+1) removes its ``later`` row, and giving the label to
+    label (2..tau+1) removes its ``later`` row (an AND with its
+    complement, which ``not_later`` holds), and giving the label to
     position d removes d's neighbours. An unlabeled position (OPEN;
     BLOCKED never takes the label) ages to OPEN, and takes the label,
     symbol tau + 1, where ``allow`` holds it; it then waits in ``pend``
@@ -235,10 +244,11 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     Where they leave different masks, and for tau = 0 where the new label
     and an aged 1 both give 1, the output children are merged by _union
     on the output store. Only such a union can leave nodes the root does
-    not reach, so only a walk that made one runs _reachable to drop them.
+    not reach, which encoding.tally drops when it counts the store; with
+    none, every node the walk built is a child of a later one.
     """
-    listed, later, earlier, closes, waiting = filters
-    n = len(closes)
+    listed, not_later, earlier, not_closes, waiting = filters
+    n = len(not_closes)
     top = tau + 1
     adv = aging_table(tau)  # assign 0 ages symbol x to adv[x]
     out: list[tuple] = [()]
@@ -253,16 +263,18 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     def walk(u, d, allow, pend):
         bit = 1 << d
         allow_next = allow & ~bit
-        pend_next = pend & ~closes[d]
-        row_later, row_earlier = later[d], earlier[d]
+        pend_next = pend & not_closes[d]
+        row_not_later, row_earlier = not_later[d], earlier[d]
         pairs = []
-        last = group = g_allow = opened = -1
+        # last: the symbol of the group being gathered; made: the symbol
+        # of the last pair in pairs
+        last = made = group = g_allow = opened = -1
         for x, child in shapes[u]:
             c_allow = allow_next
             if x > 0:
                 if pend & row_earlier[x]:
                     continue
-                c_allow &= ~row_later[x]
+                c_allow &= row_not_later[x]
             elif x == OPEN:
                 opened = child
             sym = adv[x]
@@ -277,9 +289,10 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
                 if c is None:
                     c = memo[key] = walk(group, d + 1, g_allow, pend_next)
                 if c >= 0:
-                    if pairs and pairs[-1][0] == last:
+                    if made == last:
                         c = _union(pairs.pop()[1], c, out, unique, unions)
                     pairs.append((last, c))
+                    made = last
             last, group, g_allow = sym, child, c_allow
         if group >= 0:
             key = group << n | g_allow | pend_next
@@ -287,9 +300,10 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
             if c is None:
                 c = memo[key] = walk(group, d + 1, g_allow, pend_next)
             if c >= 0:
-                if pairs and pairs[-1][0] == last:
+                if made == last:
                     c = _union(pairs.pop()[1], c, out, unique, unions)
                 pairs.append((last, c))
+                made = last
         if opened >= 0 and allow & bit:
             c_allow = allow_next & ~nbr_mask[d]
             c_pend = pend_next | bit & waiting
@@ -298,7 +312,7 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
             if c is None:
                 c = memo[key] = walk(opened, d + 1, c_allow, c_pend)
             if c >= 0:
-                if pairs and pairs[-1][0] == top:  # tau = 0: the new label and aged 1 both give 1
+                if made == top:  # tau = 0: the new label and aged 1 both give 1
                     c = _union(pairs.pop()[1], c, out, unique, unions)
                 pairs.append((top, c))
         if not pairs:
@@ -313,36 +327,14 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     out_root = walk(root, 0, listed, 0) if root else 0
     del walk  # walk refers to itself: end the cycle, which holds the memo
     del shapes[kept:]
-    if unions:  # else every node the walk built is a child of a later one
-        out, out_root = _reachable(out, out_root)
-    return out, out_root, len(memo) - 1, len(unions) + len(in_unions)
-
-
-def _reachable(shapes, root: int):
-    """The nodes of a store that uid ``root`` reaches, renumbered in store
-    order, and the root's new uid; the store itself when it holds no other."""
-    reach = [False] * (root + 1)
-    reach[0] = reach[root] = True
-    for uid in range(root, 0, -1):
-        if reach[uid]:
-            for _, child in shapes[uid]:
-                reach[child] = True
-    if root == len(shapes) - 1 and all(reach):
-        return shapes, root
-    new = [0] * (root + 1)
-    out: list[tuple] = [()]
-    for uid in range(1, root + 1):
-        if reach[uid]:
-            new[uid] = len(out)
-            out.append(tuple([(sym, new[child]) for sym, child in shapes[uid]]))
-    return out, len(out) - 1
+    return out, out_root, len(memo) - 1, len(unions) + len(in_unions), not unions
 
 
 def _unbarred(n: int, tau: int):
-    """Filters that bar nothing, for tables whose OPEN and BLOCKED already
-    say which positions may take the label: the replay's adapters."""
-    zeros = [[0] * (tau + 2)] * n
-    return (1 << n) - 1, zeros, zeros, [0] * n, 0
+    """Filters that bar nothing, in _BarPass.filters' complemented form,
+    for tables whose OPEN and BLOCKED already say which positions may
+    take the label: the replay's adapters."""
+    return (1 << n) - 1, [[-1] * (tau + 2)] * n, [[0] * (tau + 2)] * n, [-1] * n, 0
 
 
 def _trie_neighbours(node, n: int) -> list[int]:
@@ -373,8 +365,8 @@ def _combine(a_nodes, p_node, depth, plan, memo):
     It goes with the replay (ROADMAP item 1).
     """
     shapes, (root,) = encode(a_nodes)
-    out, out_root, _, _ = _level_walk(shapes, root, _trie_neighbours(p_node, plan[0]), plan[1],
-                                      _unbarred(*plan))
+    out, out_root, _, _, _ = _level_walk(shapes, root, _trie_neighbours(p_node, plan[0]),
+                                         plan[1], _unbarred(*plan))
     return decode(out)[out_root]
 
 
@@ -391,6 +383,8 @@ class _BarPass:
     a label once a neighbour takes it.
 
     ``filters`` gives the masks _level_walk and _walk_back filter with.
+    The rows that take positions out of a mask are kept complemented, as
+    the walks AND with them: one form, built once per component.
     ``run`` marks OPEN positions of one vector BLOCKED; only the
     benchmark's per-layer replay (perfbench/layers.py) still calls it, and
     it goes at the next change to the benchmark.
@@ -402,15 +396,16 @@ class _BarPass:
         # symbol at position j bars the later positions later[j][sym] and
         # the earlier ones earlier[j][sym] (lists by symbol); closes[j]
         # holds the positions whose last barring neighbour sits at j;
-        # waiting holds those with any later one.
+        # waiting holds those with any later one. later and closes are
+        # kept as their complements, not_later and not_closes.
         pos_of = {v: i for i, v in enumerate(ordering)}
         n = len(ordering)
         self.full = (1 << n) - 1
         self.listed = listed = {}
-        self.later = later = [[0] * (tau + 2) for _ in range(n)]
+        later = [[0] * (tau + 2) for _ in range(n)]
         self.earlier = earlier = [[0] * (tau + 2) for _ in range(n)]
         self.nbr_mask = nbr_mask = [0] * n
-        self.closes = closes = [0] * n
+        closes = [0] * n
         waiting = 0
         for i, v in enumerate(ordering):
             bit = 1 << i
@@ -434,23 +429,26 @@ class _BarPass:
             if j > i:
                 closes[j] |= 1 << i
                 waiting |= 1 << i
+        self.not_later = [[~mask for mask in row] for row in later]
+        self.not_closes = [~mask for mask in closes]
         self.waiting = waiting
 
     def filters(self, label: int):
-        """(listed, later, earlier, closes, waiting) for ``label``, read
-        against a table of the level before it: ``listed`` holds the
-        positions whose list has the label; the rows are the static
-        ones."""
-        return self.listed.get(label, 0), self.later, self.earlier, self.closes, self.waiting
+        """(listed, not_later, earlier, not_closes, waiting) for
+        ``label``, read against a table of the level before it: ``listed``
+        holds the positions whose list has the label; the rows are the
+        static ones."""
+        return (self.listed.get(label, 0), self.not_later, self.earlier, self.not_closes,
+                self.waiting)
 
     def run(self, vec, level: int):
         """One vector's OPEN positions barred from label ``level + 2``
         marked BLOCKED; kept for the benchmark replay only."""
         blk = self.full & ~self.listed.get(level + 2, 0)
-        later, earlier = self.later, self.earlier
+        not_later, earlier = self.not_later, self.earlier
         for j, sym in enumerate(vec):
             if sym > 1:  # only a recent label (2..tau+1) bars
-                blk |= later[j][sym] | earlier[j][sym]
+                blk |= ~not_later[j][sym] | earlier[j][sym]
         out = list(vec)
         for i, sym in enumerate(vec):
             if sym == OPEN and blk >> i & 1:
@@ -537,9 +535,9 @@ class ComponentDP:
         """
         shapes, root, _ = store
         store.clear()
-        shapes, root, entries, unions = _level_walk(shapes, root, self.bar.nbr_mask, self.tau,
-                                                    self.bar.filters(level))
-        count, full = tally(shapes)
+        shapes, root, entries, unions, reached = _level_walk(shapes, root, self.bar.nbr_mask,
+                                                             self.tau, self.bar.filters(level))
+        shapes, root, count, full = tally(shapes, root, reached)
         store[:] = shapes, root, full
         return count[root], len(shapes) - 1, full[root], entries, unions
 
@@ -599,7 +597,7 @@ def _walk_back(levels, final, final_level, nbr_mask, tau: int, ordering, filters
         if key in dead:
             return False
         bit = 1 << i
-        allow_next, pend_next = allow & ~bit, pend & ~closes[i]
+        allow_next, pend_next = allow & ~bit, pend & not_closes[i]
         by_x = options[i]
         for x, child in shapes[u]:
             ys_of_x = by_x.get(x)
@@ -609,7 +607,7 @@ def _walk_back(levels, final, final_level, nbr_mask, tau: int, ordering, filters
             if x > 0:
                 if pend & earlier[i][x]:
                     continue
-                c_allow &= ~later[i][x]
+                c_allow &= not_later[i][x]
             for y in ys_of_x:
                 if y and not allow & bit:
                     continue
@@ -627,7 +625,7 @@ def _walk_back(levels, final, final_level, nbr_mask, tau: int, ordering, filters
     vec, k = final, final_level
     while k and 1 in vec:  # an aged label (symbol 1) is read only by walking on down
         shapes, root = levels[k - 1]
-        listed, later, earlier, closes, waiting = filters(k)
+        listed, not_later, earlier, not_closes, waiting = filters(k)
         options = [ys[sym] if sym > 0 else ys[OPEN] for sym in vec]
         path.clear()
         dead.clear()
@@ -652,7 +650,8 @@ def _find_complete(trie: VectorTrie):
     if trie.root is None:
         return None
     shapes, (root,) = encode((trie.root,))
-    return _least_complete(shapes, tally(shapes)[1], root)
+    shapes, root, _, full = tally(shapes, root)
+    return _least_complete(shapes, full, root)
 
 
 def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
@@ -750,13 +749,23 @@ def solve(inst: Instance, strategy: str = "auto",
     duration of the call the recursion limit, which is process-wide, is
     raised by twice the number of vertices and then restored. From
     CPython 3.11 on, calls from Python to Python do not grow the C stack.
+
+    The cyclic garbage collector, process-wide too, is off for the
+    duration of the call and switched back on after it only if the
+    caller had it on, also when the solve raises: what a solve builds
+    holds no reference cycle (tests/test_solver.py
+    ::test_solves_leave_no_reference_cycles), so its passes would free
+    nothing. The two settings make concurrent solves in threads of one
+    process unsupported.
     """
     options = options or SolveOptions()
     stats = SolveStats()
     if not all(inst.lam.values()):  # a vertex with an empty list: NO
         return SolveResult(False, None, stats)
     limit = sys.getrecursionlimit()
+    collecting = gc.isenabled()
     sys.setrecursionlimit(limit + 2 * inst.graph.n)
+    gc.disable()
     try:
         witness: Witness | None = {}
         for sub, idmap in split_components(inst):
@@ -770,4 +779,6 @@ def solve(inst: Instance, strategy: str = "auto",
                 witness = None
         return SolveResult(True, witness, stats)
     finally:
+        if collecting:
+            gc.enable()
         sys.setrecursionlimit(limit)

@@ -32,7 +32,8 @@ def node_count(node) -> int:
     if node is None:
         return 0
     shapes, (root,) = encode((node,))
-    return tally(shapes)[0][root]
+    _, root, count, _ = tally(shapes, root)
+    return count[root]
 
 
 def node_iter(node) -> Iterator[Vector]:

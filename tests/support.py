@@ -50,6 +50,28 @@ def neighbour_masks(graph: Graph, ordering) -> list[int]:
     return [sum(1 << pos[w] for w in graph.adjacency[v]) for v in ordering]
 
 
+def reachable(shapes, root: int):
+    """The nodes of a node store that uid ``root`` reaches, renumbered in
+    store order, and the root's new uid; the store itself when it holds no
+    other. A reference for encoding.tally's compaction, in two passes of
+    its own: one marks what the root reaches, the next renumbers it."""
+    reach = [False] * (root + 1)
+    reach[0] = reach[root] = True
+    for uid in range(root, 0, -1):
+        if reach[uid]:
+            for _, child in shapes[uid]:
+                reach[child] = True
+    if root == len(shapes) - 1 and all(reach):
+        return shapes, root
+    new = [0] * (root + 1)
+    out: list[tuple] = [()]
+    for uid in range(1, root + 1):
+        if reach[uid]:
+            new[uid] = len(out)
+            out.append(tuple([(sym, new[child]) for sym, child in shapes[uid]]))
+    return out, len(out) - 1
+
+
 def base_table(dp: ComponentDP) -> VectorTrie:
     """The level-0 table of ``dp`` as a dict trie."""
     shapes, root, _ = dp.base_store()

@@ -182,6 +182,36 @@ def test_solve_limit_exits_2(tmp_path, capsys, monkeypatch):
     assert len(err) == 1 and err[0].startswith("limit: ")
 
 
+def test_repeated_in_process_calls_share_one_parser_and_leak_no_state(tmp_path, capsys):
+    # main reuses one parser per process; each call still starts from the
+    # defaults, and a call that exits on a bad flag spoils none after it
+    from gltc.cli import build_parser
+
+    assert build_parser() is build_parser()
+    path = tmp_path / "early.gltc"
+    path.write_text("gltc 2 1\nv 1 1 2 3\nv 2 1 2 3\ne 1 2 0\n")  # complete from level 2 of 3
+
+    def levels(*flags):
+        code = main(["solve", str(path), "--trace", *flags])
+        captured = capsys.readouterr()
+        rows = [line for line in captured.err.splitlines() if not line.startswith("#")]
+        return code, captured.out.splitlines(), len(rows)
+
+    assert main(["solve", str(path), "--witness"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3  # YES and two witness lines
+    assert main(["solve", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["YES"]
+    assert levels("--no-early-exit") == (0, ["YES"], 3)
+    assert levels() == (0, ["YES"], 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path), "--partition", "bogus"])
+    assert exc.value.code == 2
+    assert "--partition" in capsys.readouterr().err
+    assert levels() == (0, ["YES"], 2)
+    assert main(["solve", str(path), "--witness"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
 def test_oracle_agrees_with_solve(yes_file, no_file, capsys):
     assert main(["oracle", yes_file]) == 0
     assert main(["oracle", no_file]) == 1

@@ -240,7 +240,7 @@ def test_solves_walk_once_per_level_and_never_emit_blocked(monkeypatch):
             walks.clear()
             result = solve(inst, options=SolveOptions(early_exit=early_exit))
             assert len(walks) == result.stats.levels
-            for shapes, _, _, _ in walks:
+            for shapes, _, _, _, _ in walks:
                 symbols |= {sym for shape in shapes for sym, _ in shape}
     assert BLOCKED not in symbols and min(symbols) == 0 and max(symbols) == 4
 

@@ -62,6 +62,7 @@ from support import (
     cycle_graph,
     neighbour_masks,
     path_graph,
+    reachable,
     recurrence_mismatch,
     reference_table,
     run_tables,
@@ -118,16 +119,17 @@ def _image_vs_direct_step(graph, ordering, tau, vecs):
     indep = independent_set_vectors(graph, ordering)
     shapes, (root,) = encode((table.root,))
     kept = list(shapes)
-    out, out_root, _, unions = _level_walk(shapes, root, neighbour_masks(graph, ordering), tau,
-                                           _unbarred(n, tau))
+    out, out_root, _, unions, _ = _level_walk(shapes, root, neighbour_masks(graph, ordering), tau,
+                                              _unbarred(n, tau))
     assert set(VectorTrie(n, decode(out)[out_root])) == set(direct_step(table, indep, tau))
-    # both stores stay hash-consed, every shape in symbol order; the
-    # walk only reads the input store, and its output store holds just
-    # the nodes the root reaches
+    # both stores stay hash-consed, every shape in symbol order, and the
+    # walk only reads the input store; tally keeps just the nodes of its
+    # output store that the root reaches
     for store in (out, shapes):
         assert all(list(shape) == sorted(shape) for shape in store)
         assert len(set(store)) == len(store)
     assert shapes == kept
+    out, out_root, _, _ = encoding_module.tally(out, out_root)
     assert out_root == len(out) - 1 and _distinct_shapes(decode(out)[out_root]) == (out_root,) * 2
     return unions
 
@@ -225,6 +227,79 @@ def test_bar_rewrite_equals_mark_blocked_per_vector(case):
     _walk_vs_level_step(*case)
 
 
+def _tally_vs_reference(nbr_mask, tau, filters, vecs):
+    """encoding.tally of the store _level_walk builds from the table
+    ``vecs`` against two references: the compacted store must be
+    support.reachable's, and each node's count and flag those of the
+    vectors below it, listed one by one. Returns the number of nodes of
+    the walk's store that its root does not reach."""
+    shapes, (root,) = encode((VectorTrie.from_vectors(len(nbr_mask), vecs).root,))
+    out, out_root, _, _, reached = _level_walk(shapes, root, nbr_mask, tau, filters)
+    raw = list(out)
+    store, store_root, count, full = encoding_module.tally(out, out_root)
+    if reached:  # the walk's word that no node is unreached holds, and saves the marking
+        assert (store, store_root) == (raw, len(raw) - 1)
+        assert encoding_module.tally(out, out_root, reached) == (store, store_root, count, full)
+    assert out == raw  # tally only reads the store it is given
+    assert (store, store_root) == reachable(raw, out_root)
+    assert len(count) == len(full) == len(store)
+    below = [[()]]
+    for shape in store[1:]:
+        below.append([(sym, *rest) for sym, child in shape for rest in below[child]])
+    assert count == [len(vectors) for vectors in below]
+    assert full == [any(map(is_complete, vectors)) for vectors in below]
+    return len(raw) - len(store)
+
+
+def _unbarred_tally(graph, ordering, tau, vecs):
+    n = len(ordering)
+    return _tally_vs_reference(neighbour_masks(graph, ordering), tau, _unbarred(n, tau), vecs)
+
+
+def _barred_tally(inst, ordering, level, vecs):
+    bar = _BarPass(inst, ordering, instance_tau(inst))
+    return _tally_vs_reference(bar.nbr_mask, instance_tau(inst), bar.filters(level + 2), vecs)
+
+
+# Output unions come from the new label meeting an aged 1 at tau = 0, with
+# or without bars, and from children that age to one symbol but leave
+# different positions free, which takes a bar; the tables hold every
+# symbol, BLOCKED too where nothing is barred
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_image_cases())
+@example(_ASSIGN_MEETS_AGED)
+@example(_BLOCKED_AND_OPEN)
+@example(_OVERLAPPING_1_AND_2)
+def test_tally_compacts_counts_and_flags_unbarred_stores_as_the_references(case):
+    _unbarred_tally(*case)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_bar_cases())
+@example((_TAU0_PATH, (1, 2, 3), 0, [(OPEN, OPEN, 1), (1, OPEN, OPEN), (OPEN, 1, OPEN)]))
+@example((_ADJACENT_OR_BARRED, (1, 2, 3), 1, [(OPEN, 1, OPEN), (1, 2, OPEN)]))
+def test_tally_compacts_counts_and_flags_barred_stores_as_the_references(case):
+    _barred_tally(*case)
+
+
+def test_tally_drops_the_nodes_output_unions_leave_unreached():
+    # the pinned tau = 0 table leaves two nodes of the walk's store
+    # unreached; over seeded instances, at tau = 0 and above, many stores
+    # need compacting, so the properties above run that branch
+    assert _unbarred_tally(*_ASSIGN_MEETS_AGED) == 2
+    rng = random.Random(29)
+    dropped = {tau: 0 for tau in range(3)}
+    for seed in range(90):
+        n = 3 + seed % 4
+        inst = random_instance(n=n, density=0.5, tau=seed % 3, lmax=5, seed=2900 + seed)
+        tau = instance_tau(inst)
+        ordering = tuple(rng.sample(range(1, n + 1), n))
+        vecs = [tuple(rng.randint(OPEN, tau + 1) for _ in range(n)) for _ in range(12)]
+        if tau in dropped:
+            dropped[tau] += _barred_tally(inst, ordering, seed % 4, vecs) > 0
+    assert all(cases >= 10 for cases in dropped.values()), dropped
+
+
 def _walk_vs_level_step(inst, ordering, level, vecs, graph=None):
     """_level_walk of the table ``vecs`` with the filters of label
     level + 2, against reference.level_step for that label, both by the
@@ -236,8 +311,9 @@ def _walk_vs_level_step(inst, ordering, level, vecs, graph=None):
     indep = independent_set_vectors(graph, ordering)
     shapes, (root,) = encode((VectorTrie.from_vectors(n, vecs).root,))
     filters = _BarPass(inst, ordering, tau).filters(level + 2)
-    out, root, _, _ = _level_walk(shapes, root, neighbour_masks(graph, ordering), tau, filters)
-    count, full = encoding_module.tally(out)
+    out, root, _, _, reached = _level_walk(shapes, root, neighbour_masks(graph, ordering), tau,
+                                           filters)
+    out, root, count, full = encoding_module.tally(out, root, reached)
     size, complete = count[root], full[root]
     table = VectorTrie.from_vectors(n, vecs)
     want = set(map(project, level_step(table, indep, inst, ordering, tau, level + 2)))
@@ -1144,6 +1220,44 @@ def test_solves_leave_no_reference_cycles():
         gc.garbage.clear()
         gc.enable()
     assert unreachable == 0, f"{unreachable} objects left in cycles; closures: {closures}"
+
+
+def test_solve_runs_its_walks_with_the_collector_off_and_restores_it(monkeypatch):
+    # the walks run with the cyclic collector off; after a YES, a NO and
+    # a refused solve the caller's setting is back, whether it had the
+    # collector on or off
+    seen = []
+    real_walk, real_limit = solver_module._level_walk, solver_module.ENTRY_LIMIT
+
+    def recorded(*args):
+        seen.append(gc.isenabled())
+        return real_walk(*args)
+
+    monkeypatch.setattr(solver_module, "_level_walk", recorded)
+    yes = uniform_instance(path_graph(4), {1, 2, 3}, {0, 1})
+    no = uniform_instance(complete_graph(3), {1, 2}, {0})
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            result = solve(yes)
+            assert result.decision and check_witness(yes, result.witness)
+            assert gc.isenabled() == enabled
+            result = solve(no)
+            assert not result.decision and result.stats.levels > 0
+            assert gc.isenabled() == enabled
+            monkeypatch.setattr(solver_module, "ENTRY_LIMIT", 2)
+            with pytest.raises(ResourceLimitError):
+                solve(yes)
+            assert gc.isenabled() == enabled
+            monkeypatch.setattr(solver_module, "ENTRY_LIMIT", real_limit)
+    finally:
+        if was:
+            gc.enable()
+    assert len(seen) > 6 and not any(seen)
 
 
 def test_a_long_path_stays_within_the_recursion_limit():
