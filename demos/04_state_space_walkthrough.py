@@ -1,13 +1,15 @@
 """Inside the dynamic program: level tables on a tiny instance.
 
 The solver never enumerates labelings. It tracks, per label level k, the
-set of state vectors of all proper partial labelings with labels 1..k.
-Each vertex holds one of tau+2 symbols: '0' (unlabeled), '1' (labeled
-long ago, inert), or 2..tau+1 (a recent label, still constraining its
-neighbors). Whether an unlabeled vertex may take the next label follows
-from its list and its neighbors' recent labels, so the tables do not
-store it. This script prints every level table for a 3-path and shows
-where the YES verdict appears.
+set of state vectors of all proper partial labelings with labels 1..k,
+less those that leave a vertex unlabeled whose list has no label above
+k: they can never become complete, so the last level keeps only complete
+vectors. Each vertex holds one of tau+2 symbols: '0' (unlabeled), '1'
+(labeled long ago, inert), or 2..tau+1 (a recent label, still
+constraining its neighbors). Whether an unlabeled vertex may take the
+next label follows from its list and its neighbors' recent labels, so
+the tables do not store it. This script prints every level table for a
+3-path and shows where the YES verdict appears.
 """
 
 from gltc import (

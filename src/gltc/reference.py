@@ -11,9 +11,12 @@ and return frozensets, and nothing here reads a trie or a node store.
 - mark_blocked: the OPEN/BLOCKED recomputation straight from the
   instance; an input BLOCKED stays BLOCKED, so marking twice for one
   label marks once;
+- is_live: whether every unlabeled coordinate of a vector still has a
+  label above the current level on its list; a vector that is not live
+  can never become complete;
 - level_step: the paper's level recurrence, the one composition of the
   two: each vector marked for the label, direct_step, each result
-  marked for the next label;
+  marked for the next label, the results that are not live dropped;
 - project: the map from these vectors over BLOCKED and OPEN to the
   solver's, which hold one unlabeled symbol; the solver's level-k table
   is the projection of the reference one, vector for vector;
@@ -213,15 +216,26 @@ def mark_blocked(vec: Sequence[int], level: int, inst: Instance,
     return tuple(out)
 
 
+def is_live(vec: Sequence[int], level: int, inst: Instance, ordering: Sequence[int]) -> bool:
+    """True iff every unlabeled coordinate (OPEN or BLOCKED) of a level
+    ``level`` vector belongs to a vertex whose list has a label above
+    ``level``. A vector that is not live is dead: no later level can
+    label that vertex, so none of its successors is complete."""
+    return all(sym >= 1 or any(lab > level for lab in inst.lam[v])
+               for v, sym in zip(ordering, vec))
+
+
 def level_step(table: Iterable[Vector], indep: Iterable[Vector], inst: Instance,
                ordering: Sequence[int], tau: int, label: int) -> frozenset:
     """The level recurrence that gives label ``label``: every vector of
     ``table`` marked for it, direct_step by the independent sets
-    ``indep``, every result marked for ``label + 1``. Over OPEN and
-    BLOCKED; the solver's table is its project."""
+    ``indep``, every result marked for ``label + 1``, and the dead ones
+    (is_live) dropped. Over OPEN and BLOCKED; the solver's table is its
+    project."""
     before = frozenset(mark_blocked(vec, label - 2, inst, ordering, tau) for vec in table)
     return frozenset(mark_blocked(vec, label - 1, inst, ordering, tau)
-                     for vec in direct_step(before, indep, tau))
+                     for vec in direct_step(before, indep, tau)
+                     if is_live(vec, label, inst, ordering))
 
 
 def project(vec: Sequence[int]) -> Vector:

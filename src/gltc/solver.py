@@ -2,7 +2,12 @@
 
 Level k holds the set of state vectors of all proper partial labelings
 using labels 1..k, over tau+2 symbols per vertex: OPEN (0), the one
-unlabeled symbol, and the labeled symbols 1..tau+1 (gltc.encoding).
+unlabeled symbol, and the labeled symbols 1..tau+1 (gltc.encoding),
+less the dead ones: a vector with an unlabeled vertex whose list has no
+label above k can never become complete, so no table keeps it (forward
+checking). Every predecessor of a live vector is live, so the tables
+decide as the full ones do, and a table that empties answers NO at once;
+the table of the largest label holds complete vectors only.
 Whether an unlabeled vertex may take the next label is not stored: it
 follows from its list and its neighbours' recent labels, which the walk
 reads on the way down. BLOCKED exists only on the reference side and in
@@ -39,12 +44,13 @@ encoding.tally, one pass over it, counts each node's vectors and flags
 whether a complete vector (every vertex labeled) lies below it, so no
 table is walked again to size it or to decide. The instance is YES iff
 some level's table holds a complete vector; as completeness persists
-from level to level, the last level run decides. An explicit labeling
-is then reconstructed on the stores themselves: a retained level keeps
-its store, the least complete vector is read off the last table's flags
-by a descent that never backtracks, and the walk back carries the same
-masks down each retained store. Dict nodes (gltc.vectorset) are for
-tests and the benchmark replay's adapters only.
+from level to level, the last level run decides: it is empty or holds
+one. An explicit labeling is then reconstructed on the stores
+themselves: a retained level keeps its store, the least complete vector
+is read off the last table's flags by a descent that never backtracks,
+and the walk back carries the same masks down each retained store. Dict
+nodes (gltc.vectorset) are for tests and the benchmark replay's adapters
+only.
 
 Every recursive walk here creates its memo, returns the memo's size when
 a report needs it, takes one stack frame per position (solve raises the
@@ -63,6 +69,7 @@ one process are unsupported.
 from __future__ import annotations
 
 import gc
+import itertools
 import sys
 from dataclasses import dataclass, field
 
@@ -154,15 +161,42 @@ class SolveResult:
 # the level walk
 
 
-def _build_plan(blocks, tau: int, inst: Instance | None = None, strengthened: bool = True):
-    """The plan tuple _combine takes, (vector length, tau), with the
-    length summed over a partition's blocks.
+def _listed_masks(inst: Instance, ordering) -> dict[int, int]:
+    """For each label, the positions of ``ordering`` whose list has it,
+    as a bitmask; a label on no list is absent."""
+    listed: dict[int, int] = {}
+    for i, v in enumerate(ordering):
+        bit = 1 << i
+        for lab in inst.lam[v]:
+            listed[lab] = listed.get(lab, 0) | bit
+    return listed
 
-    Only the benchmark's per-layer replay (perfbench/layers.py) calls it;
-    ``inst`` and ``strengthened`` are unused and keep its call shape until
-    the next change to the benchmark, as ``_BarPass.run`` does.
+
+def _live_masks(listed: dict[int, int]) -> dict[int, int]:
+    """For each label lab, the positions whose list has a label above
+    lab, from _listed_masks' masks; a label past every list maps to 0 by
+    absence. An unlabeled position outside the mask can never be labeled
+    on any later level."""
+    live, above = {}, 0
+    for lab in range(max(listed, default=0), 0, -1):
+        live[lab] = above
+        above |= listed.get(lab, 0)
+    return live
+
+
+def _build_plan(blocks, tau: int, inst: Instance, strengthened: bool = True):
+    """The plan tuple _combine takes: (vector length, tau, an iterator
+    over the ``live`` masks of labels 1, 2, ...), with the length summed
+    over a partition's blocks and the masks over the blocks' vertices in
+    block order, the replay's coordinates.
+
+    Only the benchmark's per-layer replay (perfbench/layers.py) calls it,
+    with the compressed instance; ``strengthened`` is unused and keeps
+    its call shape until the next change to the benchmark, as
+    ``_BarPass.run`` does.
     """
-    return sum(block.size for block in blocks), tau
+    live = _live_masks(_listed_masks(inst, [v for block in blocks for v in block.vertices]))
+    return sum(block.size for block in blocks), tau, (live.get(k, 0) for k in itertools.count(1))
 
 
 def _union(u, v, shapes, unique, memo):
@@ -216,7 +250,8 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     label only to unlabeled positions free to take it. Returns the new
     table's store (hash-consed), its root uid, the entries the walk
     memoized, the unions it made and whether the root reaches every node
-    of the store.
+    of the store. The root uid is -1 where no vector of the new table
+    survives: the table is empty.
 
     The image operation of a decision diagram, filtered on the way down
     by ``filters``: _BarPass.filters for the label, or _unbarred. A call
@@ -230,9 +265,12 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     BLOCKED never takes the label) ages to OPEN, and takes the label,
     symbol tau + 1, where ``allow`` holds it; it then waits in ``pend``
     if a later neighbour can bar it. A hit on ``pend`` from a recent
-    label's ``earlier`` row cuts the branch: the call returns -1 where
-    every branch is cut. The memo key ``u << n | allow | pend`` is one
-    exact int: ``allow`` holds positions at or past d only, ``pend``
+    label's ``earlier`` row cuts the branch, and so does an unlabeled
+    child left unlabeled at a position outside ``live``, whose list has
+    no label above the new one: such a vector can never become complete
+    (forward checking, Haralick & Elliott 1980). The call returns -1
+    where every branch is cut. The memo key ``u << n | allow | pend`` is
+    one exact int: ``allow`` holds positions at or past d only, ``pend``
     those before it, and a uid fixes d. It is canonical too: every path
     that leaves the same positions free meets one entry, whether a
     neighbour given the label or a recent label's bar removed them.
@@ -247,7 +285,7 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     not reach, which encoding.tally drops when it counts the store; with
     none, every node the walk built is a child of a later one.
     """
-    listed, not_later, earlier, not_closes, waiting = filters
+    listed, not_later, earlier, not_closes, waiting, live = filters
     n = len(not_closes)
     top = tau + 1
     adv = aging_table(tau)  # assign 0 ages symbol x to adv[x]
@@ -275,8 +313,11 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
                 if pend & row_earlier[x]:
                     continue
                 c_allow &= row_not_later[x]
-            elif x == OPEN:
-                opened = child
+            else:
+                if x == OPEN:
+                    opened = child
+                if not live & bit:  # left unlabeled, it can never be labeled
+                    continue
             sym = adv[x]
             if sym == last and c_allow == g_allow:
                 if not in_unique:
@@ -330,11 +371,12 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     return out, out_root, len(memo) - 1, len(unions) + len(in_unions), not unions
 
 
-def _unbarred(n: int, tau: int):
+def _unbarred(n: int, tau: int, live: int = -1):
     """Filters that bar nothing, in _BarPass.filters' complemented form,
     for tables whose OPEN and BLOCKED already say which positions may
-    take the label: the replay's adapters."""
-    return (1 << n) - 1, [[-1] * (tau + 2)] * n, [[0] * (tau + 2)] * n, [-1] * n, 0
+    take the label: the replay's adapters. ``live`` is the one filter
+    kept, by default every position."""
+    return (1 << n) - 1, [[-1] * (tau + 2)] * n, [[0] * (tau + 2)] * n, [-1] * n, 0, live
 
 
 def _trie_neighbours(node, n: int) -> list[int]:
@@ -361,13 +403,16 @@ def _combine(a_nodes, p_node, depth, plan, memo):
     of the benchmark's per-layer replay (perfbench/layers.py), whose
     tables carry OPEN and BLOCKED: ``a_nodes`` holds one root, ``p_node``
     is the dict independent-set trie, read by _trie_neighbours, ``depth``
-    is 0, ``plan`` is _build_plan's (length, tau) and ``memo`` is unused.
-    It goes with the replay (ROADMAP item 1).
+    is 0, ``plan`` is _build_plan's (length, tau, live masks) and
+    ``memo`` is unused. Each call takes the next ``live`` mask: the
+    replay calls it once per level, from level 1. Returns None where the
+    new table is empty. It goes with the replay (ROADMAP item 1).
     """
+    length, tau, live = plan
     shapes, (root,) = encode(a_nodes)
-    out, out_root, _, _, _ = _level_walk(shapes, root, _trie_neighbours(p_node, plan[0]),
-                                         plan[1], _unbarred(*plan))
-    return decode(out)[out_root]
+    out, out_root, _, _, _ = _level_walk(shapes, root, _trie_neighbours(p_node, length), tau,
+                                         _unbarred(length, tau, next(live)))
+    return decode(out)[out_root] if out_root >= 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +422,11 @@ def _combine(a_nodes, p_node, depth, plan, memo):
 class _BarPass:
     """Per-position data, built once per component, on which positions a
     label is barred from: its list lacks it, or a neighbour's recent label
-    lies at a forbidden difference from it. The one walk over the edges
-    in position coordinates also records each position's neighbours,
-    ``nbr_mask``, which the walks remove from the positions free to take
-    a label once a neighbour takes it.
+    lies at a forbidden difference from it; and on which positions may
+    stay unlabeled past it: their list has a later label. The one walk
+    over the edges in position coordinates also records each position's
+    neighbours, ``nbr_mask``, which the walks remove from the positions
+    free to take a label once a neighbour takes it.
 
     ``filters`` gives the masks _level_walk and _walk_back filter with.
     The rows that take positions out of a mask are kept complemented, as
@@ -392,7 +438,8 @@ class _BarPass:
 
     def __init__(self, inst: Instance, ordering, tau: int):
         # Bitmasks over positions: listed[lab] holds the positions whose
-        # list has label lab; nbr_mask[j] holds position j's neighbours; a
+        # list has label lab; live[lab] those whose list has a label above
+        # lab (_live_masks); nbr_mask[j] holds position j's neighbours; a
         # symbol at position j bars the later positions later[j][sym] and
         # the earlier ones earlier[j][sym] (lists by symbol); closes[j]
         # holds the positions whose last barring neighbour sits at j;
@@ -401,16 +448,13 @@ class _BarPass:
         pos_of = {v: i for i, v in enumerate(ordering)}
         n = len(ordering)
         self.full = (1 << n) - 1
-        self.listed = listed = {}
+        self.listed = listed = _listed_masks(inst, ordering)
+        self.live = _live_masks(listed)
         later = [[0] * (tau + 2) for _ in range(n)]
         self.earlier = earlier = [[0] * (tau + 2) for _ in range(n)]
         self.nbr_mask = nbr_mask = [0] * n
         closes = [0] * n
         waiting = 0
-        for i, v in enumerate(ordering):
-            bit = 1 << i
-            for lab in inst.lam[v]:
-                listed[lab] = listed.get(lab, 0) | bit
         last = list(range(n))  # the last barring neighbour of each position, or itself
         for (u, v), diffs in inst.t.items():
             i, j = pos_of[u], pos_of[v]
@@ -434,12 +478,13 @@ class _BarPass:
         self.waiting = waiting
 
     def filters(self, label: int):
-        """(listed, not_later, earlier, not_closes, waiting) for
+        """(listed, not_later, earlier, not_closes, waiting, live) for
         ``label``, read against a table of the level before it: ``listed``
-        holds the positions whose list has the label; the rows are the
-        static ones."""
+        holds the positions whose list has the label, ``live`` those whose
+        list has a label above it, the only ones that may stay unlabeled
+        in the new table; the rows are the static ones."""
         return (self.listed.get(label, 0), self.not_later, self.earlier, self.not_closes,
-                self.waiting)
+                self.waiting, self.live.get(label, 0))
 
     def run(self, vec, level: int):
         """One vector's OPEN positions barred from label ``level + 2``
@@ -531,12 +576,16 @@ class ComponentDP:
         caller keeps its shapes, which the walk only reads. Returns the new
         table's number of vectors and of DAG nodes, whether it holds a
         complete vector, the entries the walk memoized and the unions it
-        made; the count and the flags come from encoding.tally.
+        made; the count and the flags come from encoding.tally. Where no
+        vector survives the level, the new table is empty: ``store`` is
+        left empty, with nothing tallied, and the counts are 0.
         """
         shapes, root, _ = store
         store.clear()
         shapes, root, entries, unions, reached = _level_walk(shapes, root, self.bar.nbr_mask,
                                                              self.tau, self.bar.filters(level))
+        if root < 0:
+            return 0, 0, False, entries, unions
         shapes, root, count, full = tally(shapes, root, reached)
         store[:] = shapes, root, full
         return count[root], len(shapes) - 1, full[root], entries, unions
@@ -625,7 +674,8 @@ def _walk_back(levels, final, final_level, nbr_mask, tau: int, ordering, filters
     vec, k = final, final_level
     while k and 1 in vec:  # an aged label (symbol 1) is read only by walking on down
         shapes, root = levels[k - 1]
-        listed, not_later, earlier, not_closes, waiting = filters(k)
+        # a live vector's predecessors are live: ``live`` cuts nothing here
+        listed, not_later, earlier, not_closes, waiting, _ = filters(k)
         options = [ys[sym] if sym > 0 else ys[OPEN] for sym in vec]
         path.clear()
         dead.clear()
@@ -706,8 +756,6 @@ def _solve_component(inst: Instance, options: SolveOptions,
     # a component has a vertex, so the base vector is never complete
     for k in range(1, max(label_map) + 1):  # to the largest label, compressed
         size, nodes, complete, memo, unions = dp.advance(store, k)
-        if levels is not None:
-            levels.append((store[0], store[1]))
         stats.levels += 1
         stats.max_table_size = max(stats.max_table_size, size)
         report.level_sizes.append(size)
@@ -718,13 +766,15 @@ def _solve_component(inst: Instance, options: SolveOptions,
         if held > ENTRY_LIMIT:
             raise ResourceLimitError(f"{held} table nodes and walk entries by level {k}, "
                                      f"past the limit of {ENTRY_LIMIT}")
+        if not size:  # no vector can be completed any more: NO
+            return False, None
+        if levels is not None:
+            levels.append((store[0], store[1]))
         if complete and options.early_exit:
             break
-    # completeness persists from level to level (the empty independent set
-    # lets every vector skip a label), so with early exit on or off the
-    # last level run decides, and its table anchors the witness
-    if not complete:
-        return False, None
+    # the last level run holds a complete vector: early exit stopped at one,
+    # or it is the largest label's table, which is not empty and keeps
+    # complete vectors only; it anchors the witness
     if levels is None:
         return True, None
     shapes, root, full = store

@@ -6,7 +6,7 @@ import itertools
 
 from gltc import (BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition,
                   independent_set_vectors, validate)
-from gltc.reference import extension_predicate, level_step, project
+from gltc.reference import extension_predicate, is_live, level_step, project
 from gltc.vectorset import decode, encode
 
 
@@ -24,6 +24,16 @@ def complete_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(1, i) for i in range(2, leaves + 2)])
+
+
+def odd_cycle_with_pendant() -> Instance:
+    """C5 with lists {1, 2} and T = {0}, plus vertex 6 hanging on vertex 1
+    with list {1..6}: NO, as C5 has no proper 2-labeling. Every vector
+    that leaves a cycle vertex unlabeled at level 2 is dead, so the level-2
+    table is empty, where the unpruned tables run 6 levels of 62 vectors."""
+    g = Graph.from_edges(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5), (1, 6)])
+    lam = {**dict.fromkeys(range(1, 6), frozenset({1, 2})), 6: frozenset(range(1, 7))}
+    return Instance(graph=g, lam=lam, t={e: frozenset({0}) for e in g.edges})
 
 
 def uniform_instance(g: Graph, labels, diffs) -> Instance:
@@ -86,6 +96,8 @@ def step(dp: ComponentDP, table: VectorTrie, level: int):
     shapes, (root,) = encode((table.root,))
     store = [shapes, root, None]
     size, nodes, _, memo, unions = dp.advance(store, level)
+    if not store:  # the level emptied the table
+        return VectorTrie(table.length), size, nodes, memo, unions
     return VectorTrie(table.length, decode(store[0])[store[1]]), size, nodes, memo, unions
 
 
@@ -138,18 +150,27 @@ def proper_partial_labelings(inst: Instance, k: int):
 
 def reference_table(inst: Instance, ordering, k: int, tau: int) -> set:
     """The level-k table straight from its semantics: encode every proper
-    partial labeling with labels 1..k, no dynamic program involved. An
-    unlabeled vertex is OPEN or BLOCKED for label k + 1, as the reference
+    partial labeling with labels 1..k, no dynamic program involved, and
+    keep the live vectors (reference.is_live): those whose unlabeled
+    vertices all have a label above k on their lists. An unlabeled
+    vertex is OPEN or BLOCKED for label k + 1, as the reference
     recurrence (reference.level_step) marks it; the solver's tables are
     its reference.project."""
-    out = set()
-    for phi in proper_partial_labelings(inst, k):
-        vec = []
-        for v in ordering:
-            if v in phi:
-                lab = phi[v]
-                vec.append(1 if lab <= k - tau else lab - k + tau + 1)
-            else:
-                vec.append(OPEN if extension_predicate(phi, v, k + 1, inst) else BLOCKED)
-        out.add(tuple(vec))
-    return out
+    vectors = (labeling_vector(inst, ordering, phi, k, tau)
+               for phi in proper_partial_labelings(inst, k))
+    return {vec for vec in vectors if is_live(vec, k, inst, ordering)}
+
+
+def labeling_vector(inst: Instance, ordering, phi, k: int, tau: int):
+    """The level-k state vector of the partial labeling ``phi`` (labels
+    1..k) in the coordinates of ``ordering``: a label at most k - tau is
+    1, a later one k + sym - tau - 1 is sym, and an unlabeled vertex is
+    OPEN or BLOCKED for label k + 1."""
+    vec = []
+    for v in ordering:
+        if v in phi:
+            lab = phi[v]
+            vec.append(1 if lab <= k - tau else lab - k + tau + 1)
+        else:
+            vec.append(OPEN if extension_predicate(phi, v, k + 1, inst) else BLOCKED)
+    return tuple(vec)

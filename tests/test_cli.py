@@ -161,6 +161,21 @@ def test_solve_trace_goes_to_stderr(yes_file, capsys):
         assert int(k) >= 1 and int(size) >= 0 and int(cum) >= int(size)
 
 
+def test_solve_trace_ends_on_the_level_that_empties_the_table(tmp_path, capsys):
+    # the level-2 table of a 5-cycle with lists {1, 2} and a pendant with
+    # list {1..6} is empty, so the trace has two rows, the last of size 0
+    from support import odd_cycle_with_pendant
+
+    path = tmp_path / "c5.gltc"
+    path.write_text(serialize_instance(odd_cycle_with_pendant()))
+    for flags in ([], ["--no-early-exit"], ["--witness"]):
+        assert main(["solve", str(path), "--trace", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "NO\n"
+        rows = [line.split("\t") for line in captured.err.splitlines() if not line.startswith("#")]
+        assert rows == [["1", "19", "19"], ["2", "0", "19"]]
+
+
 def test_solve_trace_headers_count_the_pruned_labels(yes_file, no_file, capsys):
     # label 2 has no support on the edge in either document; in NO_DOC
     # every label goes, so no level runs
@@ -390,8 +405,8 @@ def test_solve_on_a_long_path_never_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize("n, labels, diffs", [
-    (26, "1 2", "0"),  # 2**26 vectors at level 2, in 26 table nodes
-    (100, "1 2 3", "0 1"),  # about 2**127 vectors at level 3, in 298
+    (26, "1 2", "0"),  # 317,811 vectors at level 1, in 51 table nodes
+    (100, "1 2 3", "0 1"),  # about 2**69 vectors at levels 1 and 2, in 199 each
     (1200, "1 2 3", "0 1"),  # walks 1,200 positions deep
 ])
 def test_solve_long_paths_at_default_options(tmp_path, n, labels, diffs):

@@ -33,7 +33,7 @@ from gltc import (
 )
 from gltc.reference import level_step, mark_blocked, project
 from gltc.solver import _BarPass, _build_plan, _combine, _find_complete
-from support import base_table, step
+from support import base_table, odd_cycle_with_pendant, step
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -71,9 +71,15 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
     # with its own plan and a fresh memo, then bars the flattened result
     # vector by vector; its tables are reference.level_step's and,
     # projected, the solver's, vector for vector, and the solver's level
-    # walk of the projected table equals the replay's step
-    for strategy, seed in (("star", 21), ("clique", 22), ("singleton", 23)):
-        inst = random_instance(n=7, density=0.5, tau=seed % 3, lmax=6, seed=seed)
+    # walk of the projected table equals the replay's step. The plan
+    # hands _combine the next live mask at each call, and a level that
+    # empties the table gives None, as the C5 with lists {1, 2}, T = {0}
+    # and a pendant vertex with list {1..6} does at level 2
+    c5 = odd_cycle_with_pendant()
+    cases = [(random_instance(n=7, density=0.5, tau=seed % 3, lmax=6, seed=seed), strategy)
+             for strategy, seed in (("star", 21), ("clique", 22), ("singleton", 23))]
+    emptied = []
+    for inst, strategy in [*cases, (c5, "singleton"), (c5, "star")]:
         part = build_partition(inst, strategy)
         dp = ComponentDP(inst, part.ordering)
         n = len(dp.ordering)
@@ -94,7 +100,12 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
             assert barred == reference
             assert set(map(project, barred)) == want
             assert len(barred) == want_size
+            if combined is None:
+                assert not reference and want_size == 0
+                emptied.append((inst is c5, k))
+                break
             replay = VectorTrie.from_vectors(n, barred)
+    assert emptied.count((True, 2)) == 2
 
 
 def test_completeness_check_and_witness_walk_of_the_replay_still_run():

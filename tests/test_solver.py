@@ -49,6 +49,7 @@ from gltc import solver as solver_module
 from gltc import vectorset as vectorset_module
 from gltc.solver import (
     _BarPass,
+    _build_plan,
     _combine,
     _find_complete,
     _level_walk,
@@ -60,8 +61,11 @@ from support import (
     base_table,
     complete_graph,
     cycle_graph,
+    labeling_vector,
     neighbour_masks,
+    odd_cycle_with_pendant,
     path_graph,
+    proper_partial_labelings,
     reachable,
     recurrence_mismatch,
     reference_table,
@@ -72,6 +76,12 @@ from support import (
 
 
 # --- combination steps -------------------------------------------------------
+
+def _keep_all(dp):
+    """A plan for the replay's _combine that keeps every vector live at
+    every call: the step is reference.direct_step's, nothing dropped."""
+    return len(dp.ordering), dp.tau, itertools.repeat(-1)
+
 
 def test_compute_step_on_a_single_open_vertex():
     dp = ComponentDP(uniform_instance(path_graph(1), {1, 2}, set()), (1,))
@@ -207,9 +217,10 @@ _TAU0_PATH = Instance(graph=path_graph(3), lam={1: frozenset({1, 2}), 2: frozens
 # v3 is adjacent to v1 with T = {0} and to v2 with T = {0, 1}: where v1
 # takes the label, adjacency keeps v3 from it; where v1 is aged and v2
 # holds a recent label (symbol 2), v2's bar does. Both paths reach the
-# one (OPEN) node at v3 with no position free and none pending
+# one (OPEN) node at v3 with no position free and none pending. Label 4
+# keeps every position live at label 3, the one these tables take
 _ADJACENT_OR_BARRED = Instance(graph=Graph.from_edges(3, [(1, 3), (2, 3)]),
-                               lam={v: frozenset({1, 2, 3}) for v in (1, 2, 3)},
+                               lam={v: frozenset({1, 2, 3, 4}) for v in (1, 2, 3)},
                                t={(1, 3): frozenset({0}), (2, 3): frozenset({0, 1})})
 
 
@@ -235,6 +246,9 @@ def _tally_vs_reference(nbr_mask, tau, filters, vecs):
     the walk's store that its root does not reach."""
     shapes, (root,) = encode((VectorTrie.from_vectors(len(nbr_mask), vecs).root,))
     out, out_root, _, _, reached = _level_walk(shapes, root, nbr_mask, tau, filters)
+    if out_root < 0:  # every vector died, and a dead branch builds no node
+        assert out == [()]
+        return 0
     raw = list(out)
     store, store_root, count, full = encoding_module.tally(out, out_root)
     if reached:  # the walk's word that no node is unreached holds, and saves the marking
@@ -313,10 +327,13 @@ def _walk_vs_level_step(inst, ordering, level, vecs, graph=None):
     filters = _BarPass(inst, ordering, tau).filters(level + 2)
     out, root, _, _, reached = _level_walk(shapes, root, neighbour_masks(graph, ordering), tau,
                                            filters)
-    out, root, count, full = encoding_module.tally(out, root, reached)
-    size, complete = count[root], full[root]
     table = VectorTrie.from_vectors(n, vecs)
     want = set(map(project, level_step(table, indep, inst, ordering, tau, level + 2)))
+    if root < 0:  # the walk's word for an empty table
+        assert not want and out == [()]
+        return False
+    out, root, count, full = encoding_module.tally(out, root, reached)
+    size, complete = count[root], full[root]
     assert set(VectorTrie(n, decode(out)[root])) == want
     assert size == len(want)
     # the walk's tally flag, against the vectors one by one
@@ -411,6 +428,9 @@ def test_level_tables_are_reduced_dags(strategy):
         table = base_table(dp)
         for k in range(1, validate(inst).lambda_max + 1):
             table, size, nodes, _, _ = step(dp, table, k)
+            if table.root is None:  # the level emptied the table
+                assert size == nodes == 0
+                break
             shapes, reachable = _distinct_shapes(table.root)
             assert shapes == reachable == nodes
             # the size advance counted, against a separate walk
@@ -423,11 +443,16 @@ def test_combined_dag_is_reduced(strategy):
     # keyed on node uids, walks each copy again
     for inst, dp in _seeded_dps(strategy):
         table, indep = base_table(dp), independent_set_vectors(inst.graph, dp.ordering)
+        plan = _build_plan(build_partition(inst, strategy).blocks, dp.tau, inst)
         for k in range(1, validate(inst).lambda_max + 1):
-            combined = _combine((table.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
+            combined = _combine((table.root,), indep.root, 0, plan, {})
+            if combined is None:  # the level emptied the table
+                break
             shapes, reachable = _distinct_shapes(combined)
             assert shapes == reachable
             table, _, _, _, _ = step(dp, table, k)
+            if table.root is None:
+                break
 
 
 def _stepped(dp, table, level):
@@ -590,7 +615,7 @@ def test_tau_zero_state_mixes_indep_nodes():
     assert dp.tau == 0
     assert indep.root[0] is not indep.root[1]
     table = VectorTrie.from_vectors(2, [(1, 1), (OPEN, OPEN)])
-    step = _combine((table.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
+    step = _combine((table.root,), indep.root, 0, _keep_all(dp), {})
     # after a first 1, (1, 1) comes only from the pair (1, 0) and (1, OPEN)
     # only from (OPEN, 1): the state must keep both indep nodes
     assert set(VectorTrie(2, step)) == {(1, 1), (1, OPEN), (OPEN, OPEN), (OPEN, 1)}
@@ -693,20 +718,22 @@ def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeyp
     base = base_table(dp)
     solver_module._find_complete(base)
     indep = independent_set_vectors(inst.graph, dp.ordering)
-    solver_module._combine((base.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
+    solver_module._combine((base.root,), indep.root, 0, _keep_all(dp), {})
     assert calls == {"decode": 1, "_find_complete": 1, "_least_complete": 1}
 
 
 def test_solve_tallies_each_level_once(monkeypatch):
-    # advance tallies the store the walk builds, once per level run, and the
-    # witness anchor descends the last level's flags without a tally of
+    # advance tallies the store the walk builds, once per level run that
+    # leaves a vector, and the witness anchor descends the last level's flags without a tally of
     # its own, with witness and early exit each on or off
     calls = _counted_calls(monkeypatch, ("tally",))
     levels = witnesses = 0
     for inst, early_exit in _seeded_solve_cases():
         for parents in (True, False):
             result = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=parents))
-            assert calls["tally"] == result.stats.levels
+            # a level that empties its table has nothing to tally
+            emptied = sum(size == 0 for c in result.stats.components for size in c.level_sizes)
+            assert calls["tally"] == result.stats.levels - emptied
             calls["tally"] = 0
             levels += result.stats.levels
             witnesses += result.witness is not None
@@ -742,7 +769,7 @@ def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypa
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
     indep = indsets_module.independent_set_vectors(inst.graph, dp.ordering)
-    solver_module._combine((base.root,), indep.root, 0, (len(dp.ordering), dp.tau), {})
+    solver_module._combine((base.root,), indep.root, 0, _keep_all(dp), {})
     assert calls["encode"] == 1 and calls["decode"] == 1 and calls["VectorTrie"] >= 2
 
 
@@ -810,6 +837,74 @@ def test_tables_equal_definition_level_encoding():
         assert set(table) == _projected(reference_table(inst, ordering, k, tau))
 
 
+@st.composite
+def _definition_cases(draw):
+    """A random instance small enough to list its partial labelings, and
+    a vertex ordering."""
+    n = draw(st.integers(1, 5))
+    inst = random_instance(n=n, density=draw(st.sampled_from((0.3, 0.6, 0.9))),
+                           tau=draw(st.integers(0, 3)), lmax=draw(st.integers(1, 6)),
+                           seed=draw(st.integers(0, 10_000)))
+    return inst, tuple(draw(st.permutations(range(1, n + 1))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_definition_cases())
+@example((odd_cycle_with_pendant(), (1, 2, 3, 4, 5, 6)))
+@example((odd_cycle_with_pendant(), (6, 3, 1, 4, 2, 5)))
+@example((Instance(graph=path_graph(1), lam={1: frozenset({2})}, t={}), (1,)))
+@example((_TAU0_PATH, (2, 1, 3)))
+def test_tables_are_the_live_part_of_the_unpruned_definition(case):
+    # every solver table against the definition with nothing dropped: the
+    # projected encodings of all proper partial labelings with labels
+    # 1..k. The solver keeps exactly the live ones, where no unlabeled
+    # vertex's list ends at or below k; and every labeling that extends a
+    # dead one by label k + 1 is dead too, so no dropped vector has a
+    # live successor
+    inst, ordering = case
+    tau = instance_tau(inst)
+    ends = {v: max(inst.lam[v], default=0) for v in ordering}
+
+    def dead(phi, k):
+        return any(v not in phi and ends[v] <= k for v in ordering)
+
+    dp = ComponentDP(inst, ordering)
+    table = base_table(dp)
+    labelings = [{}]
+    for k in range(1, validate(inst).lambda_max + 1):
+        table, size, _, _, _ = step(dp, table, k)
+        before = {frozenset(phi.items()) for phi in labelings}
+        labelings = list(proper_partial_labelings(inst, k))
+        live = {project(labeling_vector(inst, ordering, phi, k, tau))
+                for phi in labelings if not dead(phi, k)}
+        assert set(table) == live and size == len(live)
+        for psi in labelings:  # psi is phi of the level below, plus label k
+            phi = {v: lab for v, lab in psi.items() if lab < k}
+            assert frozenset(phi.items()) in before
+            if dead(phi, k - 1):
+                assert dead(psi, k)
+
+
+def test_a_no_component_stops_at_its_first_empty_table(monkeypatch):
+    # at level 2 every vector leaves a vertex of the 5-cycle unlabeled with
+    # its list {1, 2} ended, so the table is empty and the component is
+    # NO after 2 levels, where the unpruned tables ran 6 levels of 62
+    # vectors; the empty table is not tallied, retained or walked back,
+    # with early exit and witness each on or off
+    inst = odd_cycle_with_pendant()
+    assert not brute_force_solve(inst)[0]
+    calls = _counted_calls(monkeypatch, ("tally", "_least_complete", "_walk_back"))
+    for early_exit in (True, False):
+        for parents in (True, False):
+            result = solve(inst, options=SolveOptions(early_exit=early_exit,
+                                                      store_parents=parents))
+            assert not result.decision and result.witness is None
+            (report,) = result.stats.components
+            assert report.level_sizes == [19, 0] and report.level_nodes == [14, 0]
+            assert result.stats.levels == 2 and result.stats.max_table_size == 19
+    assert calls == {"tally": 4, "_least_complete": 0, "_walk_back": 0}
+
+
 def test_base_table_marks_label_one_availability():
     g = path_graph(2)
     inst = Instance(graph=g, lam={1: frozenset({1, 2}), 2: frozenset({2})},
@@ -825,12 +920,13 @@ def test_level_trace_of_sparse_single_vertex():
     # lists {2} only (tau=0): label 1 is never admissible, so level 0 is
     # BLOCKED in the reference (OPEN once projected); the unlabeled branch
     # reopens at level 1 and the label lands at level 2, where the labeled
-    # symbol is tau+1 = 1
+    # symbol is tau+1 = 1. The vertex's list ends at 2, so the vector that
+    # leaves it unlabeled at level 2 is dead and dropped
     inst = Instance(graph=path_graph(1), lam={1: frozenset({2})}, t={})
     tables = {k: set(t) for k, t, _, _ in run_tables(inst, "singleton")}
     assert tables[0] == {project((BLOCKED,))}
     assert tables[1] == {(OPEN,)}
-    assert tables[2] == {project((BLOCKED,)), (1,)}
+    assert tables[2] == {(1,)}
     result = solve(inst)
     assert result.decision and result.witness == {1: 2}
 
@@ -960,7 +1056,7 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
         return labels
 
     monkeypatch.setattr(solver_module, "_walk_back", recorded)
-    seen = {"several yes components": 0, "no": 0}
+    seen = {"several yes components": 0, "no": 0, "no before the last label": 0}
     for seed in range(300):
         inst = random_instance(n=3 + seed % 8, density=(0.15, 0.35, 0.6)[seed % 3],
                                tau=seed % 4, lmax=3 + seed % 6, seed=4400 + seed)
@@ -986,16 +1082,24 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
                 assert check_witness(inst, result.witness)
                 seen["several yes components"] += len(solver_walks) > 1
                 continue
-            # the NO component ran every level without a complete vector
+            # the NO component ran levels without a complete vector until
+            # one emptied its table, at the largest label at the latest,
+            # unless pruning emptied it before any level
             report = result.stats.components[-1]
             sub, label_map = gap_compression(report.instance)
+            if not label_map:
+                assert report.level_sizes == []
+                continue
             dp = ComponentDP(sub, report.ordering)
             table = base_table(dp)
-            assert len(report.level_sizes) == max(label_map, default=0)
-            for k in range(1, max(label_map, default=0) + 1):
+            levels = len(report.level_sizes)
+            assert levels <= max(label_map) and report.level_sizes.index(0) == levels - 1
+            for k in range(1, levels + 1):
                 table = step(dp, table, k)[0]
                 assert _find_complete(table) is None
+            assert not table
             seen["no"] += 1
+            seen["no before the last label"] += levels < max(label_map)
     assert all(seen.values()), seen
 
 
@@ -1039,6 +1143,9 @@ def test_advance_leaves_exactly_the_nodes_its_root_reaches(monkeypatch):
                 table_shapes = store[0]
                 _, nodes, _, _, _ = dp.advance(store, k)
                 kinds.add(any(out_unions))
+                if not store:  # the level emptied the table
+                    assert nodes == 0
+                    break
                 shapes, root, _ = store
                 reached, stack = {0, root}, [root]
                 while stack:
@@ -1088,12 +1195,14 @@ def test_the_walk_back_stops_at_the_first_level_with_no_aged_label(monkeypatch):
 # decision, levels, then per component level_sizes and level_nodes): a
 # change that must leave every table alone is checked by it. The walk
 # digest covers (name, then per component level_memo and level_unions),
-# what the level walk did to build those tables; it was pinned when the
-# walk's memo key became one mask of the positions free to take the
-# label, which merges entries the independent-set trie kept apart.
+# what the level walk did to build those tables. Both were last pinned
+# when the tables dropped their dead vectors, those with an unlabeled
+# vertex whose list has no label above the level: the sizes, nodes, memo
+# entries and unions of a level shrink, and a NO component's levels end
+# at its first empty table, while the witness digest held.
 WITNESS_DIGEST = "14836edbbf9d042909dab57bd1cba52de5c91f6b"
-TABLE_DIGEST = "a032bde2673a0fc008ca166cd7e0c6bea3b5f98e"
-WALK_DIGEST = "16d06ad1556e3c18a35c46f13f54cf53b1a1fc99"
+TABLE_DIGEST = "6249534031b4ce4634303c04b29104c961625ba2"
+WALK_DIGEST = "63a92f6be64e3a2a8d959cc6cb3d8c36a3668e9f"
 
 
 @pytest.fixture(scope="module")

@@ -41,8 +41,10 @@ def test_bool_tracks_emptiness():
 
 
 def _path_table(n, level):
-    """The level table of an n-vertex path with lists {1, 2} and T = {0}."""
-    inst = uniform_instance(path_graph(n), {1, 2}, {0})
+    """The level table of an n-vertex path with lists {1, 2, 3} and
+    T = {0}: up to level 2 every unlabeled vertex may still take label 3,
+    so no vector is dead."""
+    inst = uniform_instance(path_graph(n), {1, 2, 3}, {0})
     dp = ComponentDP(inst, walk_order(inst.graph))
     table = base_table(dp)
     for k in range(1, level + 1):
