@@ -12,9 +12,11 @@ Whether an unlabeled vertex may take the next label is not stored: it
 follows from its list and its neighbours' recent labels, which the walk
 reads on the way down. BLOCKED exists only on the reference side and in
 the benchmark replay's tables. Labels that fail arc consistency, which
-no proper labeling uses, are pruned first (instance.gap_compression),
-and a component that pruning empties is NO with no level run. The
-coordinates follow walk_order, defined here next to ComponentDP: a
+no proper labeling uses, are pruned first, and a list with a free label,
+one at no forbidden difference from any neighbour's label, is cut to
+its least such label, which keeps the decision but moves the witness
+(instance.gap_compression); a component that pruning empties is NO
+with no level run. The coordinates follow walk_order, defined here next to ComponentDP: a
 greedy small-frontier order of the graph. A table's content does not
 depend on the order, but the cost of the walk does. No partition is
 built here; partition.predict_complexity bounds the table sizes from
@@ -99,10 +101,11 @@ class ResourceLimitError(RuntimeError):
 class SolveOptions:
     """``early_exit`` stops at the first level with a complete vector;
     ``store_parents`` keeps every level table for the witness walk.
-    Labels that fail arc consistency are always pruned, differences no
-    labeling gives dropped and dead label gaps compressed
-    (instance.gap_compression). What a solve may hold is capped by the
-    constant ``ENTRY_LIMIT``, not by an option."""
+    Labels that fail arc consistency are always pruned, a list with a
+    free label cut to its least one, differences no labeling gives
+    dropped and dead label gaps compressed (instance.gap_compression).
+    What a solve may hold is capped by the constant ``ENTRY_LIMIT``, not
+    by an option."""
 
     early_exit: bool = True
     store_parents: bool = True
@@ -121,7 +124,8 @@ class ComponentReport:
     """Per-component diagnostics: the vertex order the walks followed and,
     per level, how big the table got (vectors and DAG nodes), how many
     entries the level walk memoized and how many unions it made, and the
-    list entries pruned before the DP. A bound for the sizes comes from
+    list entries pruned before the DP, by arc consistency and by cutting
+    lists to a free label (instance.gap_compression). A bound for the sizes comes from
     predict_complexity on a partition of ``instance``."""
 
     instance: Instance
@@ -738,7 +742,8 @@ def check_witness(inst: Instance, witness: Witness) -> bool:
 def _solve_component(inst: Instance, options: SolveOptions,
                      stats: SolveStats) -> tuple[bool, Witness | None]:
     """Run the DP on one connected (sub-)instance, walked in walk_order,
-    with its unsupported labels pruned and its dead label gaps compressed."""
+    with its unsupported labels pruned, its lists with a free label cut to
+    one and its dead label gaps compressed."""
     ordering = walk_order(inst.graph)
     report = ComponentReport(instance=inst, ordering=ordering)
     stats.components.append(report)

@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+
+import pytest
 
 from gltc import (BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition,
                   independent_set_vectors, validate)
+from gltc import instance as instance_module
 from gltc.reference import extension_predicate, is_live, level_step, project
 from gltc.vectorset import decode, encode
+
+
+@contextlib.contextmanager
+def free_labels_off():
+    """gap_compression with its free-label step (_fix_free_labels) made the
+    identity, for the span of the block: the lists are those arc
+    consistency leaves, and a pin taken on them shows the DP unchanged."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(instance_module, "_fix_free_labels", lambda masks, nbrs: masks)
+        yield
 
 
 def path_graph(n: int) -> Graph:

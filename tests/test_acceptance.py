@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import contextlib
 import time
 
 from gltc import (
@@ -32,6 +33,7 @@ from gltc.partition import (
 from support import (
     complete_graph,
     cycle_graph,
+    free_labels_off,
     line_graph,
     path_graph,
     recurrence_mismatch,
@@ -211,23 +213,30 @@ def test_criterion_6_partition_structural_properties():
 
 
 def test_criterion_7_performance_smoke():
+    # the sizes with gap_compression's free-label step off, then by default,
+    # where vertices 4 and 5 keep one free label each
     failures = []
     inst = random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024)
-    start = time.time()
-    result = solve(inst, strategy="star")
-    elapsed = time.time() - start
-    if elapsed >= 60:
-        failures.append(("runtime", elapsed))
-    if not result.stats.components:
-        failures.append("no component reports")
-    sizes = [comp.level_sizes for comp in result.stats.components]
-    if sizes != [[85, 594, 4018, 36163, 62427, 207528, 238692, 694656]]:
-        failures.append(("level sizes", sizes))
-    for comp in result.stats.components:
-        part = build_partition(comp.instance, "star")
-        bound = predict_complexity(comp.instance.graph, part, instance_tau(comp.instance)).product
-        oversized = [s for s in comp.level_sizes if s > bound]
-        if oversized:
-            failures.append(("table over bound", oversized, bound))
-    print(f"  (n=16 star solve took {elapsed:.1f}s, decision={result.decision})")
+    for free_labels, expected in ((False, [[85, 594, 4018, 36163, 62427, 207528, 238692, 694656]]),
+                                  (True, [[45, 287, 1187, 7031, 12699, 42040, 32800, 91392,
+                                           174016, 159744, 98304, 108544, 61440]])):
+        start = time.time()
+        with contextlib.nullcontext() if free_labels else free_labels_off():
+            result = solve(inst, strategy="star")
+        elapsed = time.time() - start
+        if elapsed >= 60:
+            failures.append(("runtime", elapsed))
+        if not result.stats.components:
+            failures.append("no component reports")
+        sizes = [comp.level_sizes for comp in result.stats.components]
+        if sizes != expected:
+            failures.append(("level sizes", free_labels, sizes))
+        for comp in result.stats.components:
+            part = build_partition(comp.instance, "star")
+            bound = predict_complexity(comp.instance.graph, part,
+                                       instance_tau(comp.instance)).product
+            oversized = [s for s in comp.level_sizes if s > bound]
+            if oversized:
+                failures.append(("table over bound", oversized, bound))
+        print(f"  (n=16 star solve took {elapsed:.1f}s, decision={result.decision})")
     _report(7, "performance smoke test", failures)

@@ -1,6 +1,7 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -164,16 +165,26 @@ def test_solve_trace_goes_to_stderr(yes_file, capsys):
 def test_solve_trace_ends_on_the_level_that_empties_the_table(tmp_path, capsys):
     # the level-2 table of a 5-cycle with lists {1, 2} and a pendant with
     # list {1..6} is empty, so the trace has two rows, the last of size 0
-    from support import odd_cycle_with_pendant
+    # (pinned with the free-label step off; by default the pendant keeps
+    # its least free label, 3, and the level-1 table holds 11 vectors)
+    from support import free_labels_off, odd_cycle_with_pendant
 
     path = tmp_path / "c5.gltc"
     path.write_text(serialize_instance(odd_cycle_with_pendant()))
+    with free_labels_off():
+        for flags in ([], ["--no-early-exit"], ["--witness"]):
+            assert main(["solve", str(path), "--trace", *flags]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "NO\n"
+            rows = [line.split("\t") for line in captured.err.splitlines()
+                    if not line.startswith("#")]
+            assert rows == [["1", "19", "19"], ["2", "0", "19"]]
     for flags in ([], ["--no-early-exit"], ["--witness"]):
         assert main(["solve", str(path), "--trace", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == "NO\n"
         rows = [line.split("\t") for line in captured.err.splitlines() if not line.startswith("#")]
-        assert rows == [["1", "19", "19"], ["2", "0", "19"]]
+        assert rows == [["1", "11", "11"], ["2", "0", "11"]]
 
 
 def test_solve_trace_headers_count_the_pruned_labels(yes_file, no_file, capsys):
@@ -362,6 +373,43 @@ def test_predict_a_difference_beyond_every_label_span(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[:2] == ["partition auto", "f 2 2 2"]
     assert f"f {star_prefix_bound(3, 1_000_000)}" not in proc.stdout
+
+
+
+# label 1 of vertex 1 lies 10**12 - 1 from vertex 2's one label, a
+# difference T forbids, so arc consistency drops it; the lists span 10**12
+WIDE_LABEL_DOC = "gltc 2 1\nv 1 1 2\nv 2 1000000000000\ne 1 2 0 999999999999\n"
+# the same difference between {1, 2} and {10**12, 10**12 + 1}, where each
+# label has support: pruning keeps every label and the span
+STILL_WIDE_DOC = "gltc 2 1\nv 1 1 2\nv 2 1000000000000 1000000000001\ne 1 2 0 999999999999\n"
+
+
+def _run_capped(*args):
+    """gltc in a subprocess held to 5 s and 1 GiB of address space, so
+    work or memory that grows with the labels' size fails the test
+    instead of hanging the suite or filling the machine."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    return subprocess.run([sys.executable, "-m", "gltc.cli", *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), preexec_fn=cap,
+                          capture_output=True, text=True, timeout=5)
+
+
+def test_labels_far_apart_are_pruned_without_masks_as_wide(tmp_path):
+    # a label bitmask as wide as these labels would take 125 GB
+    path = tmp_path / "wide.gltc"
+    path.write_text(WIDE_LABEL_DOC)
+    proc = _run_capped("solve", path, "--witness")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["YES", "v 1 2", "v 2 1000000000000"]
+    proc = _run_capped("predict", path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["partition auto", "f 2 2"]
+    # pruning keeps both lists whole here, so predict prices tau = 10**12 - 1
+    path.write_text(STILL_WIDE_DOC)
+    proc = _run_capped("predict", path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "f 1000000000001000000000002"
 
 
 def test_predict_prices_the_instance_solve_runs(tmp_path, capsys):

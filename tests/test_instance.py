@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -27,8 +28,9 @@ from gltc import (
     split_components,
     validate,
 )
+from gltc import instance as instance_module
 from gltc.instance import graph_square, induced_instance
-from support import complete_graph, cycle_graph, path_graph, uniform_instance
+from support import complete_graph, cycle_graph, free_labels_off, path_graph, uniform_instance
 
 
 # --- parsing ---------------------------------------------------------------
@@ -336,23 +338,48 @@ def _kept_labels(inst):
     return {v: {new_to_old[lab] for lab in labels} for v, labels in out.lam.items()}
 
 
+def _assert_arc_consistent(inst, kept):
+    """Every label of the lists ``kept`` has support on every edge."""
+    for (u, w), diffs in inst.t.items():
+        for a, b in ((u, w), (w, u)):
+            assert all(any(abs(x - y) not in diffs for y in kept[b]) for x in kept[a])
+
+
 def test_pruned_labels_are_in_no_proper_labeling():
+    # with the free-label step off, a label arc consistency drops is in no
+    # proper labeling; by default a list may also be cut to one free label,
+    # a subset of what arc consistency leaves, which stays arc consistent
     removed = 0
+    arc_consistent = []
+    with free_labels_off():
+        for seed in range(60):
+            inst = random_instance(n=3 + seed % 5, density=0.6, tau=1 + seed % 3, lmax=6,
+                                   seed=seed)
+            kept = _kept_labels(inst)
+            arc_consistent.append(kept)
+            for v, labels in inst.lam.items():
+                for lab in labels - kept[v]:
+                    # pinned to a pruned label, the vertex leaves no proper labeling
+                    pinned = Instance(graph=inst.graph, lam={**inst.lam, v: frozenset({lab})},
+                                      t=inst.t)
+                    assert brute_force_solve(pinned) == (False, None), (seed, v, lab)
+                    removed += 1
+            # the pruned lists are a fixpoint: every kept label has support on every edge
+            _assert_arc_consistent(inst, kept)
+            assert solve(inst).decision == brute_force_solve(inst)[0]
+    assert removed >= 200
+    cut = 0
     for seed in range(60):
         inst = random_instance(n=3 + seed % 5, density=0.6, tau=1 + seed % 3, lmax=6, seed=seed)
         kept = _kept_labels(inst)
-        for v, labels in inst.lam.items():
-            for lab in labels - kept[v]:
-                # pinned to a pruned label, the vertex leaves no proper labeling
-                pinned = Instance(graph=inst.graph, lam={**inst.lam, v: frozenset({lab})}, t=inst.t)
-                assert brute_force_solve(pinned) == (False, None), (seed, v, lab)
-                removed += 1
-        # the pruned lists are a fixpoint: every kept label has support on every edge
-        for (u, w), diffs in inst.t.items():
-            for a, b in ((u, w), (w, u)):
-                assert all(any(abs(x - y) not in diffs for y in kept[b]) for x in kept[a])
+        for v, labels in kept.items():
+            assert labels <= arc_consistent[seed][v]
+            if labels != arc_consistent[seed][v]:
+                assert len(labels) == 1
+                cut += 1
+        _assert_arc_consistent(inst, kept)
         assert solve(inst).decision == brute_force_solve(inst)[0]
-    assert removed >= 200
+    assert cut == 56
 
 
 def test_an_emptied_list_empties_its_whole_component():
@@ -433,6 +460,123 @@ def test_differences_beyond_the_label_span_change_no_decision():
             assert check_witness(wide, result.witness)
         answers.add(result.decision)
     assert answers == {True, False}
+
+
+def test_labels_past_the_widest_mask_compress_as_narrow_ones():
+    # labels 7 apart and labels 10**9 apart past 10**12 keep no difference
+    # that T forbids but 0 (tau <= 3), so the two compress to the same
+    # instance; the wide ones are pruned and shrunk on sets before any
+    # mask is built, so no mask is wider than the shrunk labels
+    assert 10**12 > instance_module._WIDEST_MASK
+    for seed in range(40):
+        inst = random_instance(n=2 + seed % 7, density=0.6, tau=seed % 4, lmax=6, seed=2700 + seed)
+        narrow = Instance(graph=inst.graph, t=inst.t,
+                          lam={v: frozenset(7 * lab for lab in labels)
+                               for v, labels in inst.lam.items()})
+        wide = Instance(graph=inst.graph, t=inst.t,
+                        lam={v: frozenset(10**12 + 10**9 * lab for lab in labels)
+                             for v, labels in inst.lam.items()})
+        out, new_to_old = gap_compression(narrow)
+        wide_out, wide_new_to_old = gap_compression(wide)
+        assert wide_out == out
+        assert {new: (old - 10**12) // 10**9 for new, old in wide_new_to_old.items()} == \
+            {new: old // 7 for new, old in new_to_old.items()}
+        result = solve(wide)
+        assert result.decision == brute_force_solve(narrow)[0], seed
+        assert not result.decision or check_witness(wide, result.witness)
+
+
+# --- free labels -----------------------------------------------------------
+
+_FREE_LABEL_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                                database=None)
+
+
+@st.composite
+def _small_instances(draw):
+    """A random instance on at most 8 vertices, in reach of brute force."""
+    return random_instance(n=draw(st.integers(1, 8)),
+                           density=draw(st.sampled_from((0.2, 0.4, 0.6, 0.8))),
+                           tau=draw(st.integers(0, 3)), lmax=draw(st.integers(1, 9)),
+                           seed=draw(st.integers(0, 10_000)))
+
+
+_FREE_PENDANT = Instance(graph=path_graph(2), lam={1: frozenset({1, 2}), 2: frozenset({1, 2, 3, 4})},
+                         t={(1, 2): frozenset({0, 1})})
+
+
+@_FREE_LABEL_SETTINGS
+@given(_small_instances())
+@example(_FREE_PENDANT)
+def test_a_dropped_free_label_leaves_one_label_beside_no_conflict(inst):
+    # against the lists arc consistency alone leaves, each list the
+    # free-label step shrinks keeps one label, which lies at no forbidden
+    # difference from any label on a neighbour's final list
+    with free_labels_off():
+        arc_consistent = _kept_labels(inst)
+    kept = _kept_labels(inst)
+    for v, labels in kept.items():
+        assert labels <= arc_consistent[v]
+        if labels != arc_consistent[v]:
+            (a,) = labels
+            assert all(abs(a - b) not in inst.t_of(u, v)
+                       for u in inst.graph.adjacency[v] for b in kept[u])
+
+
+@_FREE_LABEL_SETTINGS
+@given(_small_instances())
+@example(_FREE_PENDANT)
+def test_free_labels_keep_every_decision(inst):
+    result = solve(inst)
+    assert result.decision == brute_force_solve(inst)[0]
+    assert not result.decision or check_witness(inst, result.witness)
+
+
+@_FREE_LABEL_SETTINGS
+@given(_small_instances())
+@example(_FREE_PENDANT)
+def test_a_second_gap_compression_changes_no_list(inst):
+    out = gap_compression(inst)[0]
+    again, new_to_old = gap_compression(out)
+    assert again.lam == out.lam and again.t == out.t
+    assert all(new == old for new, old in new_to_old.items())
+
+
+def test_the_free_pendant_keeps_its_least_free_label():
+    # arc consistency leaves vertex 2 with {3, 4}; vertex 1, visited
+    # first, has 1 and 2 free beside both and keeps 1, and vertex 2 then
+    # keeps 3, free beside 1. Visited the other way round, vertex 2 would
+    # keep 4, the one label free beside {1, 2}: the fixpoint follows the order
+    assert _kept_labels(_FREE_PENDANT) == {1: {1}, 2: {3}}
+
+
+
+def _descending_chain(n):
+    """A triangle 1-2-3 and the path 3-4-...-n, T = {0}, where only vertex
+    n starts with a free label and each cut frees a label of the next
+    lower vertex, down to 3: lists of two of the labels 1, 2, 3 that
+    cycle {2, 3}, {1, 3}, {1, 2} from vertex 3, and {1, 2} on 1 and 2."""
+    edges = [(1, 2), (1, 3), (2, 3)] + [(v, v + 1) for v in range(3, n)]
+    cycle = ({2, 3}, {1, 3}, {1, 2})
+    lam = {1: frozenset({1, 2}), 2: frozenset({1, 2})}
+    lam.update({v: frozenset(cycle[(v - 3) % 3]) for v in range(3, n + 1)})
+    return Instance(graph=Graph.from_edges(n, edges), lam=lam,
+                    t={e: frozenset({0}) for e in edges})
+
+
+def test_a_cut_revisits_only_its_neighbours():
+    # every list has 2 = 2|T| labels, so arc consistency checks no arc;
+    # the free-label cuts run from vertex n down to 3, one per pass, so
+    # passes over every vertex would make about n**2 / 2 vertex checks,
+    # seconds of work, where revisiting only a cut's neighbours makes
+    # about 2n, milliseconds
+    n = 5003
+    inst = _descending_chain(n)
+    start = time.perf_counter()
+    kept = _kept_labels(inst)
+    assert time.perf_counter() - start < 1.0
+    assert kept[1] == kept[2] == {1, 2}
+    assert all(kept[v] == {(3, 1, 2)[(v - 3) % 3]} for v in range(3, n + 1))
 
 
 # --- graph square ----------------------------------------------------------

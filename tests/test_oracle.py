@@ -22,7 +22,7 @@ from gltc.reference import (
     forward_checking_solve,
     inclusion_exclusion_list_coloring,
 )
-from support import complete_graph, cycle_graph, path_graph, uniform_instance
+from support import complete_graph, cycle_graph, free_labels_off, path_graph, uniform_instance
 
 
 def test_k2_yes_witness_checks_out():
@@ -162,11 +162,17 @@ def _levels_to_the_last_label(inst):
     uniform_instance(complete_graph(4), set(range(1, 10)), {0, 1, 2}),
     _forward_checking_case(26),
     _forward_checking_case(59),
-], ids=["odd-cycle-tau1", "k4-tau2", "case-26-tau3", "case-59-tau3"])
+    # ROADMAP item 11's family at n = 24: 12 levels, about 0.7 s (2-core box,
+    # CPython 3.11)
+    random_instance(n=24, density=0.4, tau=2, lmax=12, seed=1),
+], ids=["odd-cycle-tau1", "k4-tau2", "case-26-tau3", "case-59-tau3", "n24-d0.4-t2-s1"])
 def test_no_instances_run_every_level(inst):
-    # a NO component ends on its first empty table; for the cycle and K4 it
-    # is the table of the last label, which keeps complete vectors only,
-    # and cases 26 and 59 run no level, as pruning empties a list first
+    # a NO component ends on its first empty table; for the cycle, K4 and
+    # the n = 24 case it is the table of the last label, which keeps
+    # complete vectors only. Cases 26 and 59 run no level at all: arc
+    # consistency empties a list before the DP, so for them the test
+    # checks the pre-DP pruning, and the levels run (none) still equal the
+    # compressed instance's largest label (0, as its lists are empty)
     assert forward_checking_solve(inst) == (False, None)
     result = solve(inst, options=SolveOptions(early_exit=False))
     assert not result.decision and result.witness is None
@@ -213,8 +219,14 @@ def test_scaling_instance_at_n20():
     # the scaling instance (tau 1, density 0.3, seed 2024, lmax 2n) at
     # n = 20, with every level built; a vector with an unlabeled vertex
     # whose list has ended is dropped, which took the sum from 716,451,012
+    # (pinned with the free-label step off). By default vertices 1 and 13
+    # keep only label 38, free beside every neighbour's list
     inst = random_instance(n=20, density=0.3, tau=1, lmax=40, seed=2024)
-    result = solve(inst, options=SolveOptions(early_exit=False))
+    with free_labels_off():
+        result = solve(inst, options=SolveOptions(early_exit=False))
     assert result.decision and check_witness(inst, result.witness)
     assert sum(sum(c.level_sizes) for c in result.stats.components) == 592_091_561
     assert forward_checking_solve(inst)[0]
+    result = solve(inst, options=SolveOptions(early_exit=False))
+    assert result.decision and check_witness(inst, result.witness)
+    assert sum(sum(c.level_sizes) for c in result.stats.components) == 110_769_379

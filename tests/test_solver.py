@@ -61,6 +61,7 @@ from support import (
     base_table,
     complete_graph,
     cycle_graph,
+    free_labels_off,
     labeling_vector,
     neighbour_masks,
     odd_cycle_with_pendant,
@@ -657,8 +658,12 @@ def test_solve_counts_sizes_without_a_second_walk(monkeypatch):
     monkeypatch.setattr(vectorset_module, "node_count", counted)
     monkeypatch.setattr(solver_module, "node_count", counted, raising=False)
     inst = random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024)
-    result = solve(inst, strategy="star")
+    with free_labels_off():
+        result = solve(inst, strategy="star")
     assert result.stats.components[0].level_sizes[-1] == 694_656
+    assert calls == []
+    result = solve(inst, strategy="star")
+    assert max(result.stats.components[0].level_sizes) == 174_016
     assert calls == []
 
 
@@ -891,18 +896,32 @@ def test_a_no_component_stops_at_its_first_empty_table(monkeypatch):
     # NO after 2 levels, where the unpruned tables ran 6 levels of 62
     # vectors; the empty table is not tallied, retained or walked back,
     # with early exit and witness each on or off
+    # (pinned with the free-label step off); by default the pendant's
+    # labels 3..6 are free beside the cycle's {1, 2}, its list is cut to
+    # {3}, and the level-1 table holds 11 vectors in 14 nodes
     inst = odd_cycle_with_pendant()
     assert not brute_force_solve(inst)[0]
     calls = _counted_calls(monkeypatch, ("tally", "_least_complete", "_walk_back"))
+    with free_labels_off():
+        for early_exit in (True, False):
+            for parents in (True, False):
+                result = solve(inst, options=SolveOptions(early_exit=early_exit,
+                                                          store_parents=parents))
+                assert not result.decision and result.witness is None
+                (report,) = result.stats.components
+                assert report.level_sizes == [19, 0] and report.level_nodes == [14, 0]
+                assert result.stats.levels == 2 and result.stats.max_table_size == 19
+    assert calls == {"tally": 4, "_least_complete": 0, "_walk_back": 0}
     for early_exit in (True, False):
         for parents in (True, False):
             result = solve(inst, options=SolveOptions(early_exit=early_exit,
                                                       store_parents=parents))
             assert not result.decision and result.witness is None
             (report,) = result.stats.components
-            assert report.level_sizes == [19, 0] and report.level_nodes == [14, 0]
-            assert result.stats.levels == 2 and result.stats.max_table_size == 19
-    assert calls == {"tally": 4, "_least_complete": 0, "_walk_back": 0}
+            assert report.level_sizes == [11, 0] and report.level_nodes == [14, 0]
+            assert result.stats.levels == 2 and result.stats.max_table_size == 11
+            assert report.pruned_labels == 5
+    assert calls == {"tally": 8, "_least_complete": 0, "_walk_back": 0}
 
 
 def test_base_table_marks_label_one_availability():
@@ -1014,12 +1033,21 @@ def test_solve_disconnected_answer_is_conjunction():
 
 def test_criterion_7_walk_memoizes_half_the_entries_of_the_star_order():
     # the star order's frontier is 10 and its level walks memoize 16,782
-    # entries, its unions 5,618; walk_order's frontier is 7
+    # entries, its unions 5,618; walk_order's frontier is 7 (pinned with
+    # the free-label step off). By default vertex 4's list is cut to
+    # label 13 and vertex 5's to label 8, each free beside every
+    # neighbour's list: 13 levels, and the walks halve again
     inst = random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024)
-    report = solve(inst, strategy="star").stats.components[0]
+    with free_labels_off():
+        report = solve(inst, strategy="star").stats.components[0]
     assert report.level_sizes == [85, 594, 4018, 36163, 62427, 207528, 238692, 694656]
     assert sum(report.level_memo) <= 14_000
     assert sum(report.level_unions) <= 8_000
+    report = solve(inst, strategy="star").stats.components[0]
+    assert report.level_sizes == [45, 287, 1187, 7031, 12699, 42040, 32800, 91392, 174016,
+                                  159744, 98304, 108544, 61440]
+    assert sum(report.level_memo) == 2_932 and sum(report.level_unions) == 1_244
+    assert sum(report.level_nodes) + sum(report.level_memo) + sum(report.level_unions) == 5_273
 
 
 def test_k1d_strategy_matches_oracle_on_line_graphs():
@@ -1195,21 +1223,30 @@ def test_the_walk_back_stops_at_the_first_level_with_no_aged_label(monkeypatch):
 # decision, levels, then per component level_sizes and level_nodes): a
 # change that must leave every table alone is checked by it. The walk
 # digest covers (name, then per component level_memo and level_unions),
-# what the level walk did to build those tables. Both were last pinned
-# when the tables dropped their dead vectors, those with an unlabeled
-# vertex whose list has no label above the level: the sizes, nodes, memo
-# entries and unions of a level shrink, and a NO component's levels end
-# at its first empty table, while the witness digest held.
-WITNESS_DIGEST = "14836edbbf9d042909dab57bd1cba52de5c91f6b"
-TABLE_DIGEST = "6249534031b4ce4634303c04b29104c961625ba2"
-WALK_DIGEST = "63a92f6be64e3a2a8d959cc6cb3d8c36a3668e9f"
+# what the level walk did to build those tables. The decision digest
+# covers (name, decision) alone: no pre-DP step and no change to the
+# tables may move it.
+#
+# The ARC_CONSISTENT_ digests are the same three with gap_compression's
+# free-label step off, pinned when the tables dropped their dead vectors
+# (those with an unlabeled vertex whose list has no label above the
+# level); they show that the DP itself is unchanged. The three default
+# digests were re-pinned when the free-label step came in: a list cut to
+# its least free label changes levels, tables, walks and witnesses, while
+# the decision digest held.
+WITNESS_DIGEST = "48f57dc2a978ed1a104ef413540dafec29ffc188"
+TABLE_DIGEST = "82d2f094d94ffde46872fe6145e96e40e901b4a6"
+WALK_DIGEST = "22478ffe8b7197c992bb93b978efec78891a3572"
+DECISION_DIGEST = "e605230f27337ee9bc6e47e2c699dc8056404e9d"
+ARC_CONSISTENT_WITNESS_DIGEST = "14836edbbf9d042909dab57bd1cba52de5c91f6b"
+ARC_CONSISTENT_TABLE_DIGEST = "6249534031b4ce4634303c04b29104c961625ba2"
+ARC_CONSISTENT_WALK_DIGEST = "63a92f6be64e3a2a8d959cc6cb3d8c36a3668e9f"
 
 
-@pytest.fixture(scope="module")
-def default_digests():
-    """(witness digest, table digest, walk digest) over the seed-2024
-    corpora of the three benchmark workloads and 400 seeded random
-    instances."""
+def _digests():
+    """(witness digest, table digest, walk digest, decision digest) over
+    the seed-2024 corpora of the three benchmark workloads and 400 seeded
+    random instances."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         workloads = importlib.import_module("workloads")
@@ -1218,7 +1255,7 @@ def default_digests():
     cases += [(seed, random_instance(n=3 + seed % 10, density=(0.3, 0.5, 0.7)[seed % 3],
                                      tau=seed % 4, lmax=3 + seed % 8, seed=6200 + seed))
               for seed in range(400)]
-    witnesses, tables, walks = hashlib.sha1(), hashlib.sha1(), hashlib.sha1()
+    witnesses, tables, walks, decisions = (hashlib.sha1() for _ in range(4))
     for name, inst in cases:
         result = solve(inst)
         assert not result.decision or check_witness(inst, result.witness), name
@@ -1230,7 +1267,19 @@ def default_digests():
                       .encode())
         walks.update(repr((name, [c.level_memo for c in reports],
                            [c.level_unions for c in reports])).encode())
-    return witnesses.hexdigest(), tables.hexdigest(), walks.hexdigest()
+        decisions.update(repr((name, result.decision)).encode())
+    return tuple(digest.hexdigest() for digest in (witnesses, tables, walks, decisions))
+
+
+@pytest.fixture(scope="module")
+def default_digests():
+    return _digests()
+
+
+@pytest.fixture(scope="module")
+def arc_consistent_digests():
+    with free_labels_off():
+        return _digests()
 
 
 def test_default_witnesses_are_pinned(default_digests):
@@ -1243,6 +1292,26 @@ def test_default_tables_are_pinned(default_digests):
 
 def test_default_walks_are_pinned(default_digests):
     assert default_digests[2] == WALK_DIGEST
+
+
+def test_default_decisions_are_pinned(default_digests):
+    assert default_digests[3] == DECISION_DIGEST
+
+
+def test_arc_consistent_witnesses_are_pinned(arc_consistent_digests):
+    assert arc_consistent_digests[0] == ARC_CONSISTENT_WITNESS_DIGEST
+
+
+def test_arc_consistent_tables_are_pinned(arc_consistent_digests):
+    assert arc_consistent_digests[1] == ARC_CONSISTENT_TABLE_DIGEST
+
+
+def test_arc_consistent_walks_are_pinned(arc_consistent_digests):
+    assert arc_consistent_digests[2] == ARC_CONSISTENT_WALK_DIGEST
+
+
+def test_arc_consistent_decisions_are_pinned(arc_consistent_digests):
+    assert arc_consistent_digests[3] == DECISION_DIGEST
 
 
 def test_witness_reconstruction_without_early_exit():
