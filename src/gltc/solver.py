@@ -16,7 +16,11 @@ no proper labeling uses, are pruned first, and a list with a free label,
 one at no forbidden difference from any neighbour's label, is cut to
 its least such label, which keeps the decision but moves the witness
 (instance.gap_compression); a component that pruning empties is NO
-with no level run. The coordinates follow walk_order, defined here next to ComponentDP: a
+with no level run, and one whose pruned lists hold one label each is
+YES with no level run: arc consistency over one label a list proves
+that labeling proper, and the tables the DP would build, one vector per
+level up to the largest label, are recorded without a walk
+(_decided_by_lists). The coordinates follow walk_order, defined here next to ComponentDP: a
 greedy small-frontier order of the graph. A table's content does not
 depend on the order, but the cost of the walk does. No partition is
 built here; partition.predict_complexity bounds the table sizes from
@@ -126,7 +130,11 @@ class ComponentReport:
     entries the level walk memoized and how many unions it made, and the
     list entries pruned before the DP, by arc consistency and by cutting
     lists to a free label (instance.gap_compression). A bound for the sizes comes from
-    predict_complexity on a partition of ``instance``."""
+    predict_complexity on a partition of ``instance``. Where the pruned
+    lists hold one label each, no level runs: sizes and nodes are those of
+    the tables the DP would build, one vector of one node per vertex per
+    level up to the largest label, and memo and unions are 0, as no walk
+    ran."""
 
     instance: Instance
     ordering: tuple[int, ...]
@@ -139,6 +147,10 @@ class ComponentReport:
 
 @dataclass
 class SolveStats:
+    """``levels`` counts the levels of every component's report, those of
+    a component decided by its one-label lists too, where no walk ran;
+    ``max_table_size`` is the largest table among them."""
+
     levels: int = 0
     max_table_size: int = 0
     components: list[ComponentReport] = field(default_factory=list)
@@ -739,11 +751,27 @@ def check_witness(inst: Instance, witness: Witness) -> bool:
 # drivers
 
 
+def _decided_by_lists(inst: Instance) -> bool:
+    """True iff every list of the pruned instance holds one label. Its
+    lists are arc consistent (instance.gap_compression), so each edge has
+    an allowed pair of labels, and the one labeling they give is proper.
+    The DP would build, per level up to the largest label, one table of
+    one vector, a chain of one node per vertex: any other vector leaves a
+    vertex unlabeled past its only label, which forward checking drops.
+    _solve_component records those tables and that labeling without a
+    walk. It holds no store, so ENTRY_LIMIT caps only the number of
+    levels it records, which the DP could never pass either. A function
+    of its own so that a test can close this exit and run the DP
+    instead."""
+    return all(len(labels) == 1 for labels in inst.lam.values())
+
+
 def _solve_component(inst: Instance, options: SolveOptions,
                      stats: SolveStats) -> tuple[bool, Witness | None]:
     """Run the DP on one connected (sub-)instance, walked in walk_order,
     with its unsupported labels pruned, its lists with a free label cut to
-    one and its dead label gaps compressed."""
+    one and its dead label gaps compressed; where pruning empties the
+    lists or leaves one label on each, no level runs."""
     ordering = walk_order(inst.graph)
     report = ComponentReport(instance=inst, ordering=ordering)
     stats.components.append(report)
@@ -752,6 +780,19 @@ def _solve_component(inst: Instance, options: SolveOptions,
     report.pruned_labels = entries - sum(map(len, inst.lam.values()))
     if not label_map:  # pruning emptied every list: NO, and no level runs
         return False, None
+    if _decided_by_lists(inst):  # one label a list: YES, and no level runs
+        last = max(label_map)
+        if last > ENTRY_LIMIT:  # the DP would pass the cap first, one node a level at least
+            raise ResourceLimitError(f"{last} levels to record, past the limit of {ENTRY_LIMIT}")
+        stats.levels += last
+        stats.max_table_size = max(stats.max_table_size, 1)
+        report.level_sizes = [1] * last
+        report.level_nodes = [len(ordering)] * last
+        report.level_memo = [0] * last
+        report.level_unions = [0] * last
+        if not options.store_parents:
+            return True, None
+        return True, {v: label_map[lab] for v, (lab,) in inst.lam.items()}
     dp = ComponentDP(inst, ordering)
     store = dp.base_store()
     # a retained level keeps its store, as advance leaves it

@@ -8,8 +8,9 @@ import itertools
 import pytest
 
 from gltc import (BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition,
-                  independent_set_vectors, validate)
+                  gap_compression, independent_set_vectors, validate)
 from gltc import instance as instance_module
+from gltc import solver as solver_module
 from gltc.reference import extension_predicate, is_live, level_step, project
 from gltc.vectorset import decode, encode
 
@@ -22,6 +23,23 @@ def free_labels_off():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(instance_module, "_fix_free_labels", lambda masks, nbrs: masks)
         yield
+
+
+@contextlib.contextmanager
+def list_exit_off():
+    """_solve_component with its exit for lists of one label each
+    (_decided_by_lists) closed, for the span of the block: every component
+    that pruning leaves nonempty runs the DP, and a pin taken on the walks
+    shows them unchanged."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver_module, "_decided_by_lists", lambda inst: False)
+        yield
+
+
+def decided_by_lists(report) -> bool:
+    """Whether the component of ``report`` took the exit for lists of one
+    label each, so no level walk, tally or witness walk ran for it."""
+    return solver_module._decided_by_lists(gap_compression(report.instance)[0])
 
 
 def path_graph(n: int) -> Graph:

@@ -32,6 +32,7 @@ from gltc import partition as partition_module
 from gltc import reference as reference_module
 from gltc import solver as solver_module
 from gltc.cli import main
+from support import decided_by_lists, list_exit_off
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gltc"
@@ -233,16 +234,27 @@ def test_solves_walk_once_per_level_and_never_emit_blocked(monkeypatch):
 
     monkeypatch.setattr(solver_module, "_level_walk", recorded)
     symbols = set()
+    decided = 0
     for seed in range(40):
         inst = random_instance(n=3 + seed % 6, density=(0.2, 0.5, 0.8)[seed % 3],
                                tau=seed % 4, lmax=3 + seed % 5, seed=3100 + seed)
         for early_exit in (True, False):
+            # a component whose lists hold one label each runs no walk
             walks.clear()
             result = solve(inst, options=SolveOptions(early_exit=early_exit))
+            reports = result.stats.components
+            decided += sum(map(decided_by_lists, reports))
+            assert len(walks) == sum(len(c.level_sizes) for c in reports
+                                     if not decided_by_lists(c))
+            # with that exit closed, every level that runs is one walk
+            walks.clear()
+            with list_exit_off():
+                result = solve(inst, options=SolveOptions(early_exit=early_exit))
             assert len(walks) == result.stats.levels
             for shapes, _, _, _, _ in walks:
                 symbols |= {sym for shape in shapes for sym, _ in shape}
     assert BLOCKED not in symbols and min(symbols) == 0 and max(symbols) == 4
+    assert decided > 0
 
 
 def test_the_solve_cap_is_a_constant_not_an_option(capsys):

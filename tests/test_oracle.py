@@ -189,12 +189,14 @@ def test_no_instances_run_every_level(inst):
 _FAMILY_GRID = [(n, density, tau, seed) for n in (18, 20)
                 for density, tau in ((0.3, 1), (0.3, 2), (0.4, 2), (0.5, 1)) for seed in (0, 1)]
 _FAMILY_CASES = [case for case in _FAMILY_GRID if case not in {(20, 0.4, 2, 1), (20, 0.5, 1, 1)}]
-# n = 22, density 0.3: the cases whose witness solve takes under 0.2 s,
-# all YES
-_FAMILY_CASES_N22 = [(22, 0.3, 1, 0), (22, 0.3, 1, 1), (22, 0.3, 2, 0)]
+# n = 22 and 24: cases whose witness solve takes under 0.2 s. The three
+# at density 0.3 and both at n = 24 are YES; (22, 0.4, 2, 0) is a NO that
+# runs 10 levels
+_FAMILY_CASES_N22 = [(22, 0.3, 1, 0), (22, 0.3, 1, 1), (22, 0.3, 2, 0), (22, 0.4, 2, 0)]
+_FAMILY_CASES_N24 = [(24, 0.3, 1, 1), (24, 0.3, 1, 0)]
 
 
-@pytest.mark.parametrize("case", _FAMILY_CASES + _FAMILY_CASES_N22,
+@pytest.mark.parametrize("case", _FAMILY_CASES + _FAMILY_CASES_N22 + _FAMILY_CASES_N24,
                          ids=lambda c: "n{}-d{}-t{}-s{}".format(*c))
 def test_family_cases_agree_with_forward_checking(case):
     n, density, tau, seed = case
@@ -213,6 +215,12 @@ def test_family_cases_hold_the_nine_level_no():
     inst = random_instance(n=18, density=0.4, tau=2, lmax=9, seed=1)
     result = solve(inst)
     assert not result.decision and result.stats.levels == 9
+
+
+def test_family_cases_hold_the_ten_level_no_at_n22():
+    assert (22, 0.4, 2, 0) in _FAMILY_CASES_N22
+    result = solve(random_instance(n=22, density=0.4, tau=2, lmax=11, seed=0))
+    assert not result.decision and result.stats.levels == 10
 
 
 def test_scaling_instance_at_n20():

@@ -27,13 +27,15 @@ from gltc import (
     check_witness,
     independent_set_vectors,
     instance_tau,
+    parse_instance,
     random_instance,
     reconstruct_witness,
+    solve,
     walk_order,
 )
 from gltc.reference import level_step, mark_blocked, project
 from gltc.solver import _BarPass, _build_plan, _combine, _find_complete
-from support import base_table, odd_cycle_with_pendant, step
+from support import base_table, decided_by_lists, odd_cycle_with_pendant, step
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -140,10 +142,16 @@ def test_completeness_check_and_witness_walk_of_the_replay_still_run():
 def test_replay_level_sizes_match_solve(workload, tmp_path, monkeypatch):
     # run.py --trace 1 refuses a replay whose level sizes differ from
     # solve()'s or pass the predicted bound; large_tau1's one instance
-    # takes about 15 s and 400 MB in the replay, so it is left to run.py
+    # takes about 15 s and 400 MB in the replay, so it is left to run.py.
+    # The slice holds components whose pruned lists have one label each,
+    # which solve() decides without a level walk (62 in small_mixed's, 2
+    # in reductions'), so the sizes it records for them are checked too
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
-    workloads.write(workloads.WORKLOADS[workload](7)[:24], tmp_path)
+    items = workloads.WORKLOADS[workload](7)[:24]
+    assert any(decided_by_lists(report) for item in items
+               for report in solve(parse_instance(item.text)).stats.components)
+    workloads.write(items, tmp_path)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     subprocess.run([sys.executable, str(PERFBENCH / "layers.py"), "--corpus", str(tmp_path),
                     "--out", str(tmp_path / "result.json")], env=env, check=True, timeout=120)

@@ -1,5 +1,6 @@
 """The dynamic program: combination steps, level pipeline, solve, witnesses."""
 
+import contextlib
 import gc
 import hashlib
 import importlib
@@ -61,8 +62,10 @@ from support import (
     base_table,
     complete_graph,
     cycle_graph,
+    decided_by_lists,
     free_labels_off,
     labeling_vector,
+    list_exit_off,
     neighbour_masks,
     odd_cycle_with_pendant,
     path_graph,
@@ -703,21 +706,30 @@ def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeyp
     # the level walk's tally flags completeness, so a decision-only solve walks no
     # level; a witness solve walks one retained store per YES component,
     # to anchor its witness, and no solve decodes a DAG into dict nodes
-    # or walks a dict trie
+    # or walks a dict trie; a component whose lists hold one label each
+    # walks none, and with that exit closed every YES component walks one
     calls = _counted_calls(monkeypatch, ("decode", "_find_complete", "_least_complete"))
-    decisions, components = set(), 0
+    decisions, components, decided = set(), 0, 0
     for inst, early_exit in _seeded_solve_cases():
-        decided = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=False))
-        assert calls == {"decode": 0, "_find_complete": 0, "_least_complete": 0}
-        result = solve(inst, options=SolveOptions(early_exit=early_exit))
-        assert result.decision == decided.decision
-        # solve stops at the first NO component, which reports last
-        yes_components = len(result.stats.components) - (not result.decision)
-        assert calls == {"decode": 0, "_find_complete": 0, "_least_complete": yes_components}
-        calls["_least_complete"] = 0
-        decisions.add(result.decision)
-        components = max(components, yes_components)
-    assert decisions == {True, False} and components > 1
+        for exit_open in (True, False):
+            with contextlib.nullcontext() if exit_open else list_exit_off():
+                decision_only = solve(inst, options=SolveOptions(early_exit=early_exit,
+                                                                 store_parents=False))
+                assert calls == {"decode": 0, "_find_complete": 0, "_least_complete": 0}
+                result = solve(inst, options=SolveOptions(early_exit=early_exit))
+            assert result.decision == decision_only.decision
+            # solve stops at the first NO component, which reports last
+            yes_components = len(result.stats.components) - (not result.decision)
+            if exit_open:
+                listed = sum(map(decided_by_lists, result.stats.components))
+                decided += listed
+                yes_components -= listed
+            assert calls == {"decode": 0, "_find_complete": 0,
+                             "_least_complete": yes_components}
+            calls["_least_complete"] = 0
+            decisions.add(result.decision)
+            components = max(components, yes_components)
+    assert decisions == {True, False} and components > 1 and decided > 0
     # the counters do see the replay's adapters
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
@@ -732,17 +744,26 @@ def test_solve_tallies_each_level_once(monkeypatch):
     # leaves a vector, and the witness anchor descends the last level's flags without a tally of
     # its own, with witness and early exit each on or off
     calls = _counted_calls(monkeypatch, ("tally",))
-    levels = witnesses = 0
+    levels = witnesses = decided = 0
     for inst, early_exit in _seeded_solve_cases():
         for parents in (True, False):
-            result = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=parents))
-            # a level that empties its table has nothing to tally
+            options = SolveOptions(early_exit=early_exit, store_parents=parents)
+            # a level that empties its table has nothing to tally, and a
+            # component whose lists hold one label each runs no level
+            result = solve(inst, options=options)
+            walked = [c for c in result.stats.components if not decided_by_lists(c)]
+            emptied = sum(size == 0 for c in walked for size in c.level_sizes)
+            assert calls["tally"] == sum(len(c.level_sizes) for c in walked) - emptied
+            calls["tally"] = 0
+            decided += len(result.stats.components) - len(walked)
+            with list_exit_off():
+                result = solve(inst, options=options)
             emptied = sum(size == 0 for c in result.stats.components for size in c.level_sizes)
             assert calls["tally"] == result.stats.levels - emptied
             calls["tally"] = 0
             levels += result.stats.levels
             witnesses += result.witness is not None
-    assert levels > 0 and 0 < witnesses < 80
+    assert levels > 0 and 0 < witnesses < 80 and decided > 0
     # the counter does see the tallies of the dict-trie entry points
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
@@ -1234,13 +1255,22 @@ def test_the_walk_back_stops_at_the_first_level_with_no_aged_label(monkeypatch):
 # digests were re-pinned when the free-label step came in: a list cut to
 # its least free label changes levels, tables, walks and witnesses, while
 # the decision digest held.
+#
+# A component whose pruned lists hold one label each runs no level walk
+# (solver._decided_by_lists) and records the tables the DP would build,
+# with memo and unions 0. So the two walk digests were re-pinned when
+# that exit came in, and the DP_WALK digests are their old values, which
+# still pass with the exit closed (support.list_exit_off); the other
+# digests pass with it open or closed.
 WITNESS_DIGEST = "48f57dc2a978ed1a104ef413540dafec29ffc188"
 TABLE_DIGEST = "82d2f094d94ffde46872fe6145e96e40e901b4a6"
-WALK_DIGEST = "22478ffe8b7197c992bb93b978efec78891a3572"
+WALK_DIGEST = "b0c9a596f88066bd94ac0fe91f5cc7cff593cb9c"
 DECISION_DIGEST = "e605230f27337ee9bc6e47e2c699dc8056404e9d"
 ARC_CONSISTENT_WITNESS_DIGEST = "14836edbbf9d042909dab57bd1cba52de5c91f6b"
 ARC_CONSISTENT_TABLE_DIGEST = "6249534031b4ce4634303c04b29104c961625ba2"
-ARC_CONSISTENT_WALK_DIGEST = "63a92f6be64e3a2a8d959cc6cb3d8c36a3668e9f"
+ARC_CONSISTENT_WALK_DIGEST = "4dfc52f7c50dd8e8e59b1251e45b201b52ea4c57"
+DP_WALK_DIGEST = "22478ffe8b7197c992bb93b978efec78891a3572"
+ARC_CONSISTENT_DP_WALK_DIGEST = "63a92f6be64e3a2a8d959cc6cb3d8c36a3668e9f"
 
 
 def _digests():
@@ -1282,6 +1312,18 @@ def arc_consistent_digests():
         return _digests()
 
 
+@pytest.fixture(scope="module")
+def dp_digests():
+    with list_exit_off():
+        return _digests()
+
+
+@pytest.fixture(scope="module")
+def arc_consistent_dp_digests():
+    with list_exit_off(), free_labels_off():
+        return _digests()
+
+
 def test_default_witnesses_are_pinned(default_digests):
     assert default_digests[0] == WITNESS_DIGEST
 
@@ -1314,6 +1356,17 @@ def test_arc_consistent_decisions_are_pinned(arc_consistent_digests):
     assert arc_consistent_digests[3] == DECISION_DIGEST
 
 
+def test_dp_walks_are_pinned(dp_digests):
+    # the exit for one label a list moves no witness, table or decision
+    assert dp_digests == (WITNESS_DIGEST, TABLE_DIGEST, DP_WALK_DIGEST, DECISION_DIGEST)
+
+
+def test_arc_consistent_dp_walks_are_pinned(arc_consistent_dp_digests):
+    assert arc_consistent_dp_digests == (ARC_CONSISTENT_WITNESS_DIGEST,
+                                         ARC_CONSISTENT_TABLE_DIGEST,
+                                         ARC_CONSISTENT_DP_WALK_DIGEST, DECISION_DIGEST)
+
+
 def test_witness_reconstruction_without_early_exit():
     inst = uniform_instance(path_graph(4), {1, 2, 3, 4, 5}, {0, 1})
     result = solve(inst, options=SolveOptions(early_exit=False))
@@ -1327,12 +1380,36 @@ def test_solve_without_parent_storage_returns_no_witness():
 
 
 def test_solve_resource_limit_is_not_a_no(monkeypatch):
-    monkeypatch.setattr(solver_module, "ENTRY_LIMIT", 3)
+    # this instance's pruned lists hold one label each: with the exit that
+    # decides such lists closed its DP passes the cap, and open it has
+    # more levels to record than the cap; criterion 7 always runs the DP
     inst = random_instance(n=7, density=0.3, tau=1, lmax=9, seed=42)
+    assert all(map(decided_by_lists, solve(inst).stats.components))
+    monkeypatch.setattr(solver_module, "ENTRY_LIMIT", 3)
     limit = sys.getrecursionlimit()
-    with pytest.raises(ResourceLimitError):
+    with list_exit_off(), pytest.raises(ResourceLimitError, match="table nodes"):
         solve(inst)
     assert sys.getrecursionlimit() == limit  # restored on the way out
+    with pytest.raises(ResourceLimitError, match="levels to record"):
+        solve(inst)
+    with pytest.raises(ResourceLimitError, match="table nodes"):
+        solve(random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024))
+    assert sys.getrecursionlimit() == limit
+
+
+def test_lists_of_one_label_record_no_more_levels_than_the_cap(monkeypatch):
+    # labels 1 and 201 with 199 forbidden keep tau at 199, so no gap
+    # shrinks: 201 levels, each of which the DP would build at least one
+    # node for, so it could record no more levels than the cap either
+    inst = Instance(graph=path_graph(2), lam={1: frozenset({1}), 2: frozenset({201})},
+                    t={(1, 2): frozenset({0, 199})})
+    result = solve(inst)
+    assert result.witness == {1: 1, 2: 201} and result.stats.levels == 201
+    monkeypatch.setattr(solver_module, "ENTRY_LIMIT", 201)
+    assert solve(inst).stats.levels == 201
+    monkeypatch.setattr(solver_module, "ENTRY_LIMIT", 200)
+    with pytest.raises(ResourceLimitError, match="201 levels"):
+        solve(inst)
 
 
 def test_solve_respects_tau_zero_list_coloring():
@@ -1349,6 +1426,66 @@ def test_witnesses_survive_gap_decompression():
     result = solve(inst)
     assert result.decision and result.witness == {1: 10, 2: 200}
     assert check_witness(inst, result.witness)
+
+
+_WIDE = 1 << 12  # past instance._WIDEST_MASK: pruned on sets, with no free-label step
+
+
+@st.composite
+def _list_exit_cases(draw):
+    """A random instance on at most 8 vertices."""
+    return random_instance(n=draw(st.integers(1, 8)),
+                           density=draw(st.sampled_from((0.2, 0.4, 0.7))),
+                           tau=draw(st.integers(0, 3)), lmax=draw(st.integers(1, 7)),
+                           seed=draw(st.integers(0, 10_000)))
+
+
+def _outcome(result):
+    """What a solve decides and finds, and the tables it records."""
+    reports = result.stats.components
+    return (result.decision, result.witness, result.stats.levels, result.stats.max_table_size,
+            [c.level_sizes for c in reports], [c.level_nodes for c in reports])
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_list_exit_cases(), st.booleans(), st.booleans())
+@example(Instance(graph=Graph.from_edges(1, []), lam={1: frozenset({3, 5})}, t={}),
+         True, True)  # an isolated vertex keeps its least label
+@example(Instance(graph=path_graph(2), lam={1: frozenset({10}), 2: frozenset({200})},
+                  t={(1, 2): frozenset({0, 1, 2})}), False, True)
+@example(Instance(graph=path_graph(2), lam={1: frozenset({1}), 2: frozenset({_WIDE, _WIDE + 1})},
+                  t={(1, 2): frozenset({0, _WIDE - 1})}), True, False)  # arc consistency alone
+def test_lists_of_one_label_decide_a_component_as_the_dp_does(inst, early_exit, parents):
+    # where a component's pruned lists hold one label each, solve runs no
+    # level and records the tables the DP builds: stepping ComponentDP
+    # over the same pruned instance gives one vector per level, up to the
+    # largest label, with early exit on or off
+    options = SolveOptions(early_exit=early_exit, store_parents=parents)
+    result = solve(inst, options=options)
+    assert result.decision == brute_force_solve(inst)[0]
+    assert not result.witness or check_witness(inst, result.witness)
+    with list_exit_off():
+        assert _outcome(solve(inst, options=options)) == _outcome(result)
+    for sub, _ in split_components(inst):
+        pruned, label_map = gap_compression(sub)
+        if not label_map or not solver_module._decided_by_lists(pruned):
+            continue
+        dp = ComponentDP(pruned, walk_order(sub.graph))
+        table, sizes, nodes = base_table(dp), [], []
+        for k in range(1, max(label_map) + 1):
+            table, size, count, _, _ = step(dp, table, k)
+            sizes.append(size)
+            nodes.append(count)
+            assert len(table) == 1
+        alone = solve(sub, options=options)
+        report, = alone.stats.components
+        assert alone.decision and alone.stats.levels == max(label_map)
+        assert (report.level_sizes, report.level_nodes) == (sizes, nodes)
+        assert report.level_memo == report.level_unions == [0] * len(sizes)
+        with list_exit_off():
+            assert _outcome(solve(sub, options=options)) == _outcome(alone)
+        assert alone.witness == ({v: label_map[lab] for v, (lab,) in pruned.lam.items()}
+                                 if parents else None)
 
 
 def test_solve_stats_report_levels_and_sizes():
