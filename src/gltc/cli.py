@@ -59,8 +59,7 @@ def _print_decision(decision: bool, witness, want_witness: bool) -> int:
 
 def _cmd_solve(args) -> int:
     inst = _load(args.file)
-    options = SolveOptions(early_exit=not args.no_early_exit, store_parents=args.witness)
-    result = solve(inst, options=options)
+    result = solve(inst, options=SolveOptions(store_parents=args.witness))
     if args.trace:
         for idx, comp in enumerate(result.stats.components):
             print(f"# component {idx + 1} pruned {comp.pruned_labels}", file=sys.stderr)
@@ -160,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(see predict); goes at the next benchmark change")
     p_solve.add_argument("--witness", action="store_true",
                          help="print an explicit labeling on YES")
-    p_solve.add_argument("--no-early-exit", action="store_true")
     p_solve.add_argument("--trace", action="store_true",
                          help="per-level table sizes on stderr")
     p_solve.set_defaults(func=_cmd_solve)

@@ -103,15 +103,12 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """``early_exit`` stops at the first level with a complete vector;
-    ``store_parents`` keeps every level table for the witness walk.
-    Labels that fail arc consistency are always pruned, a list with a
-    free label cut to its least one, differences no labeling gives
-    dropped and dead label gaps compressed (instance.gap_compression).
-    What a solve may hold is capped by the constant ``ENTRY_LIMIT``, not
-    by an option."""
+    """``store_parents`` keeps every level table for the witness walk.
+    Nothing else is an option: a solve stops at a component's first level
+    with a complete vector, as completeness persists from level to level,
+    always prunes and compresses the lists (instance.gap_compression),
+    and what it may hold is capped by the constant ``ENTRY_LIMIT``."""
 
-    early_exit: bool = True
     store_parents: bool = True
 
 
@@ -125,19 +122,19 @@ class LevelTable:
 
 @dataclass
 class ComponentReport:
-    """Per-component diagnostics: the vertex order the walks followed and,
-    per level, how big the table got (vectors and DAG nodes), how many
-    entries the level walk memoized and how many unions it made, and the
-    list entries pruned before the DP, by arc consistency and by cutting
-    lists to a free label (instance.gap_compression). A bound for the sizes comes from
+    """Per-component diagnostics: the vertex order the walks followed, ``()``
+    where pruning decided the component and no walk ran; per level run, up
+    to the first complete or empty table, how big the table got (vectors
+    and DAG nodes), how many entries the level walk memoized and how many
+    unions it made; and the list entries pruned before the DP
+    (instance.gap_compression). A bound for the sizes comes from
     predict_complexity on a partition of ``instance``. Where the pruned
-    lists hold one label each, no level runs: sizes and nodes are those of
-    the tables the DP would build, one vector of one node per vertex per
-    level up to the largest label, and memo and unions are 0, as no walk
-    ran."""
+    lists hold one label each, sizes and nodes are those of the tables the
+    DP would build, one vector of one node per vertex per level up to the
+    largest label, and memo and unions are 0."""
 
     instance: Instance
-    ordering: tuple[int, ...]
+    ordering: tuple[int, ...] = ()
     pruned_labels: int = 0
     level_sizes: list[int] = field(default_factory=list)
     level_nodes: list[int] = field(default_factory=list)
@@ -147,13 +144,19 @@ class ComponentReport:
 
 @dataclass
 class SolveStats:
-    """``levels`` counts the levels of every component's report, those of
-    a component decided by its one-label lists too, where no walk ran;
-    ``max_table_size`` is the largest table among them."""
+    """The reports of the components solved, up to the first NO one;
+    ``levels`` and ``max_table_size`` are read off them, the levels of a
+    component decided by its one-label lists included."""
 
-    levels: int = 0
-    max_table_size: int = 0
     components: list[ComponentReport] = field(default_factory=list)
+
+    @property
+    def levels(self) -> int:
+        return sum(len(c.level_sizes) for c in self.components)
+
+    @property
+    def max_table_size(self) -> int:
+        return max((size for c in self.components for size in c.level_sizes), default=0)
 
 
 @dataclass
@@ -769,11 +772,10 @@ def _decided_by_lists(inst: Instance) -> bool:
 def _solve_component(inst: Instance, options: SolveOptions,
                      stats: SolveStats) -> tuple[bool, Witness | None]:
     """Run the DP on one connected (sub-)instance, walked in walk_order,
-    with its unsupported labels pruned, its lists with a free label cut to
-    one and its dead label gaps compressed; where pruning empties the
-    lists or leaves one label on each, no level runs."""
-    ordering = walk_order(inst.graph)
-    report = ComponentReport(instance=inst, ordering=ordering)
+    with its lists pruned and compressed (instance.gap_compression), up to
+    its first complete level; where pruning empties the lists or leaves
+    one label on each, no level runs and no walk order is built."""
+    report = ComponentReport(instance=inst)
     stats.components.append(report)
     entries = sum(map(len, inst.lam.values()))
     inst, label_map = gap_compression(inst)
@@ -784,15 +786,14 @@ def _solve_component(inst: Instance, options: SolveOptions,
         last = max(label_map)
         if last > ENTRY_LIMIT:  # the DP would pass the cap first, one node a level at least
             raise ResourceLimitError(f"{last} levels to record, past the limit of {ENTRY_LIMIT}")
-        stats.levels += last
-        stats.max_table_size = max(stats.max_table_size, 1)
         report.level_sizes = [1] * last
-        report.level_nodes = [len(ordering)] * last
+        report.level_nodes = [inst.graph.n] * last
         report.level_memo = [0] * last
         report.level_unions = [0] * last
         if not options.store_parents:
             return True, None
         return True, {v: label_map[lab] for v, (lab,) in inst.lam.items()}
+    report.ordering = ordering = walk_order(inst.graph)
     dp = ComponentDP(inst, ordering)
     store = dp.base_store()
     # a retained level keeps its store, as advance leaves it
@@ -802,8 +803,6 @@ def _solve_component(inst: Instance, options: SolveOptions,
     # a component has a vertex, so the base vector is never complete
     for k in range(1, max(label_map) + 1):  # to the largest label, compressed
         size, nodes, complete, memo, unions = dp.advance(store, k)
-        stats.levels += 1
-        stats.max_table_size = max(stats.max_table_size, size)
         report.level_sizes.append(size)
         report.level_nodes.append(nodes)
         report.level_memo.append(memo)
@@ -816,11 +815,11 @@ def _solve_component(inst: Instance, options: SolveOptions,
             return False, None
         if levels is not None:
             levels.append((store[0], store[1]))
-        if complete and options.early_exit:
+        if complete:
             break
-    # the last level run holds a complete vector: early exit stopped at one,
-    # or it is the largest label's table, which is not empty and keeps
-    # complete vectors only; it anchors the witness
+    # the last level run is the first that holds a complete vector: the
+    # loop stopped there, or at the largest label's table, which is not
+    # empty and keeps complete vectors only; it anchors the witness
     if levels is None:
         return True, None
     shapes, root, full = store

@@ -8,7 +8,8 @@ import itertools
 import pytest
 
 from gltc import (BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition,
-                  gap_compression, independent_set_vectors, validate)
+                  gap_compression, independent_set_vectors, split_components, validate,
+                  walk_order)
 from gltc import instance as instance_module
 from gltc import solver as solver_module
 from gltc.reference import extension_predicate, is_live, level_step, project
@@ -133,8 +134,26 @@ def step(dp: ComponentDP, table: VectorTrie, level: int):
     return VectorTrie(table.length, decode(store[0])[store[1]]), size, nodes, memo, unions
 
 
+def every_level_sizes(inst: Instance) -> list[list[int]]:
+    """Each component's table sizes from level 1 to its largest compressed
+    label, or to its first empty table: the components, pruning and walk
+    order solve takes, with ``ComponentDP.advance`` stepped on past the
+    first complete level, where solve stops."""
+    sizes = []
+    for sub, _ in split_components(inst):
+        pruned, label_map = gap_compression(sub)
+        dp = ComponentDP(pruned, walk_order(pruned.graph))
+        store, run = dp.base_store(), []
+        for k in range(1, max(label_map, default=0) + 1):
+            run.append(dp.advance(store, k)[0])
+            if not run[-1]:
+                break
+        sizes.append(run)
+    return sizes
+
+
 def run_tables(inst: Instance, strategy: str = "singleton"):
-    """Yield (level, table) for every level of the pipeline, without early exit."""
+    """Yield (level, table) for every level of the pipeline, to the largest label."""
     part = build_partition(inst, strategy)
     dp = ComponentDP(inst, part.ordering)
     table = base_table(dp)

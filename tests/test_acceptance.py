@@ -152,9 +152,9 @@ def test_criterion_4_base_table_reproduction():
 def test_criterion_5_flag_invariance():
     failures = []
     alternatives = (
-        ("auto", SolveOptions(early_exit=False)),
+        ("auto", SolveOptions(store_parents=False)),
         ("singleton", SolveOptions()),
-        ("clique", SolveOptions(early_exit=False)),
+        ("clique", SolveOptions(store_parents=False)),
     )
     for seed in range(500):
         inst = _corpus_instance(seed)

@@ -100,7 +100,7 @@ def test_solve_internal_failure_exits_2_not_no(yes_file, monkeypatch, capsys):
     assert "MemoryError" in err and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag", ["--no-early-exit"])
+@pytest.mark.parametrize("flag", ["--witness", "--trace"])
 def test_solve_flags_do_not_change_the_answer(yes_file, no_file, flag, capsys):
     assert main(["solve", yes_file, flag]) == 0
     assert main(["solve", no_file, flag]) == 1
@@ -153,7 +153,7 @@ def test_predict_still_refuses_k1d_on_a_claw(tmp_path, capsys):
 
 
 def test_solve_trace_goes_to_stderr(yes_file, capsys):
-    main(["solve", yes_file, "--trace", "--no-early-exit"])
+    main(["solve", yes_file, "--trace"])
     captured = capsys.readouterr()
     rows = [line for line in captured.err.splitlines() if not line.startswith("#")]
     assert rows, "trace rows expected"
@@ -172,14 +172,14 @@ def test_solve_trace_ends_on_the_level_that_empties_the_table(tmp_path, capsys):
     path = tmp_path / "c5.gltc"
     path.write_text(serialize_instance(odd_cycle_with_pendant()))
     with free_labels_off():
-        for flags in ([], ["--no-early-exit"], ["--witness"]):
+        for flags in ([], ["--witness"]):
             assert main(["solve", str(path), "--trace", *flags]) == 1
             captured = capsys.readouterr()
             assert captured.out == "NO\n"
             rows = [line.split("\t") for line in captured.err.splitlines()
                     if not line.startswith("#")]
             assert rows == [["1", "19", "19"], ["2", "0", "19"]]
-    for flags in ([], ["--no-early-exit"], ["--witness"]):
+    for flags in ([], ["--witness"]):
         assert main(["solve", str(path), "--trace", *flags]) == 1
         captured = capsys.readouterr()
         assert captured.out == "NO\n"
@@ -217,25 +217,25 @@ def test_repeated_in_process_calls_share_one_parser_and_leak_no_state(tmp_path, 
     path = tmp_path / "early.gltc"
     path.write_text("gltc 2 1\nv 1 1 2 3\nv 2 1 2 3\ne 1 2 0\n")  # complete from level 2 of 3
 
-    def levels(*flags):
-        code = main(["solve", str(path), "--trace", *flags])
+    def run(*flags):
+        code = main(["solve", str(path), *flags])
         captured = capsys.readouterr()
         rows = [line for line in captured.err.splitlines() if not line.startswith("#")]
         return code, captured.out.splitlines(), len(rows)
 
-    assert main(["solve", str(path), "--witness"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 3  # YES and two witness lines
-    assert main(["solve", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines() == ["YES"]
-    assert levels("--no-early-exit") == (0, ["YES"], 3)
-    assert levels() == (0, ["YES"], 2)
+    # --witness prints YES and two witness lines; --trace two levels, as the
+    # solve stops at the first complete one
+    witnessed = (0, ["YES", "v 1 2", "v 2 1"], 0)
+    assert run("--witness") == witnessed
+    assert run("--trace") == (0, ["YES"], 2)
+    assert run("--witness") == witnessed
+    assert run() == (0, ["YES"], 0)
     with pytest.raises(SystemExit) as exc:
         main(["solve", str(path), "--partition", "bogus"])
     assert exc.value.code == 2
     assert "--partition" in capsys.readouterr().err
-    assert levels() == (0, ["YES"], 2)
-    assert main(["solve", str(path), "--witness"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 3
+    assert run("--trace") == (0, ["YES"], 2)
+    assert run("--witness") == witnessed
 
 
 def test_oracle_agrees_with_solve(yes_file, no_file, capsys):

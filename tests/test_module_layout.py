@@ -238,29 +238,31 @@ def test_solves_walk_once_per_level_and_never_emit_blocked(monkeypatch):
     for seed in range(40):
         inst = random_instance(n=3 + seed % 6, density=(0.2, 0.5, 0.8)[seed % 3],
                                tau=seed % 4, lmax=3 + seed % 5, seed=3100 + seed)
-        for early_exit in (True, False):
-            # a component whose lists hold one label each runs no walk
-            walks.clear()
-            result = solve(inst, options=SolveOptions(early_exit=early_exit))
-            reports = result.stats.components
-            decided += sum(map(decided_by_lists, reports))
-            assert len(walks) == sum(len(c.level_sizes) for c in reports
-                                     if not decided_by_lists(c))
-            # with that exit closed, every level that runs is one walk
-            walks.clear()
-            with list_exit_off():
-                result = solve(inst, options=SolveOptions(early_exit=early_exit))
-            assert len(walks) == result.stats.levels
-            for shapes, _, _, _, _ in walks:
-                symbols |= {sym for shape in shapes for sym, _ in shape}
+        # a component whose lists hold one label each runs no walk
+        walks.clear()
+        result = solve(inst)
+        reports = result.stats.components
+        decided += sum(map(decided_by_lists, reports))
+        assert len(walks) == sum(len(c.level_sizes) for c in reports
+                                 if not decided_by_lists(c))
+        # with that exit closed, every level that runs is one walk
+        walks.clear()
+        with list_exit_off():
+            result = solve(inst)
+        assert len(walks) == result.stats.levels
+        for shapes, _, _, _, _ in walks:
+            symbols |= {sym for shape in shapes for sym, _ in shape}
     assert BLOCKED not in symbols and min(symbols) == 0 and max(symbols) == 4
     assert decided > 0
 
 
 def test_the_solve_cap_is_a_constant_not_an_option(capsys):
-    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["early_exit", "store_parents"]
+    # and a solve has one stopping rule, its first complete level, not an
+    # option either
+    assert [f.name for f in dataclasses.fields(SolveOptions)] == ["store_parents"]
     assert "total_vectors" not in {f.name for f in dataclasses.fields(SolveStats)}
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "x.gltc", "--limit", "5"])
-    assert exc.value.code == 2
-    assert "unrecognized arguments: --limit 5" in capsys.readouterr().err
+    for flag in (["--limit", "5"], ["--no-early-exit"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "x.gltc", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

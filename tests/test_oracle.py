@@ -8,7 +8,6 @@ import pytest
 from gltc import (
     Graph,
     Instance,
-    SolveOptions,
     brute_force_solve,
     check_witness,
     gap_compression,
@@ -22,7 +21,8 @@ from gltc.reference import (
     forward_checking_solve,
     inclusion_exclusion_list_coloring,
 )
-from support import complete_graph, cycle_graph, free_labels_off, path_graph, uniform_instance
+from support import (complete_graph, cycle_graph, every_level_sizes, free_labels_off, path_graph,
+                     uniform_instance)
 
 
 def test_k2_yes_witness_checks_out():
@@ -174,7 +174,7 @@ def test_no_instances_run_every_level(inst):
     # checks the pre-DP pruning, and the levels run (none) still equal the
     # compressed instance's largest label (0, as its lists are empty)
     assert forward_checking_solve(inst) == (False, None)
-    result = solve(inst, options=SolveOptions(early_exit=False))
+    result = solve(inst)
     assert not result.decision and result.witness is None
     assert result.stats.levels == _levels_to_the_last_label(inst)
     sizes = result.stats.components[-1].level_sizes
@@ -225,16 +225,17 @@ def test_family_cases_hold_the_ten_level_no_at_n22():
 
 def test_scaling_instance_at_n20():
     # the scaling instance (tau 1, density 0.3, seed 2024, lmax 2n) at
-    # n = 20, with every level built; a vector with an unlabeled vertex
-    # whose list has ended is dropped, which took the sum from 716,451,012
-    # (pinned with the free-label step off). By default vertices 1 and 13
-    # keep only label 38, free beside every neighbour's list
+    # n = 20, with every level built up to the largest label, past the
+    # first complete one where solve stops; a vector with an unlabeled
+    # vertex whose list has ended is dropped, which took the sum from
+    # 716,451,012 (pinned with the free-label step off). By default
+    # vertices 1 and 13 keep only label 38, free beside every neighbour's list
     inst = random_instance(n=20, density=0.3, tau=1, lmax=40, seed=2024)
     with free_labels_off():
-        result = solve(inst, options=SolveOptions(early_exit=False))
+        result = solve(inst)
+        assert sum(map(sum, every_level_sizes(inst))) == 592_091_561
     assert result.decision and check_witness(inst, result.witness)
-    assert sum(sum(c.level_sizes) for c in result.stats.components) == 592_091_561
     assert forward_checking_solve(inst)[0]
-    result = solve(inst, options=SolveOptions(early_exit=False))
+    result = solve(inst)
     assert result.decision and check_witness(inst, result.witness)
-    assert sum(sum(c.level_sizes) for c in result.stats.components) == 110_769_379
+    assert sum(map(sum, every_level_sizes(inst))) == 110_769_379

@@ -698,8 +698,7 @@ def _seeded_solve_cases():
     for seed in range(40):
         inst = random_instance(n=3 + seed % 6, density=(0.2, 0.5, 0.8)[seed % 3],
                                tau=seed % 4, lmax=3 + seed % 5, seed=3100 + seed)
-        for early_exit in (True, False):
-            yield inst, early_exit
+        yield inst
 
 
 def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeypatch):
@@ -710,13 +709,12 @@ def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeyp
     # walks none, and with that exit closed every YES component walks one
     calls = _counted_calls(monkeypatch, ("decode", "_find_complete", "_least_complete"))
     decisions, components, decided = set(), 0, 0
-    for inst, early_exit in _seeded_solve_cases():
+    for inst in _seeded_solve_cases():
         for exit_open in (True, False):
             with contextlib.nullcontext() if exit_open else list_exit_off():
-                decision_only = solve(inst, options=SolveOptions(early_exit=early_exit,
-                                                                 store_parents=False))
+                decision_only = solve(inst, options=SolveOptions(store_parents=False))
                 assert calls == {"decode": 0, "_find_complete": 0, "_least_complete": 0}
-                result = solve(inst, options=SolveOptions(early_exit=early_exit))
+                result = solve(inst)
             assert result.decision == decision_only.decision
             # solve stops at the first NO component, which reports last
             yes_components = len(result.stats.components) - (not result.decision)
@@ -742,12 +740,12 @@ def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeyp
 def test_solve_tallies_each_level_once(monkeypatch):
     # advance tallies the store the walk builds, once per level run that
     # leaves a vector, and the witness anchor descends the last level's flags without a tally of
-    # its own, with witness and early exit each on or off
+    # its own, with witness on or off
     calls = _counted_calls(monkeypatch, ("tally",))
     levels = witnesses = decided = 0
-    for inst, early_exit in _seeded_solve_cases():
+    for inst in _seeded_solve_cases():
         for parents in (True, False):
-            options = SolveOptions(early_exit=early_exit, store_parents=parents)
+            options = SolveOptions(store_parents=parents)
             # a level that empties its table has nothing to tally, and a
             # component whose lists hold one label each runs no level
             result = solve(inst, options=options)
@@ -763,7 +761,7 @@ def test_solve_tallies_each_level_once(monkeypatch):
             calls["tally"] = 0
             levels += result.stats.levels
             witnesses += result.witness is not None
-    assert levels > 0 and 0 < witnesses < 80 and decided > 0
+    assert levels > 0 and 0 < witnesses < 40 and decided > 0
     # the counter does see the tallies of the dict-trie entry points
     dp = ComponentDP(inst, walk_order(inst.graph))
     base = base_table(dp)
@@ -774,22 +772,21 @@ def test_solve_tallies_each_level_once(monkeypatch):
 
 def test_decision_only_solves_build_no_dict_trie_base_table_or_encoding(monkeypatch):
     # the trie and the level-0 table are born, advanced and walked back as
-    # node stores: no solve, decision or witness, with early exit on or
-    # off, builds a VectorTrie (so neither a dict trie nor a dict base
-    # table), encodes a DAG or decodes the trie, and every witness still
-    # checks
+    # node stores: no solve, decision or witness, builds a VectorTrie (so
+    # neither a dict trie nor a dict base table), encodes a DAG or decodes
+    # the trie, and every witness still checks
     calls = _counted_calls(monkeypatch, ("encode", "decode", "VectorTrie"))
     witnesses = 0
-    for inst, early_exit in _seeded_solve_cases():
-        decided = solve(inst, options=SolveOptions(early_exit=early_exit, store_parents=False))
+    for inst in _seeded_solve_cases():
+        decided = solve(inst, options=SolveOptions(store_parents=False))
         assert calls == {"encode": 0, "decode": 0, "VectorTrie": 0}
-        result = solve(inst, options=SolveOptions(early_exit=early_exit))
+        result = solve(inst)
         assert calls == {"encode": 0, "decode": 0, "VectorTrie": 0}
         assert result.decision == decided.decision
         if result.decision:
             assert check_witness(inst, result.witness)
             witnesses += 1
-    assert 0 < witnesses < 80
+    assert 0 < witnesses < 40
     # the counters do see the replay's adapter: _combine encodes the
     # table, reads the trie as dict nodes and decodes its output
     dp = ComponentDP(inst, walk_order(inst.graph))
@@ -916,33 +913,28 @@ def test_a_no_component_stops_at_its_first_empty_table(monkeypatch):
     # its list {1, 2} ended, so the table is empty and the component is
     # NO after 2 levels, where the unpruned tables ran 6 levels of 62
     # vectors; the empty table is not tallied, retained or walked back,
-    # with early exit and witness each on or off
-    # (pinned with the free-label step off); by default the pendant's
+    # with witness on or off (pinned with the free-label step off); by default the pendant's
     # labels 3..6 are free beside the cycle's {1, 2}, its list is cut to
     # {3}, and the level-1 table holds 11 vectors in 14 nodes
     inst = odd_cycle_with_pendant()
     assert not brute_force_solve(inst)[0]
     calls = _counted_calls(monkeypatch, ("tally", "_least_complete", "_walk_back"))
     with free_labels_off():
-        for early_exit in (True, False):
-            for parents in (True, False):
-                result = solve(inst, options=SolveOptions(early_exit=early_exit,
-                                                          store_parents=parents))
-                assert not result.decision and result.witness is None
-                (report,) = result.stats.components
-                assert report.level_sizes == [19, 0] and report.level_nodes == [14, 0]
-                assert result.stats.levels == 2 and result.stats.max_table_size == 19
-    assert calls == {"tally": 4, "_least_complete": 0, "_walk_back": 0}
-    for early_exit in (True, False):
         for parents in (True, False):
-            result = solve(inst, options=SolveOptions(early_exit=early_exit,
-                                                      store_parents=parents))
+            result = solve(inst, options=SolveOptions(store_parents=parents))
             assert not result.decision and result.witness is None
             (report,) = result.stats.components
-            assert report.level_sizes == [11, 0] and report.level_nodes == [14, 0]
-            assert result.stats.levels == 2 and result.stats.max_table_size == 11
-            assert report.pruned_labels == 5
-    assert calls == {"tally": 8, "_least_complete": 0, "_walk_back": 0}
+            assert report.level_sizes == [19, 0] and report.level_nodes == [14, 0]
+            assert result.stats.levels == 2 and result.stats.max_table_size == 19
+    assert calls == {"tally": 2, "_least_complete": 0, "_walk_back": 0}
+    for parents in (True, False):
+        result = solve(inst, options=SolveOptions(store_parents=parents))
+        assert not result.decision and result.witness is None
+        (report,) = result.stats.components
+        assert report.level_sizes == [11, 0] and report.level_nodes == [14, 0]
+        assert result.stats.levels == 2 and result.stats.max_table_size == 11
+        assert report.pruned_labels == 5
+    assert calls == {"tally": 4, "_least_complete": 0, "_walk_back": 0}
 
 
 def test_base_table_marks_label_one_availability():
@@ -1008,12 +1000,39 @@ def test_a_wiped_out_component_builds_no_dp_and_runs_no_level(monkeypatch):
     built = []
     monkeypatch.setattr(solver_module, "ComponentDP",
                         lambda *args: built.append(args) or ComponentDP(*args))
-    result = solve(inst, options=SolveOptions(early_exit=False))
+    result = solve(inst)
     assert not result.decision and result.witness is None
     first, second = result.stats.components
     assert first.level_sizes and first.pruned_labels == 0
     assert second.level_sizes == [] and second.pruned_labels == 4
     assert len(built) == 1 and result.stats.levels == len(first.level_sizes)
+
+
+def test_only_components_that_reach_the_dp_build_a_walk_order(monkeypatch):
+    # a component that pruning empties, or leaves one label a list, is
+    # decided before the DP: no walk order is built for it and its report's
+    # ordering is (); every other component builds one, once
+    calls = _counted_calls(monkeypatch, ("walk_order",))
+    g = Graph.from_edges(4, [(1, 2), (3, 4)])
+    lam = {1: frozenset({1, 3}), 2: frozenset({1, 3}), 3: frozenset({1, 2}), 4: frozenset({1, 2})}
+    wiped = Instance(graph=g, lam=lam, t={e: frozenset({0, 1}) for e in g.edges})
+    seen = {"dp": 0, "emptied": 0, "one label a list": 0}
+    for inst in [wiped, *_seeded_solve_cases()]:
+        for parents in (True, False):
+            reports = solve(inst, options=SolveOptions(store_parents=parents)).stats.components
+            for report in reports:
+                if not gap_compression(report.instance)[1]:
+                    kind = "emptied"
+                elif decided_by_lists(report):
+                    kind = "one label a list"
+                else:
+                    kind = "dp"
+                    assert report.ordering == walk_order(report.instance.graph)
+                seen[kind] += 1
+                assert bool(report.ordering) == (kind == "dp")
+            assert calls["walk_order"] == sum(bool(report.ordering) for report in reports)
+            calls["walk_order"] = 0
+    assert all(seen.values()), seen
 
 
 def test_solve_triangle_two_colors_is_no():
@@ -1109,46 +1128,45 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
     for seed in range(300):
         inst = random_instance(n=3 + seed % 8, density=(0.15, 0.35, 0.6)[seed % 3],
                                tau=seed % 4, lmax=3 + seed % 6, seed=4400 + seed)
-        for early_exit in (True, False):
-            walks.clear()
-            result = solve(inst, options=SolveOptions(early_exit=early_exit))
-            solver_walks = list(walks)  # the adapter calls _walk_back too
-            for levels, final, final_level, nbr_mask, tau, ordering, filters, labels in solver_walks:
-                n = len(ordering)
-                tables = [LevelTable(k, VectorTrie(n, decode(shapes)[root]))
-                          for k, (shapes, root) in enumerate(levels)]
-                assert _find_complete(tables[final_level].vectors) == final
-                if early_exit:
-                    assert all(_find_complete(t.vectors) is None for t in tables[:final_level])
-                # the solver's tables hold one unlabeled symbol, so the walk
-                # back over the re-encoded tables needs the component's
-                # barring masks (the replay's tables spell out BLOCKED and
-                # go through reconstruct_witness, whose filters bar nothing)
-                shapes, roots = encode([t.vectors.root for t in tables[:final_level]])
-                assert real([(shapes, root) for root in roots], final, final_level,
-                            nbr_mask, tau, ordering, filters) == labels
-            if result.decision:
-                assert check_witness(inst, result.witness)
-                seen["several yes components"] += len(solver_walks) > 1
-                continue
-            # the NO component ran levels without a complete vector until
-            # one emptied its table, at the largest label at the latest,
-            # unless pruning emptied it before any level
-            report = result.stats.components[-1]
-            sub, label_map = gap_compression(report.instance)
-            if not label_map:
-                assert report.level_sizes == []
-                continue
-            dp = ComponentDP(sub, report.ordering)
-            table = base_table(dp)
-            levels = len(report.level_sizes)
-            assert levels <= max(label_map) and report.level_sizes.index(0) == levels - 1
-            for k in range(1, levels + 1):
-                table = step(dp, table, k)[0]
-                assert _find_complete(table) is None
-            assert not table
-            seen["no"] += 1
-            seen["no before the last label"] += levels < max(label_map)
+        walks.clear()
+        result = solve(inst)
+        solver_walks = list(walks)  # the adapter calls _walk_back too
+        for levels, final, final_level, nbr_mask, tau, ordering, filters, labels in solver_walks:
+            n = len(ordering)
+            tables = [LevelTable(k, VectorTrie(n, decode(shapes)[root]))
+                      for k, (shapes, root) in enumerate(levels)]
+            # the walk back starts from the first level with a complete vector
+            assert _find_complete(tables[final_level].vectors) == final
+            assert all(_find_complete(t.vectors) is None for t in tables[:final_level])
+            # the solver's tables hold one unlabeled symbol, so the walk
+            # back over the re-encoded tables needs the component's
+            # barring masks (the replay's tables spell out BLOCKED and
+            # go through reconstruct_witness, whose filters bar nothing)
+            shapes, roots = encode([t.vectors.root for t in tables[:final_level]])
+            assert real([(shapes, root) for root in roots], final, final_level,
+                        nbr_mask, tau, ordering, filters) == labels
+        if result.decision:
+            assert check_witness(inst, result.witness)
+            seen["several yes components"] += len(solver_walks) > 1
+            continue
+        # the NO component ran levels without a complete vector until
+        # one emptied its table, at the largest label at the latest,
+        # unless pruning emptied it before any level
+        report = result.stats.components[-1]
+        sub, label_map = gap_compression(report.instance)
+        if not label_map:
+            assert report.level_sizes == []
+            continue
+        dp = ComponentDP(sub, report.ordering)
+        table = base_table(dp)
+        levels = len(report.level_sizes)
+        assert levels <= max(label_map) and report.level_sizes.index(0) == levels - 1
+        for k in range(1, levels + 1):
+            table = step(dp, table, k)[0]
+            assert _find_complete(table) is None
+        assert not table
+        seen["no"] += 1
+        seen["no before the last label"] += levels < max(label_map)
     assert all(seen.values()), seen
 
 
@@ -1367,10 +1385,19 @@ def test_arc_consistent_dp_walks_are_pinned(arc_consistent_dp_digests):
                                          ARC_CONSISTENT_DP_WALK_DIGEST, DECISION_DIGEST)
 
 
-def test_witness_reconstruction_without_early_exit():
-    inst = uniform_instance(path_graph(4), {1, 2, 3, 4, 5}, {0, 1})
-    result = solve(inst, options=SolveOptions(early_exit=False))
+def test_witness_walks_back_from_the_largest_labels_table():
+    # arc consistency cuts label 2 from every list of this path, and no
+    # label is free, so the lists stay {1, 3}: the first labeling is 1, 3,
+    # 1 or 3, 1, 3, whose first complete level is the largest label's,
+    # and the witness walks back from that table
+    inst = uniform_instance(path_graph(3), {1, 2, 3}, {0, 1})
+    pruned, label_map = gap_compression(inst)
+    assert set(pruned.lam.values()) == {frozenset({1, 3})} and max(label_map) == 3
+    result = solve(inst)
     assert result.decision and check_witness(inst, result.witness)
+    (report,) = result.stats.components
+    assert result.stats.levels == len(report.level_memo) == 3
+    assert result.witness in ({1: 1, 2: 3, 3: 1}, {1: 3, 2: 1, 3: 3})
 
 
 def test_solve_without_parent_storage_returns_no_witness():
@@ -1448,19 +1475,19 @@ def _outcome(result):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(_list_exit_cases(), st.booleans(), st.booleans())
+@given(_list_exit_cases(), st.booleans())
 @example(Instance(graph=Graph.from_edges(1, []), lam={1: frozenset({3, 5})}, t={}),
-         True, True)  # an isolated vertex keeps its least label
+         True)  # an isolated vertex keeps its least label
 @example(Instance(graph=path_graph(2), lam={1: frozenset({10}), 2: frozenset({200})},
-                  t={(1, 2): frozenset({0, 1, 2})}), False, True)
+                  t={(1, 2): frozenset({0, 1, 2})}), True)
 @example(Instance(graph=path_graph(2), lam={1: frozenset({1}), 2: frozenset({_WIDE, _WIDE + 1})},
-                  t={(1, 2): frozenset({0, _WIDE - 1})}), True, False)  # arc consistency alone
-def test_lists_of_one_label_decide_a_component_as_the_dp_does(inst, early_exit, parents):
+                  t={(1, 2): frozenset({0, _WIDE - 1})}), False)  # arc consistency alone
+def test_lists_of_one_label_decide_a_component_as_the_dp_does(inst, parents):
     # where a component's pruned lists hold one label each, solve runs no
     # level and records the tables the DP builds: stepping ComponentDP
     # over the same pruned instance gives one vector per level, up to the
-    # largest label, with early exit on or off
-    options = SolveOptions(early_exit=early_exit, store_parents=parents)
+    # largest label
+    options = SolveOptions(store_parents=parents)
     result = solve(inst, options=options)
     assert result.decision == brute_force_solve(inst)[0]
     assert not result.witness or check_witness(inst, result.witness)
@@ -1489,14 +1516,15 @@ def test_lists_of_one_label_decide_a_component_as_the_dp_does(inst, early_exit, 
 
 
 def test_solve_stats_report_levels_and_sizes():
+    # the labeling 1, 2, 1 is complete at level 2, where the solve stops
     inst = uniform_instance(path_graph(3), {1, 2, 3}, {0})
-    result = solve(inst, options=SolveOptions(early_exit=False))
-    assert result.stats.levels == 3
+    result = solve(inst)
+    assert result.stats.levels == 2
     assert len(result.stats.components) == 1
-    assert len(result.stats.components[0].level_sizes) == 3
-    assert len(result.stats.components[0].level_nodes) == 3
-    assert len(result.stats.components[0].level_memo) == 3
-    assert len(result.stats.components[0].level_unions) == 3
+    assert len(result.stats.components[0].level_sizes) == 2
+    assert len(result.stats.components[0].level_nodes) == 2
+    assert len(result.stats.components[0].level_memo) == 2
+    assert len(result.stats.components[0].level_unions) == 2
     assert result.stats.components[0].ordering == walk_order(inst.graph)
     assert all(entries > 0 for entries in result.stats.components[0].level_memo)
     assert result.stats.max_table_size == max(result.stats.components[0].level_sizes)
@@ -1513,8 +1541,7 @@ def test_solves_leave_no_reference_cycles():
         (random_instance(n=7, density=0.5, tau=2, lmax=7, seed=62), SolveOptions()),
         (random_instance(n=8, density=0.4, tau=1, lmax=6, seed=63),
          SolveOptions(store_parents=False)),
-        (random_instance(n=6, density=0.6, tau=3, lmax=8, seed=64),
-         SolveOptions(early_exit=False)),
+        (random_instance(n=6, density=0.6, tau=3, lmax=8, seed=64), SolveOptions()),
         (uniform_instance(complete_graph(3), {1, 2}, {0}), SolveOptions()),
         (two_parts, SolveOptions()),
     ]
