@@ -102,7 +102,10 @@ def _cmd_reduce(args) -> int:
             omega[key] = w
         inst = reduce_channel(g, omega, lam)
     elif args.model == "tcoloring":
-        tset = {int(tok) for tok in args.t_set.split(",")}
+        try:
+            tset = {int(tok) for tok in args.t_set.split(",")}
+        except ValueError:
+            raise ValueError(f"--t-set expects 'd,d,...', got {args.t_set!r}") from None
         inst = reduce_tcoloring(g, tset, lam)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown model {args.model}")

@@ -356,34 +356,33 @@ def _fix_free_labels(masks: dict[int, int], nbrs) -> dict[int, int]:
     It keeps arc consistency too: a free label supports every label of
     every neighbour. Vertices are visited in ascending id, in passes
     repeated until one cuts nothing, since a cut may free a label of a
-    neighbour; the fixpoint depends on that order. A pass after the
-    first visits only the vertices beside a cut made since their last
-    visit, as the others would find what they found, so each cut costs
-    one visit per neighbour. ``masks`` and ``nbrs`` as for
-    _prune_unsupported; updates ``masks`` in place and returns it."""
-    todo = sorted(masks)  # this pass's vertices, a heap
+    neighbour; the fixpoint depends on that order. After the first pass
+    only the vertices beside a cut made since their last visit are
+    visited again, as the others would find what they found, so each cut
+    costs one visit per neighbour: such a neighbour is due in the current
+    pass if its id is above the cut vertex's, else in the next. One heap
+    of (pass, vertex) pairs keeps that order. ``masks`` and ``nbrs`` as
+    for _prune_unsupported; updates ``masks`` in place and returns it."""
+    todo = [(0, v) for v in sorted(masks)]  # a heap, as any sorted list is
+    due = dict.fromkeys(masks, 0)  # the pass each queued vertex is due in
     while todo:
-        queued, later = set(todo), set()
-        while todo:
-            v = heapq.heappop(todo)
-            free = masks[v]
-            if not free & free - 1:  # one label or none: nothing to cut
-                continue
-            for u, diffs in nbrs[v]:
-                taken = masks[u]
-                for d in diffs:
-                    free &= ~(taken << d | taken >> d)
-                if not free:
-                    break
-            else:
-                masks[v] = free & -free
-                for w, _ in nbrs[v]:
-                    if w < v:  # visited this pass already
-                        later.add(w)
-                    elif w not in queued:
-                        queued.add(w)
-                        heapq.heappush(todo, w)
-        todo = sorted(later)
+        now, v = heapq.heappop(todo)
+        del due[v]
+        free = masks[v]
+        if not free & free - 1:  # one label or none: nothing to cut
+            continue
+        for u, diffs in nbrs[v]:
+            taken = masks[u]
+            for d in diffs:
+                free &= ~(taken << d | taken >> d)
+            if not free:
+                break
+        else:
+            masks[v] = free & -free
+            for w, _ in nbrs[v]:
+                if w not in due:
+                    due[w] = then = now if w > v else now + 1
+                    heapq.heappush(todo, (then, w))
     return masks
 
 

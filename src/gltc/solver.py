@@ -34,7 +34,7 @@ k+1, and the earlier positions given k+1 that a later neighbour may
 still bar. A later position stops being free when its list lacks k+1,
 when an earlier neighbour's recent label bars it, or when an earlier
 neighbour takes k+1 (the vertices receiving a label are pairwise
-non-adjacent), so the walk reads _BarPass's neighbour masks and no
+non-adjacent), so the walk reads ComponentDP's neighbour masks and no
 independent-set trie is built. Where two children of a table node age
 to the same symbol, they are folded into one node by a memoized union
 (the unique table and memoized OR of BDD packages), on the input store
@@ -56,7 +56,9 @@ themselves: a retained level keeps its store, the least complete vector
 is read off the last table's flags by a descent that never backtracks,
 and the walk back carries the same masks down each retained store. Dict
 nodes (gltc.vectorset) are for tests and the benchmark replay's adapters
-only.
+only. Those adapters, and every other name only the replay uses, sit in
+this module's last section, after the production path, which uses none
+of them.
 
 Every recursive walk here creates its memo, returns the memo's size when
 a report needs it, takes one stack frame per position (solve raises the
@@ -110,14 +112,6 @@ class SolveOptions:
     and what it may hold is capped by the constant ``ENTRY_LIMIT``."""
 
     store_parents: bool = True
-
-
-@dataclass
-class LevelTable:
-    """The state-vector set of one level of the dynamic program."""
-
-    level: int
-    vectors: VectorTrie
 
 
 @dataclass
@@ -180,44 +174,6 @@ class SolveResult:
 # the level walk
 
 
-def _listed_masks(inst: Instance, ordering) -> dict[int, int]:
-    """For each label, the positions of ``ordering`` whose list has it,
-    as a bitmask; a label on no list is absent."""
-    listed: dict[int, int] = {}
-    for i, v in enumerate(ordering):
-        bit = 1 << i
-        for lab in inst.lam[v]:
-            listed[lab] = listed.get(lab, 0) | bit
-    return listed
-
-
-def _live_masks(listed: dict[int, int]) -> dict[int, int]:
-    """For each label lab, the positions whose list has a label above
-    lab, from _listed_masks' masks; a label past every list maps to 0 by
-    absence. An unlabeled position outside the mask can never be labeled
-    on any later level."""
-    live, above = {}, 0
-    for lab in range(max(listed, default=0), 0, -1):
-        live[lab] = above
-        above |= listed.get(lab, 0)
-    return live
-
-
-def _build_plan(blocks, tau: int, inst: Instance, strengthened: bool = True):
-    """The plan tuple _combine takes: (vector length, tau, an iterator
-    over the ``live`` masks of labels 1, 2, ...), with the length summed
-    over a partition's blocks and the masks over the blocks' vertices in
-    block order, the replay's coordinates.
-
-    Only the benchmark's per-layer replay (perfbench/layers.py) calls it,
-    with the compressed instance; ``strengthened`` is unused and keeps
-    its call shape until the next change to the benchmark, as
-    ``_BarPass.run`` does.
-    """
-    live = _live_masks(_listed_masks(inst, [v for block in blocks for v in block.vertices]))
-    return sum(block.size for block in blocks), tau, (live.get(k, 0) for k in itertools.count(1))
-
-
 def _union(u, v, shapes, unique, memo):
     """The uid of the union of the vector sets below uids ``u`` and ``v``
     of the node store ``shapes``, two nodes of the same height: a
@@ -273,12 +229,12 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     survives: the table is empty.
 
     The image operation of a decision diagram, filtered on the way down
-    by ``filters``: _BarPass.filters for the label, or _unbarred. A call
-    at depth d carries ``allow``, the positions >= d still free to take
-    the new label, and ``pend``, the earlier positions given the new
-    label that a later neighbour may still bar. ``allow`` starts as
-    ``listed``, the positions whose list has the label; a recent
-    label (2..tau+1) removes its ``later`` row (an AND with its
+    by ``filters``: ComponentDP.filters for the label, or the replay's
+    _unbarred. A call at depth d carries ``allow``, the positions >= d
+    still free to take the new label, and ``pend``, the earlier positions
+    given the new label that a later neighbour may still bar. ``allow``
+    starts as ``listed``, the positions whose list has the label; a
+    recent label (2..tau+1) removes its ``later`` row (an AND with its
     complement, which ``not_later`` holds), and giving the label to
     position d removes d's neighbours. An unlabeled position (OPEN;
     BLOCKED never takes the label) ages to OPEN, and takes the label,
@@ -390,136 +346,6 @@ def _level_walk(shapes, root, nbr_mask, tau: int, filters):
     return out, out_root, len(memo) - 1, len(unions) + len(in_unions), not unions
 
 
-def _unbarred(n: int, tau: int, live: int = -1):
-    """Filters that bar nothing, in _BarPass.filters' complemented form,
-    for tables whose OPEN and BLOCKED already say which positions may
-    take the label: the replay's adapters. ``live`` is the one filter
-    kept, by default every position."""
-    return (1 << n) - 1, [[-1] * (tau + 2)] * n, [[0] * (tau + 2)] * n, [-1] * n, 0, live
-
-
-def _trie_neighbours(node, n: int) -> list[int]:
-    """Each position's neighbours as a bitmask over positions, read off
-    the dict trie ``node`` of a graph's independent sets, as the replay
-    passes it: on the path that takes 1 only at position i, a later
-    position j with no 1-child is a neighbour of i. For the replay's
-    adapters only; it goes with them (ROADMAP item 1)."""
-    nbr_mask = [0] * n
-    for i in range(n):
-        below = node[1]
-        for j in range(i + 1, n):
-            if 1 not in below:
-                nbr_mask[i] |= 1 << j
-                nbr_mask[j] |= 1 << i
-            below = below[0]
-        node = node[0]
-    return nbr_mask
-
-
-def _combine(a_nodes, p_node, depth, plan, memo):
-    """_level_walk on a dict DAG with nothing barred, the table encoded
-    and the output decoded on every call. An adapter with the call shape
-    of the benchmark's per-layer replay (perfbench/layers.py), whose
-    tables carry OPEN and BLOCKED: ``a_nodes`` holds one root, ``p_node``
-    is the dict independent-set trie, read by _trie_neighbours, ``depth``
-    is 0, ``plan`` is _build_plan's (length, tau, live masks) and
-    ``memo`` is unused. Each call takes the next ``live`` mask: the
-    replay calls it once per level, from level 1. Returns None where the
-    new table is empty. It goes with the replay (ROADMAP item 1).
-    """
-    length, tau, live = plan
-    shapes, (root,) = encode(a_nodes)
-    out, out_root, _, _, _ = _level_walk(shapes, root, _trie_neighbours(p_node, length), tau,
-                                         _unbarred(length, tau, next(live)))
-    return decode(out)[out_root] if out_root >= 0 else None
-
-
-# ---------------------------------------------------------------------------
-# level pipeline
-
-
-class _BarPass:
-    """Per-position data, built once per component, on which positions a
-    label is barred from: its list lacks it, or a neighbour's recent label
-    lies at a forbidden difference from it; and on which positions may
-    stay unlabeled past it: their list has a later label. The one walk
-    over the edges in position coordinates also records each position's
-    neighbours, ``nbr_mask``, which the walks remove from the positions
-    free to take a label once a neighbour takes it.
-
-    ``filters`` gives the masks _level_walk and _walk_back filter with.
-    The rows that take positions out of a mask are kept complemented, as
-    the walks AND with them: one form, built once per component.
-    ``run`` marks OPEN positions of one vector BLOCKED; only the
-    benchmark's per-layer replay (perfbench/layers.py) still calls it, and
-    it goes at the next change to the benchmark.
-    """
-
-    def __init__(self, inst: Instance, ordering, tau: int):
-        # Bitmasks over positions: listed[lab] holds the positions whose
-        # list has label lab; live[lab] those whose list has a label above
-        # lab (_live_masks); nbr_mask[j] holds position j's neighbours; a
-        # symbol at position j bars the later positions later[j][sym] and
-        # the earlier ones earlier[j][sym] (lists by symbol); closes[j]
-        # holds the positions whose last barring neighbour sits at j;
-        # waiting holds those with any later one. later and closes are
-        # kept as their complements, not_later and not_closes.
-        pos_of = {v: i for i, v in enumerate(ordering)}
-        n = len(ordering)
-        self.full = (1 << n) - 1
-        self.listed = listed = _listed_masks(inst, ordering)
-        self.live = _live_masks(listed)
-        later = [[0] * (tau + 2) for _ in range(n)]
-        self.earlier = earlier = [[0] * (tau + 2) for _ in range(n)]
-        self.nbr_mask = nbr_mask = [0] * n
-        closes = [0] * n
-        waiting = 0
-        last = list(range(n))  # the last barring neighbour of each position, or itself
-        for (u, v), diffs in inst.t.items():
-            i, j = pos_of[u], pos_of[v]
-            if i > j:
-                i, j = j, i
-            nbr_mask[i] |= 1 << j
-            nbr_mask[j] |= 1 << i
-            for d in diffs:
-                # symbol b at one end: its label lies d = tau + 2 - b below the next one
-                if 0 < d <= tau:
-                    earlier[j][tau + 2 - d] |= 1 << i
-                    later[i][tau + 2 - d] |= 1 << j
-                    if j > last[i]:
-                        last[i] = j
-        for i, j in enumerate(last):
-            if j > i:
-                closes[j] |= 1 << i
-                waiting |= 1 << i
-        self.not_later = [[~mask for mask in row] for row in later]
-        self.not_closes = [~mask for mask in closes]
-        self.waiting = waiting
-
-    def filters(self, label: int):
-        """(listed, not_later, earlier, not_closes, waiting, live) for
-        ``label``, read against a table of the level before it: ``listed``
-        holds the positions whose list has the label, ``live`` those whose
-        list has a label above it, the only ones that may stay unlabeled
-        in the new table; the rows are the static ones."""
-        return (self.listed.get(label, 0), self.not_later, self.earlier, self.not_closes,
-                self.waiting, self.live.get(label, 0))
-
-    def run(self, vec, level: int):
-        """One vector's OPEN positions barred from label ``level + 2``
-        marked BLOCKED; kept for the benchmark replay only."""
-        blk = self.full & ~self.listed.get(level + 2, 0)
-        not_later, earlier = self.not_later, self.earlier
-        for j, sym in enumerate(vec):
-            if sym > 1:  # only a recent label (2..tau+1) bars
-                blk |= ~not_later[j][sym] | earlier[j][sym]
-        out = list(vec)
-        for i, sym in enumerate(vec):
-            if sym == OPEN and blk >> i & 1:
-                out[i] = BLOCKED
-        return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # the coordinate order
 
@@ -566,18 +392,78 @@ class ComponentDP:
     walk_order). The tables hold the same vectors, up to the order of
     their coordinates, whatever the order; only cost varies.
 
-    Built once per component: ``tau``, the coordinate ``ordering`` and
-    the masks ``bar`` that say which positions each label is barred from
-    and, in ``bar.nbr_mask``, each position's neighbours, which never
-    take one label together. ``advance`` takes a table one level on as a
-    node store, from ``base_store()`` on; nothing here builds dict nodes
-    or an independent-set trie.
+    Built once per component: ``tau``, the coordinate ``ordering`` and,
+    from one walk over the edges in position coordinates, the masks that
+    say which positions a label is barred from (their list lacks it, or
+    a neighbour's recent label lies at a forbidden difference from it),
+    which may stay unlabeled past it (their list has a later label) and,
+    in ``nbr_mask``, each position's neighbours, which never take one
+    label together. ``filters`` gives them per label in the form
+    _level_walk and _walk_back take. ``advance`` takes a table one level
+    on as a node store, from ``base_store()`` on; nothing here builds
+    dict nodes or an independent-set trie.
     """
 
     def __init__(self, inst: Instance, ordering):
         self.tau = tau = instance_tau(inst)
         self.ordering = ordering = tuple(ordering)
-        self.bar = _BarPass(inst, ordering, tau)
+        # Bitmasks over positions: listed[lab] holds the positions whose
+        # list has label lab, live[lab] those whose list has a label above
+        # lab (a label on no list is absent from listed, and a label past
+        # every list from live: both read 0); nbr_mask[j] holds
+        # position j's neighbours; a symbol at position j bars the later
+        # positions later[j][sym] and the earlier ones earlier[j][sym]
+        # (lists by symbol); closes[j] holds the positions whose last
+        # barring neighbour sits at j; waiting holds those with any later
+        # one. later and closes are kept as their complements, not_later
+        # and not_closes, as the walks AND with them.
+        n = len(ordering)
+        pos_of = {}
+        self.listed = listed = {}
+        for i, v in enumerate(ordering):
+            pos_of[v] = i
+            for lab in inst.lam[v]:
+                listed[lab] = listed.get(lab, 0) | 1 << i
+        self.live = live = {}
+        above = 0
+        for lab in range(max(listed, default=0), 0, -1):
+            live[lab] = above
+            above |= listed.get(lab, 0)
+        later = [[0] * (tau + 2) for _ in range(n)]
+        self.earlier = earlier = [[0] * (tau + 2) for _ in range(n)]
+        self.nbr_mask = nbr_mask = [0] * n
+        closes = [0] * n
+        waiting = 0
+        last = list(range(n))  # the last barring neighbour of each position, or itself
+        for (u, v), diffs in inst.t.items():
+            i, j = pos_of[u], pos_of[v]
+            if i > j:
+                i, j = j, i
+            nbr_mask[i] |= 1 << j
+            nbr_mask[j] |= 1 << i
+            for d in diffs:
+                # symbol b at one end: its label lies d = tau + 2 - b below the next one
+                if 0 < d <= tau:
+                    earlier[j][tau + 2 - d] |= 1 << i
+                    later[i][tau + 2 - d] |= 1 << j
+                    if j > last[i]:
+                        last[i] = j
+        for i, j in enumerate(last):
+            if j > i:
+                closes[j] |= 1 << i
+                waiting |= 1 << i
+        self.not_later = [[~mask for mask in row] for row in later]
+        self.not_closes = [~mask for mask in closes]
+        self.waiting = waiting
+
+    def filters(self, label: int):
+        """(listed, not_later, earlier, not_closes, waiting, live) for
+        ``label``, read against a table of the level before it: ``listed``
+        holds the positions whose list has the label, ``live`` those whose
+        list has a label above it, the only ones that may stay unlabeled
+        in the new table; the rows are the static ones."""
+        return (self.listed.get(label, 0), self.not_later, self.earlier, self.not_closes,
+                self.waiting, self.live.get(label, 0))
 
     def base_store(self) -> list:
         """The level-0 table as ``advance`` takes it: its one vector, every
@@ -601,8 +487,8 @@ class ComponentDP:
         """
         shapes, root, _ = store
         store.clear()
-        shapes, root, entries, unions, reached = _level_walk(shapes, root, self.bar.nbr_mask,
-                                                             self.tau, self.bar.filters(level))
+        shapes, root, entries, unions, reached = _level_walk(shapes, root, self.nbr_mask,
+                                                             self.tau, self.filters(level))
         if root < 0:
             return 0, 0, False, entries, unions
         shapes, root, count, full = tally(shapes, root, reached)
@@ -640,7 +526,7 @@ def _walk_back(levels, final, final_level, nbr_mask, tau: int, ordering, filters
     assign mask that advance to the current vector, is found by a
     depth-first walk of that level's store. A position takes label k
     only where _level_walk would let it: ``filters(k)``
-    (_BarPass.filters, or _unbarred for every label on the replay's
+    (ComponentDP.filters, or _unbarred for every label on the replay's
     tables, whose BLOCKED already says it) and the neighbour masks
     ``nbr_mask`` give the same ``allow`` and ``pend`` masks.
     Deterministic: the first hit in canonical symbol order, assign bit 0
@@ -710,31 +596,6 @@ def _walk_back(levels, final, final_level, nbr_mask, tau: int, ordering, filters
         if k and sym >= 2:
             labels[ordering[i]] = k + sym - tau - 1
     return labels
-
-
-def _find_complete(trie: VectorTrie):
-    """_least_complete on a dict trie, encoded and tallied on every call:
-    an adapter for the benchmark's per-layer replay (perfbench/layers.py)
-    that goes with the replay (ROADMAP item 1), as _combine does."""
-    if trie.root is None:
-        return None
-    shapes, (root,) = encode((trie.root,))
-    shapes, root, _, full = tally(shapes, root)
-    return _least_complete(shapes, full, root)
-
-
-def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
-                        indep: VectorTrie, tau: int, ordering) -> Witness:
-    """_walk_back on dict tries, the level tables from level 0 on encoded
-    and the neighbours read off the independent-set trie ``indep`` on
-    every call: an adapter for the benchmark's per-layer replay
-    (perfbench/layers.py) that goes with the replay (ROADMAP item 1), as
-    _combine does. The replay's tables carry OPEN and BLOCKED, so nothing
-    more is barred."""
-    shapes, roots = encode([table.vectors.root for table in tables[:final_level]])
-    unbarred = _unbarred(len(final), tau)
-    return _walk_back([(shapes, root) for root in roots], final, final_level,
-                      _trie_neighbours(indep.root, len(final)), tau, ordering, lambda _: unbarred)
 
 
 def check_witness(inst: Instance, witness: Witness) -> bool:
@@ -824,7 +685,7 @@ def _solve_component(inst: Instance, options: SolveOptions,
         return True, None
     shapes, root, full = store
     found = _least_complete(shapes, full, root)
-    witness = _walk_back(levels, found, k, dp.bar.nbr_mask, dp.tau, ordering, dp.bar.filters)
+    witness = _walk_back(levels, found, k, dp.nbr_mask, dp.tau, ordering, dp.filters)
     return True, {v: label_map[lab] for v, lab in witness.items()}
 
 
@@ -877,3 +738,119 @@ def solve(inst: Instance, strategy: str = "auto",
         if collecting:
             gc.enable()
         sys.setrecursionlimit(limit)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark replay's adapters
+#
+# Only the benchmark's per-layer replay (perfbench/layers.py) and the
+# tests that pin its call shapes use what follows. Its tables are dict
+# tries that keep OPEN and BLOCKED, so the adapters encode them, walk
+# with nothing barred and decode the result. Nothing above this point
+# uses any of it, so the section goes whole at the next change to the
+# benchmark (ROADMAP item 1).
+
+
+@dataclass
+class LevelTable:
+    """The state-vector set of one level of the dynamic program."""
+
+    level: int
+    vectors: VectorTrie
+
+
+def _build_plan(blocks, tau: int, inst: Instance, strengthened: bool = True):
+    """The plan tuple _combine takes: (vector length, tau, an iterator
+    over the ``live`` masks of labels 1, 2, ...), with the length summed
+    over a partition's blocks and the masks read off a ComponentDP whose
+    coordinates are the blocks' vertices in block order, the replay's.
+    The replay calls it with the compressed instance; ``strengthened``
+    is unused and keeps its call shape, as _BarPass's ``tau`` does.
+    """
+    live = ComponentDP(inst, [v for block in blocks for v in block.vertices]).live
+    return sum(block.size for block in blocks), tau, (live.get(k, 0) for k in itertools.count(1))
+
+
+def _unbarred(n: int, tau: int, live: int = -1):
+    """Filters that bar nothing, in ComponentDP.filters' complemented
+    form, for tables whose OPEN and BLOCKED already say which positions
+    may take the label. ``live`` is the one filter kept, by default
+    every position."""
+    return (1 << n) - 1, [[-1] * (tau + 2)] * n, [[0] * (tau + 2)] * n, [-1] * n, 0, live
+
+
+def _trie_neighbours(node, n: int) -> list[int]:
+    """Each position's neighbours as a bitmask over positions, read off
+    the dict trie ``node`` of a graph's independent sets, as the replay
+    passes it: on the path that takes 1 only at position i, a later
+    position j with no 1-child is a neighbour of i."""
+    nbr_mask = [0] * n
+    for i in range(n):
+        below = node[1]
+        for j in range(i + 1, n):
+            if 1 not in below:
+                nbr_mask[i] |= 1 << j
+                nbr_mask[j] |= 1 << i
+            below = below[0]
+        node = node[0]
+    return nbr_mask
+
+
+def _combine(a_nodes, p_node, depth, plan, memo):
+    """_level_walk on a dict DAG with nothing barred, the table encoded
+    and the output decoded on every call: ``a_nodes`` holds one root,
+    ``p_node`` is the dict independent-set trie, read by
+    _trie_neighbours, ``depth`` is 0, ``plan`` is _build_plan's (length,
+    tau, live masks) and ``memo`` is unused. Each call takes the next
+    ``live`` mask: the replay calls it once per level, from level 1.
+    Returns None where the new table is empty.
+    """
+    length, tau, live = plan
+    shapes, (root,) = encode(a_nodes)
+    out, out_root, _, _, _ = _level_walk(shapes, root, _trie_neighbours(p_node, length), tau,
+                                         _unbarred(length, tau, next(live)))
+    return decode(out)[out_root] if out_root >= 0 else None
+
+
+def _find_complete(trie: VectorTrie):
+    """_least_complete on a dict trie, encoded and tallied on every call."""
+    if trie.root is None:
+        return None
+    shapes, (root,) = encode((trie.root,))
+    shapes, root, _, full = tally(shapes, root)
+    return _least_complete(shapes, full, root)
+
+
+def reconstruct_witness(tables: list[LevelTable], final, final_level: int,
+                        indep: VectorTrie, tau: int, ordering) -> Witness:
+    """_walk_back on dict tries, the level tables from level 0 on encoded
+    and the neighbours read off the independent-set trie ``indep`` on
+    every call. The replay's tables carry OPEN and BLOCKED, so nothing
+    more is barred."""
+    shapes, roots = encode([table.vectors.root for table in tables[:final_level]])
+    unbarred = _unbarred(len(final), tau)
+    return _walk_back([(shapes, root) for root in roots], final, final_level,
+                      _trie_neighbours(indep.root, len(final)), tau, ordering, lambda _: unbarred)
+
+
+class _BarPass(ComponentDP):
+    """A ComponentDP with the replay's per-vector pass, ``run``, which
+    marks the OPEN positions of one vector BLOCKED. ``tau`` is unused:
+    ComponentDP reads it off ``inst``; it keeps the replay's call shape."""
+
+    def __init__(self, inst: Instance, ordering, tau: int):
+        super().__init__(inst, ordering)
+
+    def run(self, vec, level: int):
+        """One vector's OPEN positions barred from label ``level + 2``
+        marked BLOCKED."""
+        blk = ~self.listed.get(level + 2, 0)
+        not_later, earlier = self.not_later, self.earlier
+        for j, sym in enumerate(vec):
+            if sym > 1:  # only a recent label (2..tau+1) bars
+                blk |= ~not_later[j][sym] | earlier[j][sym]
+        out = list(vec)
+        for i, sym in enumerate(vec):
+            if sym == OPEN and blk >> i & 1:
+                out[i] = BLOCKED
+        return tuple(out)

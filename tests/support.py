@@ -88,7 +88,7 @@ def line_graph(g: Graph) -> Graph:
 
 def neighbour_masks(graph: Graph, ordering) -> list[int]:
     """Each position's neighbours in ``graph`` as a bitmask over the
-    positions of ``ordering``, as _BarPass records them."""
+    positions of ``ordering``, as ComponentDP records them."""
     pos = {v: i for i, v in enumerate(ordering)}
     return [sum(1 << pos[w] for w in graph.adjacency[v]) for v in ordering]
 

@@ -296,6 +296,22 @@ def test_reduce_tcoloring_uhf(tmp_path, capsys):
     assert main(["reduce", "tcoloring", str(path), "--t-set", "7,14"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--n", "3", "--density", "1.5"], "density must lie in [0, 1]"),
+    (["gen", "--n", "3", "--lmax", "0"], "need n >= 0, tau >= 0, lmax >= 1"),
+    (["reduce", "channel", "P3", "--omega", "1,2"], "--omega expects 'u,v,w', got '1,2'"),
+    (["reduce", "channel", "P3", "--omega", "1,3,2"], "--omega names missing edge 1-3"),
+    (["reduce", "tcoloring", "P3", "--t-set", "x"], "--t-set expects 'd,d,...', got 'x'"),
+], ids=["density_past_1", "lmax_0", "omega_of_two_fields", "omega_on_a_non_edge", "t_set_not_integers"])
+def test_bad_option_values_exit_2_with_one_error_line(argv, message, tmp_path, capsys):
+    path = tmp_path / "p3.gltc"
+    path.write_text("gltc 3 2\nv 1 1 2\nv 2 1 2\nv 3 1 2\ne 1 2 0\ne 2 3 0\n")
+    assert main([str(path) if arg == "P3" else arg for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_gen_is_deterministic(capsys):
     main(["gen", "--n", "6", "--density", "0.5", "--tau", "2", "--lmax", "9", "--seed", "11"])
     first = capsys.readouterr().out

@@ -93,4 +93,4 @@ def test_component_dp_neighbour_masks_are_the_graphs_adjacency():
         inst = random_instance(n=n, density=(0.2, 0.4, 0.6, 0.8)[seed % 4], tau=seed % 3,
                                lmax=3, seed=5200 + seed)
         ordering = tuple(random.Random(seed).sample(range(1, n + 1), n))
-        assert ComponentDP(inst, ordering).bar.nbr_mask == neighbour_masks(inst.graph, ordering)
+        assert ComponentDP(inst, ordering).nbr_mask == neighbour_masks(inst.graph, ordering)

@@ -70,6 +70,12 @@ def test_parse_errors_carry_line_numbers():
         ("gltc 2 0\nv 1 1\n", "missing vertex lines"),
         ("gltc 1 0\nv 1 0\n", "labels must be >= 1"),
         ("gltc 1 0\ngltc 1 0\nv 1 1\n", "duplicate gltc header"),
+        ("gltc -1 0\n", "^line 1: counts must be nonnegative$"),
+        ("gltc 1 -1\nv 1 1\n", "^line 1: counts must be nonnegative$"),
+        ("gltc 1 0\nv\n", "^line 2: vertex line needs an id$"),
+        ("gltc 2 1\nv 1 1\nv 2 1\ne 1\n", "^line 4: edge line needs two endpoints$"),
+        ("# no header\n", "^missing 'gltc <n> <m>' header$"),
+        ("", "^missing 'gltc <n> <m>' header$"),
     ],
 )
 def test_parse_rejects_malformed_documents(text, fragment):
@@ -691,6 +697,34 @@ def test_all_reductions_keep_zero_in_every_difference_set():
 
 
 # --- graph construction errors --------------------------------------------
+
+@pytest.mark.parametrize("n, edges, message", [
+    (-1, [], "vertex count must be nonnegative"),
+    (2, [(2, 1)], "edge 2-1: edges must be stored as (min, max)"),
+], ids=["negative_n", "max_min_edge"])
+def test_graph_checks_its_fields(n, edges, message):
+    # Graph.from_edges orders each edge itself; the constructor refuses one
+    # stored the other way round. The other edge checks are
+    # test_graph_rejects_bad_edges
+    with pytest.raises(ValueError) as info:
+        Graph(n=n, edges=frozenset(edges))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("lam, t, message", [
+    ({1: {1}}, {(1, 2): {0}}, "label lists must cover exactly the vertices 1..n"),
+    ({1: {0, 1}, 2: {1}}, {(1, 2): {0}}, "vertex 1: labels must be >= 1"),
+    ({1: {1}, 2: {1}}, {}, "difference sets must cover exactly the edge set"),
+    ({1: {1}, 2: {1}}, {(1, 2): {1}}, "edge 1-2: 0 not in difference set"),
+    ({1: {1}, 2: {1}}, {(1, 2): {0, -1}}, "edge 1-2: differences must be >= 0"),
+], ids=["lists_miss_a_vertex", "label_below_1", "sets_miss_an_edge", "no_0", "negative_difference"])
+def test_instance_checks_its_fields(lam, t, message):
+    lam = {v: frozenset(labels) for v, labels in lam.items()}
+    t = {e: frozenset(diffs) for e, diffs in t.items()}
+    with pytest.raises(ValueError) as info:
+        Instance(graph=path_graph(2), lam=lam, t=t)
+    assert str(info.value) == message
+
 
 def test_graph_rejects_bad_edges():
     with pytest.raises(ValueError, match="duplicate edge"):

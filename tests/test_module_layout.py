@@ -266,3 +266,36 @@ def test_the_solve_cap_is_a_constant_not_an_option(capsys):
             main(["solve", "x.gltc", *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_the_replays_names_sit_after_the_production_path():
+    # solver.py ends with one section of what only the benchmark replay
+    # uses: every name perfbench/layers.py imports from gltc.solver, the
+    # dict-trie table type and witness adapter it imports from gltc, and
+    # the adapters' helpers. Every other top-level definition comes
+    # before that section, and none of them names anything in it
+    replay = {"LevelTable", "reconstruct_witness", "_unbarred", "_trie_neighbours"}
+    for module, names in _imports_from(ROOT / "perfbench" / "layers.py"):
+        if module == "gltc.solver":
+            replay |= names
+    assert {"_BarPass", "_build_plan", "_combine", "_find_complete"} <= replay  # imports are seen
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    defs = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert replay <= {node.name for node in defs}
+    production = [node for node in defs if node.name not in replay]
+    fence = max(node.end_lineno for node in production)
+    assert all(node.lineno > fence for node in defs if node.name in replay)
+    named = {name for node in production for sub in ast.walk(node)
+             for name in (getattr(sub, "id", None), getattr(sub, "attr", None))}
+    assert {"ComponentDP", "filters", "nbr_mask"} <= named  # names and attributes are seen
+    assert not named & replay
+    # ComponentDP builds its masks itself, and the replay's subclass adds
+    # only its per-vector pass
+    (component_dp,) = [node for node in defs if node.name == "ComponentDP"]
+    assert "bar" not in {sub.attr for sub in ast.walk(component_dp)
+                         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)}
+    assert not hasattr(solver_module.ComponentDP(random_instance(3, 0.5, 1, 3, 1), (1, 2, 3)), "bar")
+    assert not {"_listed_masks", "_live_masks"} & set(vars(solver_module))
+    assert solver_module._BarPass.__bases__ == (solver_module.ComponentDP,)
+    assert {name for name, value in vars(solver_module._BarPass).items()
+            if callable(value)} == {"__init__", "run"}

@@ -58,13 +58,38 @@ def test_singleton_partition():
 
 
 @pytest.mark.parametrize("blocks, message", [
-    (((1,), (2,), (3,)), "do not cover"),
-    (((1,), (2,), (3,), (4,), (4,)), "two blocks"),
-], ids=["missing_vertex", "duplicated_vertex"])
+    (((1,), (2,), (3,)), "blocks do not cover the vertex set"),
+    (((1,), (2,), (3,), (4,), (4,)), "vertex 4 appears in two blocks"),
+    ((((1, 2), SINGLETON), (3,), (4,)), "singleton block must have exactly one vertex"),
+    ((((1,), STAR), (2,), (3,), (4,)), "star block needs at least two vertices"),
+    ((((1, 3), STAR), (2,), (4,)), "star center 1 not adjacent to 3"),
+    ((((1,), CLIQUE), (2,), (3,), (4,)), "clique block needs at least two vertices"),
+    ((((1, 2, 3), CLIQUE), (4,)), "clique block misses edge 1-3"),
+    ((((1,), "ring"), (2,), (3,), (4,)), "unknown block kind 'ring'"),
+], ids=["missing_vertex", "duplicated_vertex", "wide_singleton", "one_vertex_star",
+        "star_center_not_adjacent", "one_vertex_clique", "clique_missing_an_edge", "unknown_kind"])
 def test_validate_partition_rejects_a_partition_that_is_not_one_of_the_graph(blocks, message):
-    part = Partition(tuple(Block(b, SINGLETON) for b in blocks))
-    with pytest.raises(ValueError, match=message):
+    # a block is a vertex tuple, a singleton, or a (vertices, kind) pair;
+    # the graph is the path 1-2-3-4
+    part = Partition(tuple(Block(*b) if isinstance(b[0], tuple) else Block(b, SINGLETON)
+                           for b in blocks))
+    with pytest.raises(ValueError) as info:
         validate_partition(path_graph(4), part)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("size", [1, 0])
+def test_star_prefix_bound_needs_two_vertices(size):
+    with pytest.raises(ValueError) as info:
+        star_prefix_bound(size, 1)
+    assert str(info.value) == "star blocks have at least two vertices"
+
+
+@pytest.mark.parametrize("size", [1, 0])
+def test_star_block_base_needs_two_vertices(size):
+    with pytest.raises(ValueError) as info:
+        star_block_base(1, size)
+    assert str(info.value) == "defined for block sizes >= 2"
 
 
 # --- spanning-tree stars -----------------------------------------------------

@@ -20,7 +20,6 @@ import pytest
 
 from gltc import (
     OPEN,
-    ComponentDP,
     LevelTable,
     VectorTrie,
     build_partition,
@@ -83,11 +82,11 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
     emptied = []
     for inst, strategy in [*cases, (c5, "singleton"), (c5, "star")]:
         part = build_partition(inst, strategy)
-        dp = ComponentDP(inst, part.ordering)
+        dp = _BarPass(inst, part.ordering, instance_tau(inst))
         n = len(dp.ordering)
         plan = _build_plan(part.blocks, dp.tau, inst, True)
         table, indep = base_table(dp), independent_set_vectors(inst.graph, dp.ordering)
-        replay = VectorTrie.from_vectors(n, [dp.bar.run(vec, -1) for vec in table])
+        replay = VectorTrie.from_vectors(n, [dp.run(vec, -1) for vec in table])
         for k in range(1, 7):
             combined = _combine((replay.root,), indep.root, 0, plan, {})
             flat = VectorTrie(n, combined)
@@ -98,7 +97,7 @@ def test_combine_call_shape_of_the_replay_still_gives_the_level_tables():
             assert set(map(project, replay)) == set(table)
             table, want_size, _, _, _ = step(dp, table, k)
             want = set(table)
-            barred = {dp.bar.run(vec, k - 1) for vec in flat}
+            barred = {dp.run(vec, k - 1) for vec in flat}
             assert barred == reference
             assert set(map(project, barred)) == want
             assert len(barred) == want_size
@@ -117,15 +116,15 @@ def test_completeness_check_and_witness_walk_of_the_replay_still_run():
     checked = 0
     for seed in range(31, 43):
         inst = random_instance(n=6, density=0.5, tau=seed % 4, lmax=5, seed=seed)
-        dp = ComponentDP(inst, walk_order(inst.graph))
+        dp = _BarPass(inst, walk_order(inst.graph), instance_tau(inst))
         table = base_table(dp)
         plain = [LevelTable(0, VectorTrie.from_vectors(
-            len(dp.ordering), [dp.bar.run(vec, -1) for vec in table]))]  # add, too
+            len(dp.ordering), [dp.run(vec, -1) for vec in table]))]  # add, too
         for k in range(1, 6):
             table, _, _, _, _ = step(dp, table, k)
             added = VectorTrie(len(dp.ordering))
             for vec in table:
-                added.add(dp.bar.run(vec, k - 1))
+                added.add(dp.run(vec, k - 1))
             plain.append(LevelTable(k, added))
             found = _find_complete(added)
             assert found == _find_complete(table)

@@ -49,7 +49,6 @@ from gltc import reference as reference_module
 from gltc import solver as solver_module
 from gltc import vectorset as vectorset_module
 from gltc.solver import (
-    _BarPass,
     _build_plan,
     _combine,
     _find_complete,
@@ -275,8 +274,8 @@ def _unbarred_tally(graph, ordering, tau, vecs):
 
 
 def _barred_tally(inst, ordering, level, vecs):
-    bar = _BarPass(inst, ordering, instance_tau(inst))
-    return _tally_vs_reference(bar.nbr_mask, instance_tau(inst), bar.filters(level + 2), vecs)
+    dp = ComponentDP(inst, ordering)
+    return _tally_vs_reference(dp.nbr_mask, dp.tau, dp.filters(level + 2), vecs)
 
 
 # Output unions come from the new label meeting an aged 1 at tau = 0, with
@@ -328,7 +327,7 @@ def _walk_vs_level_step(inst, ordering, level, vecs, graph=None):
     graph = inst.graph if graph is None else graph
     indep = independent_set_vectors(graph, ordering)
     shapes, (root,) = encode((VectorTrie.from_vectors(n, vecs).root,))
-    filters = _BarPass(inst, ordering, tau).filters(level + 2)
+    filters = ComponentDP(inst, ordering).filters(level + 2)
     out, root, _, _, reached = _level_walk(shapes, root, neighbour_masks(graph, ordering), tau,
                                            filters)
     table = VectorTrie.from_vectors(n, vecs)
@@ -1179,7 +1178,7 @@ def test_replay_adapters_read_the_solvers_neighbour_masks_off_the_trie():
                                seed=8800 + seed)
         dp = ComponentDP(inst, walk_order(inst.graph))
         indep = independent_set_vectors(inst.graph, dp.ordering)
-        assert _trie_neighbours(indep.root, n) == dp.bar.nbr_mask
+        assert _trie_neighbours(indep.root, n) == dp.nbr_mask
 
 
 def test_advance_leaves_exactly_the_nodes_its_root_reaches(monkeypatch):
