@@ -90,12 +90,16 @@ def _cmd_reduce(args) -> int:
     elif args.model == "lpq":
         inst = reduce_lpq(g, args.p, args.q, lam)
     elif args.model == "channel":
+        if args.omega_default < 1:
+            raise ValueError(f"--omega-default must be >= 1, got {args.omega_default}")
         omega = {e: args.omega_default for e in g.edges}
         for spec in args.omega or []:
             try:
                 u, v, w = (int(tok) for tok in spec.split(","))
             except ValueError:
                 raise ValueError(f"--omega expects 'u,v,w', got {spec!r}") from None
+            if w < 1:
+                raise ValueError(f"--omega weight must be >= 1, got {spec!r}")
             key = _edge_key(u, v)
             if key not in omega:
                 raise ValueError(f"--omega names missing edge {u}-{v}")
@@ -106,6 +110,10 @@ def _cmd_reduce(args) -> int:
             tset = {int(tok) for tok in args.t_set.split(",")}
         except ValueError:
             raise ValueError(f"--t-set expects 'd,d,...', got {args.t_set!r}") from None
+        if min(tset) < 0:
+            raise ValueError(f"--t-set differences must be >= 0, got {args.t_set!r}")
+        if 0 not in tset:
+            raise ValueError(f"--t-set must contain 0, got {args.t_set!r}")
         inst = reduce_tcoloring(g, tset, lam)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown model {args.model}")

@@ -31,13 +31,6 @@ from dataclasses import dataclass, field
 Edge = tuple[int, int]
 _ECHO = 20  # characters of a record kind or digits of an integer a ParseError repeats
 _LONG_INT = re.compile(r"\d{%d,}" % (_ECHO + 1))
-# The widest label bitmask gap_compression builds. Up to it the mask steps
-# cost within 1.7x of what they cost on narrow labels; past it their cost
-# doubles with each doubling of the width (60 random instances of n <= 10
-# with labels and differences scaled up, CPython 3.11: 46 us each at 2^3
-# bits, 77 us at 2^12, 229 us at 2^15, 5.4 ms at 2^20), while the set-based
-# steps cost about 44 us at any width
-_WIDEST_MASK = 1 << 12
 
 
 class ParseError(ValueError):
@@ -316,37 +309,32 @@ def split_components(inst: Instance) -> list[tuple[Instance, dict[int, int]]]:
 # label pruning and gap compression
 
 
-def _prune_unsupported(masks: dict[int, int], nbrs, arcs) -> dict[int, int]:
-    """Arc consistency (AC-3, Mackworth 1977) on label bitmasks, bit a set
-    where label a is on the list: drop each label a of v that some
-    neighbour u cannot sit beside (no b of u's list has |a - b| outside
-    T(uv)) until none goes; no proper labeling uses a dropped label.
-    ``arcs`` holds the (v, u, T(uv)) to check first, ``nbrs`` each
+def _prune_unsupported(lam: dict[int, frozenset[int]], nbrs, arcs) -> dict[int, frozenset[int]]:
+    """Arc consistency (AC-3, Mackworth 1977): drop each label a of v that
+    some neighbour u cannot sit beside (no b of u's list has |a - b|
+    outside T(uv)) until none goes; no proper labeling uses a dropped
+    label. ``arcs`` holds the (v, u, T(uv)) to check first, ``nbrs`` each
     vertex's (neighbour, T) pairs. As 0 is in T, a label rules out at
     most 2|T| - 1 labels of u, so only an arc with |L(u)| < 2|T| is ever
-    checked, and the scan of an arc stops once every label of v has
-    support. An emptied list empties its whole component. Updates
-    ``masks`` in place and returns it."""
+    checked. An emptied list empties its whole component. Updates
+    ``lam`` in place and returns it."""
     while arcs:
         v, u, diffs = arcs.pop()
-        rest = masks[u]
-        bad = masks[v]  # the labels of v that no label of u seen so far supports
-        while rest and bad:
-            b = rest & -rest
-            rest ^= b
-            near = 0
-            for d in diffs:
-                near |= b << d | b >> d
-            bad &= near
+        bad = []
+        for a in lam[v]:
+            for b in lam[u]:
+                if abs(a - b) not in diffs:
+                    break
+            else:
+                bad.append(a)
         if bad:
-            masks[v] = mask = masks[v] ^ bad
-            size = mask.bit_count()
+            lam[v] = labels = lam[v].difference(bad)
             # u needs no recheck: a label of v that supports one of u's is supported by it
-            arcs += [(w, v, dw) for w, dw in nbrs[v] if w != u and size < 2 * len(dw)]
-    return masks
+            arcs += [(w, v, dw) for w, dw in nbrs[v] if w != u and len(labels) < 2 * len(dw)]
+    return lam
 
 
-def _fix_free_labels(masks: dict[int, int], nbrs) -> dict[int, int]:
+def _fix_free_labels(lam: dict[int, frozenset[int]], nbrs) -> dict[int, frozenset[int]]:
     """Cut a list to its least free label, where it has one: a label a of
     v is free when no label b on a neighbour u's list lies at a
     difference |a - b| in T(uv). Any proper labeling stays proper with v
@@ -361,47 +349,34 @@ def _fix_free_labels(masks: dict[int, int], nbrs) -> dict[int, int]:
     visited again, as the others would find what they found, so each cut
     costs one visit per neighbour: such a neighbour is due in the current
     pass if its id is above the cut vertex's, else in the next. One heap
-    of (pass, vertex) pairs keeps that order. ``masks`` and ``nbrs`` as
-    for _prune_unsupported; updates ``masks`` in place and returns it."""
-    todo = [(0, v) for v in sorted(masks)]  # a heap, as any sorted list is
-    due = dict.fromkeys(masks, 0)  # the pass each queued vertex is due in
+    of (pass, vertex) pairs keeps that order. ``lam`` and ``nbrs`` as
+    for _prune_unsupported; updates ``lam`` in place and returns it."""
+    todo = [(0, v) for v in sorted(lam)]  # a heap, as any sorted list is
+    due = dict.fromkeys(lam, 0)  # the pass each queued vertex is due in
     while todo:
         now, v = heapq.heappop(todo)
         del due[v]
-        free = masks[v]
-        if not free & free - 1:  # one label or none: nothing to cut
+        if len(lam[v]) < 2:  # one label or none: nothing to cut
             continue
-        for u, diffs in nbrs[v]:
-            taken = masks[u]
-            for d in diffs:
-                free &= ~(taken << d | taken >> d)
-            if not free:
-                break
+        for a in sorted(lam[v]):
+            for u, diffs in nbrs[v]:
+                near = lam[u]
+                for d in diffs:
+                    if a + d in near or a - d in near:
+                        break
+                else:
+                    continue
+                break  # a lies at a difference in T from a label of u
+            else:
+                break  # a is free
         else:
-            masks[v] = free & -free
-            for w, _ in nbrs[v]:
-                if w not in due:
-                    due[w] = then = now if w > v else now + 1
-                    heapq.heappush(todo, (then, w))
-    return masks
-
-
-def _clip_differences(t: dict[Edge, frozenset[int]], masks: dict[int, int]) -> dict:
-    """Drop from each T(uv) of ``t`` the differences above the edge's span
-    under the label bitmasks ``masks``, max(max L(u) - min L(v), max L(v)
-    - min L(u)): no labeling gives them. 0 stays, as a span is never
-    negative; an edge with an empty list, which no labeling covers, keeps
-    only 0. Returns ``t`` itself if no difference goes."""
-    clipped = t
-    for (u, v), diffs in t.items():
-        mu, mv = masks[u], masks[v]
-        # a mask's bit_length is its largest label + 1; its lowest bit's, its least + 1
-        span = max(mu.bit_length() - (mv & -mv).bit_length(),
-                   mv.bit_length() - (mu & -mu).bit_length()) if mu and mv else 0
-        if max(diffs) > span:
-            clipped = dict(t) if clipped is t else clipped
-            clipped[u, v] = frozenset(d for d in diffs if d <= span)
-    return clipped
+            continue  # no label is free
+        lam[v] = frozenset((a,))
+        for w, _ in nbrs[v]:
+            if w not in due:
+                due[w] = then = now if w > v else now + 1
+                heapq.heappush(todo, (then, w))
+    return lam
 
 
 def _capped_gaps(used: list[int], tau: int) -> dict[int, int]:
@@ -414,59 +389,20 @@ def _capped_gaps(used: list[int], tau: int) -> dict[int, int]:
     return remap
 
 
-def _mask_width(lam: dict[int, frozenset[int]]) -> int:
-    """The bits a bitmask of the lists ``lam`` needs: the largest label + 1."""
-    return max(map(max, filter(None, lam.values())), default=0) + 1
-
-
-def _compress_on_sets(inst: Instance) -> tuple[Instance, dict[int, int]]:
-    """gap_compression without the free-label step, on the frozensets
-    themselves, so its cost follows the sizes of the lists and not their
-    labels: arc consistency (as _prune_unsupported), the clipping of
-    _clip_differences, then the gap shrink."""
-    lam, t, adjacency = inst.lam, inst.t, inst.graph.adjacency
-    arcs = [(v, u, diffs) for (u, v), diffs in t.items()]
-    arcs += [(u, v, diffs) for v, u, diffs in arcs]
-    while arcs:
-        v, u, diffs = arcs.pop()
-        if len(lam[u]) >= 2 * len(diffs):
-            continue
-        bad = lam[v]  # the labels of v that no label of u seen so far supports
-        for b in lam[u]:
-            bad = [a for a in bad if abs(a - b) in diffs]
-            if not bad:
-                break
-        if bad:
-            lam = dict(lam) if lam is inst.lam else lam
-            lam[v] = lam[v].difference(bad)
-            arcs += [(w, v, inst.t_of(w, v)) for w in adjacency[v] if w != u]
-    for (u, v), diffs in inst.t.items():
-        span = max(max(lam[u]) - min(lam[v]), max(lam[v]) - min(lam[u])) \
-            if lam[u] and lam[v] else 0
-        if max(diffs) > span:
-            t = dict(t) if t is inst.t else t
-            t[u, v] = frozenset(d for d in diffs if d <= span)
-    remap = _capped_gaps(sorted(set().union(*lam.values())), max(map(max, t.values()), default=0))
-    lam = {v: frozenset(map(remap.__getitem__, labels)) for v, labels in lam.items()}
-    return _unchecked(inst.graph.n, adjacency, lam, t), {new: old for old, new in remap.items()}
-
-
 def gap_compression(inst: Instance) -> tuple[Instance, dict[int, int]]:
     """Prune the labels that fail arc consistency (_prune_unsupported), cut
     each list that has a free label to its least one (_fix_free_labels),
-    drop the differences no labeling gives (_clip_differences), then
-    shrink dead label gaps (_capped_gaps); returns the instance and the
-    map new -> old label, {} when pruning empties the lists.
+    drop the differences no labeling gives, then shrink dead label gaps
+    (_capped_gaps); returns the instance, ``inst`` itself when nothing
+    changes, and the map new -> old label, {} when pruning empties the
+    lists. Every step runs on the label sets, so its cost follows the
+    sizes of the lists and not how large their labels are.
 
-    All of it runs on one int bitmask per list, bit a for label a, and
-    only the lists that change are rebuilt as sets, once. A difference at
-    or above the masks' width, one more than the largest label, separates
-    no two labels and is skipped, so no shift builds an int wider than
-    the masks. Where a label lies past _WIDEST_MASK, arc consistency, the
-    clipping and the gap shrink run first on the sets themselves
-    (_compress_on_sets), and the masks are built only if the shrunk
-    labels then fit in _WIDEST_MASK bits; where a difference that arc
-    consistency keeps holds them wider, the lists skip the free-label step.
+    A difference above an edge's span, max(max L(u) - min L(v), max L(v)
+    - min L(u)) on the pruned lists, is given by no labeling and goes; 0
+    stays, and an edge with an empty list keeps only 0. This keeps tau,
+    and with it the DP's alphabet, within the lists' span however large a
+    forbidden difference the input names.
 
     Labels below the smallest used label are dropped entirely and any run
     of unused labels between two used ones is capped so consecutive used
@@ -474,50 +410,33 @@ def gap_compression(inst: Instance) -> tuple[Instance, dict[int, int]]:
     Differences <= tau between labels are preserved exactly and
     differences > tau stay > tau, so no forbidden-difference constraint
     changes. Neither pruning step changes the YES/NO answer; a free label
-    changes which labeling a witness finds. The clipping keeps tau, and
-    with it the DP's alphabet, within the lists' span however large a
-    forbidden difference the input names.
+    changes which labeling a witness finds.
     """
-    lam, t = inst.lam, inst.t
-    width = _mask_width(lam)
-    if width > _WIDEST_MASK:
-        inst, back = _compress_on_sets(inst)
-        if _mask_width(inst.lam) > _WIDEST_MASK:
-            return inst, back
-        inst, mid = gap_compression(inst)
-        return inst, {new: back[old] for new, old in mid.items()}
-    nbrs: dict[int, list] = {v: [] for v in lam}
+    nbrs: dict[int, list] = {v: [] for v in inst.lam}
     arcs = []
-    for (u, v), diffs in t.items():
-        if max(diffs) >= width:
-            diffs = [d for d in diffs if d < width]
+    for (u, v), diffs in inst.t.items():
         nbrs[u].append((v, diffs))
         nbrs[v].append((u, diffs))
-        if len(lam[u]) < 2 * len(diffs):
+        if len(inst.lam[u]) < 2 * len(diffs):
             arcs.append((v, u, diffs))
-        if len(lam[v]) < 2 * len(diffs):
+        if len(inst.lam[v]) < 2 * len(diffs):
             arcs.append((u, v, diffs))
-    masks = {v: sum(map((1).__lshift__, labels)) for v, labels in lam.items()}
-    masks = _fix_free_labels(_prune_unsupported(masks, nbrs, arcs), nbrs)
-    t = _clip_differences(t, masks)
-    used, rest = [], 0
-    for mask in masks.values():
-        rest |= mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        used.append(low.bit_length() - 1)
-    remap = _capped_gaps(used, max(map(max, t.values()), default=0))
-    cut = {v: frozenset(a for a in labels if mask >> a & 1)  # masks keeps lam's vertex order
-           for (v, labels), mask in zip(lam.items(), masks.values())
-           if mask.bit_count() < len(labels)}
-    if cut:
-        lam = {**lam, **cut}
+    lam = _fix_free_labels(_prune_unsupported(dict(inst.lam), nbrs, arcs), nbrs)
+    ends = {v: (min(labels), max(labels)) for v, labels in lam.items() if labels}
+    t = inst.t
+    for (u, v), diffs in inst.t.items():
+        span = max(ends[u][1] - ends[v][0], ends[v][1] - ends[u][0]) \
+            if u in ends and v in ends else 0
+        if max(diffs) > span:
+            t = dict(t) if t is inst.t else t
+            t[u, v] = frozenset(d for d in diffs if d <= span)
+    remap = _capped_gaps(sorted(set().union(*lam.values())), max(map(max, t.values()), default=0))
     if list(remap) != list(remap.values()):
         lam = {v: frozenset(map(remap.__getitem__, labels)) for v, labels in lam.items()}
-    if lam is not inst.lam or t is not inst.t:
-        inst = _unchecked(inst.graph.n, inst.graph.adjacency, lam, t)
-    return inst, {new: old for old, new in remap.items()}
+    elif t is inst.t and all(lam[v] is labels for v, labels in inst.lam.items()):
+        return inst, remap
+    return _unchecked(inst.graph.n, inst.graph.adjacency, lam, t), \
+        {new: old for old, new in remap.items()}
 
 
 # ---------------------------------------------------------------------------

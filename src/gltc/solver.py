@@ -360,16 +360,22 @@ def walk_order(g: Graph) -> tuple[int, ...]:
     places the unplaced vertex v with the least key (frontier size after
     placing v, -(placed neighbours of v), v). Each vertex's count of
     unplaced neighbours is kept up to date, so a candidate costs
-    O(deg(v)) and the whole order O(n * m).
+    O(deg(v)). Only the unplaced neighbours of placed vertices are
+    candidates while there are any: such a vertex's key is at most
+    (frontier + 1, -1, v), and any other unplaced vertex's is at least
+    (frontier + 1, 0, v), as all isolated vertices go first. So a step
+    costs the degrees of the vertices beside the frontier, and all
+    unplaced vertices are scanned only to start a component.
     """
     adjacency = g.adjacency
     left = {v: len(adjacency[v]) for v in adjacency}  # unplaced neighbours
     unplaced = set(adjacency)
+    beside: set[int] = set()  # the unplaced neighbours of placed vertices
     order: list[int] = []
     frontier = 0
     while unplaced:
         best = None
-        for v in unplaced:
+        for v in beside or unplaced:
             joined = closed = 0
             for w in adjacency[v]:
                 if w not in unplaced:
@@ -381,8 +387,11 @@ def walk_order(g: Graph) -> tuple[int, ...]:
         frontier, _, v = best
         order.append(v)
         unplaced.remove(v)
+        beside.discard(v)
         for w in adjacency[v]:
             left[w] -= 1
+            if w in unplaced:
+                beside.add(w)
     return tuple(order)
 
 

@@ -19,10 +19,11 @@ from gltc.vectorset import decode, encode
 @contextlib.contextmanager
 def free_labels_off():
     """gap_compression with its free-label step (_fix_free_labels) made the
-    identity, for the span of the block: the lists are those arc
-    consistency leaves, and a pin taken on them shows the DP unchanged."""
+    identity on the label sets, for the span of the block: the lists are
+    those arc consistency leaves, and a pin taken on them shows the DP
+    unchanged."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(instance_module, "_fix_free_labels", lambda masks, nbrs: masks)
+        mp.setattr(instance_module, "_fix_free_labels", lambda lam, nbrs: lam)
         yield
 
 
@@ -84,6 +85,28 @@ def line_graph(g: Graph) -> Graph:
         if set(e) & set(f):
             out.add((index[e], index[f]))
     return Graph.from_edges(len(edges), out)
+
+
+def full_scan_walk_order(g: Graph) -> tuple[int, ...]:
+    """solver.walk_order by its definition: each step scans every unplaced
+    vertex for the least key (frontier size after placing v, -(placed
+    neighbours of v), v), in O(n * m) over the whole order."""
+    left = {v: len(g.adjacency[v]) for v in g.adjacency}  # unplaced neighbours
+    unplaced = set(g.adjacency)
+    order: list[int] = []
+    frontier = 0
+    while unplaced:
+        keys = []
+        for v in unplaced:
+            placed = [w for w in g.adjacency[v] if w not in unplaced]
+            closed = sum(left[w] == 1 for w in placed)  # v is w's last unplaced neighbour
+            keys.append((frontier - closed + (left[v] > 0), -len(placed), v))
+        frontier, _, v = min(keys)
+        order.append(v)
+        unplaced.remove(v)
+        for w in g.adjacency[v]:
+            left[w] -= 1
+    return tuple(order)
 
 
 def neighbour_masks(graph: Graph, ordering) -> list[int]:

@@ -302,11 +302,23 @@ def test_reduce_tcoloring_uhf(tmp_path, capsys):
     (["reduce", "channel", "P3", "--omega", "1,2"], "--omega expects 'u,v,w', got '1,2'"),
     (["reduce", "channel", "P3", "--omega", "1,3,2"], "--omega names missing edge 1-3"),
     (["reduce", "tcoloring", "P3", "--t-set", "x"], "--t-set expects 'd,d,...', got 'x'"),
-], ids=["density_past_1", "lmax_0", "omega_of_two_fields", "omega_on_a_non_edge", "t_set_not_integers"])
+    (["reduce", "tcoloring", "P3", "--t-set", "0,-3"], "--t-set differences must be >= 0, got '0,-3'"),
+    (["reduce", "tcoloring", "E2", "--t-set", "0,-3"], "--t-set differences must be >= 0, got '0,-3'"),
+    (["reduce", "tcoloring", "E2", "--t-set", "7,14"], "--t-set must contain 0, got '7,14'"),
+    (["reduce", "channel", "P3", "--omega-default", "-2"], "--omega-default must be >= 1, got -2"),
+    (["reduce", "channel", "E2", "--omega-default", "-2"], "--omega-default must be >= 1, got -2"),
+    (["reduce", "channel", "P3", "--omega", "2,3,0"], "--omega weight must be >= 1, got '2,3,0'"),
+], ids=["density_past_1", "lmax_0", "omega_of_two_fields", "omega_on_a_non_edge", "t_set_not_integers",
+        "t_set_negative", "t_set_negative_edgeless", "t_set_without_0_edgeless",
+        "omega_default_negative", "omega_default_negative_edgeless", "omega_weight_0"])
 def test_bad_option_values_exit_2_with_one_error_line(argv, message, tmp_path, capsys):
-    path = tmp_path / "p3.gltc"
-    path.write_text("gltc 3 2\nv 1 1 2\nv 2 1 2\nv 3 1 2\ne 1 2 0\ne 2 3 0\n")
-    assert main([str(path) if arg == "P3" else arg for arg in argv]) == 2
+    # P3 is a 3-vertex path, E2 a carrier of two vertices and no edge, on
+    # which a check made per edge would never fire
+    files = {"P3": "gltc 3 2\nv 1 1 2\nv 2 1 2\nv 3 1 2\ne 1 2 0\ne 2 3 0\n",
+             "E2": "gltc 2 0\nv 1 1 2\nv 2 1 2\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([str(tmp_path / arg) if arg in files else arg for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"

@@ -28,7 +28,6 @@ from gltc import (
     split_components,
     validate,
 )
-from gltc import instance as instance_module
 from gltc.instance import graph_square, induced_instance
 from support import complete_graph, cycle_graph, free_labels_off, path_graph, uniform_instance
 
@@ -471,9 +470,8 @@ def test_differences_beyond_the_label_span_change_no_decision():
 def test_labels_past_the_widest_mask_compress_as_narrow_ones():
     # labels 7 apart and labels 10**9 apart past 10**12 keep no difference
     # that T forbids but 0 (tau <= 3), so the two compress to the same
-    # instance; the wide ones are pruned and shrunk on sets before any
-    # mask is built, so no mask is wider than the shrunk labels
-    assert 10**12 > instance_module._WIDEST_MASK
+    # instance: the pruning steps read the labels only through their
+    # differences
     for seed in range(40):
         inst = random_instance(n=2 + seed % 7, density=0.6, tau=seed % 4, lmax=6, seed=2700 + seed)
         narrow = Instance(graph=inst.graph, t=inst.t,
@@ -490,6 +488,18 @@ def test_labels_past_the_widest_mask_compress_as_narrow_ones():
         result = solve(wide)
         assert result.decision == brute_force_solve(narrow)[0], seed
         assert not result.decision or check_witness(wide, result.witness)
+
+
+def test_a_list_beside_a_wide_difference_keeps_its_least_free_label():
+    # arc consistency keeps every label and with it the span of 10**12;
+    # vertex 3 then keeps 5, free beside vertex 1's {1, 2}, however wide
+    # the other lists are
+    big = 10**12
+    inst = parse_instance(f"gltc 3 2\nv 1 1 2\nv 2 {big} {big + 1}\nv 3 5 7\n"
+                          f"e 1 2 0 {big - 1}\ne 1 3 0\n")
+    assert _kept_labels(inst) == {1: {1, 2}, 2: {big, big + 1}, 3: {5}}
+    with free_labels_off():
+        assert _kept_labels(inst)[3] == {5, 7}
 
 
 # --- free labels -----------------------------------------------------------

@@ -5,7 +5,8 @@ bound the tables; they do not steer the solve) nor the reference
 implementations. The reference module owns the listing of feasible
 prefixes, and writes the level recurrence once, in
 reference.level_step. The partition module peels stars in one loop and
-owns the strategy grammar; the CLI only reports its verdict. One
+owns the strategy grammar; the CLI only reports its verdict. One pass
+over the label sets prunes and compresses the lists at every width. One
 function lists the independent sets by their definition, and the
 reference recurrence runs on plain sets, importing none of the package's
 set types. One fold, encoding.tally, counts a store's vectors and flags
@@ -211,6 +212,22 @@ def test_one_level_walk():
                if any(isinstance(node, ast.Name) and node.id == "BLOCKED"
                       for node in _own_nodes(fn))}
     assert writers == {"run"}
+
+
+def test_one_pruning_pass():
+    # gap_compression prunes, clips and shrinks the lists in one pass over
+    # the label sets, whatever their width: no bitmask form of a step, no
+    # second path for wide labels, and no call of itself
+    tree = ast.parse((SRC / "instance.py").read_text(encoding="utf-8"))
+    defined = {fn.name for fn in _functions(SRC / "instance.py")}
+    defined |= {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert {"gap_compression", "_ECHO"} <= defined  # functions and constants are seen
+    assert not defined & {"_compress_on_sets", "_clip_differences", "_mask_width", "_WIDEST_MASK"}
+    (fn,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "gap_compression"]
+    called = _called(fn)
+    assert "gap_compression" not in called
+    assert called.count("_prune_unsupported") == called.count("_fix_free_labels") == 1
 
 
 def test_one_reference_recurrence():

@@ -189,11 +189,12 @@ def test_no_instances_run_every_level(inst):
 _FAMILY_GRID = [(n, density, tau, seed) for n in (18, 20)
                 for density, tau in ((0.3, 1), (0.3, 2), (0.4, 2), (0.5, 1)) for seed in (0, 1)]
 _FAMILY_CASES = [case for case in _FAMILY_GRID if case not in {(20, 0.4, 2, 1), (20, 0.5, 1, 1)}]
-# n = 22 and 24: cases whose witness solve takes under 0.2 s. The three
-# at density 0.3 and both at n = 24 are YES; (22, 0.4, 2, 0) is a NO that
-# runs 10 levels
-_FAMILY_CASES_N22 = [(22, 0.3, 1, 0), (22, 0.3, 1, 1), (22, 0.3, 2, 0), (22, 0.4, 2, 0)]
-_FAMILY_CASES_N24 = [(24, 0.3, 1, 1), (24, 0.3, 1, 0)]
+# n = 22 and 24: cases whose witness solve takes under about 1 s (0.3 to
+# 0.7 s for the last two of each list, the rest under 0.2 s). All are
+# YES but two NOs: (22, 0.4, 2, 0) runs 10 levels, (24, 0.4, 2, 1) 12
+_FAMILY_CASES_N22 = [(22, 0.3, 1, 0), (22, 0.3, 1, 1), (22, 0.3, 2, 0), (22, 0.4, 2, 0),
+                     (22, 0.3, 2, 1), (22, 0.5, 1, 0)]
+_FAMILY_CASES_N24 = [(24, 0.3, 1, 1), (24, 0.3, 1, 0), (24, 0.3, 2, 1), (24, 0.4, 2, 1)]
 
 
 @pytest.mark.parametrize("case", _FAMILY_CASES + _FAMILY_CASES_N22 + _FAMILY_CASES_N24,

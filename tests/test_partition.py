@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import time
 
 import pytest
 
@@ -38,6 +39,7 @@ from gltc.reference import _feasible_prefixes
 from support import (
     complete_graph,
     cycle_graph,
+    full_scan_walk_order,
     line_graph,
     path_graph,
     star_graph,
@@ -487,6 +489,32 @@ def test_walk_order_of_a_path_has_frontier_one():
     g = path_graph(9)
     assert walk_order(g) == tuple(range(1, 10))
     assert _frontier(g, walk_order(g)) == 1
+
+
+def test_walk_order_equals_the_full_scan():
+    # walk_order scans only the unplaced neighbours of placed vertices
+    # while there are any; the order is the one a scan of every unplaced
+    # vertex gives, on whole graphs (isolated vertices and several
+    # components among them) and on each of their components
+    rng = random.Random(3100)
+    graphs = [Graph.from_edges(0, []), Graph.from_edges(6, [(2, 5), (5, 6), (1, 3)]),
+              star_graph(5), cycle_graph(7), complete_graph(5)]
+    for seed in range(300):
+        inst = random_instance(n=rng.randint(1, 16), density=rng.choice((0.05, 0.1, 0.2, 0.4, 0.7)),
+                               tau=0, lmax=1, seed=3100 + seed)
+        graphs += [inst.graph] + [sub.graph for sub, _ in split_components(inst)]
+    for g in graphs:
+        assert walk_order(g) == full_scan_walk_order(g)
+
+
+def test_walk_order_of_a_long_path_is_fast():
+    # a step costs the degrees beside the frontier, not a scan of every
+    # unplaced vertex, which takes seconds on this path
+    g = path_graph(5000)
+    start = time.perf_counter()
+    order = walk_order(g)
+    assert time.perf_counter() - start < 1.0
+    assert order == tuple(range(1, 5001))
 
 
 def test_walk_order_narrows_the_criterion_7_frontier():

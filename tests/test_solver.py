@@ -1454,7 +1454,7 @@ def test_witnesses_survive_gap_decompression():
     assert check_witness(inst, result.witness)
 
 
-_WIDE = 1 << 12  # past instance._WIDEST_MASK: pruned on sets, with no free-label step
+_WIDE = 1 << 12  # a label and a difference this wide are pruned on sets like any other
 
 
 @st.composite
