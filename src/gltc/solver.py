@@ -16,15 +16,18 @@ no proper labeling uses, are pruned first, and a list with a free label,
 one at no forbidden difference from any neighbour's label, is cut to
 its least such label, which keeps the decision but moves the witness
 (instance.gap_compression); a component that pruning empties is NO
-with no level run, and one whose pruned lists hold one label each is
-YES with no level run: arc consistency over one label a list proves
-that labeling proper, and the tables the DP would build, one vector per
-level up to the largest label, are recorded without a walk
-(_decided_by_lists). The coordinates follow walk_order, defined here next to ComponentDP: a
-greedy small-frontier order of the graph. A table's content does not
-depend on the order, but the cost of the walk does. No partition is
-built here; partition.predict_complexity bounds the table sizes from
-outside.
+with no level run. A vertex whose pruned list holds one label makes no
+choice, and by arc consistency its label conflicts with no label of a
+neighbour's list, so it is fixed to it and left out of the walk
+(_one_label_vertices): the DP runs on the rest, the core, and each of
+its tables stands for the whole component's, with one state per fixed
+vertex added, so the sizes and the level the component completes at
+are the whole component's. With no core, no walk runs. The coordinates
+follow walk_order, defined here next to ComponentDP: a greedy
+small-frontier order of the graph the core induces. A table's content
+does not depend on the order, but the cost of the walk does. No
+partition is built here; partition.predict_complexity bounds the table
+sizes from outside.
 
 Advancing to level k+1 is one memoized walk, _level_walk, over the
 nodes of the table, which pairs each vector with every independent set
@@ -116,20 +119,22 @@ class SolveOptions:
 
 @dataclass
 class ComponentReport:
-    """Per-component diagnostics: the vertex order the walks followed, ``()``
-    where pruning decided the component and no walk ran; per level run, up
-    to the first complete or empty table, how big the table got (vectors
-    and DAG nodes), how many entries the level walk memoized and how many
-    unions it made; and the list entries pruned before the DP
-    (instance.gap_compression). A bound for the sizes comes from
-    predict_complexity on a partition of ``instance``. Where the pruned
-    lists hold one label each, sizes and nodes are those of the tables the
-    DP would build, one vector of one node per vertex per level up to the
-    largest label, and memo and unions are 0."""
+    """Per-component diagnostics: what the pre-DP steps removed, the list
+    entries pruned (instance.gap_compression) and the ``fixed`` vertices
+    left out of the walk, each with one label left; and per level run, up
+    to the first complete or empty table, how many vectors the table
+    holds, which is the whole component's count. The rest describes the
+    core, the vertices the walk kept: the vertex order the walks followed,
+    ``()`` where no walk ran, and per level the core table's DAG nodes,
+    the entries the level walk memoized and the unions it made. With no
+    core, each level records the one empty vector in no node, with memo
+    and unions 0. A bound for the sizes comes from predict_complexity on a
+    partition of ``instance``."""
 
     instance: Instance
     ordering: tuple[int, ...] = ()
     pruned_labels: int = 0
+    fixed: int = 0
     level_sizes: list[int] = field(default_factory=list)
     level_nodes: list[int] = field(default_factory=list)
     level_memo: list[int] = field(default_factory=list)
@@ -140,7 +145,7 @@ class ComponentReport:
 class SolveStats:
     """The reports of the components solved, up to the first NO one;
     ``levels`` and ``max_table_size`` are read off them, the levels of a
-    component decided by its one-label lists included."""
+    component with no vertex left to walk included."""
 
     components: list[ComponentReport] = field(default_factory=list)
 
@@ -367,7 +372,13 @@ def walk_order(g: Graph) -> tuple[int, ...]:
     costs the degrees of the vertices beside the frontier, and all
     unplaced vertices are scanned only to start a component.
     """
-    adjacency = g.adjacency
+    return _frontier_order(g.adjacency)
+
+
+def _frontier_order(adjacency) -> tuple[int, ...]:
+    """walk_order of the graph whose adjacency map (vertex -> set of
+    neighbours) is ``adjacency``: the solver passes the map of the
+    subgraph it walks, in the component's vertex ids."""
     left = {v: len(adjacency[v]) for v in adjacency}  # unplaced neighbours
     unplaced = set(adjacency)
     beside: set[int] = set()  # the unplaced neighbours of placed vertices
@@ -397,9 +408,12 @@ def walk_order(g: Graph) -> tuple[int, ...]:
 
 class ComponentDP:
     """The dynamic program of one component, with its coordinates in a
-    given vertex order (any permutation of the vertices; the solver uses
-    walk_order). The tables hold the same vectors, up to the order of
-    their coordinates, whatever the order; only cost varies.
+    given vertex order: the positions are the vertices ``ordering``
+    names, and an edge with an end it leaves out is skipped (the solver
+    leaves out the vertices it fixes, whose label conflicts with no
+    label of a neighbour, and walks the rest in walk_order). The tables
+    hold the same vectors, up to the order of their coordinates,
+    whatever the order; only cost varies.
 
     Built once per component: ``tau``, the coordinate ``ordering`` and,
     from one walk over the edges in position coordinates, the masks that
@@ -445,7 +459,9 @@ class ComponentDP:
         waiting = 0
         last = list(range(n))  # the last barring neighbour of each position, or itself
         for (u, v), diffs in inst.t.items():
-            i, j = pos_of[u], pos_of[v]
+            i, j = pos_of.get(u), pos_of.get(v)
+            if i is None or j is None:  # an end the ordering leaves out
+                continue
             if i > j:
                 i, j = j, i
             nbr_mask[i] |= 1 << j
@@ -624,27 +640,31 @@ def check_witness(inst: Instance, witness: Witness) -> bool:
 # drivers
 
 
-def _decided_by_lists(inst: Instance) -> bool:
-    """True iff every list of the pruned instance holds one label. Its
-    lists are arc consistent (instance.gap_compression), so each edge has
-    an allowed pair of labels, and the one labeling they give is proper.
-    The DP would build, per level up to the largest label, one table of
-    one vector, a chain of one node per vertex: any other vector leaves a
-    vertex unlabeled past its only label, which forward checking drops.
-    _solve_component records those tables and that labeling without a
-    walk. It holds no store, so ENTRY_LIMIT caps only the number of
-    levels it records, which the DP could never pass either. A function
-    of its own so that a test can close this exit and run the DP
-    instead."""
-    return all(len(labels) == 1 for labels in inst.lam.values())
+def _one_label_vertices(inst: Instance) -> Witness:
+    """Each vertex whose list holds one label, with that label. On lists
+    pruned to arc consistency (instance.gap_compression) such a label
+    conflicts with no label of a neighbour's list, as 0 is in every T: the
+    vertex makes no choice, bars no neighbour and is barred by none, so
+    _solve_component fixes it and leaves it out of the walk. A function of
+    its own so that a test can fix none and walk every vertex."""
+    return {v: lab for v, labels in inst.lam.items() if len(labels) == 1 for lab in labels}
 
 
 def _solve_component(inst: Instance, options: SolveOptions,
                      stats: SolveStats) -> tuple[bool, Witness | None]:
-    """Run the DP on one connected (sub-)instance, walked in walk_order,
-    with its lists pruned and compressed (instance.gap_compression), up to
-    its first complete level; where pruning empties the lists or leaves
-    one label on each, no level runs and no walk order is built."""
+    """Run the DP on one connected (sub-)instance, with its lists pruned
+    and compressed (instance.gap_compression), up to its first complete
+    level. A vertex whose pruned list holds one label is fixed to it
+    (_one_label_vertices) and the DP runs on the others, the core, walked
+    in the walk_order of the graph they induce. The whole component's
+    table at each level is the core's with one state added per fixed
+    vertex, unlabeled below its label and labeled from it on, so the
+    sizes are the whole component's, and the loop runs on to the largest
+    fixed label, before which the component cannot complete. The report's
+    ``ordering``, ``level_nodes``, ``level_memo`` and ``level_unions``
+    describe the core. Where pruning empties the lists no level runs, and
+    where it leaves no core no walk runs: each level's table is the one
+    empty vector, which is recorded as the loop would record it."""
     report = ComponentReport(instance=inst)
     stats.components.append(report)
     entries = sum(map(len, inst.lam.values()))
@@ -652,50 +672,56 @@ def _solve_component(inst: Instance, options: SolveOptions,
     report.pruned_labels = entries - sum(map(len, inst.lam.values()))
     if not label_map:  # pruning emptied every list: NO, and no level runs
         return False, None
-    if _decided_by_lists(inst):  # one label a list: YES, and no level runs
-        last = max(label_map)
-        if last > ENTRY_LIMIT:  # the DP would pass the cap first, one node a level at least
+    fixed = _one_label_vertices(inst)
+    report.fixed = len(fixed)
+    last = max(label_map)  # the largest label, compressed
+    witness: Witness = {}
+    if len(fixed) == inst.graph.n:  # no core: YES, and no walk runs
+        if last > ENTRY_LIMIT:  # the DP over every vertex would pass the cap first
             raise ResourceLimitError(f"{last} levels to record, past the limit of {ENTRY_LIMIT}")
         report.level_sizes = [1] * last
-        report.level_nodes = [inst.graph.n] * last
+        report.level_nodes = [0] * last
         report.level_memo = [0] * last
         report.level_unions = [0] * last
-        if not options.store_parents:
-            return True, None
-        return True, {v: label_map[lab] for v, (lab,) in inst.lam.items()}
-    report.ordering = ordering = walk_order(inst.graph)
-    dp = ComponentDP(inst, ordering)
-    store = dp.base_store()
-    # a retained level keeps its store, as advance leaves it
-    levels = [(store[0], store[1])] if options.store_parents else None
-
-    held = 0  # the component's stores go when it returns, so the cap is per component
-    # a component has a vertex, so the base vector is never complete
-    for k in range(1, max(label_map) + 1):  # to the largest label, compressed
-        size, nodes, complete, memo, unions = dp.advance(store, k)
-        report.level_sizes.append(size)
-        report.level_nodes.append(nodes)
-        report.level_memo.append(memo)
-        report.level_unions.append(unions)
-        held += nodes + memo + unions
-        if held > ENTRY_LIMIT:
-            raise ResourceLimitError(f"{held} table nodes and walk entries by level {k}, "
-                                     f"past the limit of {ENTRY_LIMIT}")
-        if not size:  # no vector can be completed any more: NO
-            return False, None
+    else:
+        adjacency = inst.graph.adjacency
+        if fixed:
+            adjacency = {v: adjacency[v].difference(fixed) for v in adjacency if v not in fixed}
+        report.ordering = ordering = _frontier_order(adjacency)
+        dp = ComponentDP(inst, ordering)
+        store = dp.base_store()
+        # a retained level keeps its store, as advance leaves it
+        levels = [(store[0], store[1])] if options.store_parents else None
+        floor = max(fixed.values(), default=0)  # no level below it is complete
+        held = 0  # the component's stores go when it returns, so the cap is per component
+        # the core has a vertex, so the base vector is never complete
+        for k in range(1, last + 1):
+            size, nodes, complete, memo, unions = dp.advance(store, k)
+            report.level_sizes.append(size)
+            report.level_nodes.append(nodes)
+            report.level_memo.append(memo)
+            report.level_unions.append(unions)
+            held += nodes + memo + unions
+            if held > ENTRY_LIMIT:
+                raise ResourceLimitError(f"{held} table nodes and walk entries by level {k}, "
+                                         f"past the limit of {ENTRY_LIMIT}")
+            if not size:  # no vector can be completed any more: NO
+                return False, None
+            if levels is not None:
+                levels.append((store[0], store[1]))
+            if complete and k >= floor:
+                break
+        # the last level run is the first at or past the floor whose core
+        # table holds a complete vector: the loop stopped there, or at the
+        # largest label's table, which is not empty and keeps complete
+        # vectors only; it anchors the core's witness
         if levels is not None:
-            levels.append((store[0], store[1]))
-        if complete:
-            break
-    # the last level run is the first that holds a complete vector: the
-    # loop stopped there, or at the largest label's table, which is not
-    # empty and keeps complete vectors only; it anchors the witness
-    if levels is None:
+            shapes, root, full = store
+            found = _least_complete(shapes, full, root)
+            witness = _walk_back(levels, found, k, dp.nbr_mask, dp.tau, ordering, dp.filters)
+    if not options.store_parents:
         return True, None
-    shapes, root, full = store
-    found = _least_complete(shapes, full, root)
-    witness = _walk_back(levels, found, k, dp.nbr_mask, dp.tau, ordering, dp.filters)
-    return True, {v: label_map[lab] for v, lab in witness.items()}
+    return True, {v: label_map[lab] for v, lab in itertools.chain(witness.items(), fixed.items())}
 
 
 def solve(inst: Instance, strategy: str = "auto",

@@ -10,6 +10,7 @@ import pytest
 from gltc import (BLOCKED, OPEN, ComponentDP, Graph, Instance, VectorTrie, build_partition,
                   gap_compression, independent_set_vectors, split_components, validate,
                   walk_order)
+from gltc.instance import induced_instance
 from gltc import instance as instance_module
 from gltc import solver as solver_module
 from gltc.reference import extension_predicate, is_live, level_step, project
@@ -28,20 +29,31 @@ def free_labels_off():
 
 
 @contextlib.contextmanager
-def list_exit_off():
-    """_solve_component with its exit for lists of one label each
-    (_decided_by_lists) closed, for the span of the block: every component
-    that pruning leaves nonempty runs the DP, and a pin taken on the walks
-    shows them unchanged."""
+def peel_off():
+    """_solve_component with its peel of one-label vertices
+    (_one_label_vertices) closed, for the span of the block: no vertex is
+    fixed, every component that pruning leaves nonempty runs the DP on all
+    its vertices, and a pin taken on the walks shows them unchanged."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver_module, "_decided_by_lists", lambda inst: False)
+        mp.setattr(solver_module, "_one_label_vertices", lambda inst: {})
         yield
 
 
 def decided_by_lists(report) -> bool:
-    """Whether the component of ``report`` took the exit for lists of one
-    label each, so no level walk, tally or witness walk ran for it."""
-    return solver_module._decided_by_lists(gap_compression(report.instance)[0])
+    """Whether the component of ``report`` left no vertex to walk: its
+    pruned lists hold one label each, so no level walk, tally or witness
+    walk ran for it."""
+    return report.fixed == report.instance.graph.n
+
+
+def core_order(report) -> tuple[int, ...]:
+    """walk_order of the graph that the vertices of ``report``'s component
+    left to walk induce (those whose pruned list holds more than one
+    label), mapped back to the component's vertex ids."""
+    pruned, _ = gap_compression(report.instance)
+    core, ids = induced_instance(pruned, [v for v, labels in pruned.lam.items()
+                                          if len(labels) > 1])
+    return tuple(ids[v] for v in walk_order(core.graph))
 
 
 def path_graph(n: int) -> Graph:

@@ -14,7 +14,8 @@ its complete ones. The solver builds no independent-set trie: its walks
 read neighbour masks. One walk takes a level table to the next, and the
 tables it builds hold one unlabeled symbol: BLOCKED is written only by
 the benchmark replay's per-vector pass. What a solve may hold is capped
-by one constant of the solver, not by an option. ``gltc.__all__`` holds
+by one constant of the solver, not by an option, and a component is
+solved on one path, with one level loop. ``gltc.__all__`` holds
 what the CLI, the demos and the benchmark scripts import from gltc, plus
 the public exceptions and result types.
 """
@@ -33,7 +34,7 @@ from gltc import partition as partition_module
 from gltc import reference as reference_module
 from gltc import solver as solver_module
 from gltc.cli import main
-from support import decided_by_lists, list_exit_off
+from support import decided_by_lists, peel_off
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gltc"
@@ -255,22 +256,37 @@ def test_solves_walk_once_per_level_and_never_emit_blocked(monkeypatch):
     for seed in range(40):
         inst = random_instance(n=3 + seed % 6, density=(0.2, 0.5, 0.8)[seed % 3],
                                tau=seed % 4, lmax=3 + seed % 5, seed=3100 + seed)
-        # a component whose lists hold one label each runs no walk
+        # a component whose lists hold one label each leaves no vertex to
+        # walk, and runs no walk
         walks.clear()
         result = solve(inst)
         reports = result.stats.components
         decided += sum(map(decided_by_lists, reports))
         assert len(walks) == sum(len(c.level_sizes) for c in reports
                                  if not decided_by_lists(c))
-        # with that exit closed, every level that runs is one walk
+        # with no vertex fixed, every level that runs is one walk
         walks.clear()
-        with list_exit_off():
+        with peel_off():
             result = solve(inst)
         assert len(walks) == result.stats.levels
         for shapes, _, _, _, _ in walks:
             symbols |= {sym for shape in shapes for sym, _ in shape}
     assert BLOCKED not in symbols and min(symbols) == 0 and max(symbols) == 4
     assert decided > 0
+
+
+def test_one_path_solves_a_component():
+    # a component whose lists hold one label each is the peel's case with
+    # no core, on the one path: no function of its own decides it, and
+    # _solve_component runs one level loop, around advance
+    assert not hasattr(solver_module, "_decided_by_lists")
+    assert callable(solver_module._one_label_vertices)  # attributes are seen
+    (fn,) = [f for f in _functions(SRC / "solver.py") if f.name == "_solve_component"]
+    loops = [node for node in _own_nodes(fn) if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1
+    assert "advance" in {getattr(node.func, "attr", None) for node in ast.walk(loops[0])
+                         if isinstance(node, ast.Call)}
+    assert _called(fn).count("_one_label_vertices") == 1
 
 
 def test_the_solve_cap_is_a_constant_not_an_option(capsys):

@@ -60,11 +60,12 @@ from gltc.vectorset import decode, encode
 from support import (
     base_table,
     complete_graph,
+    core_order,
     cycle_graph,
     decided_by_lists,
     free_labels_off,
     labeling_vector,
-    list_exit_off,
+    peel_off,
     neighbour_masks,
     odd_cycle_with_pendant,
     path_graph,
@@ -710,7 +711,7 @@ def test_only_witness_solves_decode_tables_or_walk_them_for_completeness(monkeyp
     decisions, components, decided = set(), 0, 0
     for inst in _seeded_solve_cases():
         for exit_open in (True, False):
-            with contextlib.nullcontext() if exit_open else list_exit_off():
+            with contextlib.nullcontext() if exit_open else peel_off():
                 decision_only = solve(inst, options=SolveOptions(store_parents=False))
                 assert calls == {"decode": 0, "_find_complete": 0, "_least_complete": 0}
                 result = solve(inst)
@@ -753,7 +754,7 @@ def test_solve_tallies_each_level_once(monkeypatch):
             assert calls["tally"] == sum(len(c.level_sizes) for c in walked) - emptied
             calls["tally"] = 0
             decided += len(result.stats.components) - len(walked)
-            with list_exit_off():
+            with peel_off():
                 result = solve(inst, options=options)
             emptied = sum(size == 0 for c in result.stats.components for size in c.level_sizes)
             assert calls["tally"] == result.stats.levels - emptied
@@ -914,7 +915,9 @@ def test_a_no_component_stops_at_its_first_empty_table(monkeypatch):
     # vectors; the empty table is not tallied, retained or walked back,
     # with witness on or off (pinned with the free-label step off); by default the pendant's
     # labels 3..6 are free beside the cycle's {1, 2}, its list is cut to
-    # {3}, and the level-1 table holds 11 vectors in 14 nodes
+    # {3}, and the level-1 table holds 11 vectors; the pendant, fixed to
+    # label 3, is left out of the walk, whose core table on the cycle
+    # holds them in 12 nodes (14 with the pendant walked too)
     inst = odd_cycle_with_pendant()
     assert not brute_force_solve(inst)[0]
     calls = _counted_calls(monkeypatch, ("tally", "_least_complete", "_walk_back"))
@@ -930,10 +933,15 @@ def test_a_no_component_stops_at_its_first_empty_table(monkeypatch):
         result = solve(inst, options=SolveOptions(store_parents=parents))
         assert not result.decision and result.witness is None
         (report,) = result.stats.components
-        assert report.level_sizes == [11, 0] and report.level_nodes == [14, 0]
+        assert report.level_sizes == [11, 0] and report.level_nodes == [12, 0]
         assert result.stats.levels == 2 and result.stats.max_table_size == 11
-        assert report.pruned_labels == 5
-    assert calls == {"tally": 4, "_least_complete": 0, "_walk_back": 0}
+        assert report.pruned_labels == 5 and report.fixed == 1 and 6 not in report.ordering
+        with peel_off():
+            result = solve(inst, options=SolveOptions(store_parents=parents))
+        (report,) = result.stats.components
+        assert report.level_sizes == [11, 0] and report.level_nodes == [14, 0]
+        assert not result.decision and report.fixed == 0
+    assert calls == {"tally": 6, "_least_complete": 0, "_walk_back": 0}
 
 
 def test_base_table_marks_label_one_availability():
@@ -1010,15 +1018,17 @@ def test_a_wiped_out_component_builds_no_dp_and_runs_no_level(monkeypatch):
 def test_only_components_that_reach_the_dp_build_a_walk_order(monkeypatch):
     # a component that pruning empties, or leaves one label a list, is
     # decided before the DP: no walk order is built for it and its report's
-    # ordering is (); every other component builds one, once
-    calls = _counted_calls(monkeypatch, ("walk_order",))
+    # ordering is (); every other component builds one, once, the
+    # walk_order of the graph its vertices of more than one label induce
+    calls = _counted_calls(monkeypatch, ("_frontier_order",))
     g = Graph.from_edges(4, [(1, 2), (3, 4)])
     lam = {1: frozenset({1, 3}), 2: frozenset({1, 3}), 3: frozenset({1, 2}), 4: frozenset({1, 2})}
     wiped = Instance(graph=g, lam=lam, t={e: frozenset({0, 1}) for e in g.edges})
-    seen = {"dp": 0, "emptied": 0, "one label a list": 0}
+    seen = {"dp": 0, "emptied": 0, "one label a list": 0, "some vertices fixed": 0}
     for inst in [wiped, *_seeded_solve_cases()]:
         for parents in (True, False):
             reports = solve(inst, options=SolveOptions(store_parents=parents)).stats.components
+            assert calls["_frontier_order"] == sum(bool(report.ordering) for report in reports)
             for report in reports:
                 if not gap_compression(report.instance)[1]:
                     kind = "emptied"
@@ -1026,11 +1036,12 @@ def test_only_components_that_reach_the_dp_build_a_walk_order(monkeypatch):
                     kind = "one label a list"
                 else:
                     kind = "dp"
-                    assert report.ordering == walk_order(report.instance.graph)
+                    assert report.ordering == core_order(report)
+                    assert len(report.ordering) + report.fixed == report.instance.graph.n
+                    seen["some vertices fixed"] += report.fixed > 0
                 seen[kind] += 1
                 assert bool(report.ordering) == (kind == "dp")
-            assert calls["walk_order"] == sum(bool(report.ordering) for report in reports)
-            calls["walk_order"] = 0
+            calls["_frontier_order"] = 0
     assert all(seen.values()), seen
 
 
@@ -1075,18 +1086,29 @@ def test_criterion_7_walk_memoizes_half_the_entries_of_the_star_order():
     # entries, its unions 5,618; walk_order's frontier is 7 (pinned with
     # the free-label step off). By default vertex 4's list is cut to
     # label 13 and vertex 5's to label 8, each free beside every
-    # neighbour's list: 13 levels, and the walks halve again
+    # neighbour's list: 13 levels, and the walks halve again. The two are
+    # then fixed and left out of the walk, which runs on the other 14
+    # vertices: the sizes stay the whole component's, and the walk keeps
+    # about three quarters of its entries (with every vertex walked,
+    # 2,932 memo entries, 1,244 unions and 5,273 in all)
     inst = random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024)
     with free_labels_off():
         report = solve(inst, strategy="star").stats.components[0]
     assert report.level_sizes == [85, 594, 4018, 36163, 62427, 207528, 238692, 694656]
     assert sum(report.level_memo) <= 14_000
     assert sum(report.level_unions) <= 8_000
-    report = solve(inst, strategy="star").stats.components[0]
-    assert report.level_sizes == [45, 287, 1187, 7031, 12699, 42040, 32800, 91392, 174016,
-                                  159744, 98304, 108544, 61440]
+    sizes = [45, 287, 1187, 7031, 12699, 42040, 32800, 91392, 174016, 159744, 98304, 108544,
+             61440]
+    with peel_off():
+        report = solve(inst, strategy="star").stats.components[0]
+    assert report.level_sizes == sizes and report.fixed == 0
     assert sum(report.level_memo) == 2_932 and sum(report.level_unions) == 1_244
     assert sum(report.level_nodes) + sum(report.level_memo) + sum(report.level_unions) == 5_273
+    report = solve(inst, strategy="star").stats.components[0]
+    assert report.level_sizes == sizes and report.fixed == 2
+    assert {4, 5}.isdisjoint(report.ordering) and len(report.ordering) == 14
+    assert sum(report.level_memo) == 2_160 and sum(report.level_unions) == 877
+    assert sum(report.level_nodes) + sum(report.level_memo) + sum(report.level_unions) == 3_986
 
 
 def test_k1d_strategy_matches_oracle_on_line_graphs():
@@ -1111,9 +1133,11 @@ def test_k1d_strategy_matches_oracle_on_line_graphs():
 
 def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monkeypatch):
     # _find_complete and reconstruct_witness, the adapters the benchmark
-    # replay calls, on the solver's retained levels decoded into dict
+    # replay calls, on the solver's retained core levels decoded into dict
     # tries: exactly the vector and the labels of the store walks, and
-    # no complete vector at any level of a NO component
+    # no complete vector at any level of a NO component; the walk back
+    # starts at the later of the core's first complete level and the
+    # component's largest fixed label
     walks = []
     real = solver_module._walk_back
 
@@ -1123,20 +1147,30 @@ def test_replay_adapters_give_the_solvers_least_complete_vector_and_witness(monk
         return labels
 
     monkeypatch.setattr(solver_module, "_walk_back", recorded)
-    seen = {"several yes components": 0, "no": 0, "no before the last label": 0}
+    seen = {"several yes components": 0, "no": 0, "no before the last label": 0,
+            "core complete before the largest fixed label": 0}
     for seed in range(300):
         inst = random_instance(n=3 + seed % 8, density=(0.15, 0.35, 0.6)[seed % 3],
                                tau=seed % 4, lmax=3 + seed % 6, seed=4400 + seed)
         walks.clear()
         result = solve(inst)
         solver_walks = list(walks)  # the adapter calls _walk_back too
-        for levels, final, final_level, nbr_mask, tau, ordering, filters, labels in solver_walks:
+        # every YES component with a core walks back once; a NO one last, never
+        reports = result.stats.components
+        walked = [c for c in reports[:len(reports) - (not result.decision)] if c.ordering]
+        assert len(walked) == len(solver_walks)
+        for report, (levels, final, final_level, nbr_mask, tau, ordering, filters,
+                     labels) in zip(walked, solver_walks):
             n = len(ordering)
             tables = [LevelTable(k, VectorTrie(n, decode(shapes)[root]))
                       for k, (shapes, root) in enumerate(levels)]
-            # the walk back starts from the first level with a complete vector
             assert _find_complete(tables[final_level].vectors) == final
-            assert all(_find_complete(t.vectors) is None for t in tables[:final_level])
+            first = next(k for k, t in enumerate(tables) if _find_complete(t.vectors) is not None)
+            pruned = gap_compression(report.instance)[0]
+            floor = max((lab for labs in pruned.lam.values() if len(labs) == 1 for lab in labs),
+                        default=0)
+            assert final_level == max(first, floor) == len(report.level_sizes)
+            seen["core complete before the largest fixed label"] += first < floor
             # the solver's tables hold one unlabeled symbol, so the walk
             # back over the re-encoded tables needs the component's
             # barring masks (the replay's tables spell out BLOCKED and
@@ -1273,20 +1307,29 @@ def test_the_walk_back_stops_at_the_first_level_with_no_aged_label(monkeypatch):
 # its least free label changes levels, tables, walks and witnesses, while
 # the decision digest held.
 #
-# A component whose pruned lists hold one label each runs no level walk
-# (solver._decided_by_lists) and records the tables the DP would build,
-# with memo and unions 0. So the two walk digests were re-pinned when
-# that exit came in, and the DP_WALK digests are their old values, which
-# still pass with the exit closed (support.list_exit_off); the other
-# digests pass with it open or closed.
-WITNESS_DIGEST = "48f57dc2a978ed1a104ef413540dafec29ffc188"
-TABLE_DIGEST = "82d2f094d94ffde46872fe6145e96e40e901b4a6"
-WALK_DIGEST = "b0c9a596f88066bd94ac0fe91f5cc7cff593cb9c"
+# A component whose pruned lists hold one label each was later decided
+# with no level walk, its tables recorded as the DP would build them with
+# memo and unions 0, so the two walk digests were re-pinned then. The DP_
+# digests are those of the DP over every vertex of a component, with no
+# vertex fixed (support.peel_off): each keeps the value its default or
+# ARC_CONSISTENT_ twin had before vertices left one label were fixed, the
+# DP_WALK ones the value from before that exit. Fixing those vertices
+# and leaving them out of the walk holds the decisions and the level
+# sizes, while the nodes, memo entries, unions and walk order are the
+# core's, and with the order the witnesses move: the default and
+# ARC_CONSISTENT_ witness, table and walk digests were re-pinned.
+WITNESS_DIGEST = "809ef7fa4b4a40eeeaed8408e562571d3b99589a"
+TABLE_DIGEST = "bd2503ca87673bed2d71b35c96f2a2287510638c"
+WALK_DIGEST = "b51fb731b4f11f9c650ddaf2765be0b5d654c853"
 DECISION_DIGEST = "e605230f27337ee9bc6e47e2c699dc8056404e9d"
-ARC_CONSISTENT_WITNESS_DIGEST = "14836edbbf9d042909dab57bd1cba52de5c91f6b"
-ARC_CONSISTENT_TABLE_DIGEST = "6249534031b4ce4634303c04b29104c961625ba2"
-ARC_CONSISTENT_WALK_DIGEST = "4dfc52f7c50dd8e8e59b1251e45b201b52ea4c57"
+ARC_CONSISTENT_WITNESS_DIGEST = "e54106f6b85f59478ff2c5966462207d8f2883ef"
+ARC_CONSISTENT_TABLE_DIGEST = "b22629ec13ed4a2d0833436ad6456df86e9c306a"
+ARC_CONSISTENT_WALK_DIGEST = "cb7531a91babfc4d83c6433ba8fcc9a4ee1a6312"
+DP_WITNESS_DIGEST = "48f57dc2a978ed1a104ef413540dafec29ffc188"
+DP_TABLE_DIGEST = "82d2f094d94ffde46872fe6145e96e40e901b4a6"
 DP_WALK_DIGEST = "22478ffe8b7197c992bb93b978efec78891a3572"
+ARC_CONSISTENT_DP_WITNESS_DIGEST = "14836edbbf9d042909dab57bd1cba52de5c91f6b"
+ARC_CONSISTENT_DP_TABLE_DIGEST = "6249534031b4ce4634303c04b29104c961625ba2"
 ARC_CONSISTENT_DP_WALK_DIGEST = "63a92f6be64e3a2a8d959cc6cb3d8c36a3668e9f"
 
 
@@ -1331,13 +1374,13 @@ def arc_consistent_digests():
 
 @pytest.fixture(scope="module")
 def dp_digests():
-    with list_exit_off():
+    with peel_off():
         return _digests()
 
 
 @pytest.fixture(scope="module")
 def arc_consistent_dp_digests():
-    with list_exit_off(), free_labels_off():
+    with peel_off(), free_labels_off():
         return _digests()
 
 
@@ -1374,13 +1417,14 @@ def test_arc_consistent_decisions_are_pinned(arc_consistent_digests):
 
 
 def test_dp_walks_are_pinned(dp_digests):
-    # the exit for one label a list moves no witness, table or decision
-    assert dp_digests == (WITNESS_DIGEST, TABLE_DIGEST, DP_WALK_DIGEST, DECISION_DIGEST)
+    # the peel of one-label vertices moves no decision, and closed it
+    # leaves the DP over every vertex as it was
+    assert dp_digests == (DP_WITNESS_DIGEST, DP_TABLE_DIGEST, DP_WALK_DIGEST, DECISION_DIGEST)
 
 
 def test_arc_consistent_dp_walks_are_pinned(arc_consistent_dp_digests):
-    assert arc_consistent_dp_digests == (ARC_CONSISTENT_WITNESS_DIGEST,
-                                         ARC_CONSISTENT_TABLE_DIGEST,
+    assert arc_consistent_dp_digests == (ARC_CONSISTENT_DP_WITNESS_DIGEST,
+                                         ARC_CONSISTENT_DP_TABLE_DIGEST,
                                          ARC_CONSISTENT_DP_WALK_DIGEST, DECISION_DIGEST)
 
 
@@ -1413,7 +1457,7 @@ def test_solve_resource_limit_is_not_a_no(monkeypatch):
     assert all(map(decided_by_lists, solve(inst).stats.components))
     monkeypatch.setattr(solver_module, "ENTRY_LIMIT", 3)
     limit = sys.getrecursionlimit()
-    with list_exit_off(), pytest.raises(ResourceLimitError, match="table nodes"):
+    with peel_off(), pytest.raises(ResourceLimitError, match="table nodes"):
         solve(inst)
     assert sys.getrecursionlimit() == limit  # restored on the way out
     with pytest.raises(ResourceLimitError, match="levels to record"):
@@ -1421,6 +1465,23 @@ def test_solve_resource_limit_is_not_a_no(monkeypatch):
     with pytest.raises(ResourceLimitError, match="table nodes"):
         solve(random_instance(n=16, density=0.3, tau=1, lmax=20, seed=2024))
     assert sys.getrecursionlimit() == limit
+
+
+def test_the_dp_path_refuses_exactly_past_the_cap(monkeypatch):
+    # the cap holds for the sum of the core's table nodes, walk memo
+    # entries and unions, checked after each level: a component that makes
+    # exactly ENTRY_LIMIT of them solves, and with the limit one lower it
+    # is refused at its last level. Vertex 3 is fixed to label 5 (3 once
+    # compressed), so the core {1, 2}, complete at level 2, runs on to 3
+    report, = solve(_LATE_FIXED_LABEL).stats.components
+    assert report.ordering and report.fixed == 1 and len(report.level_sizes) == 3
+    held = sum(report.level_nodes) + sum(report.level_memo) + sum(report.level_unions)
+    monkeypatch.setattr(solver_module, "ENTRY_LIMIT", held)
+    result = solve(_LATE_FIXED_LABEL)
+    assert result.decision and check_witness(_LATE_FIXED_LABEL, result.witness)
+    monkeypatch.setattr(solver_module, "ENTRY_LIMIT", held - 1)
+    with pytest.raises(ResourceLimitError, match=f"^{held} table nodes and walk entries by level 3,"):
+        solve(_LATE_FIXED_LABEL)
 
 
 def test_lists_of_one_label_record_no_more_levels_than_the_cap(monkeypatch):
@@ -1467,10 +1528,10 @@ def _list_exit_cases(draw):
 
 
 def _outcome(result):
-    """What a solve decides and finds, and the tables it records."""
+    """What a solve decides and the table sizes it records."""
     reports = result.stats.components
-    return (result.decision, result.witness, result.stats.levels, result.stats.max_table_size,
-            [c.level_sizes for c in reports], [c.level_nodes for c in reports])
+    return (result.decision, result.stats.levels, result.stats.max_table_size,
+            [c.level_sizes for c in reports])
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -1483,18 +1544,21 @@ def _outcome(result):
                   t={(1, 2): frozenset({0, _WIDE - 1})}), False)  # arc consistency alone
 def test_lists_of_one_label_decide_a_component_as_the_dp_does(inst, parents):
     # where a component's pruned lists hold one label each, solve runs no
-    # level and records the tables the DP builds: stepping ComponentDP
-    # over the same pruned instance gives one vector per level, up to the
-    # largest label
+    # walk and records the tables of the DP over no vertex, which stand for
+    # those the DP over every vertex builds: stepping ComponentDP over the
+    # same pruned instance gives one vector per level, up to the largest
+    # label, as the record says, and the solve with no vertex fixed
+    # (support.peel_off) decides and sizes the same, and finds the same
+    # labeling there
     options = SolveOptions(store_parents=parents)
     result = solve(inst, options=options)
     assert result.decision == brute_force_solve(inst)[0]
     assert not result.witness or check_witness(inst, result.witness)
-    with list_exit_off():
+    with peel_off():
         assert _outcome(solve(inst, options=options)) == _outcome(result)
     for sub, _ in split_components(inst):
         pruned, label_map = gap_compression(sub)
-        if not label_map or not solver_module._decided_by_lists(pruned):
+        if not label_map or any(len(labels) > 1 for labels in pruned.lam.values()):
             continue
         dp = ComponentDP(pruned, walk_order(sub.graph))
         table, sizes, nodes = base_table(dp), [], []
@@ -1506,12 +1570,71 @@ def test_lists_of_one_label_decide_a_component_as_the_dp_does(inst, parents):
         alone = solve(sub, options=options)
         report, = alone.stats.components
         assert alone.decision and alone.stats.levels == max(label_map)
-        assert (report.level_sizes, report.level_nodes) == (sizes, nodes)
-        assert report.level_memo == report.level_unions == [0] * len(sizes)
-        with list_exit_off():
-            assert _outcome(solve(sub, options=options)) == _outcome(alone)
+        assert report.level_sizes == sizes and report.fixed == sub.graph.n
+        assert report.ordering == () and decided_by_lists(report)
+        # no walk ran: each level is the one empty vector, in no node
+        assert report.level_nodes == report.level_memo == report.level_unions == [0] * len(sizes)
+        with peel_off():
+            walked = solve(sub, options=options)
+        assert _outcome(walked) == _outcome(alone) and walked.witness == alone.witness
+        assert walked.stats.components[0].level_nodes == nodes
         assert alone.witness == ({v: label_map[lab] for v, (lab,) in pruned.lam.items()}
                                  if parents else None)
+
+
+# arc consistency cuts vertex 2's list {1, 2} to {2} beside vertex 1's {1};
+# the free-label step would then cut vertex 3's list to {4} and vertex
+# 4's to {1}, and with it off vertices 3 and 4 are the core
+_ARC_CONSISTENT_ONE_LABEL = Instance(
+    graph=path_graph(4), lam={1: frozenset({1}), 2: frozenset({1, 2}), 3: frozenset({1, 3, 4}),
+                              4: frozenset({1, 3})},
+    t={e: frozenset({0}) for e in path_graph(4).edges})
+# the core {1, 2} is complete at level 2, and the fixed vertex 3 at level 3
+_LATE_FIXED_LABEL = Instance(
+    graph=path_graph(3), lam={1: frozenset({1, 2}), 2: frozenset({1, 2}), 3: frozenset({5})},
+    t={e: frozenset({0}) for e in path_graph(3).edges})
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_list_exit_cases(), st.booleans())
+@example(_ARC_CONSISTENT_ONE_LABEL, False)
+@example(_ARC_CONSISTENT_ONE_LABEL, True)
+@example(_LATE_FIXED_LABEL, True)
+@example(odd_cycle_with_pendant(), True)  # NO, with the pendant fixed
+@example(Instance(graph=path_graph(2), lam={1: frozenset({1}), 2: frozenset({_WIDE, _WIDE + 1})},
+                  t={(1, 2): frozenset({0, _WIDE - 1})}), True)  # arc consistency alone
+def test_the_core_tables_are_the_whole_tables_less_the_fixed_coordinates(inst, free):
+    # a vertex left one label by pruning, by arc consistency alone where
+    # the free-label step is off, is fixed and left out of the walk: with
+    # the peel on and closed (support.peel_off) the decisions and the
+    # level sizes are equal and every witness checks, and at every level
+    # the core's table is the whole component's with the fixed coordinates
+    # dropped, one to one, each fixed coordinate holding one symbol
+    with contextlib.nullcontext() if free else free_labels_off():
+        result = solve(inst)
+        with peel_off():
+            closed = solve(inst)
+        assert _outcome(result) == _outcome(closed)
+        assert result.decision == brute_force_solve(inst)[0]
+        for solved in (result, closed):
+            assert not solved.decision or check_witness(inst, solved.witness)
+        for report in result.stats.components:
+            pruned, label_map = gap_compression(report.instance)
+            if not report.ordering:  # emptied, or no core: no walk ran
+                continue
+            fixed = {v for v, labels in pruned.lam.items() if len(labels) == 1}
+            assert report.fixed == len(fixed) and fixed.isdisjoint(report.ordering)
+            whole = ComponentDP(pruned, walk_order(pruned.graph))
+            core = ComponentDP(pruned, report.ordering)
+            kept = [whole.ordering.index(v) for v in core.ordering]
+            others = [i for i, v in enumerate(whole.ordering) if v in fixed]
+            whole_table, core_table = base_table(whole), base_table(core)
+            for k in range(1, len(report.level_sizes) + 1):
+                whole_table = step(whole, whole_table, k)[0]
+                core_table, size, *_ = step(core, core_table, k)
+                dropped = sorted(tuple(vec[i] for i in kept) for vec in whole_table)
+                assert dropped == sorted(core_table) and size == report.level_sizes[k - 1]
+                assert len({tuple(vec[i] for i in others) for vec in whole_table}) <= 1
 
 
 def test_solve_stats_report_levels_and_sizes():
